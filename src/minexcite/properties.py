@@ -497,7 +497,7 @@ def _intersection_nonempty(constraints: Sequence[LinearConstraint]) -> bool:
     hmat = Mat([list(c.h) for c in constraints])
     if rank(hmat) == len(constraints):
         return True  # every value vector is achievable
-    basis = image(hmat.T).basis  # value-space basis, one row per constraint
+    basis = image(hmat).basis  # value-space basis, one row per constraint
     combos = 1
     for c in constraints:
         combos *= len(c.values.pieces)

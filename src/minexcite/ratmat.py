@@ -8,10 +8,18 @@ this module, which carry an explicit margin for unit-circle tests.
 Entries are `fractions.Fraction` values, which are always stored in lowest
 terms with a positive denominator.  Matrices and subspaces are immutable;
 all operations return new values and are safe to share across threads.
+
+The two hot kernels work on Python ints instead of a `Fraction` per cell,
+with no change to exactness: elimination scales each row by the lcm of
+its denominators and runs fraction-free Gauss-Jordan on primitive integer
+rows, and `@` brings each left row and right column to one common
+denominator and forms integer dot products.  Only the cells a caller
+reads are turned back into `Fraction`s.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
@@ -208,15 +216,15 @@ class Mat:
     def __matmul__(self, other: "Mat") -> "Mat":
         if self.cols != other.rows:
             raise DimensionMismatch(f"cannot multiply {self.shape} by {other.shape}")
+        n, w = self.cols, other.cols
+        lhs = [_integer_row(self._cells[i * n : (i + 1) * n]) for i in range(self.rows)]
+        rhs = [_integer_row(other._cells[j::w]) for j in range(w)]
         cells = []
-        for i in range(self.rows):
-            lhs = self._cells[i * self.cols : (i + 1) * self.cols]
-            for j in range(other.cols):
-                acc = Fraction(0)
-                for k in range(self.cols):
-                    acc += lhs[k] * other._cells[k * other.cols + j]
-                cells.append(acc)
-        return Mat.from_flat(self.rows, other.cols, cells)
+        for nums, den in lhs:
+            terms = [(k, x) for k, x in enumerate(nums) if x]
+            for col, col_den in rhs:
+                cells.append(Fraction(sum(x * col[k] for k, x in terms), den * col_den))
+        return Mat.from_flat(self.rows, w, cells)
 
     @property
     def T(self) -> "Mat":
@@ -266,35 +274,51 @@ def format_matrix(m: Mat) -> str:
     return "; ".join(", ".join(format_rational(v) for v in m.row_list(i)) for i in range(m.rows))
 
 
-# -- elimination core ---------------------------------------------------
+# -- integer kernels ------------------------------------------------------
 
-def _rref(cells: list, width: int, pivot_width: int) -> tuple:
-    """Reduced row echelon form with pivots restricted to the leading columns.
+def _integer_row(row: Sequence[Fraction]) -> tuple:
+    """(nums, den) with row == [x / den for x in nums], den the lcm of the denominators."""
+    den = math.lcm(*(v.denominator for v in row))
+    return [v.numerator * (den // v.denominator) for v in row], den
 
-    `cells` is a list of row lists, modified in place.  Pivot selection is
-    deterministic: scan columns left to right, take the first row at or
-    below the current one with a nonzero entry.  Returns the pivot column
-    indices in order.
+
+def _rref(rows: list, pivot_width: int) -> list:
+    """Fraction-free Gauss-Jordan elimination with pivots in the leading columns.
+
+    `rows` is a list of integer row lists, modified in place.  Each update
+    `piv * a - f * b` is divided by the gcd of its entries, so rows stay
+    primitive at one gcd per updated row instead of one per cell.  Bareiss's
+    division by the previous pivot skips that gcd but keeps every factor the
+    minors share, so rows cleared of one large denominator, as projections
+    give, would grow by it at every step.
+
+    Pivot rule: the first row at or below the current one with a nonzero
+    entry, columns scanned left to right.  Each row stays a nonzero multiple
+    of its rational Gauss-Jordan counterpart, so pivots and zero rows match
+    it, and row r of the reduced form is
+    `[Fraction(x, rows[r][pivots[r]]) for x in rows[r]]`.  Returns the pivot
+    column indices in order.
     """
     pivots = []
     r = 0
-    nrows = len(cells)
+    nrows = len(rows)
     for c in range(pivot_width):
         p = None
         for i in range(r, nrows):
-            if cells[i][c] != 0:
+            if rows[i][c]:
                 p = i
                 break
         if p is None:
             continue
-        cells[r], cells[p] = cells[p], cells[r]
-        inv = 1 / cells[r][c]
-        cells[r] = [v * inv for v in cells[r]]
+        rows[r], rows[p] = rows[p], rows[r]
+        row_r = rows[r]
+        piv = row_r[c]
         for i in range(nrows):
-            if i != r and cells[i][c] != 0:
-                f = cells[i][c]
-                row_r = cells[r]
-                cells[i] = [a - f * b for a, b in zip(cells[i], row_r)]
+            f = rows[i][c]
+            if f and i != r:
+                new = [piv * a - f * b for a, b in zip(rows[i], row_r)]
+                g = math.gcd(*new)
+                rows[i] = [x // g for x in new] if g > 1 else new
         pivots.append(c)
         r += 1
         if r == nrows:
@@ -302,15 +326,17 @@ def _rref(cells: list, width: int, pivot_width: int) -> tuple:
     return pivots
 
 
+def _integer_rows(m: Mat) -> list:
+    return [_integer_row(m._cells[i * m.cols : (i + 1) * m.cols])[0] for i in range(m.rows)]
+
+
 def rank(m: Mat) -> int:
     """Exact rank over the rationals."""
-    cells = m.to_lists()
-    return len(_rref(cells, m.cols, m.cols))
+    return len(_rref(_integer_rows(m), m.cols))
 
 
 def pivot_columns(m: Mat) -> list:
-    cells = m.to_lists()
-    return _rref(cells, m.cols, m.cols)
+    return _rref(_integer_rows(m), m.cols)
 
 
 def kernel(m: Mat) -> Mat:
@@ -319,8 +345,8 @@ def kernel(m: Mat) -> Mat:
     Each basis vector sets one free variable to 1 and the others to 0, so
     the output is deterministic and reproducible.
     """
-    cells = m.to_lists()
-    pivots = _rref(cells, m.cols, m.cols)
+    rows = _integer_rows(m)
+    pivots = _rref(rows, m.cols)
     pivot_set = set(pivots)
     free = [c for c in range(m.cols) if c not in pivot_set]
     columns = []
@@ -328,7 +354,7 @@ def kernel(m: Mat) -> Mat:
         v = [Fraction(0)] * m.cols
         v[f] = Fraction(1)
         for r, pc in enumerate(pivots):
-            v[pc] = -cells[r][f]
+            v[pc] = Fraction(-rows[r][f], rows[r][pc])
         columns.append(v)
     return Mat.from_columns(columns, rows=m.cols)
 
@@ -341,17 +367,17 @@ def solve_right(a: Mat, b: Mat) -> Optional[Mat]:
     """
     if a.rows != b.rows:
         raise DimensionMismatch(f"row counts differ: {a.rows} vs {b.rows}")
-    cells = [a.row_list(i) + b.row_list(i) for i in range(a.rows)]
-    if not cells:
+    if not a.rows:
         return Mat.zeros(a.cols, b.cols)
-    pivots = _rref(cells, a.cols + b.cols, a.cols)
+    rows = [_integer_row(a.row_list(i) + b.row_list(i))[0] for i in range(a.rows)]
+    pivots = _rref(rows, a.cols)
     nr = len(pivots)
     for i in range(nr, a.rows):
-        if any(v != 0 for v in cells[i][a.cols :]):
+        if any(rows[i][a.cols :]):
             return None
     q = [[Fraction(0)] * b.cols for _ in range(a.cols)]
     for r, pc in enumerate(pivots):
-        q[pc] = cells[r][a.cols :]
+        q[pc] = [Fraction(x, rows[r][pc]) for x in rows[r][a.cols :]]
     return Mat(q) if a.cols else Mat.zeros(0, b.cols)
 
 

@@ -289,6 +289,28 @@ def test_dependent_but_feasible_intersection_allowed():
     assert minimum_subspace(p, Dims(1, 1)).dim == 1
 
 
+@pytest.mark.parametrize(
+    "hs, values, nonempty",
+    [
+        ([(1, 0, 0, 0, 0, 0), (1, 0, 0, 0, 0, 0)], [1, 1], True),
+        ([(1, 0, 0, 0, 0, 0), (1, 0, 0, 0, 0, 0)], [1, 2], False),
+        ([(1, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0), (1, 1, 0, 0, 0, 0)], [1, 1, 2], True),
+        ([(1, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0), (1, 1, 0, 0, 0, 0)], [1, 1, 3], False),
+    ],
+)
+def test_dependent_intersection_decided_on_value_coordinates(hs, values, nonempty):
+    # Dependent constraints: feasibility is decided in the column space of
+    # the stacked constraint matrix, one coordinate per constraint.
+    p = LinearStructure.intersection(
+        [LinearConstraint(h, BoundedSet.singleton(v)) for h, v in zip(hs, values)]
+    )
+    if nonempty:
+        assert minimum_subspace(p, Dims(2, 1)).ambient_dim == 3
+    else:
+        with pytest.raises(SpecValidationError):
+            minimum_subspace(p, Dims(2, 1))
+
+
 def test_intersection_mode_rejects_unions():
     c1 = LinearConstraint((1, 0), BoundedSet.singleton(0))
     c2 = LinearConstraint((0, 1), BoundedSet.singleton(0))

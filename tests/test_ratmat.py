@@ -25,7 +25,7 @@ from minexcite import (
     spectral_radius_info,
     subspace_sum,
 )
-from minexcite.ratmat import characteristic_polynomial
+from minexcite.ratmat import characteristic_polynomial, pivot_columns
 
 fractions_st = st.fractions(min_value=-5, max_value=5, max_denominator=3)
 
@@ -204,6 +204,108 @@ def test_kernel_annihilates():
         assert null.cols == m.cols - rank(m)
         if null.cols:
             assert (m @ null).is_zero()
+
+
+# -- integer kernels against the Fraction reference ----------------------
+
+def _ref_rref(cells, pivot_width):
+    """Gauss-Jordan elimination with a Fraction per cell: the reference."""
+    pivots = []
+    r = 0
+    for c in range(pivot_width):
+        p = next((i for i in range(r, len(cells)) if cells[i][c] != 0), None)
+        if p is None:
+            continue
+        cells[r], cells[p] = cells[p], cells[r]
+        inv = 1 / cells[r][c]
+        cells[r] = [v * inv for v in cells[r]]
+        for i in range(len(cells)):
+            if i != r and cells[i][c] != 0:
+                f = cells[i][c]
+                cells[i] = [a - f * b for a, b in zip(cells[i], cells[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(cells):
+            break
+    return pivots
+
+
+def _ref_matmul(a, b):
+    return Mat.from_flat(
+        a.rows,
+        b.cols,
+        [
+            sum((a[i, k] * b[k, j] for k in range(a.cols)), Fraction(0))
+            for i in range(a.rows)
+            for j in range(b.cols)
+        ],
+    )
+
+
+def _ref_kernel(m):
+    cells = m.to_lists()
+    pivots = _ref_rref(cells, m.cols)
+    columns = []
+    for f in (c for c in range(m.cols) if c not in pivots):
+        v = [Fraction(0)] * m.cols
+        v[f] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            v[pc] = -cells[r][f]
+        columns.append(v)
+    return Mat.from_columns(columns, rows=m.cols)
+
+
+def _ref_solve_right(a, b):
+    cells = [a.row_list(i) + b.row_list(i) for i in range(a.rows)]
+    pivots = _ref_rref(cells, a.cols)
+    if any(v != 0 for row in cells[len(pivots) :] for v in row[a.cols :]):
+        return None
+    q = [[Fraction(0)] * b.cols for _ in range(a.cols)]
+    for r, pc in enumerate(pivots):
+        q[pc] = cells[r][a.cols :]
+    return Mat.from_flat(a.cols, b.cols, [v for row in q for v in row])
+
+
+@st.composite
+def kernel_inputs(draw):
+    """(a, b, q): a possibly rank-deficient a with zero rows or columns and
+    empty shapes, a right-hand side b with a.rows rows, and a factor q with
+    a.cols rows.  Entries have denominators up to 7."""
+    entries = st.builds(Fraction, st.integers(-6, 6), st.sampled_from([1, 1, 2, 3, 7]))
+
+    def block(rows, cols):
+        return Mat.from_flat(rows, cols, draw(st.lists(entries, min_size=rows * cols, max_size=rows * cols)))
+
+    r, c, w = draw(st.integers(0, 5)), draw(st.integers(0, 5)), draw(st.integers(0, 3))
+    if draw(st.booleans()):
+        k = draw(st.integers(0, min(r, c)))
+        a = _ref_matmul(block(r, k), block(k, c))
+    else:
+        a = block(r, c)
+    zero_rows = draw(st.sets(st.integers(0, max(r - 1, 0)), max_size=2))
+    zero_cols = draw(st.sets(st.integers(0, max(c - 1, 0)), max_size=2))
+    a = Mat.from_flat(
+        r, c, [0 if i in zero_rows or j in zero_cols else a[i, j] for i in range(r) for j in range(c)]
+    )
+    b = _ref_matmul(a, block(c, w)) if draw(st.booleans()) else block(r, w)
+    return a, b, block(c, draw(st.integers(0, 4)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(kernel_inputs())
+def test_integer_kernels_match_fraction_reference(inputs):
+    a, b, q = inputs
+    ref_pivots = _ref_rref(a.to_lists(), a.cols)
+    assert rank(a) == len(ref_pivots)
+    assert pivot_columns(a) == ref_pivots
+    null = kernel(a)
+    assert null == _ref_kernel(a)
+    assert (a @ null).is_zero()
+    x = solve_right(a, b)
+    assert x == _ref_solve_right(a, b)
+    if x is not None:
+        assert a @ x == b
+    assert a @ q == _ref_matmul(a, q)
 
 
 def test_invert():
