@@ -185,14 +185,7 @@ def recover_model(d: Dataset) -> Union[SystemPair, NotIdentifiable]:
     total = d.section.dims.total
     if r < total:
         return NotIdentifiable(stacked_rank=r, deficit=total - r)
-    z = solve_right(stacked.T, d.x_plus.T)
-    if z is None:
-        raise InconsistentDataset("no linear system reproduces this dataset")
-    ab = z.T
-    n, m = d.section.n, d.section.m
-    a = ab.take_cols(range(n))
-    b = ab.take_cols(range(n, n + m))
-    return SystemPair(a, b)
+    return _any_consistent_model(d)
 
 
 def _any_consistent_model(d: Dataset) -> SystemPair:

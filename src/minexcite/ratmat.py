@@ -5,34 +5,44 @@ membership, linear solves) is made over the rationals with no rounding.
 Floating point enters only through the spectral helpers at the bottom of
 this module, which carry an explicit margin for unit-circle tests.
 
-Entries are `fractions.Fraction` values, which are always stored in lowest
-terms with a positive denominator.  Matrices and subspaces are immutable;
-all operations return new values and are safe to share across threads.
+A `Mat` stores its cells as Python ints over one common denominator, in
+a canonical form (see the class docstring), and reads come back as
+`fractions.Fraction` values built on demand.  Matrices and subspaces are
+immutable; all operations return new values and are safe to share across
+threads.
 
-The two hot kernels work on Python ints instead of a `Fraction` per cell,
-with no change to exactness: elimination scales each row by the lcm of
-its denominators and runs fraction-free Gauss-Jordan on primitive integer
-rows, and `@` brings each left row and right column to one common
-denominator and forms integer dot products.  Only the cells a caller
-reads are turned back into `Fraction`s.
+Every operation works on the integers with no change to exactness: sums
+bring both operands to the lcm of their denominators, scalar products and
+`@` (integer dot products) multiply the denominators, and elimination runs
+fraction-free Gauss-Jordan on primitive integer rows.  Each result is
+brought to the canonical form with a single gcd.
 """
 
 from __future__ import annotations
 
 import math
+import operator
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, SpecValidationError
 
 Rational = Fraction
 
 # An eigenvalue counts as on or outside the unit circle when its modulus is
 # at least 1 - EIG_MARGIN; moduli within EIG_MARGIN of 1 are flagged marginal.
 EIG_MARGIN = 1e-9
+
+
+# Largest decimal exponent magnitude accepted in rational text.  Fraction
+# turns "1e999999999" into 10**999999999 and would not finish building it.
+MAX_DECIMAL_EXPONENT = 1000
+
+_EXPONENT = re.compile(r"[eE][-+]?([\d_]+)\Z")
 
 
 def as_rational(value) -> Fraction:
@@ -43,13 +53,30 @@ def as_rational(value) -> Fraction:
     exactly, so "0.5" becomes 1/2).  Floats are rejected: binary floats do
     not round-trip to the decimal the caller wrote, so requiring a string
     keeps the exactness guarantee honest.
+
+    This is the one parser of rational text.  Text that is not a rational,
+    has a zero denominator, or carries a decimal exponent above
+    MAX_DECIMAL_EXPONENT in magnitude raises SpecValidationError naming it.
     """
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        return Fraction(value.strip())
+        text = value.strip()
+        exponent = _EXPONENT.search(text)
+        if exponent is not None:
+            digits = exponent.group(1).replace("_", "").lstrip("0")
+            if len(digits) > len(str(MAX_DECIMAL_EXPONENT)) or int(digits or 0) > MAX_DECIMAL_EXPONENT:
+                raise SpecValidationError(
+                    f"{text!r}: decimal exponent exceeds {MAX_DECIMAL_EXPONENT} in magnitude"
+                )
+        try:
+            return Fraction(text)
+        except ZeroDivisionError as exc:
+            raise SpecValidationError(f"{text!r} has a zero denominator") from exc
+        except ValueError as exc:
+            raise SpecValidationError(f"cannot read {text!r} as a rational number") from exc
     if isinstance(value, float):
         raise TypeError(
             "float entries are not exact; pass a string such as '0.5' or a Fraction"
@@ -57,14 +84,29 @@ def as_rational(value) -> Fraction:
     raise TypeError(f"cannot interpret {value!r} as a rational entry")
 
 
+def _over_lcm(cells: Sequence[Fraction]) -> tuple:
+    """(nums, den) in canonical form: den is the lcm of the denominators."""
+    pairs = [v.as_integer_ratio() for v in cells]
+    den = math.lcm(*(d for _, d in pairs))
+    return tuple(n * (den // d) for n, d in pairs), den
+
+
 def format_rational(x: Fraction) -> str:
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
 class Mat:
-    """Immutable dense matrix over the rationals, row-major."""
+    """Immutable dense matrix over the rationals, row-major.
 
-    __slots__ = ("rows", "cols", "_cells")
+    The cells are stored as integers over one shared denominator: cell `k`
+    is `Fraction(_nums[k], _den)`, where `_nums` is a tuple of Python ints
+    and `_den > 0` is the lcm of the cells' reduced denominators.
+    Equivalently `gcd(_den, *_nums) == 1`, and an all-zero matrix has
+    `_den == 1`.  The form is canonical, so equal matrices have equal
+    fields, and `==` and `hash` compare `(rows, cols, _nums, _den)`.
+    """
+
+    __slots__ = ("rows", "cols", "_nums", "_den")
 
     def __init__(self, rows_data: Sequence[Sequence]):
         rows = len(rows_data)
@@ -74,9 +116,13 @@ class Mat:
             if len(r) != cols:
                 raise DimensionMismatch("ragged rows in matrix literal")
             cells.extend(as_rational(v) for v in r)
+        self._init(rows, cols, *_over_lcm(cells))
+
+    def _init(self, rows: int, cols: int, nums: tuple, den: int) -> None:
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "_cells", tuple(cells))
+        object.__setattr__(self, "_nums", nums)
+        object.__setattr__(self, "_den", den)
 
     def __setattr__(self, name, value):
         raise AttributeError("Mat is immutable")
@@ -84,32 +130,38 @@ class Mat:
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def from_flat(cls, rows: int, cols: int, cells: Iterable) -> "Mat":
+    def _make(cls, rows: int, cols: int, nums: Iterable[int], den: int = 1) -> "Mat":
+        """Canonical matrix whose cell k is nums[k] / den, for an int den > 0."""
+        nums = tuple(nums)
+        g = math.gcd(den, *nums)
+        if g > 1:
+            nums = tuple(x // g for x in nums)
+            den //= g
         m = cls.__new__(cls)
-        cells = tuple(as_rational(v) for v in cells)
-        if len(cells) != rows * cols:
-            raise DimensionMismatch("cell count does not match shape")
-        object.__setattr__(m, "rows", rows)
-        object.__setattr__(m, "cols", cols)
-        object.__setattr__(m, "_cells", cells)
+        m._init(rows, cols, nums, den)
         return m
 
     @classmethod
+    def from_flat(cls, rows: int, cols: int, cells: Iterable) -> "Mat":
+        cells = [as_rational(v) for v in cells]
+        if len(cells) != rows * cols:
+            raise DimensionMismatch("cell count does not match shape")
+        return cls._make(rows, cols, *_over_lcm(cells))
+
+    @classmethod
     def zeros(cls, rows: int, cols: int) -> "Mat":
-        return cls.from_flat(rows, cols, [Fraction(0)] * (rows * cols))
+        return cls._make(rows, cols, (0,) * (rows * cols))
 
     @classmethod
     def identity(cls, n: int) -> "Mat":
-        return cls.from_flat(
-            n, n, [Fraction(1) if i == j else Fraction(0) for i in range(n) for j in range(n)]
-        )
+        return cls._make(n, n, (int(i == j) for i in range(n) for j in range(n)))
 
     @classmethod
     def unit_column(cls, n: int, index: int) -> "Mat":
         """Standard basis column e_index (0-based) in R^n."""
         if not 0 <= index < n:
             raise DimensionMismatch(f"unit index {index} out of range for R^{n}")
-        return cls.from_flat(n, 1, [Fraction(1) if i == index else Fraction(0) for i in range(n)])
+        return cls._make(n, 1, (int(i == index) for i in range(n)))
 
     @classmethod
     def column(cls, entries: Sequence) -> "Mat":
@@ -130,21 +182,34 @@ class Mat:
         rows = mats[0].rows
         if any(m.rows != rows for m in mats):
             raise DimensionMismatch("hstack needs equal row counts")
-        cells = []
+        den = math.lcm(*(m._den for m in mats))
+        scaled = [(m._scaled_nums(den), m.cols) for m in mats]
+        nums = []
         for i in range(rows):
-            for m in mats:
-                cells.extend(m._cells[i * m.cols : (i + 1) * m.cols])
-        return cls.from_flat(rows, sum(m.cols for m in mats), cells)
+            for block, w in scaled:
+                nums.extend(block[i * w : (i + 1) * w])
+        return cls._make(rows, sum(m.cols for m in mats), nums, den)
 
     @classmethod
     def vstack(cls, mats: Sequence["Mat"]) -> "Mat":
         cols = mats[0].cols
         if any(m.cols != cols for m in mats):
             raise DimensionMismatch("vstack needs equal column counts")
-        cells = []
+        den = math.lcm(*(m._den for m in mats))
+        nums = []
         for m in mats:
-            cells.extend(m._cells)
-        return cls.from_flat(sum(m.rows for m in mats), cols, cells)
+            nums.extend(m._scaled_nums(den))
+        return cls._make(sum(m.rows for m in mats), cols, nums, den)
+
+    def _scaled_nums(self, den: int) -> tuple:
+        """The cells as integers over `den`, a multiple of `_den`."""
+        f = den // self._den
+        return self._nums if f == 1 else tuple(x * f for x in self._nums)
+
+    def _int_rows(self) -> list:
+        """The rows as lists of ints, each a positive multiple of the rational row."""
+        c = self.cols
+        return [list(self._nums[i * c : (i + 1) * c]) for i in range(self.rows)]
 
     # -- access -------------------------------------------------------
 
@@ -156,22 +221,30 @@ class Mat:
         i, j = key
         if not (0 <= i < self.rows and 0 <= j < self.cols):
             raise IndexError(f"entry ({i}, {j}) outside {self.rows}x{self.cols}")
-        return self._cells[i * self.cols + j]
+        return Fraction(self._nums[i * self.cols + j], self._den)
 
     def row_list(self, i: int) -> list:
-        return list(self._cells[i * self.cols : (i + 1) * self.cols])
+        den = self._den
+        return [Fraction(x, den) for x in self._nums[i * self.cols : (i + 1) * self.cols]]
+
+    def _col_nums(self, j: int) -> tuple:
+        if not 0 <= j < self.cols:
+            raise IndexError(f"column {j} outside {self.rows}x{self.cols}")
+        return self._nums[j :: self.cols]
 
     def col_list(self, j: int) -> list:
-        return [self._cells[i * self.cols + j] for i in range(self.rows)]
+        den = self._den
+        return [Fraction(x, den) for x in self._col_nums(j)]
 
     def col(self, j: int) -> "Mat":
-        return Mat.from_flat(self.rows, 1, self.col_list(j))
+        return Mat._make(self.rows, 1, self._col_nums(j), self._den)
 
     def take_cols(self, indices: Sequence[int]) -> "Mat":
-        cells = []
+        nums = []
         for i in range(self.rows):
-            cells.extend(self._cells[i * self.cols + j] for j in indices)
-        return Mat.from_flat(self.rows, len(indices), cells)
+            row = self._nums[i * self.cols : (i + 1) * self.cols]
+            nums.extend(row[j] for j in indices)
+        return Mat._make(self.rows, len(indices), nums, self._den)
 
     def drop_col(self, j: int) -> "Mat":
         return self.take_cols([c for c in range(self.cols) if c != j])
@@ -180,36 +253,40 @@ class Mat:
         return [self.row_list(i) for i in range(self.rows)]
 
     def to_float(self) -> np.ndarray:
-        return np.array([[float(v) for v in self.row_list(i)] for i in range(self.rows)], dtype=float).reshape(
-            self.rows, self.cols
-        )
+        return np.array([x / self._den for x in self._nums], dtype=float).reshape(self.rows, self.cols)
 
     # -- algebra ------------------------------------------------------
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Mat):
             return NotImplemented
-        return self.shape == other.shape and self._cells == other._cells
+        fields = (self.rows, self.cols, self._den, self._nums)
+        return fields == (other.rows, other.cols, other._den, other._nums)
 
     def __hash__(self) -> int:
-        return hash((self.rows, self.cols, self._cells))
+        return hash((self.rows, self.cols, self._nums, self._den))
 
     def __add__(self, other: "Mat") -> "Mat":
         if self.shape != other.shape:
             raise DimensionMismatch(f"cannot add {self.shape} and {other.shape}")
-        return Mat.from_flat(self.rows, self.cols, [a + b for a, b in zip(self._cells, other._cells)])
+        den = math.lcm(self._den, other._den)
+        nums = map(operator.add, self._scaled_nums(den), other._scaled_nums(den))
+        return Mat._make(self.rows, self.cols, nums, den)
 
     def __sub__(self, other: "Mat") -> "Mat":
         if self.shape != other.shape:
             raise DimensionMismatch(f"cannot subtract {self.shape} and {other.shape}")
-        return Mat.from_flat(self.rows, self.cols, [a - b for a, b in zip(self._cells, other._cells)])
+        den = math.lcm(self._den, other._den)
+        nums = map(operator.sub, self._scaled_nums(den), other._scaled_nums(den))
+        return Mat._make(self.rows, self.cols, nums, den)
 
     def __neg__(self) -> "Mat":
-        return Mat.from_flat(self.rows, self.cols, [-a for a in self._cells])
+        return Mat._make(self.rows, self.cols, (-x for x in self._nums), self._den)
 
     def __mul__(self, scalar) -> "Mat":
         s = as_rational(scalar)
-        return Mat.from_flat(self.rows, self.cols, [a * s for a in self._cells])
+        p = s.numerator
+        return Mat._make(self.rows, self.cols, (x * p for x in self._nums), self._den * s.denominator)
 
     __rmul__ = __mul__
 
@@ -217,27 +294,27 @@ class Mat:
         if self.cols != other.rows:
             raise DimensionMismatch(f"cannot multiply {self.shape} by {other.shape}")
         n, w = self.cols, other.cols
-        lhs = [_integer_row(self._cells[i * n : (i + 1) * n]) for i in range(self.rows)]
-        rhs = [_integer_row(other._cells[j::w]) for j in range(w)]
-        cells = []
-        for nums, den in lhs:
-            terms = [(k, x) for k, x in enumerate(nums) if x]
-            for col, col_den in rhs:
-                cells.append(Fraction(sum(x * col[k] for k, x in terms), den * col_den))
-        return Mat.from_flat(self.rows, w, cells)
+        rhs = [other._nums[j::w] for j in range(w)]
+        nums = []
+        for i in range(self.rows):
+            terms = [(k, x) for k, x in enumerate(self._nums[i * n : (i + 1) * n]) if x]
+            for col in rhs:
+                nums.append(sum(x * col[k] for k, x in terms))
+        return Mat._make(self.rows, w, nums, self._den * other._den)
 
     @property
     def T(self) -> "Mat":
-        cells = [self._cells[i * self.cols + j] for j in range(self.cols) for i in range(self.rows)]
-        return Mat.from_flat(self.cols, self.rows, cells)
+        c = self.cols
+        nums = [x for j in range(c) for x in self._nums[j::c]]
+        return Mat._make(c, self.rows, nums, self._den)
 
     def trace(self) -> Fraction:
         if self.rows != self.cols:
             raise DimensionMismatch("trace of a non-square matrix")
-        return sum((self[i, i] for i in range(self.rows)), Fraction(0))
+        return Fraction(sum(self._nums[:: self.cols + 1]), self._den)
 
     def is_zero(self) -> bool:
-        return all(v == 0 for v in self._cells)
+        return not any(self._nums)
 
     def __repr__(self) -> str:
         return f"Mat({self.rows}x{self.cols}: {format_matrix(self)!r})"
@@ -276,16 +353,12 @@ def format_matrix(m: Mat) -> str:
 
 # -- integer kernels ------------------------------------------------------
 
-def _integer_row(row: Sequence[Fraction]) -> tuple:
-    """(nums, den) with row == [x / den for x in nums], den the lcm of the denominators."""
-    den = math.lcm(*(v.denominator for v in row))
-    return [v.numerator * (den // v.denominator) for v in row], den
-
-
 def _rref(rows: list, pivot_width: int) -> list:
     """Fraction-free Gauss-Jordan elimination with pivots in the leading columns.
 
-    `rows` is a list of integer row lists, modified in place.  Each update
+    `rows` is a list of integer row lists, modified in place.  Each input
+    row is first divided by the gcd of its entries, so a large denominator
+    shared by the whole matrix does not grow it.  Each update
     `piv * a - f * b` is divided by the gcd of its entries, so rows stay
     primitive at one gcd per updated row instead of one per cell.  Bareiss's
     division by the previous pivot skips that gcd but keeps every factor the
@@ -299,6 +372,10 @@ def _rref(rows: list, pivot_width: int) -> list:
     `[Fraction(x, rows[r][pivots[r]]) for x in rows[r]]`.  Returns the pivot
     column indices in order.
     """
+    for i, row in enumerate(rows):
+        g = math.gcd(*row)
+        if g > 1:
+            rows[i] = [x // g for x in row]
     pivots = []
     r = 0
     nrows = len(rows)
@@ -326,17 +403,13 @@ def _rref(rows: list, pivot_width: int) -> list:
     return pivots
 
 
-def _integer_rows(m: Mat) -> list:
-    return [_integer_row(m._cells[i * m.cols : (i + 1) * m.cols])[0] for i in range(m.rows)]
-
-
 def rank(m: Mat) -> int:
     """Exact rank over the rationals."""
-    return len(_rref(_integer_rows(m), m.cols))
+    return len(_rref(m._int_rows(), m.cols))
 
 
 def pivot_columns(m: Mat) -> list:
-    return _rref(_integer_rows(m), m.cols)
+    return _rref(m._int_rows(), m.cols)
 
 
 def kernel(m: Mat) -> Mat:
@@ -345,18 +418,20 @@ def kernel(m: Mat) -> Mat:
     Each basis vector sets one free variable to 1 and the others to 0, so
     the output is deterministic and reproducible.
     """
-    rows = _integer_rows(m)
+    rows = m._int_rows()
     pivots = _rref(rows, m.cols)
     pivot_set = set(pivots)
     free = [c for c in range(m.cols) if c not in pivot_set]
-    columns = []
-    for f in free:
-        v = [Fraction(0)] * m.cols
-        v[f] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = Fraction(-rows[r][f], rows[r][pc])
-        columns.append(v)
-    return Mat.from_columns(columns, rows=m.cols)
+    # over the lcm of the pivots, pivot variable pc of basis vector f is
+    # -rows[r][f] / rows[r][pc] and free variable f is 1
+    den = math.lcm(*(rows[r][pc] for r, pc in enumerate(pivots)))
+    nums = [[0] * len(free) for _ in range(m.cols)]
+    for r, pc in enumerate(pivots):
+        scale = den // rows[r][pc]
+        nums[pc] = [-rows[r][f] * scale for f in free]
+    for j, f in enumerate(free):
+        nums[f][j] = den
+    return Mat._make(m.cols, len(free), [x for row in nums for x in row], den)
 
 
 def solve_right(a: Mat, b: Mat) -> Optional[Mat]:
@@ -369,26 +444,31 @@ def solve_right(a: Mat, b: Mat) -> Optional[Mat]:
         raise DimensionMismatch(f"row counts differ: {a.rows} vs {b.rows}")
     if not a.rows:
         return Mat.zeros(a.cols, b.cols)
-    rows = [_integer_row(a.row_list(i) + b.row_list(i))[0] for i in range(a.rows)]
-    pivots = _rref(rows, a.cols)
-    nr = len(pivots)
-    for i in range(nr, a.rows):
-        if any(rows[i][a.cols :]):
+    common = math.lcm(a._den, b._den)
+    an, bn = a._scaled_nums(common), b._scaled_nums(common)
+    p, q = a.cols, b.cols
+    rows = [list(an[i * p : (i + 1) * p] + bn[i * q : (i + 1) * q]) for i in range(a.rows)]
+    pivots = _rref(rows, p)
+    for row in rows[len(pivots) :]:
+        if any(row[p:]):
             return None
-    q = [[Fraction(0)] * b.cols for _ in range(a.cols)]
+    # row pc of Q is rows[r][p:] / rows[r][pc]; put Q over the lcm of the pivots
+    den = math.lcm(*(rows[r][pc] for r, pc in enumerate(pivots)))
+    nums = [[0] * q for _ in range(p)]
     for r, pc in enumerate(pivots):
-        q[pc] = [Fraction(x, rows[r][pc]) for x in rows[r][a.cols :]]
-    return Mat(q) if a.cols else Mat.zeros(0, b.cols)
+        scale = den // rows[r][pc]
+        nums[pc] = [x * scale for x in rows[r][p:]]
+    return Mat._make(p, q, [x for row in nums for x in row], den)
 
 
 def invert(m: Mat) -> Optional[Mat]:
-    """Exact inverse of a square matrix, or None when singular."""
+    """Exact inverse of a square matrix, or None when singular.
+
+    A square m with m @ Q = I is invertible, so the solve alone decides.
+    """
     if m.rows != m.cols:
         raise DimensionMismatch("only square matrices can be inverted")
-    inv = solve_right(m, Mat.identity(m.rows))
-    if inv is None:
-        return None
-    return inv if rank(m) == m.rows else None
+    return solve_right(m, Mat.identity(m.rows))
 
 
 # -- subspaces -----------------------------------------------------------

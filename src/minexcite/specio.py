@@ -33,7 +33,7 @@ from .properties import (
     parse_expr,
     validate_property,
 )
-from .ratmat import format_matrix, format_rational, parse_matrix
+from .ratmat import as_rational, format_matrix, format_rational, parse_matrix
 from .richness import Dataset, InputSection
 from .harness import Scenario
 
@@ -42,18 +42,16 @@ def parse_scalar(value) -> Fraction:
     """Exact rational from a YAML scalar (int, float, or string)."""
     if isinstance(value, bool):
         raise SpecValidationError(f"expected a number, got {value!r}")
-    if isinstance(value, int):
-        return Fraction(value)
+    if isinstance(value, (int, str)):
+        return as_rational(value)
     if isinstance(value, float):
-        return Fraction(str(value))
-    if isinstance(value, str):
-        return Fraction(value.strip())
+        return as_rational(str(value))
     raise SpecValidationError(f"cannot read {value!r} as a rational number")
 
 
 def _parse_vector(value) -> tuple:
     if isinstance(value, str):
-        return tuple(Fraction(v.strip()) for v in value.split(","))
+        return tuple(as_rational(v) for v in value.split(","))
     if isinstance(value, (list, tuple)):
         return tuple(parse_scalar(v) for v in value)
     raise SpecValidationError(f"cannot read {value!r} as a vector")

@@ -1,9 +1,13 @@
 """Command line behavior and exit statuses."""
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import minexcite
 from minexcite.cli import EXIT_BAD_INPUT, EXIT_NOT_RICH, EXIT_OK, main
 
 
@@ -147,6 +151,32 @@ def test_malformed_input_exit(tmp_path):
     garbled = tmp_path / "garbled.yaml"
     garbled.write_text("{{{:::")
     assert main(["design", "--property", str(garbled)]) == EXIT_BAD_INPUT
+
+
+@pytest.mark.parametrize(
+    "field, text",
+    [("X", "1/0, 1"), ("X", "abc, 1"), ("Xp", "1e999999999, 0")],
+    ids=["zero-denominator", "not-a-number", "huge-exponent"],
+)
+def test_malformed_number_exits_bad_input(tmp_path, field, text):
+    # a whole process, so an uncaught exception shows as a traceback, and a
+    # timeout, so an exponent check that only came after building
+    # 10**999999999 would fail the test instead of stalling the suite
+    doc = {"n": 1, "m": 1, "k": 2, "X": "1, 0", "U": "0, 1", "Xp": "1, 1", field: text}
+    data = tmp_path / "data.yaml"
+    data.write_text("".join(f'{key}: "{value}"\n' for key, value in doc.items()))
+    src = str(Path(minexcite.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "minexcite.cli", "recover", "--data", str(data)],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=30,
+    )
+    assert proc.returncode == EXIT_BAD_INPUT
+    assert "Traceback" not in proc.stderr
+    assert repr(text.split(",")[0]) in proc.stderr
 
 
 def test_csv_format(sparsity_prop, corner_dataset, capsys):

@@ -126,7 +126,8 @@ def test_two_column_span_does_not_contain_r3():
 @given(small_mats(3), small_mats(3))
 def test_image_of_product_contained(m, q):
     if m.cols != q.rows:
-        q = Mat.from_flat(m.cols, q.cols, list(q._cells)[: m.cols * q.cols] + [Fraction(0)] * max(0, m.cols * q.cols - len(q._cells)))
+        cells = [v for row in q.to_lists() for v in row]
+        q = Mat.from_flat(m.cols, q.cols, cells[: m.cols * q.cols] + [Fraction(0)] * max(0, m.cols * q.cols - len(cells)))
     assert contains(image(m), image(m @ q))
 
 
@@ -291,6 +292,14 @@ def kernel_inputs(draw):
     return a, b, block(c, draw(st.integers(0, 4)))
 
 
+def _assert_canonical(m):
+    """The storage invariant: integer cells over the least common denominator."""
+    assert len(m._nums) == m.rows * m.cols
+    assert all(type(x) is int for x in m._nums)
+    assert m._den > 0
+    assert math.gcd(m._den, *m._nums) == 1
+
+
 @settings(max_examples=150, deadline=None)
 @given(kernel_inputs())
 def test_integer_kernels_match_fraction_reference(inputs):
@@ -304,8 +313,109 @@ def test_integer_kernels_match_fraction_reference(inputs):
     x = solve_right(a, b)
     assert x == _ref_solve_right(a, b)
     if x is not None:
+        _assert_canonical(x)
         assert a @ x == b
-    assert a @ q == _ref_matmul(a, q)
+    product = a @ q
+    assert product == _ref_matmul(a, q)
+    for m in (null, product):
+        _assert_canonical(m)
+
+
+@st.composite
+def storage_inputs(draw):
+    """Cell lists, not matrices: a and b of one shape, a block with a's row
+    count, a block with a's column count and a square block; then a scalar
+    that may be 0 and column indices of a, repeats allowed.  Entries have
+    denominators up to 7, including zero rows and empty shapes."""
+    entries = st.builds(Fraction, st.integers(-6, 6), st.sampled_from([1, 1, 2, 3, 7]))
+
+    def cells(rows, cols):
+        return [draw(st.lists(entries, min_size=cols, max_size=cols)) for _ in range(rows)]
+
+    r, c = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    n = draw(st.integers(0, 4))
+    indices = draw(st.lists(st.integers(0, c - 1), max_size=5)) if c else []
+    return (
+        (r, c),
+        cells(r, c),
+        cells(r, c),
+        cells(r, draw(st.integers(0, 3))),
+        cells(draw(st.integers(0, 3)), c),
+        cells(n, n),
+        draw(st.one_of(st.just(Fraction(0)), entries)),
+        indices,
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(storage_inputs())
+def test_integer_storage_matches_fraction_reference(inputs):
+    (r, c), ca, cb, cw, ct, cs, s, indices = inputs
+
+    def mat(cells, cols):
+        return Mat.from_flat(len(cells), cols, [v for row in cells for v in row])
+
+    a, b, sq = mat(ca, c), mat(cb, c), mat(cs, len(cs))
+    wide, tall = mat(cw, len(cw[0]) if cw else 0), mat(ct, c)
+    for m, cells in ((a, ca), (b, cb), (sq, cs), (wide, cw), (tall, ct)):
+        _assert_canonical(m)
+        assert m.to_lists() == cells
+    results = [
+        (a + b, [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(ca, cb)]),
+        (a - b, [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(ca, cb)]),
+        (a - a, [[Fraction(0)] * c for _ in range(r)]),
+        (-a, [[-x for x in row] for row in ca]),
+        (a * s, [[x * s for x in row] for row in ca]),
+        (s * a, [[s * x for x in row] for row in ca]),
+        (a.T, [[ca[i][j] for i in range(r)] for j in range(c)]),
+        (Mat.hstack([a, wide]), [ra + rw for ra, rw in zip(ca, cw)]),
+        (Mat.vstack([a, tall]), ca + ct),
+        (a.take_cols(indices), [[row[j] for j in indices] for row in ca]),
+    ]
+    results += [(a.col(j), [[row[j]] for row in ca]) for j in range(c)]
+    assert all(a.col_list(j) == [row[j] for row in ca] for j in range(c))
+    for j in (-1, c):
+        with pytest.raises(IndexError):
+            a.col(j)
+        with pytest.raises(IndexError):
+            a.col_list(j)
+    for m, cells in results:
+        _assert_canonical(m)
+        assert m.rows == len(cells)
+        assert m.to_lists() == cells
+    assert (a - a)._den == 1
+    assert sq.trace() == sum((cs[i][i] for i in range(len(cs))), Fraction(0))
+    assert a.is_zero() == all(x == 0 for row in ca for x in row)
+    assert all(a[i, j] == ca[i][j] for i in range(r) for j in range(c))
+    assert all(a.row_list(i) == ca[i] for i in range(r))
+
+
+def test_equal_matrices_built_differently_compare_and_hash_equal():
+    half = [
+        parse_matrix("1/2; 1"),
+        parse_matrix("0.5; 1.0"),
+        Mat([["2/4"], ["3/3"]]),
+        Mat.from_flat(2, 1, [Fraction(2, 4), Fraction(-7, -7)]),
+        Mat.column([1, 2]) * Fraction(1, 2),
+        kernel(parse_matrix("4, -2")),  # free variable 1: x0 = 2/4
+        Mat.column([Fraction(1, 3), Fraction(5, 6)]) + Mat.column([Fraction(1, 6), Fraction(1, 6)]),
+    ]
+    whole = [
+        parse_matrix("-2; 1"),
+        Mat([[-2], [1]]),
+        Mat.from_flat(2, 1, [Fraction(-4, 2), Fraction(3, 3)]),
+        kernel(parse_matrix("2, 4")),
+        solve_right(parse_matrix("1, 0; 0, 2"), parse_matrix("-2; 2")),
+        Mat.column(["1/2", "1/3"]) * 6 - Mat.column([5, 1]),
+    ]
+    for group in (half, whole):
+        for m in group:
+            _assert_canonical(m)
+            assert m == group[0]
+            assert hash(m) == hash(group[0])
+    assert half[0] != whole[0]
+    zeros = [Mat.zeros(2, 1), parse_matrix("0; 0.0"), half[0] - half[1], Mat.from_flat(2, 1, [Fraction(0, 9)] * 2)]
+    assert all(z == zeros[0] and hash(z) == hash(zeros[0]) and z._den == 1 for z in zeros)
 
 
 def test_invert():

@@ -26,6 +26,7 @@ from minexcite.specio import (
     load_scenario,
     parse_scalar,
 )
+from minexcite.ratmat import MAX_DECIMAL_EXPONENT
 
 
 def test_parse_scalar_varieties():
@@ -35,6 +36,18 @@ def test_parse_scalar_varieties():
     assert parse_scalar("0.25") == Fraction(1, 4)
     with pytest.raises(SpecValidationError):
         parse_scalar(True)
+
+
+def test_malformed_numbers_are_spec_errors():
+    for text in ["1/0", "abc", "nan", f"1e{MAX_DECIMAL_EXPONENT + 1}"]:
+        with pytest.raises(SpecValidationError, match=repr(text)):
+            parse_scalar(text)
+    assert parse_scalar(f"1e{MAX_DECIMAL_EXPONENT}") == 10**MAX_DECIMAL_EXPONENT
+    assert parse_scalar(f"-1e-{MAX_DECIMAL_EXPONENT}") == Fraction(-1, 10**MAX_DECIMAL_EXPONENT)
+    with pytest.raises(SpecValidationError, match="'1/0'"):
+        load_property(
+            {"type": "linear_structure", "n": 1, "m": 1, "constraints": [{"h": "1, 1/0", "set": [[0, 1]]}]}
+        )
 
 
 def test_property_documents_each_type(tmp_path: Path):
