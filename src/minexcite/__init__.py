@@ -21,14 +21,12 @@ from .errors import (
 from .ratmat import (
     EIG_MARGIN,
     Mat,
-    Rational,
     SpectralInfo,
     Subspace,
     contains,
     format_matrix,
     format_rational,
     image,
-    intersect,
     invert,
     kernel,
     parse_matrix,
@@ -36,7 +34,7 @@ from .ratmat import (
     solve_right,
     spectral_radius,
     spectral_radius_info,
-    subspace_sum,
+    unspanned_columns,
 )
 from .properties import (
     And,
@@ -73,10 +71,7 @@ from .richness import (
     design_minimum_input,
     is_sufficiently_rich,
     missing_directions,
-    reduce_to_minimum,
-    richness_oracle,
     split_stacked,
-    stacked_image,
 )
 from .identify import (
     GainResult,
@@ -91,6 +86,7 @@ from .identify import (
     identify_linear_structure,
     identify_sparsity,
     identify_stabilizability,
+    property_label,
     recover_model,
 )
 from .adversary import (
@@ -112,7 +108,6 @@ from .harness import (
     efficiency_csv,
     efficiency_text,
     excite,
-    property_label,
     report_efficiency,
     run,
 )

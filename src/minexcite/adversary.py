@@ -35,8 +35,8 @@ from .properties import (
     validate_property,
     vec_inv,
 )
-from .ratmat import Mat, contains, image, kernel, solve_right
-from .richness import Dataset, InputSection, stacked_image
+from .ratmat import Mat, image, kernel, solve_right, unspanned_columns
+from .richness import Dataset, InputSection
 from .identify import consistent_set_contains
 
 
@@ -301,15 +301,14 @@ def counterexample_structure(
     validate_property(p, dims)
     n = dims.n
     m_mat = build_constraint_matrix(p.constraints, dims)
-    span = stacked_image(section)
-    if contains(span, image(m_mat)):
+    stacked = section.stacked()
+    missed = unspanned_columns(stacked, m_mat)
+    if not missed:
         raise SectionIsRich("the plan spans the constraint directions; the structure is decidable")
-    col_idx = next(
-        j for j in range(m_mat.cols) if not span.contains_vector(m_mat.col(j))
-    )
+    col_idx = missed[0]
     l, j = col_idx // n, col_idx % n
     w = m_mat.col(col_idx)
-    h = w - span.project(w)
+    h = w - image(stacked).project(w)
     if h.is_zero():
         raise InternalFault("a missed column must leave a nonzero residual")
 

@@ -26,32 +26,10 @@ from .errors import (
     SectionIsRich,
     SpecValidationError,
 )
-from .harness import (
-    efficiency_csv,
-    efficiency_text,
-    property_label,
-    report_efficiency,
-    run,
-)
-from .identify import (
-    NotIdentifiable,
-    consistent_set_contains,
-    gain_from_data,
-    identify_controllability,
-    identify_linear_structure,
-    identify_sparsity,
-    identify_stabilizability,
-    recover_model,
-)
-from .properties import (
-    Controllability,
-    Identifiability,
-    has_property,
-    LinearStructure,
-    Sparsity,
-    Stabilizability,
-)
-from .ratmat import EIG_MARGIN, Mat, format_matrix, format_rational
+from .harness import efficiency_csv, efficiency_text, report_efficiency, run
+from .identify import consistent_set_contains, gain_from_data, identify_property, property_label
+from .properties import Identifiability, has_property
+from .ratmat import EIG_MARGIN, Mat, format_matrix
 from .richness import Dataset, design_minimum_input, is_sufficiently_rich, missing_directions
 
 EXIT_OK = 0
@@ -102,51 +80,20 @@ def _cmd_identify(args) -> int:
     data = specio.load_dataset(args.data)
     if data.section.dims != dims:
         raise SpecValidationError("dataset dimensions disagree with the property document")
-    rows = [("property", property_label(prop))]
-    if isinstance(prop, Sparsity):
-        res = identify_sparsity(data, prop)
-        rows.append(("verdict", res.verdict.value))
-        if args.verbose:
-            rows.append(("Q", format_matrix(res.q)))
-            for e in res.checked:
-                rows.append((f"entry_{e.row}_{e.col}", format_rational(e.value)))
-    elif isinstance(prop, LinearStructure):
-        res = identify_linear_structure(data, prop)
-        rows.append(("verdict", res.verdict.value))
-        if args.verbose:
-            rows.append(("Q", format_matrix(res.q)))
-            for i, (v, ok) in enumerate(zip(res.values, res.satisfied), start=1):
-                rows.append((f"constraint_{i}", f"{format_rational(v)} ({'in' if ok else 'out'})"))
-    elif isinstance(prop, Stabilizability):
-        rows.append(("verdict", identify_stabilizability(data).value))
-    elif isinstance(prop, Controllability):
-        rows.append(("verdict", identify_controllability(data).value))
-    elif isinstance(prop, Identifiability):
-        result = recover_model(data)
-        if isinstance(result, NotIdentifiable):
-            rows.append(("verdict", "not_identifiable"))
-            rows.append(("rank", result.stacked_rank))
-            rows.append(("deficit", result.deficit))
-            _emit(rows, args.format)
-            return EXIT_NOT_RICH
-        rows.append(("verdict", "identified"))
-        rows.append(("A", format_matrix(result.a)))
-        rows.append(("B", format_matrix(result.b)))
-    _emit(rows, args.format)
-    return EXIT_OK
+    return _emit_identification([("property", property_label(prop))], identify_property(data, prop), args)
 
 
 def _cmd_recover(args) -> int:
     data = specio.load_dataset(args.data)
-    result = recover_model(data)
-    if isinstance(result, NotIdentifiable):
-        _emit(
-            [("verdict", "not_identifiable"), ("rank", result.stacked_rank), ("deficit", result.deficit)],
-            args.format,
-        )
-        return EXIT_NOT_RICH
-    _emit([("verdict", "identified"), ("A", format_matrix(result.a)), ("B", format_matrix(result.b))], args.format)
-    return EXIT_OK
+    return _emit_identification([], identify_property(data, Identifiability()), args)
+
+
+def _emit_identification(rows: list, res, args) -> int:
+    rows += [("verdict", res.outcome), *res.facts()]
+    if args.verbose:
+        rows += res.certificate()
+    _emit(rows, args.format)
+    return EXIT_NOT_RICH if res.outcome == "not_identifiable" else EXIT_OK
 
 
 def _cmd_gain(args) -> int:

@@ -16,29 +16,8 @@ from typing import List, Optional, Sequence
 
 from .adversary import CounterexamplePair, counterexample_for, distinct_consistent_pair
 from .errors import DimensionMismatch, GainNotApplicable, NotSufficientlyRich
-from .identify import (
-    GainResult,
-    NotIdentifiable,
-    Verdict,
-    gain_from_data,
-    identify_controllability,
-    identify_linear_structure,
-    identify_sparsity,
-    identify_stabilizability,
-    recover_model,
-)
-from .properties import (
-    Controllability,
-    Dims,
-    Identifiability,
-    LinearStructure,
-    PropertySpec,
-    Sparsity,
-    Stabilizability,
-    SystemPair,
-    minimum_subspace,
-    validate_property,
-)
+from .identify import GainResult, Verdict, gain_from_data, identify_property, property_label
+from .properties import Dims, PropertySpec, SystemPair, minimum_subspace, validate_property
 from .ratmat import Mat
 from .richness import Dataset, InputSection, design_minimum_input
 
@@ -106,28 +85,13 @@ def run(sc: Scenario) -> RunReport:
         return RunReport(dataset, outcome, k_used, k_full, gain=gain, **extra)
 
     try:
-        if isinstance(sc.prop, Identifiability):
-            result = recover_model(dataset)
-            if isinstance(result, NotIdentifiable):
-                pair = distinct_consistent_pair(dataset)
-                return report("not_identifiable", model_pair=pair)
-            return report("identified", recovered=result)
-        if isinstance(sc.prop, Stabilizability):
-            verdict = identify_stabilizability(dataset)
-            return report(verdict.value, verdict=verdict)
-        if isinstance(sc.prop, Controllability):
-            verdict = identify_controllability(dataset)
-            return report(verdict.value, verdict=verdict)
-        if isinstance(sc.prop, Sparsity):
-            res = identify_sparsity(dataset, sc.prop)
-            return report(res.verdict.value, verdict=res.verdict, q=res.q)
-        if isinstance(sc.prop, LinearStructure):
-            res = identify_linear_structure(dataset, sc.prop)
-            return report(res.verdict.value, verdict=res.verdict, q=res.q)
-        raise DimensionMismatch(f"no identifier for {sc.prop!r}")
+        res = identify_property(dataset, sc.prop)
     except NotSufficientlyRich as exc:
         pair = counterexample_for(section, sc.prop, sc.seed)
         return report("not_sufficiently_rich", counterexample=pair, missing=exc.missing)
+    if res.outcome == "not_identifiable":
+        return report(res.outcome, model_pair=distinct_consistent_pair(dataset))
+    return report(res.outcome, verdict=res.verdict, q=res.q, recovered=res.recovered)
 
 
 @dataclass(frozen=True)
@@ -138,18 +102,6 @@ class EfficiencyRow:
     k_minimum: int
     k_model_based: int
     savings: Fraction
-
-
-def property_label(p: PropertySpec) -> str:
-    if isinstance(p, Identifiability):
-        return "identifiability"
-    if isinstance(p, Stabilizability):
-        return "stabilizability"
-    if isinstance(p, Controllability):
-        return "controllability"
-    if isinstance(p, Sparsity):
-        return f"sparsity({len(p.zeros_a) + len(p.zeros_b)} zeros)"
-    return f"structure({len(p.constraints)} constraints, {p.mode.value})"
 
 
 def report_efficiency(batch: Sequence[Scenario]) -> List[EfficiencyRow]:

@@ -1,12 +1,16 @@
 """Direct property identification from excitation and feedback data.
 
-All verdicts here are guaranteed: the plan must be sufficiently rich for
-the queried property, otherwise `NotSufficientlyRich` is raised with the
-unspanned directions.  With rich data a structure is decided without
-recovering the model, by checking entries or traces of X+ Q where Q maps
-the excitation columns onto the relevant basis vectors.  Zero tests are
-exact; floats appear only in the spectral radius of a synthesized closed
-loop.
+All verdicts here are guaranteed.  Each identifier solves
+[X-; U-] Q = target once, for a target that spans the property's minimum
+subspace, and that solve is the richness test: when it has no solution
+the plan is not sufficiently rich and `NotSufficientlyRich` is raised
+with the unspanned directions.  With rich data a structure is decided
+without recovering the model, by checking entries or traces of X+ Q.
+Zero tests are exact; floats appear only in the spectral radius of a
+synthesized closed loop and in the stabilizability test.
+
+`identify_property` dispatches on the property class through one table
+and returns an `Identification`, the same shape for every property.
 """
 
 from __future__ import annotations
@@ -14,17 +18,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Union
+from typing import Callable, NamedTuple, Optional, Union
 
 from .errors import (
     DimensionMismatch,
     GainNotApplicable,
     InconsistentDataset,
-    InternalFault,
     NotSufficientlyRich,
 )
 from .properties import (
     Controllability,
+    Identifiability,
     LinearStructure,
     PropertySpec,
     Sparsity,
@@ -34,17 +38,21 @@ from .properties import (
     evaluate_expr,
     is_controllable,
     is_stabilizable,
+    minimum_subspace,
     sparsity_columns,
     validate_property,
 )
 from .ratmat import (
     Mat,
     as_rational,
+    format_matrix,
+    format_rational,
+    invert,
     rank,
     solve_right,
     spectral_radius_info,
 )
-from .richness import Dataset, is_sufficiently_rich, missing_directions
+from .richness import Dataset, missing_directions
 
 
 class Verdict(Enum):
@@ -107,13 +115,20 @@ class GainResult:
     marginal: bool
 
 
-def _require_rich(d: Dataset, p: PropertySpec) -> None:
-    if not is_sufficiently_rich(d.section, p):
+def _solve_onto(d: Dataset, p: PropertySpec, target: Mat) -> Mat:
+    """Q with [X-; U-] Q = target, a spanning set of the minimum subspace of p.
+
+    The solve is the richness test: no solution means the plan misses a
+    direction of the minimum subspace.
+    """
+    q = solve_right(d.section.stacked(), target)
+    if q is None:
         missing = missing_directions(d.section, p)
         raise NotSufficientlyRich(
             f"plan spans too little: {len(missing)} direction(s) of the minimum subspace missing",
             missing=missing,
         )
+    return q
 
 
 def consistent_set_contains(d: Dataset, sys: SystemPair) -> bool:
@@ -131,12 +146,8 @@ def identify_sparsity(d: Dataset, p: Sparsity) -> SparsityReport:
     """
     dims = d.section.dims
     validate_property(p, dims)
-    _require_rich(d, p)
     cols = sparsity_columns(p, dims)
-    targets = Mat.hstack([Mat.unit_column(dims.total, i) for i in cols])
-    q = solve_right(d.section.stacked(), targets)
-    if q is None:
-        raise InternalFault("rich data must map onto the affected unit directions")
+    q = _solve_onto(d, p, Mat.hstack([Mat.unit_column(dims.total, i) for i in cols]))
     product = d.x_plus @ q
     position = {c: l for l, c in enumerate(cols)}
     checked = []
@@ -158,11 +169,7 @@ def identify_linear_structure(d: Dataset, p: LinearStructure) -> StructureReport
     """
     dims = d.section.dims
     validate_property(p, dims)
-    _require_rich(d, p)
-    target = build_constraint_matrix(p.constraints, dims)
-    q = solve_right(d.section.stacked(), target)
-    if q is None:
-        raise InternalFault("rich data must map onto the constraint matrix")
+    q = _solve_onto(d, p, build_constraint_matrix(p.constraints, dims))
     product = d.x_plus @ q
     n = dims.n
     values = []
@@ -198,13 +205,19 @@ def _any_consistent_model(d: Dataset) -> SystemPair:
     return SystemPair(ab.take_cols(range(n)), ab.take_cols(range(n, n + m)))
 
 
+def _consistent_model_if_rich(d: Dataset, p: PropertySpec) -> SystemPair:
+    """A consistent model, once the plan is found rich for `p`.
+
+    The minimum subspace of `p` is the whole space or, for one state, the
+    input block; either way every consistent model is equal where `p` looks.
+    """
+    _solve_onto(d, p, minimum_subspace(p, d.section.dims).basis)
+    return _any_consistent_model(d)
+
+
 def identify_stabilizability(d: Dataset) -> Verdict:
     """Stabilizability needs full excitation, so recover and test the model."""
-    _require_rich(d, Stabilizability())
-    sys = recover_model(d)
-    if isinstance(sys, NotIdentifiable):
-        raise InternalFault("full-span data must identify the model")
-    return Verdict.of(is_stabilizable(sys))
+    return Verdict.of(is_stabilizable(_consistent_model_if_rich(d, Stabilizability())))
 
 
 def identify_controllability(d: Dataset) -> Verdict:
@@ -213,15 +226,9 @@ def identify_controllability(d: Dataset) -> Verdict:
     With one state the plan need not be persistently exciting: any
     consistent model shares its B, and controllability is B != 0.
     """
-    dims = d.section.dims
-    validate_property(Controllability(), dims)
-    _require_rich(d, Controllability())
-    if dims.n == 1:
-        sys = _any_consistent_model(d)
+    sys = _consistent_model_if_rich(d, Controllability())
+    if d.section.n == 1:
         return Verdict.of(not sys.b.is_zero())
-    sys = recover_model(d)
-    if isinstance(sys, NotIdentifiable):
-        raise InternalFault("full-span data must identify the model")
     return Verdict.of(is_controllable(sys))
 
 
@@ -232,18 +239,14 @@ def gain_from_data(d: Dataset) -> GainResult:
     spectral radius of the closed loop is computed in floating point.
     """
     n = d.section.n
-    x = d.section.x_minus
     if d.section.k != n:
         raise GainNotApplicable(f"need k = n = {n} excitations, plan has {d.section.k}")
-    if rank(x) < n:
+    x_inv = invert(d.section.x_minus)
+    if x_inv is None:
         raise GainNotApplicable("the state block is singular")
-    gain_t = solve_right(x.T, d.section.u_minus.T)
-    loop_t = solve_right(x.T, d.x_plus.T)
-    if gain_t is None or loop_t is None:
-        raise InternalFault("invertible state block must admit exact solves")
-    closed_loop = loop_t.T
+    closed_loop = d.x_plus @ x_inv
     info = spectral_radius_info(closed_loop)
-    return GainResult(gain_t.T, closed_loop, info.radius, info.marginal)
+    return GainResult(d.section.u_minus @ x_inv, closed_loop, info.radius, info.marginal)
 
 
 def dataset_rank_test(d: Dataset, lam) -> int:
@@ -254,3 +257,93 @@ def dataset_rank_test(d: Dataset, lam) -> int:
     """
     lam = as_rational(lam)
     return rank(d.x_plus - lam * d.section.x_minus)
+
+
+# -- one table for every property ---------------------------------------------
+
+@dataclass(frozen=True)
+class Identification:
+    """What `identify_property` decided, in one shape for every property.
+
+    `outcome` is has_property, lacks_property, identified or
+    not_identifiable.  `facts()` gives the (name, value) rows that always go
+    with the outcome and `certificate()` the rows that show how the verdict
+    was reached; both format only when called.
+    """
+
+    outcome: str
+    verdict: Optional[Verdict] = None
+    q: Optional[Mat] = None
+    recovered: Optional[SystemPair] = None
+    facts: Callable[[], list] = list
+    certificate: Callable[[], list] = list
+
+
+def _identify_model(d: Dataset, p: Identifiability) -> Identification:
+    result = recover_model(d)
+    if isinstance(result, NotIdentifiable):
+        return Identification(
+            "not_identifiable", facts=lambda: [("rank", result.stacked_rank), ("deficit", result.deficit)]
+        )
+    return Identification(
+        "identified",
+        recovered=result,
+        facts=lambda: [("A", format_matrix(result.a)), ("B", format_matrix(result.b))],
+    )
+
+
+def _of_verdict(verdict: Verdict) -> Identification:
+    return Identification(verdict.value, verdict)
+
+
+def _of_report(res: Union[SparsityReport, StructureReport], checked: Callable[[], list]) -> Identification:
+    return Identification(
+        res.verdict.value, res.verdict, res.q, certificate=lambda: [("Q", format_matrix(res.q)), *checked()]
+    )
+
+
+def _identify_pattern(d: Dataset, p: Sparsity) -> Identification:
+    res = identify_sparsity(d, p)
+    return _of_report(
+        res, lambda: [(f"entry_{e.row}_{e.col}", format_rational(e.value)) for e in res.checked]
+    )
+
+
+def _identify_structure(d: Dataset, p: LinearStructure) -> Identification:
+    res = identify_linear_structure(d, p)
+    return _of_report(
+        res,
+        lambda: [
+            (f"constraint_{i}", f"{format_rational(v)} ({'in' if ok else 'out'})")
+            for i, (v, ok) in enumerate(zip(res.values, res.satisfied), start=1)
+        ],
+    )
+
+
+class _Entry(NamedTuple):
+    label: Callable[[PropertySpec], str]
+    identify: Callable[[Dataset, PropertySpec], Identification]
+
+
+_PROPERTIES = {
+    Identifiability: _Entry(lambda p: "identifiability", _identify_model),
+    Stabilizability: _Entry(
+        lambda p: "stabilizability", lambda d, p: _of_verdict(identify_stabilizability(d))
+    ),
+    Controllability: _Entry(
+        lambda p: "controllability", lambda d, p: _of_verdict(identify_controllability(d))
+    ),
+    Sparsity: _Entry(lambda p: f"sparsity({len(p.zeros_a) + len(p.zeros_b)} zeros)", _identify_pattern),
+    LinearStructure: _Entry(
+        lambda p: f"structure({len(p.constraints)} constraints, {p.mode.value})", _identify_structure
+    ),
+}
+
+
+def property_label(p: PropertySpec) -> str:
+    return _PROPERTIES[type(p)].label(p)
+
+
+def identify_property(d: Dataset, p: PropertySpec) -> Identification:
+    """Apply the identifier that matches the class of `p`."""
+    return _PROPERTIES[type(p)].identify(d, p)

@@ -31,8 +31,6 @@ import numpy as np
 
 from .errors import DimensionMismatch, SpecValidationError
 
-Rational = Fraction
-
 # An eigenvalue counts as on or outside the unit circle when its modulus is
 # at least 1 - EIG_MARGIN; moduli within EIG_MARGIN of 1 are flagged marginal.
 EIG_MARGIN = 1e-9
@@ -434,24 +432,31 @@ def kernel(m: Mat) -> Mat:
     return Mat._make(m.cols, len(free), [x for row in nums for x in row], den)
 
 
+def _augmented_rref(a: Mat, b: Mat) -> tuple:
+    """(rows, pivots) of one elimination of [a | b] with pivots in a's columns.
+
+    The rows past the pivots are zero in a's columns; column j of b lies in
+    im(a) exactly when it is zero there too.
+    """
+    if a.rows != b.rows:
+        raise DimensionMismatch(f"row counts differ: {a.rows} vs {b.rows}")
+    common = math.lcm(a._den, b._den)
+    an, bn = a._scaled_nums(common), b._scaled_nums(common)
+    p, q = a.cols, b.cols
+    rows = [list(an[i * p : (i + 1) * p] + bn[i * q : (i + 1) * q]) for i in range(a.rows)]
+    return rows, _rref(rows, p)
+
+
 def solve_right(a: Mat, b: Mat) -> Optional[Mat]:
     """Exact Q with a @ Q = b, or None when some column of b is outside im(a).
 
     Deterministic choice among solutions: pivoted elimination with every
     free variable set to 0, which yields the minimal-support solution.
     """
-    if a.rows != b.rows:
-        raise DimensionMismatch(f"row counts differ: {a.rows} vs {b.rows}")
-    if not a.rows:
-        return Mat.zeros(a.cols, b.cols)
-    common = math.lcm(a._den, b._den)
-    an, bn = a._scaled_nums(common), b._scaled_nums(common)
+    rows, pivots = _augmented_rref(a, b)
     p, q = a.cols, b.cols
-    rows = [list(an[i * p : (i + 1) * p] + bn[i * q : (i + 1) * q]) for i in range(a.rows)]
-    pivots = _rref(rows, p)
-    for row in rows[len(pivots) :]:
-        if any(row[p:]):
-            return None
+    if any(any(row[p:]) for row in rows[len(pivots) :]):
+        return None
     # row pc of Q is rows[r][p:] / rows[r][pc]; put Q over the lcm of the pivots
     den = math.lcm(*(rows[r][pc] for r, pc in enumerate(pivots)))
     nums = [[0] * q for _ in range(p)]
@@ -459,6 +464,13 @@ def solve_right(a: Mat, b: Mat) -> Optional[Mat]:
         scale = den // rows[r][pc]
         nums[pc] = [x * scale for x in rows[r][p:]]
     return Mat._make(p, q, [x for row in nums for x in row], den)
+
+
+def unspanned_columns(a: Mat, b: Mat) -> list:
+    """Indices of the columns of b outside im(a), from one elimination."""
+    rows, pivots = _augmented_rref(a, b)
+    zero_rows = rows[len(pivots) :]
+    return [j for j in range(b.cols) if any(row[a.cols + j] for row in zero_rows)]
 
 
 def invert(m: Mat) -> Optional[Mat]:
@@ -491,30 +503,27 @@ class Subspace:
             raise ValueError("basis columns must be linearly independent")
 
     @classmethod
-    def full(cls, n: int) -> "Subspace":
-        return cls(n, Mat.identity(n))
+    def _of_independent(cls, basis: Mat) -> "Subspace":
+        """Subspace on a basis independent by construction, without the re-rank."""
+        s = cls.__new__(cls)
+        object.__setattr__(s, "ambient_dim", basis.rows)
+        object.__setattr__(s, "basis", basis)
+        return s
 
     @classmethod
-    def zero(cls, n: int) -> "Subspace":
-        return cls(n, Mat.zeros(n, 0))
+    def full(cls, n: int) -> "Subspace":
+        return cls._of_independent(Mat.identity(n))
 
     @classmethod
     def span_of_units(cls, n: int, indices: Sequence[int]) -> "Subspace":
+        if len(set(indices)) != len(indices):
+            raise ValueError("basis columns must be linearly independent")
         cols = Mat.hstack([Mat.unit_column(n, i) for i in indices]) if indices else Mat.zeros(n, 0)
-        return cls(n, cols)
+        return cls._of_independent(cols)
 
     @property
     def dim(self) -> int:
         return self.basis.cols
-
-    def contains_vector(self, v: Mat) -> bool:
-        if v.rows != self.ambient_dim or v.cols != 1:
-            raise DimensionMismatch("expected a column vector in the ambient space")
-        if v.is_zero():
-            return True
-        if self.dim == 0:
-            return False
-        return solve_right(self.basis, v) is not None
 
     def project(self, v: Mat) -> Mat:
         """Exact orthogonal projection of a column vector onto the subspace."""
@@ -541,7 +550,7 @@ class Subspace:
 
 def image(m: Mat) -> Subspace:
     """Column space of m, spanned by its leftmost pivot columns."""
-    return Subspace(m.rows, m.take_cols(pivot_columns(m)))
+    return Subspace._of_independent(m.take_cols(pivot_columns(m)))
 
 
 def contains(outer: Subspace, inner: Subspace) -> bool:
@@ -551,26 +560,6 @@ def contains(outer: Subspace, inner: Subspace) -> bool:
     if inner.dim == 0:
         return True
     return rank(Mat.hstack([outer.basis, inner.basis])) == outer.dim
-
-
-def intersect(a: Subspace, b: Subspace) -> Subspace:
-    """Exact intersection via the kernel of the stacked bases."""
-    if a.ambient_dim != b.ambient_dim:
-        raise DimensionMismatch("subspaces live in different ambient spaces")
-    if a.dim == 0 or b.dim == 0:
-        return Subspace.zero(a.ambient_dim)
-    stacked = Mat.hstack([a.basis, -b.basis])
-    null = kernel(stacked)
-    if null.cols == 0:
-        return Subspace.zero(a.ambient_dim)
-    coeffs = Mat.from_flat(a.dim, null.cols, [null[i, j] for i in range(a.dim) for j in range(null.cols)])
-    return image(a.basis @ coeffs)
-
-
-def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
-    if a.ambient_dim != b.ambient_dim:
-        raise DimensionMismatch("subspaces live in different ambient spaces")
-    return image(Mat.hstack([a.basis, b.basis]))
 
 
 # -- floating bridge -----------------------------------------------------

@@ -4,30 +4,19 @@ An excitation plan is a set of k one-step experiments, each a pair of
 initial state and input; stacked, the columns span a subspace of
 R^(n+m).  A plan can decide a property for every system consistent with
 the resulting data exactly when that subspace contains the property's
-minimum subspace, so richness checking reduces to exact containment and
-design reduces to picking a basis.
+minimum subspace, and any basis of the minimum subspace is a minimum
+excitation.  So the richness test is one solve: the plan is rich exactly
+when [X-; U-] Q = basis has a solution, which is the solve each
+identifier makes anyway, and design is picking that basis.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 from .errors import DimensionMismatch
-from .properties import (
-    Controllability,
-    Dims,
-    Identifiability,
-    LinearStructure,
-    PropertySpec,
-    Sparsity,
-    Stabilizability,
-    build_constraint_matrix,
-    minimum_subspace,
-    sparsity_columns,
-    validate_property,
-)
-from .ratmat import Mat, Subspace, contains, image
+from .properties import Dims, PropertySpec, minimum_subspace
+from .ratmat import Mat, unspanned_columns
 
 
 @dataclass(frozen=True)
@@ -77,26 +66,15 @@ class Dataset:
             raise DimensionMismatch("responses live in the state space")
 
 
-def stacked_image(section: InputSection) -> Subspace:
-    """Subspace of R^(n+m) spanned by the stacked excitation columns."""
-    return image(section.stacked())
-
-
 def is_sufficiently_rich(section: InputSection, p: PropertySpec) -> bool:
     """True when the plan decides `p` no matter what responses come back."""
-    target = minimum_subspace(p, section.dims)
-    return contains(stacked_image(section), target)
+    return not unspanned_columns(section.stacked(), minimum_subspace(p, section.dims).basis)
 
 
 def missing_directions(section: InputSection, p: PropertySpec) -> list:
     """Basis columns of the minimum subspace the plan fails to span."""
-    span = stacked_image(section)
-    target = minimum_subspace(p, section.dims)
-    return [
-        target.basis.col(j)
-        for j in range(target.basis.cols)
-        if not span.contains_vector(target.basis.col(j))
-    ]
+    basis = minimum_subspace(p, section.dims).basis
+    return [basis.col(j) for j in unspanned_columns(section.stacked(), basis)]
 
 
 def split_stacked(stacked: Mat, dims: Dims) -> InputSection:
@@ -113,52 +91,8 @@ def split_stacked(stacked: Mat, dims: Dims) -> InputSection:
 def design_minimum_input(p: PropertySpec, dims: Dims) -> InputSection:
     """Smallest excitation plan that is sufficiently rich for `p`.
 
-    The plan is a fixed basis of the minimum subspace: unit vectors when
+    The plan is the fixed basis of the minimum subspace: unit vectors when
     that subspace is coordinate-aligned, the pivot columns of the
     constraint matrix otherwise, so designs are reproducible.
     """
-    validate_property(p, dims)
-    if isinstance(p, (Identifiability, Stabilizability)):
-        stacked = Mat.identity(dims.total)
-    elif isinstance(p, Controllability):
-        if dims.n == 1:
-            stacked = Mat.hstack([Mat.unit_column(dims.total, i) for i in range(1, dims.total)])
-        else:
-            stacked = Mat.identity(dims.total)
-    elif isinstance(p, Sparsity):
-        cols = sparsity_columns(p, dims)
-        stacked = Mat.hstack([Mat.unit_column(dims.total, i) for i in cols])
-    elif isinstance(p, LinearStructure):
-        stacked = image(build_constraint_matrix(p.constraints, dims)).basis
-    else:
-        raise DimensionMismatch(f"cannot design for {p!r}")
-    return split_stacked(stacked, dims)
-
-
-def richness_oracle(p: PropertySpec, dims: Dims) -> Callable[[Subspace], bool]:
-    """Containment test against the minimum subspace of `p`, as a callable."""
-    target = minimum_subspace(p, dims)
-    return lambda subspace: contains(subspace, target)
-
-
-def reduce_to_minimum(start: Subspace, oracle: Callable[[Subspace], bool]) -> Subspace:
-    """Greedily drop basis vectors of `start` while the oracle stays true.
-
-    Candidates are scanned left to right and the first removable vector is
-    dropped before rescanning, so the result is deterministic.  Terminates
-    at a subspace from which no single basis vector can be removed; with a
-    coordinate-aligned target and a canonical start this is the minimum
-    subspace itself.
-    """
-    if not oracle(start):
-        raise ValueError("the starting subspace must satisfy the oracle")
-    basis = start.basis
-    while True:
-        for j in range(basis.cols):
-            candidate = basis.drop_col(j)
-            sub = Subspace(start.ambient_dim, candidate)
-            if oracle(sub):
-                basis = candidate
-                break
-        else:
-            return Subspace(start.ambient_dim, basis)
+    return split_stacked(minimum_subspace(p, dims).basis, dims)

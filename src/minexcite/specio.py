@@ -71,6 +71,32 @@ def _parse_set(value) -> BoundedSet:
     return BoundedSet.from_pairs(pairs)
 
 
+_REQUIRED = object()
+
+
+def _as(kind, value, name: str):
+    """`value` read as `kind` (int, str or Mode); SpecValidationError naming `name` if it is not one."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError) as exc:
+        raise SpecValidationError(f"{name}: {value!r} is not a valid {kind.__name__}") from exc
+
+
+def _field(doc, key, kind, where: str, default=_REQUIRED):
+    """doc[key] read through `_as`, or as it is when `kind` is None.
+
+    A null value counts as missing.  A document that is not a mapping and a
+    missing field without a default raise SpecValidationError naming the field.
+    """
+    if not isinstance(doc, dict):
+        raise SpecValidationError(f"{where} must be a mapping, got {doc!r}")
+    if doc.get(key) is None:
+        if default is _REQUIRED:
+            raise SpecValidationError(f"{where} is missing field {key!r}")
+        return default
+    return doc[key] if kind is None else _as(kind, doc[key], f"{where} field {key!r}")
+
+
 def _load_doc(source: Union[str, Path, dict]) -> dict:
     if isinstance(source, dict):
         return source
@@ -83,21 +109,21 @@ def _load_doc(source: Union[str, Path, dict]) -> dict:
 
 def _index_pairs(value, what: str) -> frozenset:
     pairs = set()
+    if not isinstance(value or [], (list, tuple)):
+        raise SpecValidationError(f"{what} is a list of [row, col] pairs, got {value!r}")
     for item in value or []:
         if not (isinstance(item, (list, tuple)) and len(item) == 2):
             raise SpecValidationError(f"{what} entries are [row, col] pairs, got {item!r}")
-        pairs.add((int(item[0]), int(item[1])))
+        pairs.add((_as(int, item[0], what), _as(int, item[1], what)))
     return frozenset(pairs)
 
 
 def load_property(source: Union[str, Path, dict]) -> Tuple[PropertySpec, Dims]:
     """Read a property document; returns the spec and its dimensions."""
     doc = _load_doc(source)
-    try:
-        kind = str(doc["type"]).lower()
-        dims = Dims(int(doc["n"]), int(doc.get("m", 0)))
-    except KeyError as exc:
-        raise SpecValidationError(f"property document is missing field {exc}") from exc
+    where = "property document"
+    kind = _field(doc, "type", str, where).lower()
+    dims = Dims(_field(doc, "n", int, where), _field(doc, "m", int, where, 0))
     if kind == "identifiability":
         prop: PropertySpec = Identifiability()
     elif kind == "stabilizability":
@@ -111,19 +137,22 @@ def load_property(source: Union[str, Path, dict]) -> Tuple[PropertySpec, Dims]:
         )
     elif kind in ("linear_structure", "structure"):
         raw = doc.get("constraints")
-        if not raw:
+        if not raw or not isinstance(raw, list):
             raise SpecValidationError("a linear structure needs a constraints list")
         constraints = tuple(
-            LinearConstraint(_parse_vector(c["h"]), _parse_set(c["set"])) for c in raw
+            LinearConstraint(
+                _parse_vector(_field(c, "h", None, f"constraint {i}")),
+                _parse_set(_field(c, "set", None, f"constraint {i}")),
+            )
+            for i, c in enumerate(raw, start=1)
         )
         expr_text = doc.get("expr")
-        mode_text = doc.get("mode")
         if expr_text is None:
             expr = chain_expr(len(constraints), ["&"] * (len(constraints) - 1))
-            mode = Mode.INTERSECTION if mode_text is None else Mode(mode_text)
+            mode = _field(doc, "mode", Mode, where, Mode.INTERSECTION)
         else:
             expr = parse_expr(str(expr_text))
-            mode = Mode.EXPRESSION if mode_text is None else Mode(mode_text)
+            mode = _field(doc, "mode", Mode, where, Mode.EXPRESSION)
         prop = LinearStructure(constraints, expr, mode)
     else:
         raise SpecValidationError(f"unknown property type {kind!r}")
@@ -159,7 +188,8 @@ def dump_property(prop: PropertySpec, dims: Dims) -> str:
 
 def load_input_section(source: Union[str, Path, dict]) -> InputSection:
     doc = _load_doc(source)
-    n, m, k = int(doc["n"]), int(doc.get("m", 0)), int(doc["k"])
+    where = "plan document"
+    n, m, k = _field(doc, "n", int, where), _field(doc, "m", int, where, 0), _field(doc, "k", int, where)
     x = parse_matrix(str(doc.get("X", "")), rows=n, cols=k)
     u = parse_matrix(str(doc.get("U", "")), rows=m, cols=k)
     return InputSection(x, u)
@@ -201,11 +231,11 @@ def load_scenario(source: Union[str, Path], base_dir: Optional[Path] = None) -> 
     doc = _load_doc(source)
     if base_dir is None and not isinstance(source, dict):
         base_dir = Path(source).parent
-    dims = Dims(int(doc["n"]), int(doc.get("m", 0)))
+    dims = Dims(_field(doc, "n", int, "scenario"), _field(doc, "m", int, "scenario", 0))
     hidden_doc = doc.get("hidden")
     if not isinstance(hidden_doc, dict):
         raise SpecValidationError("scenario needs hidden: {A: ..., B: ...}")
-    a = parse_matrix(str(hidden_doc["A"]), rows=dims.n, cols=dims.n)
+    a = parse_matrix(_field(hidden_doc, "A", str, "scenario hidden system"), rows=dims.n, cols=dims.n)
     b = parse_matrix(str(hidden_doc.get("B", "")), rows=dims.n, cols=dims.m)
     hidden = SystemPair(a, b)
     prop_doc = doc.get("property")
@@ -234,7 +264,7 @@ def load_scenario(source: Union[str, Path], base_dir: Optional[Path] = None) -> 
         plan = InputSection(x, u)
     else:
         raise SpecValidationError("plan must be 'designed' or {X: ..., U: ...}")
-    seed = int(doc.get("seed", 0))
+    seed = _field(doc, "seed", int, "scenario", 0)
     return Scenario(dims, hidden, prop, plan, seed)
 
 

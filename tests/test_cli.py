@@ -179,6 +179,37 @@ def test_malformed_number_exits_bad_input(tmp_path, field, text):
     assert repr(text.split(",")[0]) in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "verb, text, field",
+    [
+        ("design", "type: stabilizability\nn: abc\nm: 1\n", "'n'"),
+        ("design", 'type: structure\nn: 1\nm: 0\nconstraints: [{h: "1", set: [[0, 0]]}]\nmode: bogus\n', "'mode'"),
+        ("design", "type: sparsity\nn: 2\nm: 1\nzeros_A: [[a, 1]]\n", "zeros_A"),
+        ("design", "type: sparsity\nn: 2\nm: 1\nzeros_A: 5\n", "zeros_A"),
+        ("design", "type: structure\nn: 1\nm: 0\nconstraints: [{set: [[0, 0]]}]\n", "'h'"),
+        ("design", "type: structure\nn: 1\nm: 0\nconstraints: [5]\n", "constraint 1"),
+        ("design", "type: structure\nn: 1\nm: 0\nconstraints: 5\n", "constraints"),
+        ("check", 'n: 2\nm: 1\nX: "1, 0; 0, 1"\nU: "0, 0"\n', "'k'"),
+        ("simulate", 'n: 1\nm: 1\nhidden: {B: "1"}\nproperty: {type: stabilizability}\n', "'A'"),
+        ("simulate", "n: 1\nm: 1\nhidden: {A: '0', B: '1'}\nproperty: {type: stabilizability}\nseed: abc\n", "'seed'"),
+    ],
+    ids=["n-not-int", "mode-bogus", "zero-position-not-int", "zeros-not-list", "constraint-without-h",
+         "constraint-not-mapping", "constraints-not-list", "plan-without-k", "hidden-without-A", "seed-not-int"],
+)
+def test_malformed_document_exits_bad_input(tmp_path, stab_prop, capsys, verb, text, field):
+    doc = tmp_path / "doc.yaml"
+    doc.write_text(text)
+    argv = {
+        "design": ["design", "--property", str(doc)],
+        "check": ["check", "--property", stab_prop, "--input", str(doc)],
+        "simulate": ["simulate", "--scenario", str(doc)],
+    }[verb]
+    assert main(argv) == EXIT_BAD_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("bad input: ") and err.count("\n") == 1
+    assert field in err
+
+
 def test_csv_format(sparsity_prop, corner_dataset, capsys):
     assert (
         main(["--format", "csv", "identify", "--property", sparsity_prop, "--data", corner_dataset])

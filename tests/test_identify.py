@@ -8,6 +8,7 @@ import pytest
 
 from minexcite import (
     BoundedSet,
+    Controllability,
     Dataset,
     Dims,
     GainNotApplicable,
@@ -15,9 +16,11 @@ from minexcite import (
     LinearConstraint,
     LinearStructure,
     Mat,
+    Mode,
     NotIdentifiable,
     NotSufficientlyRich,
     Sparsity,
+    Stabilizability,
     SystemPair,
     Verdict,
     consistent_set_contains,
@@ -29,13 +32,19 @@ from minexcite import (
     identify_linear_structure,
     identify_sparsity,
     identify_stabilizability,
+    is_controllable,
+    is_sufficiently_rich,
     kernel,
+    minimum_subspace,
+    missing_directions,
     parse_matrix,
     recover_model,
     solve_right,
+    validate_property,
 )
+from minexcite import ratmat
 
-from conftest import rand_invertible, rand_mat, rand_system
+from conftest import rand_invertible, rand_mat, rand_structure, rand_system
 
 EXAMPLE_SPARSITY = Sparsity(frozenset({(1, 1)}), frozenset({(2, 1)}))
 CORNER_PLAN = InputSection(parse_matrix("1, 0; 0, 0"), parse_matrix("0, 1"))
@@ -313,3 +322,52 @@ def test_verdicts_survive_right_multiplication():
             InputSection(d.section.x_minus @ t, d.section.u_minus @ t), d.x_plus @ t
         )
         assert identify_sparsity(twisted, EXAMPLE_SPARSITY).verdict == base
+
+
+# -- elimination budget ------------------------------------------------------------
+
+@pytest.fixture
+def eliminations(monkeypatch):
+    """`eliminations(f, *args)` calls f and returns how many eliminations it ran."""
+    calls = []
+    real = ratmat._rref
+
+    def counting(rows, pivot_width):
+        calls.append(pivot_width)
+        return real(rows, pivot_width)
+
+    monkeypatch.setattr(ratmat, "_rref", counting)
+
+    def count(f, *args):
+        calls.clear()
+        f(*args)
+        return len(calls)
+
+    return count
+
+
+def test_elimination_budget(eliminations):
+    """The identifier's own solve is the richness test: no separate chain of
+    image, re-rank and containment eliminations runs before it."""
+    rng = random.Random(59)
+    dims = Dims(3, 2)
+    hidden = rand_system(rng, dims.n, dims.m)
+
+    def rich(p, d=dims, sys=hidden):
+        return excite(sys, design_minimum_input(p, d))
+
+    sparsity = Sparsity(frozenset({(1, 2), (3, 3)}), frozenset({(2, 1)}))
+    assert eliminations(identify_sparsity, rich(sparsity), sparsity) == 1
+    structures = [rand_structure(rng, dims, mode) for mode in (Mode.INTERSECTION, Mode.EXPRESSION)]
+    for p in structures:
+        assert eliminations(identify_linear_structure, rich(p), p) == 1 + eliminations(validate_property, p, dims)
+    assert eliminations(identify_stabilizability, rich(Stabilizability())) == 2
+    assert eliminations(identify_controllability, rich(Controllability())) == 2 + eliminations(is_controllable, hidden)
+    scalar = rand_system(rng, 1, 2)
+    assert eliminations(identify_controllability, rich(Controllability(), Dims(1, 2), scalar)) == 2
+
+    cases = [(design_minimum_input(p, dims), p) for p in [sparsity, *structures, Stabilizability(), Controllability()]]
+    cases.append((TWO_COLUMN_PLAN, Stabilizability()))  # not rich
+    for section, p in cases:
+        for query in (is_sufficiently_rich, missing_directions):
+            assert eliminations(query, section, p) == 1 + eliminations(minimum_subspace, p, section.dims)

@@ -15,7 +15,6 @@ from minexcite import (
     contains,
     format_matrix,
     image,
-    intersect,
     invert,
     kernel,
     parse_matrix,
@@ -23,7 +22,7 @@ from minexcite import (
     solve_right,
     spectral_radius,
     spectral_radius_info,
-    subspace_sum,
+    unspanned_columns,
 )
 from minexcite.ratmat import characteristic_polynomial, pivot_columns
 
@@ -122,6 +121,16 @@ def test_two_column_span_does_not_contain_r3():
     assert rank(block) == 2  # cross-check by rank
 
 
+def test_subspace_rejects_dependent_basis():
+    with pytest.raises(ValueError):
+        Subspace(2, parse_matrix("1, 2; 2, 4"))
+    with pytest.raises(ValueError):
+        Subspace(3, parse_matrix("1, 0, 1; 0, 1, 1; 0, 0, 0"))
+    with pytest.raises(ValueError):
+        Subspace.span_of_units(3, [1, 1])
+    assert Subspace(2, parse_matrix("1, 2; 2, 5")).dim == 2
+
+
 @settings(max_examples=40, deadline=None)
 @given(small_mats(3), small_mats(3))
 def test_image_of_product_contained(m, q):
@@ -129,44 +138,6 @@ def test_image_of_product_contained(m, q):
         cells = [v for row in q.to_lists() for v in row]
         q = Mat.from_flat(m.cols, q.cols, cells[: m.cols * q.cols] + [Fraction(0)] * max(0, m.cols * q.cols - len(cells)))
     assert contains(image(m), image(m @ q))
-
-
-# -- intersection -----------------------------------------------------------
-
-def test_intersect_with_full_space():
-    e1 = Subspace.span_of_units(3, [0])
-    assert intersect(Subspace.full(3), e1) == e1
-
-
-def test_intersect_planes():
-    a = Subspace.span_of_units(3, [0, 1])
-    b = Subspace.span_of_units(3, [1, 2])
-    assert intersect(a, b) == Subspace.span_of_units(3, [1])
-
-
-def test_intersect_two_lines_is_zero():
-    a = image(parse_matrix("1; 1"))
-    b = image(parse_matrix("1; 0"))
-    meet = intersect(a, b)
-    assert meet.dim == 0  # only solution of s*[1,1] = t*[1,0] is s = t = 0
-
-
-def test_intersect_commutative_idempotent():
-    rng = random.Random(7)
-    for _ in range(20):
-        a = image(Mat.from_flat(4, 2, [Fraction(rng.randint(-3, 3)) for _ in range(8)]))
-        b = image(Mat.from_flat(4, 3, [Fraction(rng.randint(-3, 3)) for _ in range(12)]))
-        assert intersect(a, b) == intersect(b, a)
-        assert intersect(a, a) == a
-
-
-def test_dimension_formula():
-    rng = random.Random(11)
-    for _ in range(30):
-        ca, cb = rng.randint(1, 3), rng.randint(1, 3)
-        a = image(Mat.from_flat(4, ca, [Fraction(rng.randint(-2, 2)) for _ in range(4 * ca)]))
-        b = image(Mat.from_flat(4, cb, [Fraction(rng.randint(-2, 2)) for _ in range(4 * cb)]))
-        assert a.dim + b.dim == subspace_sum(a, b).dim + intersect(a, b).dim
 
 
 # -- solving ------------------------------------------------------------------
@@ -312,6 +283,7 @@ def test_integer_kernels_match_fraction_reference(inputs):
     assert (a @ null).is_zero()
     x = solve_right(a, b)
     assert x == _ref_solve_right(a, b)
+    assert unspanned_columns(a, b) == [j for j in range(b.cols) if solve_right(a, b.col(j)) is None]
     if x is not None:
         _assert_canonical(x)
         assert a @ x == b

@@ -1,4 +1,4 @@
-"""Richness verdicts, minimum input design, greedy reduction."""
+"""Richness verdicts and minimum input design."""
 
 import random
 from fractions import Fraction
@@ -15,16 +15,14 @@ from minexcite import (
     Sparsity,
     Stabilizability,
     Subspace,
+    contains,
     design_minimum_input,
+    image,
     is_sufficiently_rich,
     minimum_subspace,
     missing_directions,
     parse_matrix,
-    reduce_to_minimum,
-    richness_oracle,
-    stacked_image,
 )
-from minexcite.properties import BoundedSet, LinearConstraint, LinearStructure
 
 from conftest import rand_invertible, rand_sparsity, rand_structure
 from minexcite import Mode
@@ -50,17 +48,17 @@ def catalog(dims: Dims, rng: random.Random):
 # -- stacked image -----------------------------------------------------------
 
 def test_stacked_image_of_two_columns():
-    assert stacked_image(TWO_COLUMN_PLAN).dim == 2
+    assert image(TWO_COLUMN_PLAN.stacked()).dim == 2
 
 
 def test_stacked_image_full():
     sec = InputSection(parse_matrix("1, 0, 0; 0, 1, 0"), parse_matrix("0, 0, 1"))
-    assert stacked_image(sec) == Subspace.full(3)
+    assert image(sec.stacked()) == Subspace.full(3)
 
 
 def test_stacked_image_zero_section():
     sec = InputSection(Mat.zeros(2, 2), Mat.zeros(1, 2))
-    assert stacked_image(sec).dim == 0
+    assert image(sec.stacked()).dim == 0
 
 
 # -- richness verdicts ---------------------------------------------------------
@@ -81,8 +79,8 @@ def test_corner_plan_rich_for_sparsity():
 def test_missing_directions_reported():
     missing = missing_directions(TWO_COLUMN_PLAN, Stabilizability())
     assert missing  # the plan misses one dimension of R^3
-    span = stacked_image(TWO_COLUMN_PLAN)
-    assert all(not span.contains_vector(v) for v in missing)
+    span = image(TWO_COLUMN_PLAN.stacked())
+    assert all(not contains(span, image(v)) for v in missing)
     assert missing_directions(CORNER_PLAN, EXAMPLE_SPARSITY) == []
 
 
@@ -126,8 +124,6 @@ def test_design_minimality_column_drops():
                 target = minimum_subspace(p, dims)
                 stacked = sec.stacked()
                 for j in range(stacked.cols):
-                    from minexcite import contains, image
-
                     reduced = image(stacked.drop_col(j))
                     assert not contains(reduced, target)
 
@@ -165,42 +161,6 @@ def test_column_permutation_preserves_verdict():
     sec = CORNER_PLAN
     swapped = InputSection(sec.x_minus.take_cols([1, 0]), sec.u_minus.take_cols([1, 0]))
     assert is_sufficiently_rich(swapped, EXAMPLE_SPARSITY)
-
-
-# -- greedy reduction ----------------------------------------------------------------
-
-def test_reduce_full_space_to_sparsity_minimum():
-    oracle = richness_oracle(EXAMPLE_SPARSITY, Dims(2, 1))
-    reduced = reduce_to_minimum(Subspace.full(3), oracle)
-    assert reduced == minimum_subspace(EXAMPLE_SPARSITY, Dims(2, 1))
-
-
-def test_reduce_fixed_point():
-    target = minimum_subspace(EXAMPLE_SPARSITY, Dims(2, 1))
-    oracle = richness_oracle(EXAMPLE_SPARSITY, Dims(2, 1))
-    assert reduce_to_minimum(target, oracle) == target
-
-
-def test_reduce_full_space_for_scalar_controllability():
-    dims = Dims(1, 2)
-    oracle = richness_oracle(Controllability(), dims)
-    reduced = reduce_to_minimum(Subspace.full(3), oracle)
-    assert reduced == minimum_subspace(Controllability(), dims)
-
-
-def test_reduce_keeps_full_space_for_trace_constraint():
-    dims = Dims(2, 0)
-    p = LinearStructure.intersection(
-        [LinearConstraint((1, 0, 0, 1), BoundedSet.singleton(0))]
-    )
-    oracle = richness_oracle(p, dims)
-    assert reduce_to_minimum(Subspace.full(2), oracle) == Subspace.full(2)
-
-
-def test_reduce_rejects_poor_start():
-    oracle = richness_oracle(Stabilizability(), Dims(2, 1))
-    with pytest.raises(ValueError):
-        reduce_to_minimum(Subspace.span_of_units(3, [0]), oracle)
 
 
 # -- section validation ----------------------------------------------------------------
