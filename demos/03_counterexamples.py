@@ -27,7 +27,7 @@ print(f"  [{format_matrix(plan.stacked())}]")
 print(f"sufficiently rich for stabilizability: {is_sufficiently_rich(plan, prop)}\n")
 
 direction = find_annihilator(plan)
-print(f"Blind direction (orthogonal to every excitation): [{format_matrix(direction.h.T)}]")
+print(f"Blind direction (orthogonal to every excitation): [{format_matrix(direction.T)}]")
 
 pair = counterexample_for(plan, prop, seed=0)
 print("\nTwo plants, one dataset:")

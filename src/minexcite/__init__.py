@@ -32,7 +32,6 @@ from .ratmat import (
     parse_matrix,
     rank,
     solve_right,
-    spectral_radius,
     spectral_radius_info,
     unspanned_columns,
 )
@@ -59,6 +58,7 @@ from .properties import (
     is_stabilizable,
     minimum_subspace,
     parse_expr,
+    property_label,
     sparsity_as_structure,
     sparsity_columns,
     validate_property,
@@ -68,6 +68,7 @@ from .properties import (
 from .richness import (
     Dataset,
     InputSection,
+    consistent_set_contains,
     design_minimum_input,
     is_sufficiently_rich,
     missing_directions,
@@ -79,23 +80,19 @@ from .identify import (
     SparsityReport,
     StructureReport,
     Verdict,
-    consistent_set_contains,
-    dataset_rank_test,
+    counterexample_for,
     gain_from_data,
     identify_controllability,
     identify_linear_structure,
     identify_sparsity,
     identify_stabilizability,
-    property_label,
     recover_model,
 )
 from .adversary import (
-    Annihilator,
     CounterexamplePair,
     algorithm1_signs,
     algorithm2_signs,
     counterexample_controllability,
-    counterexample_for,
     counterexample_stabilizability,
     counterexample_structure,
     distinct_consistent_pair,

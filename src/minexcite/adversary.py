@@ -5,7 +5,7 @@ that reproduce the exact same feedback data while exactly one has the
 property; no amount of cleverness on such data can settle the question.
 This module constructs such pairs explicitly, one recipe per property
 family, and validates every pair against the exact membership oracle
-before returning it.
+before returning it; the property table in `identify` picks the recipe.
 """
 
 from __future__ import annotations
@@ -36,21 +36,7 @@ from .properties import (
     vec_inv,
 )
 from .ratmat import Mat, image, kernel, solve_right, unspanned_columns
-from .richness import Dataset, InputSection
-from .identify import consistent_set_contains
-
-
-@dataclass(frozen=True)
-class Annihilator:
-    """Nonzero direction orthogonal to every excitation column."""
-
-    h: Mat  # (n+m) x 1
-
-    def state_part(self, n: int) -> list:
-        return [self.h[i, 0] for i in range(n)]
-
-    def input_part(self, n: int) -> list:
-        return [self.h[i, 0] for i in range(n, self.h.rows)]
+from .richness import Dataset, InputSection, _any_consistent_model, consistent_set_contains
 
 
 @dataclass(frozen=True)
@@ -63,25 +49,27 @@ class CounterexamplePair:
     shared_feedback: Mat
 
 
-def find_annihilator(section: InputSection) -> Optional[Annihilator]:
-    """First kernel direction of the transposed plan, or None when full rank."""
+def find_annihilator(section: InputSection) -> Optional[Mat]:
+    """First kernel direction of the transposed plan, an (n+m) x 1 column
+    orthogonal to every excitation, or None when the plan has full rank."""
     null = kernel(section.stacked().T)
     if null.cols == 0:
         return None
-    return Annihilator(null.col(0))
+    return null.col(0)
 
 
-def _verify_pair(pair: CounterexamplePair, p: PropertySpec) -> CounterexamplePair:
-    data = Dataset(pair.section, pair.shared_feedback)
-    if not consistent_set_contains(data, pair.sys_with):
-        raise InternalFault("constructed system with the property is inconsistent")
-    if not consistent_set_contains(data, pair.sys_without):
+def _verified_pair(
+    section: InputSection, sys_with: SystemPair, sys_without: SystemPair, p: PropertySpec
+) -> CounterexamplePair:
+    """The pair sharing the feedback `sys_with` gives on `section`, checked with the exact oracle."""
+    feedback = sys_with.a @ section.x_minus + sys_with.b @ section.u_minus
+    if not consistent_set_contains(Dataset(section, feedback), sys_without):
         raise InternalFault("constructed system without the property is inconsistent")
-    if not has_property(pair.sys_with, p):
+    if not has_property(sys_with, p):
         raise InternalFault("constructed system fails to have the property")
-    if has_property(pair.sys_without, p):
+    if has_property(sys_without, p):
         raise InternalFault("constructed partner unexpectedly has the property")
-    return pair
+    return CounterexamplePair(sys_with, sys_without, section, feedback)
 
 
 def _single_row(n: int, cols: int, row: int, entries: Sequence) -> Mat:
@@ -100,8 +88,8 @@ def counterexample_stabilizability(section: InputSection) -> CounterexamplePair:
     if ann is None:
         raise SectionIsRich("the plan is persistently exciting; stabilizability is decidable")
     n, m = section.n, section.m
-    hs = ann.state_part(n)
-    hu = ann.input_part(n)
+    h = ann.col_list(0)
+    hs, hu = h[:n], h[n:]
     if all(v == 0 for v in hs):
         # all annihilated weight sits on the input block
         a_with = _single_row(n, n, 0, [Fraction(1)] + [Fraction(0)] * (n - 1))
@@ -119,11 +107,8 @@ def counterexample_stabilizability(section: InputSection) -> CounterexamplePair:
         unit_row[l] = Fraction(1)
         a_without = _single_row(n, n, l, unit_row)
         b_without = Mat.zeros(n, m)
-    feedback = a_with @ section.x_minus + b_with @ section.u_minus
-    pair = CounterexamplePair(
-        SystemPair(a_with, b_with), SystemPair(a_without, b_without), section, feedback
-    )
-    return _verify_pair(pair, Stabilizability())
+    sys_with, sys_without = SystemPair(a_with, b_with), SystemPair(a_without, b_without)
+    return _verified_pair(section, sys_with, sys_without, Stabilizability())
 
 
 def _swap_permutation(n: int, i: int, j: int) -> Mat:
@@ -156,21 +141,14 @@ def counterexample_controllability(section: InputSection) -> CounterexamplePair:
                 break
         if h is None:
             raise SectionIsRich("the plan already pins down the input-to-state map")
-        a_with = Mat([[h[0, 0]]])
-        b_with = Mat([[h[i, 0] for i in range(1, 1 + m)]])
-        pair = CounterexamplePair(
-            SystemPair(a_with, b_with),
-            SystemPair(Mat.zeros(1, 1), Mat.zeros(1, m)),
-            section,
-            Mat.zeros(1, section.k),
-        )
-        return _verify_pair(pair, prop)
+        sys_with = SystemPair(Mat([[h[0, 0]]]), Mat([[h[i, 0] for i in range(1, 1 + m)]]))
+        return _verified_pair(section, sys_with, SystemPair(Mat.zeros(1, 1), Mat.zeros(1, m)), prop)
 
     ann = find_annihilator(section)
     if ann is None:
         raise SectionIsRich("the plan is persistently exciting; controllability is decidable")
-    hs = ann.state_part(n)
-    hu = ann.input_part(n)
+    h = ann.col_list(0)
+    hs, hu = h[:n], h[n:]
 
     # arrange a nonzero second state coordinate by a symmetric swap
     perm = Mat.identity(n)
@@ -205,12 +183,7 @@ def counterexample_controllability(section: InputSection) -> CounterexamplePair:
     b_with = perm.T @ b_with
     a_without = perm.T @ base_a @ perm
     b_without = perm.T @ b_without
-
-    feedback = a_with @ section.x_minus + b_with @ section.u_minus
-    pair = CounterexamplePair(
-        SystemPair(a_with, b_with), SystemPair(a_without, b_without), section, feedback
-    )
-    return _verify_pair(pair, prop)
+    return _verified_pair(section, SystemPair(a_with, b_with), SystemPair(a_without, b_without), prop)
 
 
 # -- sign selection for combined structures ---------------------------------
@@ -283,6 +256,12 @@ def algorithm2_signs(expr: SetExpr, c1: frozenset) -> tuple:
         assign_side(other, discard_sign)
         node = taken
     return tuple(signs[i] for i in range(1, total + 1))
+
+
+def counterexample_sparsity(section: InputSection, p: Sparsity, seed: int = 0) -> CounterexamplePair:
+    """Property-split pair for a zero pattern, built on its equivalent structure."""
+    pair = counterexample_structure(section, sparsity_as_structure(p, section.dims), seed)
+    return _verified_pair(section, pair.sys_with, pair.sys_without, p)
 
 
 def counterexample_structure(
@@ -369,9 +348,7 @@ def counterexample_structure(
     ab1 = ab0 + perturbation
     a1 = ab1.take_cols(range(n))
     b1 = ab1.take_cols(range(n, dims.total))
-    feedback = a0 @ section.x_minus + b0 @ section.u_minus
-    pair = CounterexamplePair(SystemPair(a0, b0), SystemPair(a1, b1), section, feedback)
-    return _verify_pair(pair, p)
+    return _verified_pair(section, SystemPair(a0, b0), SystemPair(a1, b1), p)
 
 
 def distinct_consistent_pair(d: Dataset) -> Tuple[SystemPair, SystemPair]:
@@ -380,14 +357,12 @@ def distinct_consistent_pair(d: Dataset) -> Tuple[SystemPair, SystemPair]:
     This certifies that the model cannot be identified from the data; it
     carries no property split.
     """
-    from .identify import _any_consistent_model
-
     ann = find_annihilator(d.section)
     if ann is None:
         raise SectionIsRich("the plan is persistently exciting; the model is unique")
     base = _any_consistent_model(d)
     n, total = d.section.n, d.section.dims.total
-    shift = _single_row(n, total, 0, [ann.h[i, 0] for i in range(total)])
+    shift = _single_row(n, total, 0, ann.col_list(0))
     ab = base.ab() + shift
     other = SystemPair(ab.take_cols(range(n)), ab.take_cols(range(n, total)))
     for sys in (base, other):
@@ -396,22 +371,3 @@ def distinct_consistent_pair(d: Dataset) -> Tuple[SystemPair, SystemPair]:
     if base == other:
         raise InternalFault("the two consistent systems must differ")
     return base, other
-
-
-def counterexample_for(
-    section: InputSection, p: PropertySpec, seed: int = 0
-) -> CounterexamplePair:
-    """Dispatch to the recipe matching the property family."""
-    if isinstance(p, Stabilizability):
-        return counterexample_stabilizability(section)
-    if isinstance(p, Controllability):
-        return counterexample_controllability(section)
-    if isinstance(p, Sparsity):
-        structure = sparsity_as_structure(p, section.dims)
-        pair = counterexample_structure(section, structure, seed)
-        return _verify_pair(pair, p)
-    if isinstance(p, LinearStructure):
-        return counterexample_structure(section, p, seed)
-    raise ValueError(
-        "identifiability admits no property-split pair; use distinct_consistent_pair"
-    )

@@ -15,7 +15,6 @@ from pathlib import Path
 import yaml
 
 from . import specio
-from .adversary import counterexample_for, distinct_consistent_pair
 from .errors import (
     DimensionMismatch,
     GainNotApplicable,
@@ -27,10 +26,10 @@ from .errors import (
     SpecValidationError,
 )
 from .harness import efficiency_csv, efficiency_text, report_efficiency, run
-from .identify import consistent_set_contains, gain_from_data, identify_property, property_label
-from .properties import Identifiability, has_property
-from .ratmat import EIG_MARGIN, Mat, format_matrix
-from .richness import Dataset, design_minimum_input, is_sufficiently_rich, missing_directions
+from .identify import counterexample_report, gain_from_data, identify_property, system_rows
+from .properties import Identifiability, property_label
+from .ratmat import EIG_MARGIN, format_matrix
+from .richness import design_minimum_input, is_sufficiently_rich, missing_directions
 
 EXIT_OK = 0
 EXIT_NOT_RICH = 2
@@ -61,11 +60,16 @@ def _cmd_design(args) -> int:
     return EXIT_OK
 
 
-def _cmd_check(args) -> int:
+def _property_and_plan(args) -> tuple:
     prop, dims = specio.load_property(args.property)
     section = specio.load_input_section(args.input)
     if section.dims != dims:
         raise SpecValidationError("plan dimensions disagree with the property document")
+    return prop, section
+
+
+def _cmd_check(args) -> int:
+    prop, section = _property_and_plan(args)
     rich = is_sufficiently_rich(section, prop)
     rows = [("property", property_label(prop)), ("k", section.k), ("sufficiently_rich", rich)]
     if not rich and args.verbose:
@@ -113,49 +117,13 @@ def _cmd_gain(args) -> int:
 
 
 def _cmd_counterexample(args) -> int:
-    prop, dims = specio.load_property(args.property)
-    section = specio.load_input_section(args.input)
-    if section.dims != dims:
-        raise SpecValidationError("plan dimensions disagree with the property document")
+    prop, section = _property_and_plan(args)
     try:
-        if isinstance(prop, Identifiability):
-            # two distinct systems sharing the feedback of the zero system
-            dataset = Dataset(section, Mat.zeros(dims.n, section.k))
-            first, second = distinct_consistent_pair(dataset)
-            _emit(
-                [
-                    ("verdict", "not_identifiable"),
-                    ("system_1_A", format_matrix(first.a)),
-                    ("system_1_B", format_matrix(first.b)),
-                    ("system_2_A", format_matrix(second.a)),
-                    ("system_2_B", format_matrix(second.b)),
-                    ("shared_Xp", format_matrix(dataset.x_plus)),
-                ],
-                args.format,
-            )
-            return EXIT_OK
-        pair = counterexample_for(section, prop, args.seed)
+        res = counterexample_report(section, prop, args.seed)
     except SectionIsRich as exc:
         _emit([("verdict", "section_is_rich"), ("detail", exc)], args.format)
         return EXIT_OK
-    rows = [
-        ("verdict", "counterexample"),
-        ("seed", args.seed),
-        ("with_A", format_matrix(pair.sys_with.a)),
-        ("with_B", format_matrix(pair.sys_with.b)),
-        ("without_A", format_matrix(pair.sys_without.a)),
-        ("without_B", format_matrix(pair.sys_without.b)),
-        ("shared_Xp", format_matrix(pair.shared_feedback)),
-    ]
-    if args.verbose:
-        shared = Dataset(pair.section, pair.shared_feedback)
-        rows += [
-            ("with_consistent", consistent_set_contains(shared, pair.sys_with)),
-            ("without_consistent", consistent_set_contains(shared, pair.sys_without)),
-            ("with_has_property", has_property(pair.sys_with, prop)),
-            ("without_has_property", has_property(pair.sys_without, prop)),
-        ]
-    _emit(rows, args.format)
+    _emit_identification([], res, args)
     return EXIT_OK
 
 
@@ -169,18 +137,12 @@ def _cmd_simulate(args) -> int:
         ("k_model_based", report.k_model_based),
     ]
     if report.recovered is not None:
-        rows.append(("A", format_matrix(report.recovered.a)))
-        rows.append(("B", format_matrix(report.recovered.b)))
+        rows += system_rows("", report.recovered)
     if args.verbose and report.q is not None:
         rows.append(("Q", format_matrix(report.q)))
     if report.counterexample is not None:
-        pair = report.counterexample
-        rows += [
-            ("with_A", format_matrix(pair.sys_with.a)),
-            ("with_B", format_matrix(pair.sys_with.b)),
-            ("without_A", format_matrix(pair.sys_without.a)),
-            ("without_B", format_matrix(pair.sys_without.b)),
-        ]
+        rows += system_rows("with_", report.counterexample.sys_with)
+        rows += system_rows("without_", report.counterexample.sys_without)
     _emit(rows, args.format)
     return EXIT_NOT_RICH if report.outcome in ("not_sufficiently_rich", "not_identifiable") else EXIT_OK
 
@@ -253,10 +215,7 @@ def main(argv=None) -> int:
     except (SpecValidationError, DimensionMismatch, GainNotApplicable, InconsistentDataset) as exc:
         print(f"bad input: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
-    except FileNotFoundError as exc:
-        print(f"bad input: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    except yaml.YAMLError as exc:
+    except (FileNotFoundError, yaml.YAMLError) as exc:
         print(f"bad input: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
     except (InternalFault, InfeasibleSigns) as exc:

@@ -14,10 +14,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence
 
-from .adversary import CounterexamplePair, counterexample_for, distinct_consistent_pair
+from .adversary import CounterexamplePair, distinct_consistent_pair
 from .errors import DimensionMismatch, GainNotApplicable, NotSufficientlyRich
-from .identify import GainResult, Verdict, gain_from_data, identify_property, property_label
-from .properties import Dims, PropertySpec, SystemPair, minimum_subspace, validate_property
+from .identify import GainResult, Verdict, counterexample_for, gain_from_data, identify_property
+from .properties import Dims, PropertySpec, SystemPair, minimum_subspace, property_label, validate_property
 from .ratmat import Mat
 from .richness import Dataset, InputSection, design_minimum_input
 

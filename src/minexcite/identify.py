@@ -9,8 +9,9 @@ without recovering the model, by checking entries or traces of X+ Q.
 Zero tests are exact; floats appear only in the spectral radius of a
 synthesized closed loop and in the stabilizability test.
 
-`identify_property` dispatches on the property class through one table
-and returns an `Identification`, the same shape for every property.
+One table maps each property class to its identifier and its
+counterexample recipe; `identify_property`, `counterexample_report` and
+`counterexample_for` look the class up there.
 """
 
 from __future__ import annotations
@@ -20,12 +21,15 @@ from enum import Enum
 from fractions import Fraction
 from typing import Callable, NamedTuple, Optional, Union
 
-from .errors import (
-    DimensionMismatch,
-    GainNotApplicable,
-    InconsistentDataset,
-    NotSufficientlyRich,
+from .adversary import (
+    CounterexamplePair,
+    counterexample_controllability,
+    counterexample_sparsity,
+    counterexample_stabilizability,
+    counterexample_structure,
+    distinct_consistent_pair,
 )
+from .errors import GainNotApplicable, NotSufficientlyRich
 from .properties import (
     Controllability,
     Identifiability,
@@ -36,23 +40,21 @@ from .properties import (
     SystemPair,
     build_constraint_matrix,
     evaluate_expr,
+    has_property,
     is_controllable,
     is_stabilizable,
     minimum_subspace,
     sparsity_columns,
     validate_property,
 )
-from .ratmat import (
-    Mat,
-    as_rational,
-    format_matrix,
-    format_rational,
-    invert,
-    rank,
-    solve_right,
-    spectral_radius_info,
+from .ratmat import Mat, format_matrix, format_rational, invert, rank, solve_right, spectral_radius_info
+from .richness import (
+    Dataset,
+    InputSection,
+    _any_consistent_model,
+    consistent_set_contains,
+    missing_directions,
 )
-from .richness import Dataset, missing_directions
 
 
 class Verdict(Enum):
@@ -131,13 +133,6 @@ def _solve_onto(d: Dataset, p: PropertySpec, target: Mat) -> Mat:
     return q
 
 
-def consistent_set_contains(d: Dataset, sys: SystemPair) -> bool:
-    """True when the candidate reproduces the dataset exactly."""
-    if sys.n != d.section.n or sys.m != d.section.m:
-        raise DimensionMismatch("candidate dimensions do not match the data")
-    return sys.a @ d.section.x_minus + sys.b @ d.section.u_minus == d.x_plus
-
-
 def identify_sparsity(d: Dataset, p: Sparsity) -> SparsityReport:
     """Decide a zero pattern directly from data.
 
@@ -150,11 +145,7 @@ def identify_sparsity(d: Dataset, p: Sparsity) -> SparsityReport:
     q = _solve_onto(d, p, Mat.hstack([Mat.unit_column(dims.total, i) for i in cols]))
     product = d.x_plus @ q
     position = {c: l for l, c in enumerate(cols)}
-    checked = []
-    for r, c in sorted(p.zeros_a):
-        checked.append(CheckedEntry(r, c, product[r - 1, position[c - 1]]))
-    for r, c in sorted(p.zeros_b):
-        checked.append(CheckedEntry(r, dims.n + c, product[r - 1, position[dims.n + c - 1]]))
+    checked = [CheckedEntry(r, c, product[r - 1, position[c - 1]]) for r, c in p.positions(dims.n)]
     verdict = Verdict.of(all(e.value == 0 for e in checked))
     return SparsityReport(verdict, q, tuple(checked))
 
@@ -193,16 +184,6 @@ def recover_model(d: Dataset) -> Union[SystemPair, NotIdentifiable]:
     if r < total:
         return NotIdentifiable(stacked_rank=r, deficit=total - r)
     return _any_consistent_model(d)
-
-
-def _any_consistent_model(d: Dataset) -> SystemPair:
-    """Some exact member of the consistent set (free directions set to 0)."""
-    z = solve_right(d.section.stacked().T, d.x_plus.T)
-    if z is None:
-        raise InconsistentDataset("no linear system reproduces this dataset")
-    ab = z.T
-    n, m = d.section.n, d.section.m
-    return SystemPair(ab.take_cols(range(n)), ab.take_cols(range(n, n + m)))
 
 
 def _consistent_model_if_rich(d: Dataset, p: PropertySpec) -> SystemPair:
@@ -249,34 +230,30 @@ def gain_from_data(d: Dataset) -> GainResult:
     return GainResult(d.section.u_minus @ x_inv, closed_loop, info.radius, info.marginal)
 
 
-def dataset_rank_test(d: Dataset, lam) -> int:
-    """Exact rank of X+ - lambda X- for a rational lambda.
-
-    A value of at most n-1 at some |lambda| >= 1 certifies that this
-    dataset cannot establish stabilizability.
-    """
-    lam = as_rational(lam)
-    return rank(d.x_plus - lam * d.section.x_minus)
-
-
 # -- one table for every property ---------------------------------------------
 
 @dataclass(frozen=True)
 class Identification:
-    """What `identify_property` decided, in one shape for every property.
+    """What `identify_property` or `counterexample_report` found, one shape for every property.
 
-    `outcome` is has_property, lacks_property, identified or
-    not_identifiable.  `facts()` gives the (name, value) rows that always go
-    with the outcome and `certificate()` the rows that show how the verdict
-    was reached; both format only when called.
+    `outcome` is has_property, lacks_property, identified, not_identifiable
+    or counterexample.  `facts()` gives the (name, value) rows that always
+    go with the outcome and `certificate()` the rows that show how the
+    verdict was reached; both format only when called.
     """
 
     outcome: str
     verdict: Optional[Verdict] = None
     q: Optional[Mat] = None
     recovered: Optional[SystemPair] = None
+    pair: Optional[CounterexamplePair] = None
     facts: Callable[[], list] = list
     certificate: Callable[[], list] = list
+
+
+def system_rows(prefix: str, sys: SystemPair) -> list:
+    """The (name, value) rows `<prefix>A` and `<prefix>B` of a system."""
+    return [(f"{prefix}A", format_matrix(sys.a)), (f"{prefix}B", format_matrix(sys.b))]
 
 
 def _identify_model(d: Dataset, p: Identifiability) -> Identification:
@@ -285,11 +262,7 @@ def _identify_model(d: Dataset, p: Identifiability) -> Identification:
         return Identification(
             "not_identifiable", facts=lambda: [("rank", result.stacked_rank), ("deficit", result.deficit)]
         )
-    return Identification(
-        "identified",
-        recovered=result,
-        facts=lambda: [("A", format_matrix(result.a)), ("B", format_matrix(result.b))],
-    )
+    return Identification("identified", recovered=result, facts=lambda: system_rows("", result))
 
 
 def _of_verdict(verdict: Verdict) -> Identification:
@@ -320,30 +293,79 @@ def _identify_structure(d: Dataset, p: LinearStructure) -> Identification:
     )
 
 
+def _model_pair(section: InputSection, p: Identifiability, seed: int) -> Identification:
+    """Two distinct systems sharing the feedback of the zero system."""
+    shared = Dataset(section, Mat.zeros(section.n, section.k))
+    first, second = distinct_consistent_pair(shared)
+    return Identification(
+        "not_identifiable",
+        facts=lambda: [
+            *system_rows("system_1_", first),
+            *system_rows("system_2_", second),
+            ("shared_Xp", format_matrix(shared.x_plus)),
+        ],
+    )
+
+
+def _split(pair: CounterexamplePair, p: PropertySpec, seed: int) -> Identification:
+    """The report of a pair that shares one dataset and of which exactly one system has `p`."""
+    shared = Dataset(pair.section, pair.shared_feedback)
+    return Identification(
+        "counterexample",
+        pair=pair,
+        facts=lambda: [
+            ("seed", seed),
+            *system_rows("with_", pair.sys_with),
+            *system_rows("without_", pair.sys_without),
+            ("shared_Xp", format_matrix(pair.shared_feedback)),
+        ],
+        certificate=lambda: [
+            ("with_consistent", consistent_set_contains(shared, pair.sys_with)),
+            ("without_consistent", consistent_set_contains(shared, pair.sys_without)),
+            ("with_has_property", has_property(pair.sys_with, p)),
+            ("without_has_property", has_property(pair.sys_without, p)),
+        ],
+    )
+
+
 class _Entry(NamedTuple):
-    label: Callable[[PropertySpec], str]
     identify: Callable[[Dataset, PropertySpec], Identification]
+    counterexample: Callable[[InputSection, PropertySpec, int], Identification]
 
 
 _PROPERTIES = {
-    Identifiability: _Entry(lambda p: "identifiability", _identify_model),
+    Identifiability: _Entry(_identify_model, _model_pair),
     Stabilizability: _Entry(
-        lambda p: "stabilizability", lambda d, p: _of_verdict(identify_stabilizability(d))
+        lambda d, p: _of_verdict(identify_stabilizability(d)),
+        lambda s, p, seed: _split(counterexample_stabilizability(s), p, seed),
     ),
     Controllability: _Entry(
-        lambda p: "controllability", lambda d, p: _of_verdict(identify_controllability(d))
+        lambda d, p: _of_verdict(identify_controllability(d)),
+        lambda s, p, seed: _split(counterexample_controllability(s), p, seed),
     ),
-    Sparsity: _Entry(lambda p: f"sparsity({len(p.zeros_a) + len(p.zeros_b)} zeros)", _identify_pattern),
+    Sparsity: _Entry(
+        _identify_pattern, lambda s, p, seed: _split(counterexample_sparsity(s, p, seed), p, seed)
+    ),
     LinearStructure: _Entry(
-        lambda p: f"structure({len(p.constraints)} constraints, {p.mode.value})", _identify_structure
+        _identify_structure, lambda s, p, seed: _split(counterexample_structure(s, p, seed), p, seed)
     ),
 }
-
-
-def property_label(p: PropertySpec) -> str:
-    return _PROPERTIES[type(p)].label(p)
 
 
 def identify_property(d: Dataset, p: PropertySpec) -> Identification:
     """Apply the identifier that matches the class of `p`."""
     return _PROPERTIES[type(p)].identify(d, p)
+
+
+def counterexample_report(section: InputSection, p: PropertySpec, seed: int = 0) -> Identification:
+    """Proof that `section` cannot decide `p`: a property-split pair, or for
+    identifiability two models sharing zero feedback; SectionIsRich if it can."""
+    return _PROPERTIES[type(p)].counterexample(section, p, seed)
+
+
+def counterexample_for(section: InputSection, p: PropertySpec, seed: int = 0) -> CounterexamplePair:
+    """The property-split pair the table's recipe builds for `p`."""
+    pair = counterexample_report(section, p, seed).pair
+    if pair is None:
+        raise ValueError("identifiability admits no property-split pair; use distinct_consistent_pair")
+    return pair

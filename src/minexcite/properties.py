@@ -18,7 +18,7 @@ import itertools
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 from .errors import DimensionMismatch, SpecValidationError
 from .ratmat import (
@@ -29,10 +29,15 @@ from .ratmat import (
     format_rational,
     image,
     numeric_rank,
+    pivot_columns,
     rank,
+    solve_right,
 )
 
 import numpy as np
+
+# Fourier-Motzkin steps can square the inequality count; past this many the property is rejected
+MAX_FM_INEQUALITIES = 4096
 
 
 @dataclass(frozen=True)
@@ -320,23 +325,66 @@ class Mode(Enum):
     EXPRESSION = "expression"
 
 
+class PropertySpec:
+    """One kind of property: its document `type` name, label, validation,
+    minimum subspace and membership oracle.  The defaults fit identifiability
+    and stabilizability: nothing to validate and the whole space as minimum.
+    """
+
+    type_name: str
+    aliases = ()  # more document `type` names read as this kind
+
+    def label(self) -> str:
+        return self.type_name
+
+    def _validate(self, dims: Dims) -> None:
+        pass
+
+    def _minimum_subspace(self, dims: Dims) -> Subspace:
+        return Subspace.full(dims.total)
+
+    def _holds(self, sys: SystemPair) -> bool:
+        raise SpecValidationError(f"{self.type_name} is a property of data, not of a single system")
+
+
 @dataclass(frozen=True)
-class Identifiability:
+class Identifiability(PropertySpec):
     """The full model (A, B) itself."""
 
+    type_name = "identifiability"
+
 
 @dataclass(frozen=True)
-class Stabilizability:
+class Stabilizability(PropertySpec):
     """Existence of K with all eigenvalues of A + BK inside the unit circle."""
 
+    type_name = "stabilizability"
+
+    def _holds(self, sys: SystemPair) -> bool:
+        return is_stabilizable(sys)
+
 
 @dataclass(frozen=True)
-class Controllability:
+class Controllability(PropertySpec):
     """Full rank of the reachability matrix [B, AB, ..., A^(n-1) B]."""
 
+    type_name = "controllability"
+
+    def _validate(self, dims: Dims) -> None:
+        if dims.m == 0:
+            raise SpecValidationError("controllability needs at least one input channel")
+
+    def _minimum_subspace(self, dims: Dims) -> Subspace:
+        if dims.n == 1:
+            return Subspace.span_of_units(dims.total, list(range(1, dims.total)))
+        return Subspace.full(dims.total)
+
+    def _holds(self, sys: SystemPair) -> bool:
+        return is_controllable(sys)
+
 
 @dataclass(frozen=True)
-class Sparsity:
+class Sparsity(PropertySpec):
     """Zero patterns: positions (row, col), 1-based, that must vanish.
 
     `zeros_a` indexes entries of A, `zeros_b` entries of B.
@@ -344,6 +392,7 @@ class Sparsity:
 
     zeros_a: frozenset
     zeros_b: frozenset
+    type_name = "sparsity"
 
     def __post_init__(self):
         object.__setattr__(self, "zeros_a", frozenset((int(r), int(c)) for r, c in self.zeros_a))
@@ -351,9 +400,32 @@ class Sparsity:
         if not self.zeros_a and not self.zeros_b:
             raise SpecValidationError("sparsity pattern needs at least one position")
 
+    def positions(self, n: int) -> list:
+        """The zero positions in [A, B] for n states: A's sorted, then B's sorted."""
+        return sorted(self.zeros_a) + [(r, n + c) for r, c in sorted(self.zeros_b)]
+
+    def label(self) -> str:
+        return f"sparsity({len(self.zeros_a) + len(self.zeros_b)} zeros)"
+
+    def _validate(self, dims: Dims) -> None:
+        for r, c in self.zeros_a:
+            if not (1 <= r <= dims.n and 1 <= c <= dims.n):
+                raise SpecValidationError(f"A position ({r}, {c}) outside {dims.n}x{dims.n}")
+        for r, c in self.zeros_b:
+            if not (1 <= r <= dims.n and 1 <= c <= dims.m):
+                raise SpecValidationError(f"B position ({r}, {c}) outside {dims.n}x{dims.m}")
+
+    def _minimum_subspace(self, dims: Dims) -> Subspace:
+        return Subspace.span_of_units(dims.total, sparsity_columns(self, dims))
+
+    def _holds(self, sys: SystemPair) -> bool:
+        return all(sys.a[r - 1, c - 1] == 0 for r, c in self.zeros_a) and all(
+            sys.b[r - 1, c - 1] == 0 for r, c in self.zeros_b
+        )
+
 
 @dataclass(frozen=True)
-class LinearStructure:
+class LinearStructure(PropertySpec):
     """Combination of linear constraints through an and/or expression.
 
     In INTERSECTION mode the expression is the plain conjunction of all
@@ -364,6 +436,8 @@ class LinearStructure:
     constraints: tuple
     expr: SetExpr
     mode: Mode
+    type_name = "linear_structure"
+    aliases = ("structure",)
 
     def __post_init__(self):
         object.__setattr__(self, "constraints", tuple(self.constraints))
@@ -379,8 +453,34 @@ class LinearStructure:
         expr = chain_expr(len(constraints), ["&"] * (len(constraints) - 1))
         return cls(constraints, expr, Mode.INTERSECTION)
 
+    def label(self) -> str:
+        return f"structure({len(self.constraints)} constraints, {self.mode.value})"
 
-PropertySpec = Union[Identifiability, Stabilizability, Controllability, Sparsity, LinearStructure]
+    def _validate(self, dims: Dims) -> None:
+        width = dims.n * dims.total
+        for c in self.constraints:
+            if len(c.h) != width:
+                raise SpecValidationError(f"constraint vector has length {len(c.h)}, expected {width}")
+        if self.mode is Mode.EXPRESSION:
+            hmat = Mat([list(c.h) for c in self.constraints])
+            if rank(hmat) != len(self.constraints):
+                raise SpecValidationError(
+                    "expression mode requires linearly independent constraint vectors"
+                )
+        else:
+            if _contains_or(self.expr):
+                raise SpecValidationError(
+                    "intersection mode admits only conjunctions; use expression mode for unions"
+                )
+            if not _intersection_nonempty(self.constraints):
+                raise SpecValidationError("the constraint intersection is empty")
+
+    def _minimum_subspace(self, dims: Dims) -> Subspace:
+        return image(build_constraint_matrix(self.constraints, dims))
+
+    def _holds(self, sys: SystemPair) -> bool:
+        values = structure_values(sys, self.constraints)
+        return evaluate_expr(self.expr, [c.values.contains(v) for c, v in zip(self.constraints, values)])
 
 
 # -- vectorization ---------------------------------------------------------
@@ -414,9 +514,7 @@ def build_constraint_matrix(constraints: Sequence[LinearConstraint], dims: Dims)
 
 def sparsity_columns(p: Sparsity, dims: Dims) -> list:
     """Affected column indices of [A, B], 0-based ascending."""
-    cols = {c - 1 for _, c in p.zeros_a}
-    cols.update(dims.n + c - 1 for _, c in p.zeros_b)
-    return sorted(cols)
+    return sorted({c - 1 for _, c in p.positions(dims.n)})
 
 
 def sparsity_as_structure(p: Sparsity, dims: Dims) -> LinearStructure:
@@ -424,13 +522,9 @@ def sparsity_as_structure(p: Sparsity, dims: Dims) -> LinearStructure:
     validate_property(p, dims)
     n, total = dims.n, dims.total
     constraints = []
-    for r, c in sorted(p.zeros_a):
+    for r, c in p.positions(n):
         h = [Fraction(0)] * (n * total)
         h[(c - 1) * n + (r - 1)] = Fraction(1)
-        constraints.append(LinearConstraint(tuple(h), BoundedSet.singleton(0)))
-    for r, c in sorted(p.zeros_b):
-        h = [Fraction(0)] * (n * total)
-        h[(n + c - 1) * n + (r - 1)] = Fraction(1)
         constraints.append(LinearConstraint(tuple(h), BoundedSet.singleton(0)))
     return LinearStructure.intersection(constraints)
 
@@ -439,42 +533,7 @@ def sparsity_as_structure(p: Sparsity, dims: Dims) -> LinearStructure:
 
 def validate_property(p: PropertySpec, dims: Dims) -> None:
     """Raise SpecValidationError when `p` violates its invariants for `dims`."""
-    if isinstance(p, (Identifiability, Stabilizability)):
-        return
-    if isinstance(p, Controllability):
-        if dims.m == 0:
-            raise SpecValidationError("controllability needs at least one input channel")
-        return
-    if isinstance(p, Sparsity):
-        for r, c in p.zeros_a:
-            if not (1 <= r <= dims.n and 1 <= c <= dims.n):
-                raise SpecValidationError(f"A position ({r}, {c}) outside {dims.n}x{dims.n}")
-        for r, c in p.zeros_b:
-            if not (1 <= r <= dims.n and 1 <= c <= dims.m):
-                raise SpecValidationError(f"B position ({r}, {c}) outside {dims.n}x{dims.m}")
-        return
-    if isinstance(p, LinearStructure):
-        width = dims.n * dims.total
-        for c in p.constraints:
-            if len(c.h) != width:
-                raise SpecValidationError(
-                    f"constraint vector has length {len(c.h)}, expected {width}"
-                )
-        if p.mode is Mode.EXPRESSION:
-            hmat = Mat([list(c.h) for c in p.constraints])
-            if rank(hmat) != len(p.constraints):
-                raise SpecValidationError(
-                    "expression mode requires linearly independent constraint vectors"
-                )
-        else:
-            if _contains_or(p.expr):
-                raise SpecValidationError(
-                    "intersection mode admits only conjunctions; use expression mode for unions"
-                )
-            if not _intersection_nonempty(p.constraints):
-                raise SpecValidationError("the constraint intersection is empty")
-        return
-    raise SpecValidationError(f"unknown property {p!r}")
+    p._validate(dims)
 
 
 def _contains_or(expr: SetExpr) -> bool:
@@ -488,16 +547,14 @@ def _contains_or(expr: SetExpr) -> bool:
 def _intersection_nonempty(constraints: Sequence[LinearConstraint]) -> bool:
     """Exact feasibility of {theta : h_i . theta in S_i for all i}.
 
-    The achievable value vectors (h_1.theta, ..., h_l.theta) form the
-    column space of the stacked constraint matrix; the intersection is
-    non-empty iff that space meets one of the boxes formed by choosing an
-    interval from each value set.  Each box is decided by Fourier-Motzkin
-    elimination over the rationals.
+    The values of the leftmost independent constraints P are free and
+    h_i = c_i H_P for every i, so the set is non-empty iff some z has
+    c_i . z in S_i for all i (c_i is a unit vector for i in P).  Each box
+    of one interval per set is decided by Fourier-Motzkin elimination.
     """
-    hmat = Mat([list(c.h) for c in constraints])
-    if rank(hmat) == len(constraints):
+    basis = image(Mat([list(c.h) for c in constraints])).basis  # value space, one row per constraint
+    if basis.cols == len(constraints):
         return True  # every value vector is achievable
-    basis = image(hmat).basis  # value-space basis, one row per constraint
     combos = 1
     for c in constraints:
         combos *= len(c.values.pieces)
@@ -505,6 +562,9 @@ def _intersection_nonempty(constraints: Sequence[LinearConstraint]) -> bool:
         raise SpecValidationError(
             "too many interval combinations to verify non-emptiness exactly"
         )
+    # rows P to the identity: row i becomes c_i, the unique solution of c_i H_P = h_i
+    free = pivot_columns(basis.T)
+    basis = solve_right(Mat([basis.row_list(i) for i in free]).T, basis.T).T
     piece_lists = [c.values.pieces for c in constraints]
     for choice in itertools.product(*piece_lists):
         ineqs = []
@@ -518,7 +578,8 @@ def _intersection_nonempty(constraints: Sequence[LinearConstraint]) -> bool:
 
 
 def _fourier_motzkin_feasible(ineqs: list, nvars: int) -> bool:
-    """Feasibility of {y : coeffs . y <= rhs for all (coeffs, rhs)}."""
+    """Feasibility of {y : coeffs . y <= rhs for all (coeffs, rhs)}, in at most
+    MAX_FM_INEQUALITIES inequalities per eliminated variable."""
     for var in range(nvars):
         pos, neg, rest = [], [], []
         for coeffs, rhs in ineqs:
@@ -529,6 +590,10 @@ def _fourier_motzkin_feasible(ineqs: list, nvars: int) -> bool:
                 neg.append((coeffs, rhs))
             else:
                 rest.append((coeffs, rhs))
+        if len(rest) + len(pos) * len(neg) > MAX_FM_INEQUALITIES:
+            raise SpecValidationError(
+                f"verifying non-emptiness exactly needs more than {MAX_FM_INEQUALITIES} inequalities"
+            )
         new = rest
         for pc, pr in pos:
             for nc, nr in neg:
@@ -544,16 +609,11 @@ def _fourier_motzkin_feasible(ineqs: list, nvars: int) -> bool:
 def minimum_subspace(p: PropertySpec, dims: Dims) -> Subspace:
     """Smallest subspace of R^(n+m) that a sufficiently rich plan must span."""
     validate_property(p, dims)
-    total = dims.total
-    if isinstance(p, (Identifiability, Stabilizability)):
-        return Subspace.full(total)
-    if isinstance(p, Controllability):
-        if dims.n == 1:
-            return Subspace.span_of_units(total, list(range(1, total)))
-        return Subspace.full(total)
-    if isinstance(p, Sparsity):
-        return Subspace.span_of_units(total, sparsity_columns(p, dims))
-    return image(build_constraint_matrix(p.constraints, dims))
+    return p._minimum_subspace(dims)
+
+
+def property_label(p: PropertySpec) -> str:
+    return p.label()
 
 
 # -- ground-truth membership oracle ------------------------------------------
@@ -606,18 +666,4 @@ def is_stabilizable(sys: SystemPair, tol: float = EIG_MARGIN) -> bool:
 def has_property(sys: SystemPair, p: PropertySpec) -> bool:
     """Ground-truth membership test for every decidable catalog entry."""
     validate_property(p, sys.dims)
-    if isinstance(p, Identifiability):
-        raise SpecValidationError(
-            "identifiability is a property of data, not of a single system"
-        )
-    if isinstance(p, Stabilizability):
-        return is_stabilizable(sys)
-    if isinstance(p, Controllability):
-        return is_controllable(sys)
-    if isinstance(p, Sparsity):
-        return all(sys.a[r - 1, c - 1] == 0 for r, c in p.zeros_a) and all(
-            sys.b[r - 1, c - 1] == 0 for r, c in p.zeros_b
-        )
-    values = structure_values(sys, p.constraints)
-    truth = [c.values.contains(v) for c, v in zip(p.constraints, values)]
-    return evaluate_expr(p.expr, truth)
+    return p._holds(sys)

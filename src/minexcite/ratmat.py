@@ -617,11 +617,6 @@ def spectral_radius_info(m: Mat) -> SpectralInfo:
     return SpectralInfo(radius, residual, abs(radius - 1.0) <= EIG_MARGIN)
 
 
-def spectral_radius(m: Mat) -> float:
-    """Max |eigenvalue| of a square matrix, as a float."""
-    return spectral_radius_info(m).radius
-
-
 def numeric_rank(a: np.ndarray, tol: float = EIG_MARGIN) -> int:
     """Singular values above tol (relative to the largest, floored at 1)."""
     if a.size == 0:

@@ -14,9 +14,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DimensionMismatch
-from .properties import Dims, PropertySpec, minimum_subspace
-from .ratmat import Mat, unspanned_columns
+from .errors import DimensionMismatch, InconsistentDataset
+from .properties import Dims, PropertySpec, SystemPair, minimum_subspace
+from .ratmat import Mat, solve_right, unspanned_columns
 
 
 @dataclass(frozen=True)
@@ -64,6 +64,23 @@ class Dataset:
             raise DimensionMismatch("responses must be column-aligned with the plan")
         if self.x_plus.rows != self.section.n:
             raise DimensionMismatch("responses live in the state space")
+
+
+def consistent_set_contains(d: Dataset, sys: SystemPair) -> bool:
+    """True when the candidate reproduces the dataset exactly."""
+    if sys.n != d.section.n or sys.m != d.section.m:
+        raise DimensionMismatch("candidate dimensions do not match the data")
+    return sys.a @ d.section.x_minus + sys.b @ d.section.u_minus == d.x_plus
+
+
+def _any_consistent_model(d: Dataset) -> SystemPair:
+    """Some exact member of the consistent set (free directions set to 0)."""
+    z = solve_right(d.section.stacked().T, d.x_plus.T)
+    if z is None:
+        raise InconsistentDataset("no linear system reproduces this dataset")
+    ab = z.T
+    n, m = d.section.n, d.section.m
+    return SystemPair(ab.take_cols(range(n)), ab.take_cols(range(n, n + m)))
 
 
 def is_sufficiently_rich(section: InputSection, p: PropertySpec) -> bool:

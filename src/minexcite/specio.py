@@ -18,15 +18,12 @@ import yaml
 from .errors import SpecValidationError
 from .properties import (
     BoundedSet,
-    Controllability,
     Dims,
-    Identifiability,
     LinearConstraint,
     LinearStructure,
     Mode,
     PropertySpec,
     Sparsity,
-    Stabilizability,
     SystemPair,
     chain_expr,
     format_expr,
@@ -75,8 +72,11 @@ _REQUIRED = object()
 
 
 def _as(kind, value, name: str):
-    """`value` read as `kind` (int, str or Mode); SpecValidationError naming `name` if it is not one."""
+    """`value` read as `kind` (int, str or Mode); SpecValidationError naming `name` if it is not one.
+    An int must be integral: 2, 2.0 and "2" read as 2; 2.5 and true are rejected, not truncated."""
     try:
+        if kind is int and (isinstance(value, bool) or isinstance(value, float) and not value.is_integer()):
+            raise ValueError(f"{value!r} is not integral")
         return kind(value)
     except (TypeError, ValueError) as exc:
         raise SpecValidationError(f"{name}: {value!r} is not a valid {kind.__name__}") from exc
@@ -118,71 +118,77 @@ def _index_pairs(value, what: str) -> frozenset:
     return frozenset(pairs)
 
 
+def _read_sparsity(doc: dict) -> Sparsity:
+    return Sparsity(*(_index_pairs(doc.get(key), key) for key in ("zeros_A", "zeros_B")))
+
+
+def _write_sparsity(prop: Sparsity) -> dict:
+    return {"zeros_A": sorted(map(list, prop.zeros_a)), "zeros_B": sorted(map(list, prop.zeros_b))}
+
+
+def _read_structure(doc: dict) -> LinearStructure:
+    where = "property document"
+    raw = doc.get("constraints")
+    if not raw or not isinstance(raw, list):
+        raise SpecValidationError("a linear structure needs a constraints list")
+    constraints = tuple(
+        LinearConstraint(
+            _parse_vector(_field(c, "h", None, f"constraint {i}")),
+            _parse_set(_field(c, "set", None, f"constraint {i}")),
+        )
+        for i, c in enumerate(raw, start=1)
+    )
+    expr_text = doc.get("expr")
+    if expr_text is None:
+        expr = chain_expr(len(constraints), ["&"] * (len(constraints) - 1))
+        mode = _field(doc, "mode", Mode, where, Mode.INTERSECTION)
+    else:
+        expr = parse_expr(str(expr_text))
+        mode = _field(doc, "mode", Mode, where, Mode.EXPRESSION)
+    return LinearStructure(constraints, expr, mode)
+
+
+def _write_structure(prop: LinearStructure) -> dict:
+    return {
+        "constraints": [
+            {
+                "h": ", ".join(format_rational(v) for v in c.h),
+                "set": [[format_rational(lo), format_rational(hi)] for lo, hi in c.values.pieces],
+            }
+            for c in prop.constraints
+        ],
+        "expr": format_expr(prop.expr),
+        "mode": prop.mode.value,
+    }
+
+
+# each document `type` name and the catalog class it reads as
+_KINDS = {name: cls for cls in PropertySpec.__subclasses__() for name in (cls.type_name, *cls.aliases)}
+# (reader, writer) of the fields of the kinds that have fields beyond type, n and m
+_FIELDS = {
+    Sparsity: (_read_sparsity, _write_sparsity),
+    LinearStructure: (_read_structure, _write_structure),
+}
+
+
 def load_property(source: Union[str, Path, dict]) -> Tuple[PropertySpec, Dims]:
     """Read a property document; returns the spec and its dimensions."""
     doc = _load_doc(source)
     where = "property document"
     kind = _field(doc, "type", str, where).lower()
     dims = Dims(_field(doc, "n", int, where), _field(doc, "m", int, where, 0))
-    if kind == "identifiability":
-        prop: PropertySpec = Identifiability()
-    elif kind == "stabilizability":
-        prop = Stabilizability()
-    elif kind == "controllability":
-        prop = Controllability()
-    elif kind == "sparsity":
-        prop = Sparsity(
-            _index_pairs(doc.get("zeros_A"), "zeros_A"),
-            _index_pairs(doc.get("zeros_B"), "zeros_B"),
-        )
-    elif kind in ("linear_structure", "structure"):
-        raw = doc.get("constraints")
-        if not raw or not isinstance(raw, list):
-            raise SpecValidationError("a linear structure needs a constraints list")
-        constraints = tuple(
-            LinearConstraint(
-                _parse_vector(_field(c, "h", None, f"constraint {i}")),
-                _parse_set(_field(c, "set", None, f"constraint {i}")),
-            )
-            for i, c in enumerate(raw, start=1)
-        )
-        expr_text = doc.get("expr")
-        if expr_text is None:
-            expr = chain_expr(len(constraints), ["&"] * (len(constraints) - 1))
-            mode = _field(doc, "mode", Mode, where, Mode.INTERSECTION)
-        else:
-            expr = parse_expr(str(expr_text))
-            mode = _field(doc, "mode", Mode, where, Mode.EXPRESSION)
-        prop = LinearStructure(constraints, expr, mode)
-    else:
+    if kind not in _KINDS:
         raise SpecValidationError(f"unknown property type {kind!r}")
+    cls = _KINDS[kind]
+    prop = _FIELDS[cls][0](doc) if cls in _FIELDS else cls()
     validate_property(prop, dims)
     return prop, dims
 
 
 def dump_property(prop: PropertySpec, dims: Dims) -> str:
-    doc: dict = {"n": dims.n, "m": dims.m}
-    if isinstance(prop, Identifiability):
-        doc["type"] = "identifiability"
-    elif isinstance(prop, Stabilizability):
-        doc["type"] = "stabilizability"
-    elif isinstance(prop, Controllability):
-        doc["type"] = "controllability"
-    elif isinstance(prop, Sparsity):
-        doc["type"] = "sparsity"
-        doc["zeros_A"] = [list(p) for p in sorted(prop.zeros_a)]
-        doc["zeros_B"] = [list(p) for p in sorted(prop.zeros_b)]
-    else:
-        doc["type"] = "linear_structure"
-        doc["constraints"] = [
-            {
-                "h": ", ".join(format_rational(v) for v in c.h),
-                "set": [[format_rational(lo), format_rational(hi)] for lo, hi in c.values.pieces],
-            }
-            for c in prop.constraints
-        ]
-        doc["expr"] = format_expr(prop.expr)
-        doc["mode"] = prop.mode.value
+    doc: dict = {"n": dims.n, "m": dims.m, "type": prop.type_name}
+    if type(prop) in _FIELDS:
+        doc.update(_FIELDS[type(prop)][1](prop))
     return yaml.safe_dump(doc, sort_keys=False, default_flow_style=None)
 
 

@@ -56,8 +56,8 @@ def assert_valid_pair(pair: CounterexamplePair, prop) -> None:
 def test_annihilator_of_two_column_plan():
     ann = find_annihilator(TWO_COLUMN_PLAN)
     assert ann is not None
-    assert (ann.h.T @ TWO_COLUMN_PLAN.stacked()).is_zero()
-    assert not ann.h.is_zero()
+    assert (ann.T @ TWO_COLUMN_PLAN.stacked()).is_zero()
+    assert not ann.is_zero()
 
 
 def test_annihilator_none_when_persistently_exciting():
@@ -67,7 +67,7 @@ def test_annihilator_none_when_persistently_exciting():
 def test_annihilator_of_zero_section():
     sec = InputSection(Mat.zeros(2, 1), Mat.zeros(1, 1))
     ann = find_annihilator(sec)
-    assert ann.h == Mat.unit_column(3, 0)
+    assert ann == Mat.unit_column(3, 0)
 
 
 # -- stabilizability pairs --------------------------------------------------------

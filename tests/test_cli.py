@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import minexcite
+from minexcite import Dataset, InputSection, SystemPair, consistent_set_contains, parse_matrix
 from minexcite.cli import EXIT_BAD_INPUT, EXIT_NOT_RICH, EXIT_OK, main
 
 
@@ -192,9 +193,13 @@ def test_malformed_number_exits_bad_input(tmp_path, field, text):
         ("check", 'n: 2\nm: 1\nX: "1, 0; 0, 1"\nU: "0, 0"\n', "'k'"),
         ("simulate", 'n: 1\nm: 1\nhidden: {B: "1"}\nproperty: {type: stabilizability}\n', "'A'"),
         ("simulate", "n: 1\nm: 1\nhidden: {A: '0', B: '1'}\nproperty: {type: stabilizability}\nseed: abc\n", "'seed'"),
+        ("design", "type: sparsity\nn: 2\nm: 1\nzeros_A: [[1.5, 1]]\n", "zeros_A"),
+        ("design", "type: stabilizability\nn: 2.7\nm: 1\n", "'n'"),
+        ("design", "type: stabilizability\nn: 2\nm: true\n", "'m'"),
     ],
     ids=["n-not-int", "mode-bogus", "zero-position-not-int", "zeros-not-list", "constraint-without-h",
-         "constraint-not-mapping", "constraints-not-list", "plan-without-k", "hidden-without-A", "seed-not-int"],
+         "constraint-not-mapping", "constraints-not-list", "plan-without-k", "hidden-without-A", "seed-not-int",
+         "zero-position-not-integral", "n-not-integral", "m-bool"],
 )
 def test_malformed_document_exits_bad_input(tmp_path, stab_prop, capsys, verb, text, field):
     doc = tmp_path / "doc.yaml"
@@ -208,6 +213,64 @@ def test_malformed_document_exits_bad_input(tmp_path, stab_prop, capsys, verb, t
     err = capsys.readouterr().err
     assert err.startswith("bad input: ") and err.count("\n") == 1
     assert field in err
+
+
+def test_integral_float_count_accepted(tmp_path, capsys):
+    # a YAML float that is integral is the count it writes; 2.7 and true are not
+    docs = {}
+    for n in ("2", "2.0"):
+        doc = tmp_path / f"prop-{n}.yaml"
+        doc.write_text(f"type: sparsity\nn: {n}\nm: 1\nzeros_A: [[1.0, 2]]\n")
+        assert main(["design", "--property", str(doc)]) == EXIT_OK
+        docs[n] = capsys.readouterr().out
+    assert docs["2.0"] == docs["2"]
+
+
+def _constraint_doc(hs) -> str:
+    rows = "".join(f'  - {{h: "{h}", set: [[-100, 100]]}}\n' for h in hs)
+    return f"type: linear_structure\nn: 2\nm: 1\nconstraints:\n{rows}"
+
+
+SEVEN_DEPENDENT = ["-2,1,3,3,3,-3", "-1,-3,0,3,0,0", "2,0,3,-2,-3,0", "-3,3,0,0,1,3",
+                   "3,-3,2,0,-1,2", "3,-2,1,-3,-1,-3", "-3,-3,2,1,-3,0"]
+
+
+@pytest.mark.parametrize(
+    "hs", [SEVEN_DEPENDENT, SEVEN_DEPENDENT + ["1,2,-3,1,2,-1"]], ids=["seven-constraints", "eight-constraints"]
+)
+def test_dependent_intersection_finishes(tmp_path, hs):
+    # Fourier-Motzkin elimination over seven or eight dependent constraints
+    # in six unknowns once ran for minutes; it must be decided or rejected
+    # quickly, in its own process so that a hang fails the test
+    doc = tmp_path / "prop.yaml"
+    doc.write_text(_constraint_doc(hs))
+    src = str(Path(minexcite.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "minexcite.cli", "design", "--property", str(doc)],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=10,
+    )
+    assert proc.returncode in (EXIT_OK, EXIT_BAD_INPUT)
+    assert "Traceback" not in proc.stderr
+
+
+def test_counterexample_for_identifiability(tmp_path, capsys):
+    prop = tmp_path / "ident.yaml"
+    prop.write_text("type: identifiability\nn: 2\nm: 1\n")
+    plan = tmp_path / "plan.yaml"
+    plan.write_text('n: 2\nm: 1\nk: 2\nX: "1, 0.5; 0, 1"\nU: "-1, -1"\n')
+    assert main(["counterexample", "--property", str(prop), "--input", str(plan)]) == EXIT_OK
+    rows = dict(line.split(None, 1) for line in capsys.readouterr().out.splitlines())
+    assert rows["verdict"] == "not_identifiable"
+    section = InputSection(parse_matrix("1, 0.5; 0, 1"), parse_matrix("-1, -1"))
+    shared = Dataset(section, parse_matrix(rows["shared_Xp"], rows=2, cols=2))
+    assert shared.x_plus.is_zero()
+    first, second = (SystemPair(parse_matrix(rows[f"system_{i}_A"]), parse_matrix(rows[f"system_{i}_B"])) for i in (1, 2))
+    assert first != second
+    assert consistent_set_contains(shared, first) and consistent_set_contains(shared, second)
 
 
 def test_csv_format(sparsity_prop, corner_dataset, capsys):

@@ -24,7 +24,6 @@ from minexcite import (
     SystemPair,
     Verdict,
     consistent_set_contains,
-    dataset_rank_test,
     design_minimum_input,
     excite,
     gain_from_data,
@@ -284,30 +283,6 @@ def test_gain_not_applicable():
     wide = InputSection(parse_matrix("1, 0, 0; 0, 1, 0"), parse_matrix("0, 0, 1"))
     with pytest.raises(GainNotApplicable):
         gain_from_data(excite(HIDDEN, wide))  # k = 3 != n
-
-
-# -- rank certificates ------------------------------------------------------------------
-
-def test_rank_certificate_of_blind_construction():
-    # one-row system aligned with an annihilated direction: responses minus
-    # states collapse to rank <= n-1 at shift 1
-    sec = InputSection(Mat.identity(2), Mat.zeros(1, 2))  # annihilates e3
-    sys = SystemPair(parse_matrix("1, 0; 0, 0"), parse_matrix("1; 0"))
-    d = excite(sys, sec)
-    assert dataset_rank_test(d, 1) <= 1
-
-
-def test_rank_certificate_zero_states():
-    sec = InputSection(Mat.zeros(1, 2), parse_matrix("1, 0; 0, 1"))
-    d = Dataset(sec, parse_matrix("2, 3"))
-    assert dataset_rank_test(d, 5) == 1  # rank of X+ itself
-
-
-def test_rank_certificate_direct_subtraction():
-    sec = InputSection(Mat.identity(2), Mat.zeros(1, 2))
-    d = excite(SystemPair(Mat.identity(2), parse_matrix("1; 1")), sec)
-    assert dataset_rank_test(d, 1) == 0
-    assert dataset_rank_test(d, Fraction(1, 2)) == 2
 
 
 # -- invariance under basis changes -------------------------------------------------------

@@ -20,7 +20,6 @@ from minexcite import (
     parse_matrix,
     rank,
     solve_right,
-    spectral_radius,
     spectral_radius_info,
     unspanned_columns,
 )
@@ -412,13 +411,13 @@ def quadratic_root_modulus(m: Mat) -> float:
 
 
 def test_spectral_radius_identity():
-    assert spectral_radius(Mat.identity(2)) == pytest.approx(1.0, abs=1e-12)
+    assert spectral_radius_info(Mat.identity(2)).radius == pytest.approx(1.0, abs=1e-12)
 
 
 def test_spectral_radius_conjugate_pair():
     m = parse_matrix("0.5, -0.5; 1, 0.5")
-    assert abs(spectral_radius(m) - quadratic_root_modulus(m)) < 1e-9
-    assert abs(spectral_radius(m) - math.sqrt(0.75)) < 1e-9
+    assert abs(spectral_radius_info(m).radius - quadratic_root_modulus(m)) < 1e-9
+    assert abs(spectral_radius_info(m).radius - math.sqrt(0.75)) < 1e-9
 
 
 def test_spectral_radius_defective_double_root():
@@ -434,12 +433,12 @@ def test_spectral_radius_random_2x2_against_char_poly():
     rng = random.Random(19)
     for _ in range(40):
         m = Mat.from_flat(2, 2, [Fraction(rng.randint(-4, 4), rng.choice([1, 2])) for _ in range(4)])
-        assert abs(spectral_radius(m) - quadratic_root_modulus(m)) < 1e-9
+        assert abs(spectral_radius_info(m).radius - quadratic_root_modulus(m)) < 1e-9
 
 
 def test_spectral_radius_requires_square():
     with pytest.raises(DimensionMismatch):
-        spectral_radius(Mat.zeros(2, 3))
+        spectral_radius_info(Mat.zeros(2, 3))
 
 
 def test_spectral_radius_large_matrix_fallback():
@@ -447,4 +446,4 @@ def test_spectral_radius_large_matrix_fallback():
     m = Mat.from_flat(
         n, n, [Fraction(i + 1) if i == j else Fraction(0) for i in range(n) for j in range(n)]
     )
-    assert spectral_radius(m) == pytest.approx(float(n), abs=1e-9)
+    assert spectral_radius_info(m).radius == pytest.approx(float(n), abs=1e-9)
