@@ -7,7 +7,9 @@ the plan is not sufficiently rich and `NotSufficientlyRich` is raised
 with the unspanned directions.  With rich data a structure is decided
 without recovering the model, by checking entries or traces of X+ Q.
 Zero tests are exact; floats appear only in the spectral radius of a
-synthesized closed loop and in the stabilizability test.
+synthesized closed loop and in the stabilizability test.  That radius is
+Newton-polished on the square-free part of the closed loop's exact
+characteristic polynomial, so repeated eigenvalues keep full accuracy.
 
 One table maps each property class to its identifier and its
 counterexample recipe; `identify_property`, `counterexample_report` and
@@ -106,9 +108,11 @@ class NotIdentifiable:
 class GainResult:
     """Feedback gain read off square invertible state data.
 
-    `radius` is the spectral radius of the closed loop; the caller decides
-    success, conventionally radius < 1 - margin, and should distrust any
-    verdict when `marginal` is set.
+    `radius` is the spectral radius of the closed loop, Newton-polished on
+    the square-free part of its exact characteristic polynomial (float64
+    `eigvals` above n = 12); the caller decides success, conventionally
+    radius < 1 - margin, and should distrust any verdict when `marginal`
+    is set.
     """
 
     gain: Mat

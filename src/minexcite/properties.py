@@ -383,6 +383,17 @@ class Controllability(PropertySpec):
         return is_controllable(sys)
 
 
+def _integral_position(pair) -> tuple:
+    """(row, col) as ints; a bool or a non-integral entry raises SpecValidationError."""
+    try:
+        position = tuple(int(v) for v in pair)
+        if len(position) == 2 and all(p == v and not isinstance(v, bool) for p, v in zip(position, pair)):
+            return position
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise SpecValidationError(f"sparsity position {pair!r} is not a pair of integers")
+
+
 @dataclass(frozen=True)
 class Sparsity(PropertySpec):
     """Zero patterns: positions (row, col), 1-based, that must vanish.
@@ -395,8 +406,8 @@ class Sparsity(PropertySpec):
     type_name = "sparsity"
 
     def __post_init__(self):
-        object.__setattr__(self, "zeros_a", frozenset((int(r), int(c)) for r, c in self.zeros_a))
-        object.__setattr__(self, "zeros_b", frozenset((int(r), int(c)) for r, c in self.zeros_b))
+        object.__setattr__(self, "zeros_a", frozenset(map(_integral_position, self.zeros_a)))
+        object.__setattr__(self, "zeros_b", frozenset(map(_integral_position, self.zeros_b)))
         if not self.zeros_a and not self.zeros_b:
             raise SpecValidationError("sparsity pattern needs at least one position")
 

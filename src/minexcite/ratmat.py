@@ -40,6 +40,11 @@ EIG_MARGIN = 1e-9
 # turns "1e999999999" into 10**999999999 and would not finish building it.
 MAX_DECIMAL_EXPONENT = 1000
 
+# Longest rational literal accepted, in characters.  Python 3.11 and later
+# refuse integer text of more than 4300 digits while 3.10 reads any length;
+# one cap below that limit makes every supported Python agree.
+MAX_LITERAL_LENGTH = 4000
+
 _EXPONENT = re.compile(r"[eE][-+]?([\d_]+)\Z")
 
 
@@ -54,7 +59,8 @@ def as_rational(value) -> Fraction:
 
     This is the one parser of rational text.  Text that is not a rational,
     has a zero denominator, or carries a decimal exponent above
-    MAX_DECIMAL_EXPONENT in magnitude raises SpecValidationError naming it.
+    MAX_DECIMAL_EXPONENT in magnitude raises SpecValidationError naming it;
+    text longer than MAX_LITERAL_LENGTH raises it giving the length.
     """
     if isinstance(value, Fraction):
         return value
@@ -62,6 +68,10 @@ def as_rational(value) -> Fraction:
         return Fraction(value)
     if isinstance(value, str):
         text = value.strip()
+        if len(text) > MAX_LITERAL_LENGTH:
+            raise SpecValidationError(
+                f"a rational literal of {len(text)} characters exceeds {MAX_LITERAL_LENGTH}"
+            )
         exponent = _EXPONENT.search(text)
         if exponent is not None:
             digits = exponent.group(1).replace("_", "").lstrip("0")
@@ -568,8 +578,12 @@ def contains(outer: Subspace, inner: Subspace) -> bool:
 class SpectralInfo:
     """Largest eigenvalue modulus with a root-residual estimate.
 
-    `marginal` is set when the radius lies within EIG_MARGIN of the unit
-    circle, in which case stability verdicts should not be trusted.
+    For n <= 12 the radius is Newton-polished on the square-free part of the
+    exact characteristic polynomial and `residual` is the size of the last
+    Newton step; above that the radius comes from float64 `eigvals` and
+    `residual` is a rounding bound.  `marginal` is set when the radius lies
+    within EIG_MARGIN of the unit circle, in which case stability verdicts
+    should not be trusted.
     """
 
     radius: float
@@ -590,9 +604,80 @@ def characteristic_polynomial(m: Mat) -> list:
     return coeffs
 
 
-# Polynomial root finding keeps full accuracy on repeated eigenvalues, where
-# a float64 dense eigensolver only reaches about sqrt(machine epsilon).
+def _primitive(poly: list) -> list:
+    """Integer polynomial divided by the gcd of its coefficients."""
+    g = math.gcd(*poly)
+    return [c // g for c in poly]
+
+
+def _pseudo_divmod(a: list, b: list) -> tuple:
+    """(q, r) with lc(b)^k a = q b + r, for integer polynomials highest degree first."""
+    q = []
+    while len(a) >= len(b):
+        q = [b[0] * c for c in q] + [a[0]]
+        a = [b[0] * x - a[0] * y for x, y in zip(a[1:], b[1:] + [0] * (len(a) - len(b)))]
+    while a and not a[0]:
+        a.pop(0)
+    return q, a
+
+
+def _square_free_part(coeffs: list) -> list:
+    """Primitive integer polynomial with the roots of `coeffs`, each simple: `coeffs`
+    divided exactly by its gcd with its derivative (primitive remainder sequence)."""
+    p = list(_over_lcm(coeffs)[0])
+    a, b = p, [c * (len(p) - 1 - i) for i, c in enumerate(p[:-1])]
+    while b:
+        a, b = b, _primitive(_pseudo_divmod(a, b)[1])
+    return _primitive(_pseudo_divmod(p, a)[0])
+
+
+# Up to _MPMATH_LIMIT the radius is Newton-polished at _NEWTON_DPS digits on
+# the square-free characteristic polynomial.  Its roots are all simple, so
+# Newton converges quadratically from float64 starting points and keeps full
+# accuracy where the matrix has repeated eigenvalues (a float64 eigensolver
+# reaches about sqrt(machine epsilon) there).  Float64 roots within
+# _CANDIDATE_BAND of the largest modulus are polished until the step is below
+# _NEWTON_TOL, both relative.  Above the limit float64 `eigvals` is used.
 _MPMATH_LIMIT = 12
+_NEWTON_DPS = 40
+_NEWTON_TOL = 1e-30
+_CANDIDATE_BAND = 1e-6
+
+
+def _polished_radius(poly: list) -> Optional[tuple]:
+    """(radius, last Newton step) of a square-free integer polynomial, or None
+    when a Newton run fails, leaves the candidate band or repeats a root."""
+    import mpmath
+
+    try:
+        starts = np.roots([c / poly[0] for c in poly])  # monic, so the companion matrix is finite
+    except OverflowError:
+        return None
+    top = float(np.max(np.abs(starts)))
+    if not math.isfinite(top):
+        return None
+    found = []
+    with mpmath.workdps(_NEWTON_DPS):
+        mp_poly = [mpmath.mpf(c) for c in poly]
+        for s in starts:
+            if s.imag < 0 or abs(s) < top * (1 - _CANDIDATE_BAND):
+                continue  # a conjugate root has the same modulus
+            z = mpmath.mpf(s.real) if s.imag == 0 else mpmath.mpc(s)
+            for _ in range(30):
+                f, df = mpmath.polyval(mp_poly, z, derivative=True)
+                if not df:
+                    return None
+                step = f / df
+                z -= step
+                if abs(step) <= _NEWTON_TOL * abs(z):
+                    break
+            else:
+                return None
+            if abs(z - s) > _CANDIDATE_BAND * top or any(abs(z - r) <= _NEWTON_TOL * top for r, _ in found):
+                return None
+            found.append((z, abs(step)))
+        root, step = max(found, key=lambda rs: abs(rs[0]))
+        return float(abs(root)), float(step)
 
 
 def spectral_radius_info(m: Mat) -> SpectralInfo:
@@ -601,14 +686,15 @@ def spectral_radius_info(m: Mat) -> SpectralInfo:
     if m.rows == 0:
         return SpectralInfo(0.0, 0.0, False)
     if m.rows <= _MPMATH_LIMIT:
-        import mpmath
+        poly = _square_free_part(characteristic_polynomial(m))
+        polished = _polished_radius(poly)
+        if polished is None:  # safety net: polyroots on a polynomial whose roots are all simple
+            import mpmath
 
-        coeffs = characteristic_polynomial(m)
-        with mpmath.workdps(50):
-            mp_coeffs = [mpmath.mpf(c.numerator) / mpmath.mpf(c.denominator) for c in coeffs]
-            roots, err = mpmath.polyroots(mp_coeffs, maxsteps=200, extraprec=120, error=True)
-            radius = float(max(abs(r) for r in roots))
-            residual = float(err)
+            with mpmath.workdps(50):
+                roots, err = mpmath.polyroots([mpmath.mpf(c) for c in poly], maxsteps=200, extraprec=120, error=True)
+                polished = float(max(abs(r) for r in roots)), float(err)
+        radius, residual = polished
     else:
         a = m.to_float()
         values = np.linalg.eigvals(a)

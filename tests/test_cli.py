@@ -154,6 +154,28 @@ def test_malformed_input_exit(tmp_path):
     assert main(["design", "--property", str(garbled)]) == EXIT_BAD_INPUT
 
 
+def test_gain_on_triple_eigenvalue_is_marginal(tmp_path):
+    # the closed loop I3 has eigenvalue 1 three times; root finding on the
+    # whole characteristic polynomial once failed there with a traceback
+    data = tmp_path / "identity.yaml"
+    data.write_text('n: 3\nm: 1\nk: 3\nX: "1, 0, 0; 0, 1, 0; 0, 0, 1"\nU: "0, 0, 0"\nXp: "1, 0, 0; 0, 1, 0; 0, 0, 1"\n')
+    src = str(Path(minexcite.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "minexcite.cli", "gain", "--data", str(data)],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert proc.returncode == EXIT_OK
+    assert "Traceback" not in proc.stderr
+    rows = dict(line.split(None, 1) for line in proc.stdout.splitlines() if " " in line)
+    assert rows["radius"] == "1"
+    assert rows["marginal"] == "True"
+    assert rows["stabilizing"] == "False"
+
+
 @pytest.mark.parametrize(
     "field, text",
     [("X", "1/0, 1"), ("X", "abc, 1"), ("Xp", "1e999999999, 0")],

@@ -266,6 +266,21 @@ def test_sparsity_bounds_checked():
         Sparsity(frozenset(), frozenset())
 
 
+@pytest.mark.parametrize("position", [(1.5, 1), (1, 2.25), (True, 1), ("1", 1), (1,), (1, 1, 1), (float("inf"), 1)])
+def test_sparsity_rejects_non_integral_positions(position):
+    # a position is never truncated: (1.5, 1) once silently became (1, 1)
+    with pytest.raises(SpecValidationError, match="sparsity position"):
+        Sparsity(frozenset({position}), frozenset())
+    with pytest.raises(SpecValidationError, match="sparsity position"):
+        Sparsity(frozenset({(1, 1)}), frozenset({position}))
+
+
+def test_sparsity_accepts_integral_positions():
+    p = Sparsity(frozenset({(1.0, 2), (np.int64(2), 1)}), frozenset())
+    assert p.zeros_a == frozenset({(1, 2), (2, 1)})
+    assert all(type(v) is int for pos in p.zeros_a for v in pos)
+
+
 def test_expression_mode_needs_independent_vectors():
     c1 = LinearConstraint((1, 1), BoundedSet.singleton(0))
     c2 = LinearConstraint((2, 2), BoundedSet.singleton(1))

@@ -436,6 +436,93 @@ def test_spectral_radius_random_2x2_against_char_poly():
         assert abs(spectral_radius_info(m).radius - quadratic_root_modulus(m)) < 1e-9
 
 
+def test_spectral_radius_triple_jordan_block_exact():
+    # a multiplicity-3 eigenvalue once made the polynomial root finder fail
+    info = spectral_radius_info(parse_matrix("2, 1, 0; 0, 2, 1; 0, 0, 2"))
+    assert info.radius == 2.0
+    assert not info.marginal
+
+
+def test_spectral_radius_identity_3_marginal():
+    info = spectral_radius_info(Mat.identity(3))
+    assert info.radius == 1.0
+    assert info.marginal
+
+
+def test_spectral_radius_falls_back_when_newton_repeats_a_root(monkeypatch):
+    # eigenvalues 1 +- 1e-30 are distinct but share the float64 start 1.0, so
+    # both Newton runs land on one root and polyroots on the square-free
+    # polynomial answers instead
+    import mpmath
+
+    calls = []
+    polyroots = mpmath.polyroots
+    monkeypatch.setattr(mpmath, "polyroots", lambda *a, **k: calls.append(a) or polyroots(*a, **k))
+    info = spectral_radius_info(parse_matrix("1, 1e-30; 1e-30, 1"))
+    assert len(calls) == 1 and len(calls[0][0]) == 3
+    assert info.radius == 1.0
+    assert info.marginal
+
+
+@st.composite
+def square_rationals(draw, max_dim=8):
+    n = draw(st.integers(1, max_dim))
+    return Mat.from_flat(n, n, draw(st.lists(fractions_st, min_size=n * n, max_size=n * n)))
+
+
+def polyroots_radius(m: Mat) -> float:
+    """Independent reference: mpmath roots of the whole characteristic polynomial at 50 digits."""
+    import mpmath
+
+    with mpmath.workdps(50):
+        coeffs = [mpmath.mpf(c.numerator) / c.denominator for c in characteristic_polynomial(m)]
+        roots = mpmath.polyroots(coeffs, maxsteps=200, extraprec=120)
+        return float(max(abs(r) for r in roots))
+
+
+@settings(max_examples=40, deadline=None)
+@given(square_rationals())
+def test_spectral_radius_agrees_with_polyroots(m):
+    import mpmath
+
+    try:
+        reference = polyroots_radius(m)
+    except mpmath.libmp.NoConvergence:
+        return  # the reference fails on some repeated roots; nothing to compare
+    assert math.isclose(spectral_radius_info(m).radius, reference, rel_tol=1e-13, abs_tol=1e-20)
+
+
+@st.composite
+def similar_jordan_forms(draw):
+    """T J T^-1 with rational Jordan blocks of size up to 4, and the largest |eigenvalue|."""
+    eigen = st.builds(Fraction, st.integers(-6, 6), st.sampled_from([1, 2, 3, 5]))
+    blocks = draw(st.lists(st.tuples(eigen, st.integers(1, 4)), min_size=1, max_size=4))
+    n = sum(size for _, size in blocks)
+    j, start = [[Fraction(0)] * n for _ in range(n)], 0
+    for value, size in blocks:
+        for i in range(start, start + size):
+            j[i][i] = value
+            if i + 1 < start + size:
+                j[i][i + 1] = Fraction(1)
+        start += size
+    # unit lower times unit upper triangular: always invertible
+    lower, upper = ([[Fraction(int(i == k)) for k in range(n)] for i in range(n)] for _ in range(2))
+    for i in range(n):
+        for k in range(n):
+            if i != k:
+                (lower if i > k else upper)[i][k] = Fraction(draw(st.integers(-2, 2)))
+    t = Mat(lower) @ Mat(upper)
+    t_inv = invert(t)
+    return t @ Mat(j) @ t_inv, max(abs(value) for value, _ in blocks)
+
+
+@settings(max_examples=40, deadline=None)
+@given(similar_jordan_forms())
+def test_spectral_radius_exact_on_jordan_forms(case):
+    m, largest = case
+    assert spectral_radius_info(m).radius == float(largest)
+
+
 def test_spectral_radius_requires_square():
     with pytest.raises(DimensionMismatch):
         spectral_radius_info(Mat.zeros(2, 3))

@@ -26,7 +26,7 @@ from minexcite.specio import (
     load_scenario,
     parse_scalar,
 )
-from minexcite.ratmat import MAX_DECIMAL_EXPONENT
+from minexcite.ratmat import MAX_DECIMAL_EXPONENT, MAX_LITERAL_LENGTH, as_rational
 
 
 def test_parse_scalar_varieties():
@@ -48,6 +48,16 @@ def test_malformed_numbers_are_spec_errors():
         load_property(
             {"type": "linear_structure", "n": 1, "m": 1, "constraints": [{"h": "1, 1/0", "set": [[0, 1]]}]}
         )
+
+
+def test_literal_length_capped_alike_on_every_python():
+    # 3.11+ refuse int text over 4300 digits and 3.10 does not; one cap below
+    # that limit rejects the same literals everywhere, giving the length only
+    assert as_rational("7" * MAX_LITERAL_LENGTH) == int("7" * MAX_LITERAL_LENGTH)
+    for text in ["1" * 5000, "1/" + "3" * MAX_LITERAL_LENGTH, "0." + "5" * MAX_LITERAL_LENGTH]:
+        with pytest.raises(SpecValidationError, match=f"of {len(text)} characters exceeds {MAX_LITERAL_LENGTH}") as err:
+            parse_scalar(text)
+        assert len(str(err.value)) < 100
 
 
 def test_property_documents_each_type(tmp_path: Path):
