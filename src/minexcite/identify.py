@@ -109,10 +109,9 @@ class GainResult:
     """Feedback gain read off square invertible state data.
 
     `radius` is the spectral radius of the closed loop, Newton-polished on
-    the square-free part of its exact characteristic polynomial (float64
-    `eigvals` above n = 12); the caller decides success, conventionally
-    radius < 1 - margin, and should distrust any verdict when `marginal`
-    is set.
+    the square-free part of its exact characteristic polynomial at every
+    size; the caller decides success, conventionally radius < 1 - margin,
+    and should distrust any verdict when `marginal` is set.
     """
 
     gain: Mat

@@ -630,30 +630,38 @@ def property_label(p: PropertySpec) -> str:
 # -- ground-truth membership oracle ------------------------------------------
 
 def structure_values(sys: SystemPair, constraints: Sequence[LinearConstraint]) -> list:
-    """Exact values h_i . vec([A, B]) for each constraint."""
-    flat = vec(sys.ab())
+    """Exact values h_i . vec([A, B]) for each constraint, over the nonzero
+    weights only: entry k of vec([A, B]) is cell (k mod n, k div n)."""
+    ab, n = sys.ab(), sys.n
     values = []
     for c in constraints:
-        if len(c.h) != len(flat):
+        if len(c.h) != n * ab.cols:
             raise DimensionMismatch("constraint length does not match the system size")
-        values.append(sum((a * b for a, b in zip(c.h, flat)), Fraction(0)))
+        values.append(sum((h * ab[k % n, k // n] for k, h in enumerate(c.h) if h), Fraction(0)))
     return values
 
 
-def kalman_matrix(sys: SystemPair) -> Mat:
-    blocks = []
-    power = sys.b
-    for _ in range(sys.n):
-        blocks.append(power)
-        power = sys.a @ power
-    return Mat.hstack(blocks)
-
-
 def is_controllable(sys: SystemPair) -> bool:
-    """Exact reachability-matrix rank test over the rationals."""
-    if sys.m == 0:
+    """Exact rank test on the Krylov matrices K_j = [B, AB, ..., A^(j-1) B].
+
+    j starts at ceil(n/m), the fewest blocks that can reach rank n, and doubles,
+    capped at n (the whole reachability matrix), until the rank is n.  A rank
+    that does not grow from j = i to the next j means im K_i = im K_(i+1) is
+    A-invariant, so no further power adds a direction: not controllable.
+    """
+    n, m = sys.n, sys.m
+    if m == 0:
         return False
-    return rank(kalman_matrix(sys)) == sys.n
+    blocks, j, last = [sys.b], -(-n // m), None
+    while True:
+        while len(blocks) < j:
+            blocks.append(sys.a @ blocks[-1])
+        r = rank(Mat.hstack(blocks))
+        if r == n:
+            return True
+        if r == last or j >= n:
+            return False
+        last, j = r, min(2 * j, n)
 
 
 def is_stabilizable(sys: SystemPair, tol: float = EIG_MARGIN) -> bool:

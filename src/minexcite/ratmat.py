@@ -13,9 +13,9 @@ threads.
 
 Every operation works on the integers with no change to exactness: sums
 bring both operands to the lcm of their denominators, scalar products and
-`@` (integer dot products) multiply the denominators, and elimination runs
-fraction-free Gauss-Jordan on primitive integer rows.  Each result is
-brought to the canonical form with a single gcd.
+`@` (integer rows added up over nonzero cells) multiply the denominators,
+and elimination runs fraction-free Gauss-Jordan on primitive integer rows.
+Each result is brought to the canonical form with a single gcd.
 """
 
 from __future__ import annotations
@@ -40,10 +40,12 @@ EIG_MARGIN = 1e-9
 # turns "1e999999999" into 10**999999999 and would not finish building it.
 MAX_DECIMAL_EXPONENT = 1000
 
-# Longest rational literal accepted, in characters.  Python 3.11 and later
-# refuse integer text of more than 4300 digits while 3.10 reads any length;
-# one cap below that limit makes every supported Python agree.
+# Longest rational literal accepted, in characters, and longest int, in
+# digits.  Python 3.11 and later refuse integer text of more than 4300 digits
+# while 3.10 reads any length; one cap below that limit makes every supported
+# Python agree.
 MAX_LITERAL_LENGTH = 4000
+_LITERAL_INT_BOUND = 10**MAX_LITERAL_LENGTH  # the least int of more than MAX_LITERAL_LENGTH digits
 
 _EXPONENT = re.compile(r"[eE][-+]?([\d_]+)\Z")
 
@@ -60,11 +62,14 @@ def as_rational(value) -> Fraction:
     This is the one parser of rational text.  Text that is not a rational,
     has a zero denominator, or carries a decimal exponent above
     MAX_DECIMAL_EXPONENT in magnitude raises SpecValidationError naming it;
-    text longer than MAX_LITERAL_LENGTH raises it giving the length.
+    text longer than MAX_LITERAL_LENGTH raises it giving the length, and so
+    does an int of more digits.
     """
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
+        if abs(value) >= _LITERAL_INT_BOUND:  # by magnitude: no digit string is built
+            raise SpecValidationError(f"an integer of more than {MAX_LITERAL_LENGTH} digits exceeds the limit")
         return Fraction(value)
     if isinstance(value, str):
         text = value.strip()
@@ -112,6 +117,8 @@ class Mat:
     Equivalently `gcd(_den, *_nums) == 1`, and an all-zero matrix has
     `_den == 1`.  The form is canonical, so equal matrices have equal
     fields, and `==` and `hash` compare `(rows, cols, _nums, _den)`.
+    `@` adds up the nonzero cells of right-hand rows over the nonzero cells
+    of the left operand, so zeros (unit-vector plans are mostly zeros) cost nothing.
     """
 
     __slots__ = ("rows", "cols", "_nums", "_den")
@@ -174,16 +181,6 @@ class Mat:
     @classmethod
     def column(cls, entries: Sequence) -> "Mat":
         return cls.from_flat(len(entries), 1, entries)
-
-    @classmethod
-    def from_columns(cls, columns: Sequence[Sequence], rows: Optional[int] = None) -> "Mat":
-        if not columns:
-            if rows is None:
-                raise DimensionMismatch("cannot infer row count of an empty column list")
-            return cls.zeros(rows, 0)
-        n = len(columns[0])
-        data = [[col[i] for col in columns] for i in range(n)]
-        return cls(data) if n else cls.zeros(0, len(columns))
 
     @classmethod
     def hstack(cls, mats: Sequence["Mat"]) -> "Mat":
@@ -302,12 +299,15 @@ class Mat:
         if self.cols != other.rows:
             raise DimensionMismatch(f"cannot multiply {self.shape} by {other.shape}")
         n, w = self.cols, other.cols
-        rhs = [other._nums[j::w] for j in range(w)]
+        rhs = [[(j, y) for j, y in enumerate(other._nums[k * w : (k + 1) * w]) if y] for k in range(n)]
         nums = []
         for i in range(self.rows):
-            terms = [(k, x) for k, x in enumerate(self._nums[i * n : (i + 1) * n]) if x]
-            for col in rhs:
-                nums.append(sum(x * col[k] for k, x in terms))
+            acc = [0] * w
+            for x, row in zip(self._nums[i * n : (i + 1) * n], rhs):
+                if x:
+                    for j, y in row:
+                        acc[j] += x * y
+            nums.extend(acc)
         return Mat._make(self.rows, w, nums, self._den * other._den)
 
     @property
@@ -578,10 +578,9 @@ def contains(outer: Subspace, inner: Subspace) -> bool:
 class SpectralInfo:
     """Largest eigenvalue modulus with a root-residual estimate.
 
-    For n <= 12 the radius is Newton-polished on the square-free part of the
-    exact characteristic polynomial and `residual` is the size of the last
-    Newton step; above that the radius comes from float64 `eigvals` and
-    `residual` is a rounding bound.  `marginal` is set when the radius lies
+    The radius is Newton-polished on the square-free part of the exact
+    characteristic polynomial at every size, and `residual` is the size of
+    the last Newton step.  `marginal` is set when the radius lies
     within EIG_MARGIN of the unit circle, in which case stability verdicts
     should not be trusted.
     """
@@ -631,14 +630,12 @@ def _square_free_part(coeffs: list) -> list:
     return _primitive(_pseudo_divmod(p, a)[0])
 
 
-# Up to _MPMATH_LIMIT the radius is Newton-polished at _NEWTON_DPS digits on
-# the square-free characteristic polynomial.  Its roots are all simple, so
-# Newton converges quadratically from float64 starting points and keeps full
-# accuracy where the matrix has repeated eigenvalues (a float64 eigensolver
-# reaches about sqrt(machine epsilon) there).  Float64 roots within
-# _CANDIDATE_BAND of the largest modulus are polished until the step is below
-# _NEWTON_TOL, both relative.  Above the limit float64 `eigvals` is used.
-_MPMATH_LIMIT = 12
+# The radius is Newton-polished at _NEWTON_DPS digits on the square-free
+# characteristic polynomial.  Its roots are all simple, so Newton converges
+# quadratically from float64 starting points and keeps full accuracy on
+# repeated eigenvalues, where a float64 eigensolver loses half its digits or
+# more.  Float64 roots within _CANDIDATE_BAND of the largest
+# modulus are polished until the step is below _NEWTON_TOL, both relative.
 _NEWTON_DPS = 40
 _NEWTON_TOL = 1e-30
 _CANDIDATE_BAND = 1e-6
@@ -685,22 +682,15 @@ def spectral_radius_info(m: Mat) -> SpectralInfo:
         raise DimensionMismatch("spectral radius of a non-square matrix")
     if m.rows == 0:
         return SpectralInfo(0.0, 0.0, False)
-    if m.rows <= _MPMATH_LIMIT:
-        poly = _square_free_part(characteristic_polynomial(m))
-        polished = _polished_radius(poly)
-        if polished is None:  # safety net: polyroots on a polynomial whose roots are all simple
-            import mpmath
+    poly = _square_free_part(characteristic_polynomial(m))
+    polished = _polished_radius(poly)
+    if polished is None:  # safety net: polyroots on a polynomial whose roots are all simple
+        import mpmath
 
-            with mpmath.workdps(50):
-                roots, err = mpmath.polyroots([mpmath.mpf(c) for c in poly], maxsteps=200, extraprec=120, error=True)
-                polished = float(max(abs(r) for r in roots)), float(err)
-        radius, residual = polished
-    else:
-        a = m.to_float()
-        values = np.linalg.eigvals(a)
-        radius = float(max(abs(values)))
-        residual = float(np.finfo(float).eps * max(1.0, np.linalg.norm(a)) * m.rows)
-    return SpectralInfo(radius, residual, abs(radius - 1.0) <= EIG_MARGIN)
+        with mpmath.workdps(50):
+            roots, err = mpmath.polyroots([mpmath.mpf(c) for c in poly], maxsteps=200, extraprec=120, error=True)
+            polished = float(max(abs(r) for r in roots)), float(err)
+    return SpectralInfo(*polished, abs(polished[0] - 1.0) <= EIG_MARGIN)
 
 
 def numeric_rank(a: np.ndarray, tol: float = EIG_MARGIN) -> int:

@@ -98,11 +98,8 @@ def split_stacked(stacked: Mat, dims: Dims) -> InputSection:
     """Partition an (n+m) x k matrix into its state and input blocks."""
     if stacked.rows != dims.total:
         raise DimensionMismatch(f"expected {dims.total} rows, got {stacked.rows}")
-    x_rows = [stacked.row_list(i) for i in range(dims.n)]
-    u_rows = [stacked.row_list(i) for i in range(dims.n, dims.total)]
-    x = Mat(x_rows) if x_rows else Mat.zeros(0, stacked.cols)
-    u = Mat(u_rows) if u_rows else Mat.zeros(0, stacked.cols)
-    return InputSection(x, u)
+    k, cut, nums, den = stacked.cols, dims.n * stacked.cols, stacked._nums, stacked._den
+    return InputSection(Mat._make(dims.n, k, nums[:cut], den), Mat._make(dims.m, k, nums[cut:], den))
 
 
 def design_minimum_input(p: PropertySpec, dims: Dims) -> InputSection:

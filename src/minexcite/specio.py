@@ -9,6 +9,7 @@ representation, so write non-integer values as strings when in doubt.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from pathlib import Path
 from typing import Optional, Tuple, Union
@@ -30,7 +31,7 @@ from .properties import (
     parse_expr,
     validate_property,
 )
-from .ratmat import as_rational, format_matrix, format_rational, parse_matrix
+from .ratmat import MAX_LITERAL_LENGTH, as_rational, format_matrix, format_rational, parse_matrix
 from .richness import Dataset, InputSection
 from .harness import Scenario
 
@@ -101,7 +102,12 @@ def _load_doc(source: Union[str, Path, dict]) -> dict:
     if isinstance(source, dict):
         return source
     text = Path(source).read_text()
-    doc = yaml.safe_load(text)
+    try:
+        doc = yaml.safe_load(text)
+    except ValueError as exc:  # a scalar Python refuses, such as an int past 3.11's 4300 digits
+        digits = re.search(r"value has (\d+) digits", str(exc))
+        what = f"an integer of {digits[1]} digits exceeds {MAX_LITERAL_LENGTH}" if digits else exc
+        raise SpecValidationError(f"{source}: {what}") from exc
     if not isinstance(doc, dict):
         raise SpecValidationError(f"{source}: expected a mapping at the top level")
     return doc

@@ -1,7 +1,9 @@
-"""Shared generators for randomized tests; everything is seeded."""
+"""Shared generators for randomized tests, everything seeded, and an elimination counter."""
 
 import random
 from fractions import Fraction
+
+import pytest
 
 from minexcite import (
     BoundedSet,
@@ -15,6 +17,7 @@ from minexcite import (
     SystemPair,
     rank,
 )
+from minexcite import ratmat
 from minexcite.properties import And, Leaf, Or
 
 
@@ -110,3 +113,23 @@ def deficient_section(rng: random.Random, dims: Dims, target_basis: Mat, k: int)
         cols.append([proj[i, 0] for i in range(dims.total)])
     stacked = Mat([[cols[j][i] for j in range(len(cols))] for i in range(dims.total)])
     return split_stacked(stacked, dims)
+
+
+@pytest.fixture
+def eliminations(monkeypatch):
+    """`eliminations(f, *args)` calls f and returns how many eliminations it ran."""
+    calls = []
+    real = ratmat._rref
+
+    def counting(rows, pivot_width):
+        calls.append(pivot_width)
+        return real(rows, pivot_width)
+
+    monkeypatch.setattr(ratmat, "_rref", counting)
+
+    def count(f, *args):
+        calls.clear()
+        f(*args)
+        return len(calls)
+
+    return count

@@ -203,6 +203,36 @@ def test_malformed_number_exits_bad_input(tmp_path, field, text):
 
 
 @pytest.mark.parametrize(
+    "verb, flag, text",
+    [
+        ("recover", "--data", 'n: 1\nm: 1\nk: 2\nX: [[{digits}, 0]]\nU: "0, 1"\nXp: "1, 1"\n'),
+        ("design", "--property", "type: structure\nn: 1\nm: 0\nconstraints: [{{h: '1', set: [[0, {digits}]]}}]\n"),
+    ],
+    ids=["matrix", "value-set"],
+)
+@pytest.mark.parametrize("length", [4100, 5000], ids=["under-yaml-limit", "over-yaml-limit"])
+def test_huge_yaml_integer_exits_bad_input(tmp_path, verb, flag, text, length):
+    # an unquoted integer of more than 4300 digits makes yaml.safe_load raise
+    # ValueError on Python 3.11 and later, while 3.10 reads it; both must
+    # exit 3 without a traceback and without echoing the digits
+    doc = tmp_path / "doc.yaml"
+    doc.write_text(text.format(digits="7" * length))
+    src = str(Path(minexcite.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "minexcite.cli", verb, flag, str(doc)],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=30,
+    )
+    assert proc.returncode == EXIT_BAD_INPUT
+    assert "Traceback" not in proc.stderr
+    assert "7" * 40 not in proc.stderr
+    assert str(4000) in proc.stderr
+
+
+@pytest.mark.parametrize(
     "verb, text, field",
     [
         ("design", "type: stabilizability\nn: abc\nm: 1\n", "'n'"),

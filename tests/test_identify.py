@@ -41,7 +41,6 @@ from minexcite import (
     solve_right,
     validate_property,
 )
-from minexcite import ratmat
 
 from conftest import rand_invertible, rand_mat, rand_structure, rand_system
 
@@ -300,26 +299,6 @@ def test_verdicts_survive_right_multiplication():
 
 
 # -- elimination budget ------------------------------------------------------------
-
-@pytest.fixture
-def eliminations(monkeypatch):
-    """`eliminations(f, *args)` calls f and returns how many eliminations it ran."""
-    calls = []
-    real = ratmat._rref
-
-    def counting(rows, pivot_width):
-        calls.append(pivot_width)
-        return real(rows, pivot_width)
-
-    monkeypatch.setattr(ratmat, "_rref", counting)
-
-    def count(f, *args):
-        calls.clear()
-        f(*args)
-        return len(calls)
-
-    return count
-
 
 def test_elimination_budget(eliminations):
     """The identifier's own solve is the richness test: no separate chain of

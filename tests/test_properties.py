@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from minexcite import (
     BoundedSet,
@@ -24,6 +26,7 @@ from minexcite import (
     format_expr,
     has_property,
     image,
+    is_controllable,
     minimum_subspace,
     parse_expr,
     parse_matrix,
@@ -181,6 +184,81 @@ def test_kalman_agrees_with_numeric_pbh():
             sys = SystemPair(sys.a, Mat.zeros(dims.n, dims.m))
         assert has_property(sys, Controllability()) == numeric_pbh_controllable(sys)
         checked += 1
+
+
+def kalman_rank_reference(a: list, b: list) -> int:
+    """Rank of the whole reachability matrix [B, AB, ..., A^(n-1) B], built
+    and eliminated cell by cell over Fractions."""
+    n = len(a)
+    blocks, power = [], b
+    for _ in range(n):
+        blocks.append(power)
+        power = [[sum((a[i][k] * power[k][j] for k in range(n)), Fraction(0)) for j in range(len(b[0]))] for i in range(n)]
+    rows = [[x for block in blocks for x in block[i]] for i in range(n)]
+    r = 0
+    for c in range(len(rows[0])):
+        p = next((i for i in range(r, n) if rows[i][c]), None)
+        if p is None:
+            continue
+        rows[r], rows[p] = rows[p], rows[r]
+        for i in range(r + 1, n):
+            f = rows[i][c] / rows[r][c]
+            rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        r += 1
+    return r
+
+
+@st.composite
+def control_systems(draw):
+    """(A, B) as Fraction lists, often uncontrollable: sparse cells, B with
+    repeated, scaled or zero columns, single-input chains with a broken link,
+    scalar A with fewer inputs than states, block-diagonal A driven in one
+    block, and no inputs at all."""
+    n, m = draw(st.integers(1, 6)), draw(st.integers(0, 3))
+    dense = st.builds(Fraction, st.integers(-3, 3), st.sampled_from([1, 1, 2]))
+    cell = draw(st.sampled_from([dense, st.one_of(st.just(Fraction(0)), st.just(Fraction(0)), dense)]))
+
+    def block(rows, cols):
+        return [draw(st.lists(cell, min_size=cols, max_size=cols)) for _ in range(rows)]
+
+    kind = draw(st.sampled_from(["random", "dependent-b", "chain", "scalar-a", "decoupled"]))
+    a, b = block(n, n), block(n, m)
+    if kind == "dependent-b" and m > 1:
+        first = [row[0] for row in b]
+        scales = [draw(st.sampled_from([0, 1, -2, Fraction(1, 2)])) for _ in range(m - 1)]
+        b = [[x] + [s * x for s in scales] for x in first]
+    elif kind == "chain":
+        m = 1
+        broken = draw(st.integers(0, n))  # n keeps every link
+        a = [[Fraction(int(i == j + 1 and j != broken)) for j in range(n)] for i in range(n)]
+        hit = draw(st.integers(0, n - 1))
+        b = [[Fraction(int(i == hit))] for i in range(n)]
+    elif kind == "scalar-a":
+        c = draw(dense)
+        a = [[c if i == j else Fraction(0) for j in range(n)] for i in range(n)]
+    elif kind == "decoupled" and n > 1:
+        cut = draw(st.integers(1, n - 1))
+        a = [[x if (i < cut) == (j < cut) else Fraction(0) for j, x in enumerate(row)] for i, row in enumerate(a)]
+        b = [row if i < cut else [Fraction(0)] * m for i, row in enumerate(b)]
+    return a, b
+
+
+@settings(max_examples=300, deadline=None)
+@given(control_systems())
+def test_krylov_controllability_matches_full_kalman_rank(case):
+    a, b = case
+    n, m = len(a), len(b[0])
+    sys = SystemPair(Mat(a), Mat(b) if m else Mat.zeros(n, 0))
+    expected = m > 0 and kalman_rank_reference(a, b) == n
+    assert is_controllable(sys) == expected
+
+
+def test_controllability_of_a_generic_system_takes_one_elimination(eliminations):
+    rng = random.Random(59)
+    for n, m in [(1, 1), (3, 2), (5, 2), (6, 1), (4, 4)]:
+        sys = rand_system(rng, n, m)
+        assert is_controllable(sys)
+        assert eliminations(is_controllable, sys) == 1  # the rank of K_ceil(n/m) is already n
 
 
 def test_linear_structure_membership():

@@ -163,6 +163,24 @@ def test_column_permutation_preserves_verdict():
     assert is_sufficiently_rich(swapped, EXAMPLE_SPARSITY)
 
 
+def test_split_stacked_blocks_are_canonical():
+    from minexcite import split_stacked
+
+    # 1/6 appears only in the input rows, and the state rows share a factor 2
+    stacked = parse_matrix("2, 4; 0, 6; 1/6, 1/2")
+    sec = split_stacked(stacked, Dims(2, 1))
+    assert sec.x_minus.to_lists() == [[2, 4], [0, 6]] and sec.x_minus._den == 1
+    assert sec.u_minus.to_lists() == [[Fraction(1, 6), Fraction(1, 2)]] and sec.u_minus._den == 6
+    assert sec.x_minus == parse_matrix("2, 4; 0, 6") and sec.u_minus == parse_matrix("1/6, 1/2")
+    halves = split_stacked(parse_matrix("1/2, 1/4; 0, 0"), Dims(1, 1))
+    assert halves.x_minus._den == 4 and halves.u_minus._den == 1 and halves.u_minus.is_zero()
+    autonomous = split_stacked(parse_matrix("1/3, 0"), Dims(1, 0))
+    assert autonomous.u_minus == Mat.zeros(0, 2) and autonomous.u_minus._den == 1
+    assert autonomous.x_minus._den == 3
+    with pytest.raises(DimensionMismatch):
+        split_stacked(stacked, Dims(1, 1))
+
+
 # -- section validation ----------------------------------------------------------------
 
 def test_section_needs_matching_columns():
