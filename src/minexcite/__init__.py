@@ -46,6 +46,7 @@ from .properties import (
     LinearStructure,
     Mode,
     Or,
+    Problem,
     SetExpr,
     Sparsity,
     Stabilizability,
@@ -58,8 +59,6 @@ from .properties import (
     is_stabilizable,
     minimum_subspace,
     parse_expr,
-    property_label,
-    sparsity_as_structure,
     sparsity_columns,
     validate_property,
     vec,

@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Tuple
+from typing import Callable, Optional, Sequence, Tuple
 
 from .errors import InfeasibleSigns, InternalFault, SectionIsRich
 from .properties import (
@@ -22,17 +22,14 @@ from .properties import (
     LinearStructure,
     Mode,
     Or,
-    PropertySpec,
+    Problem,
     SetExpr,
     Sparsity,
-    Stabilizability,
     SystemPair,
-    build_constraint_matrix,
+    as_structure_problem,
     expr_leaves,
     flat_chain_ops,
-    has_property,
-    sparsity_as_structure,
-    validate_property,
+    is_stabilizable,
     vec_inv,
 )
 from .ratmat import Mat, image, kernel, solve_right, unspanned_columns
@@ -59,15 +56,16 @@ def find_annihilator(section: InputSection) -> Optional[Mat]:
 
 
 def _verified_pair(
-    section: InputSection, sys_with: SystemPair, sys_without: SystemPair, p: PropertySpec
+    section: InputSection, sys_with: SystemPair, sys_without: SystemPair, holds: Callable[[SystemPair], bool]
 ) -> CounterexamplePair:
-    """The pair sharing the feedback `sys_with` gives on `section`, checked with the exact oracle."""
+    """The pair sharing the feedback `sys_with` gives on `section`, checked with
+    `holds`, the exact oracle of a property validated by the recipe's caller."""
     feedback = sys_with.a @ section.x_minus + sys_with.b @ section.u_minus
     if not consistent_set_contains(Dataset(section, feedback), sys_without):
         raise InternalFault("constructed system without the property is inconsistent")
-    if not has_property(sys_with, p):
+    if not holds(sys_with):
         raise InternalFault("constructed system fails to have the property")
-    if has_property(sys_without, p):
+    if holds(sys_without):
         raise InternalFault("constructed partner unexpectedly has the property")
     return CounterexamplePair(sys_with, sys_without, section, feedback)
 
@@ -92,10 +90,8 @@ def counterexample_stabilizability(section: InputSection) -> CounterexamplePair:
     hs, hu = h[:n], h[n:]
     if all(v == 0 for v in hs):
         # all annihilated weight sits on the input block
-        a_with = _single_row(n, n, 0, [Fraction(1)] + [Fraction(0)] * (n - 1))
+        a_with = a_without = _single_row(n, n, 0, Mat.identity(n).row_list(0))
         b_with = _single_row(n, m, 0, hu)
-        a_without = a_with
-        b_without = Mat.zeros(n, m)
     else:
         l = next(i for i, v in enumerate(hs) if v != 0)
         scale = -1 / hs[l]
@@ -103,24 +99,14 @@ def counterexample_stabilizability(section: InputSection) -> CounterexamplePair:
         a_row[l] += 1
         a_with = _single_row(n, n, l, a_row)
         b_with = _single_row(n, m, l, [scale * v for v in hu])
-        unit_row = [Fraction(0)] * n
-        unit_row[l] = Fraction(1)
-        a_without = _single_row(n, n, l, unit_row)
-        b_without = Mat.zeros(n, m)
-    sys_with, sys_without = SystemPair(a_with, b_with), SystemPair(a_without, b_without)
-    return _verified_pair(section, sys_with, sys_without, Stabilizability())
+        a_without = _single_row(n, n, l, Mat.identity(n).row_list(l))
+    sys_with, sys_without = SystemPair(a_with, b_with), SystemPair(a_without, Mat.zeros(n, m))
+    return _verified_pair(section, sys_with, sys_without, is_stabilizable)
 
 
-def _swap_permutation(n: int, i: int, j: int) -> Mat:
-    cells = [[Fraction(1) if (r == c and r not in (i, j)) else Fraction(0) for c in range(n)] for r in range(n)]
-    cells[i][j] = Fraction(1)
-    cells[j][i] = Fraction(1)
-    if i == j:
-        cells[i][i] = Fraction(1)
-    return Mat(cells)
-
-
-def counterexample_controllability(section: InputSection) -> CounterexamplePair:
+def counterexample_controllability(
+    section: InputSection, problem: Optional[Problem] = None
+) -> CounterexamplePair:
     """Controllable system and a consistent uncontrollable partner.
 
     For a scalar state the pair is built from any annihilated direction
@@ -128,21 +114,15 @@ def counterexample_controllability(section: InputSection) -> CounterexamplePair:
     diagonal skeleton carries the annihilated direction in its first row
     and the partner simply drops that row's contribution.
     """
+    holds = (problem or Problem.of(Controllability(), section.dims)).holds
     n, m = section.n, section.m
-    prop = Controllability()
-    validate_property(prop, section.dims)
     if n == 1:
         null = kernel(section.stacked().T)
-        h = None
-        for j in range(null.cols):
-            cand = null.col(j)
-            if any(cand[i, 0] != 0 for i in range(1, 1 + m)):
-                h = cand
-                break
+        h = next((null.col(j) for j in range(null.cols) if any(null[i, j] for i in range(1, 1 + m))), None)
         if h is None:
             raise SectionIsRich("the plan already pins down the input-to-state map")
         sys_with = SystemPair(Mat([[h[0, 0]]]), Mat([[h[i, 0] for i in range(1, 1 + m)]]))
-        return _verified_pair(section, sys_with, SystemPair(Mat.zeros(1, 1), Mat.zeros(1, m)), prop)
+        return _verified_pair(section, sys_with, SystemPair(Mat.zeros(1, 1), Mat.zeros(1, m)), holds)
 
     ann = find_annihilator(section)
     if ann is None:
@@ -154,8 +134,9 @@ def counterexample_controllability(section: InputSection) -> CounterexamplePair:
     perm = Mat.identity(n)
     if any(v != 0 for v in hs) and hs[1] == 0:
         first = next(i for i, v in enumerate(hs) if v != 0)
-        perm = _swap_permutation(n, 1, first)
-        hs = [sum(perm[i, j] * hs[j] for j in range(n)) for i in range(n)]
+        order = list(range(n))
+        order[1], order[first], hs[1], hs[first] = first, 1, hs[first], hs[1]
+        perm = Mat.identity(n).take_cols(order)
 
     ones = [Fraction(1)] * m
     if all(v == 0 for v in hs):
@@ -174,8 +155,7 @@ def counterexample_controllability(section: InputSection) -> CounterexamplePair:
 
     base_a = Mat.from_flat(n, n, [diag[i] if i == j else Fraction(0) for i in range(n) for j in range(n)])
     a_with = base_a + _single_row(n, n, 0, first_a)
-    b_rows = [first_b] + [ones] * (n - 1)
-    b_with = Mat(b_rows) if m else Mat.zeros(n, 0)
+    b_with = Mat([first_b] + [ones] * (n - 1)) if m else Mat.zeros(n, 0)
     b_without = Mat([[Fraction(0)] * m] + [ones] * (n - 1)) if m else Mat.zeros(n, 0)
 
     # undo the coordinate swap
@@ -183,7 +163,7 @@ def counterexample_controllability(section: InputSection) -> CounterexamplePair:
     b_with = perm.T @ b_with
     a_without = perm.T @ base_a @ perm
     b_without = perm.T @ b_without
-    return _verified_pair(section, SystemPair(a_with, b_with), SystemPair(a_without, b_without), prop)
+    return _verified_pair(section, SystemPair(a_with, b_with), SystemPair(a_without, b_without), holds)
 
 
 # -- sign selection for combined structures ---------------------------------
@@ -258,14 +238,18 @@ def algorithm2_signs(expr: SetExpr, c1: frozenset) -> tuple:
     return tuple(signs[i] for i in range(1, total + 1))
 
 
-def counterexample_sparsity(section: InputSection, p: Sparsity, seed: int = 0) -> CounterexamplePair:
+def counterexample_sparsity(
+    section: InputSection, p: Sparsity, seed: int = 0, problem: Optional[Problem] = None
+) -> CounterexamplePair:
     """Property-split pair for a zero pattern, built on its equivalent structure."""
-    pair = counterexample_structure(section, sparsity_as_structure(p, section.dims), seed)
-    return _verified_pair(section, pair.sys_with, pair.sys_without, p)
+    problem = problem or Problem.of(p, section.dims)
+    structure = as_structure_problem(problem)
+    pair = counterexample_structure(section, structure.prop, seed, structure)
+    return _verified_pair(section, pair.sys_with, pair.sys_without, problem.holds)
 
 
 def counterexample_structure(
-    section: InputSection, p: LinearStructure, seed: int = 0
+    section: InputSection, p: LinearStructure, seed: int = 0, problem: Optional[Problem] = None
 ) -> CounterexamplePair:
     """Property-split pair for a combined linear structure.
 
@@ -276,10 +260,9 @@ def counterexample_structure(
     constraint.  The perturbation scale for bracketed combinations uses a
     seeded generator so results are replayable.
     """
-    dims = section.dims
-    validate_property(p, dims)
+    problem = problem or Problem.of(p, section.dims)
+    dims, m_mat = problem.dims, problem.target
     n = dims.n
-    m_mat = build_constraint_matrix(p.constraints, dims)
     stacked = section.stacked()
     missed = unspanned_columns(stacked, m_mat)
     if not missed:
@@ -296,11 +279,7 @@ def counterexample_structure(
     if (l + 1) not in c1:
         raise InternalFault("the missed column's constraint must be touched")
 
-    ops = flat_chain_ops(p.expr)
-    if ops is not None:
-        signs = algorithm1_signs(p, c1)
-    else:
-        signs = algorithm2_signs(p.expr, c1)
+    signs = algorithm1_signs(p, c1) if flat_chain_ops(p.expr) is not None else algorithm2_signs(p.expr, c1)
 
     targets = [
         c.values.point_inside() if s == KEEP else c.values.point_outside()
@@ -314,8 +293,6 @@ def counterexample_structure(
             "vectors are not independent enough for this combination"
         )
     ab0 = vec_inv([theta[i, 0] for i in range(theta.rows)], n, dims.total)
-    a0 = ab0.take_cols(range(n))
-    b0 = ab0.take_cols(range(n, dims.total))
 
     if p.mode is Mode.INTERSECTION:
         hw = touched_vectors[l][j, 0]
@@ -345,10 +322,8 @@ def counterexample_structure(
         c_vec = Mat.column([alpha * v for v in g])
         perturbation = c_vec @ h.T
 
-    ab1 = ab0 + perturbation
-    a1 = ab1.take_cols(range(n))
-    b1 = ab1.take_cols(range(n, dims.total))
-    return _verified_pair(section, SystemPair(a0, b0), SystemPair(a1, b1), p)
+    sys_with, sys_without = SystemPair.from_ab(ab0), SystemPair.from_ab(ab0 + perturbation)
+    return _verified_pair(section, sys_with, sys_without, problem.holds)
 
 
 def distinct_consistent_pair(d: Dataset) -> Tuple[SystemPair, SystemPair]:
@@ -363,8 +338,7 @@ def distinct_consistent_pair(d: Dataset) -> Tuple[SystemPair, SystemPair]:
     base = _any_consistent_model(d)
     n, total = d.section.n, d.section.dims.total
     shift = _single_row(n, total, 0, ann.col_list(0))
-    ab = base.ab() + shift
-    other = SystemPair(ab.take_cols(range(n)), ab.take_cols(range(n, total)))
+    other = SystemPair.from_ab(base.ab() + shift)
     for sys in (base, other):
         if not consistent_set_contains(d, sys):
             raise InternalFault("constructed consistent system fails to reproduce the data")

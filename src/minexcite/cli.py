@@ -27,7 +27,7 @@ from .errors import (
 )
 from .harness import efficiency_csv, efficiency_text, report_efficiency, run
 from .identify import counterexample_report, gain_from_data, identify_property, system_rows
-from .properties import Identifiability, property_label
+from .properties import Identifiability
 from .ratmat import EIG_MARGIN, format_matrix
 from .richness import design_minimum_input, is_sufficiently_rich, missing_directions
 
@@ -71,7 +71,7 @@ def _property_and_plan(args) -> tuple:
 def _cmd_check(args) -> int:
     prop, section = _property_and_plan(args)
     rich = is_sufficiently_rich(section, prop)
-    rows = [("property", property_label(prop)), ("k", section.k), ("sufficiently_rich", rich)]
+    rows = [("property", prop.label()), ("k", section.k), ("sufficiently_rich", rich)]
     if not rich and args.verbose:
         for i, col in enumerate(missing_directions(section, prop)):
             rows.append((f"missing_{i + 1}", format_matrix(col.T)))
@@ -84,7 +84,7 @@ def _cmd_identify(args) -> int:
     data = specio.load_dataset(args.data)
     if data.section.dims != dims:
         raise SpecValidationError("dataset dimensions disagree with the property document")
-    return _emit_identification([("property", property_label(prop))], identify_property(data, prop), args)
+    return _emit_identification([("property", prop.label())], identify_property(data, prop), args)
 
 
 def _cmd_recover(args) -> int:
@@ -131,7 +131,7 @@ def _cmd_simulate(args) -> int:
     sc = specio.load_scenario(args.scenario)
     report = run(sc)
     rows = [
-        ("property", property_label(sc.prop)),
+        ("property", sc.prop.label()),
         ("outcome", report.outcome),
         ("k_used", report.k_used),
         ("k_model_based", report.k_model_based),
@@ -215,7 +215,7 @@ def main(argv=None) -> int:
     except (SpecValidationError, DimensionMismatch, GainNotApplicable, InconsistentDataset) as exc:
         print(f"bad input: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
-    except (FileNotFoundError, yaml.YAMLError) as exc:
+    except (OSError, yaml.YAMLError) as exc:  # a missing file, or a directory named as one
         print(f"bad input: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
     except (InternalFault, InfeasibleSigns) as exc:

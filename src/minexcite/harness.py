@@ -6,38 +6,45 @@ explicit set of experiments.  Running a scenario excites the hidden
 system one step per column (states are reset between excitations, never
 continued along a trajectory), then applies the matching identifier.
 Deficient explicit plans additionally get a certifying counterexample.
+A designed plan is the design's basis, so the identifier reuses the
+design's Q with no solve, and a full-space model is X+ Q checked by a
+product: a designed run eliminates only inside the property's own test.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import List, Optional, Sequence
 
 from .adversary import CounterexamplePair, distinct_consistent_pair
 from .errors import DimensionMismatch, GainNotApplicable, NotSufficientlyRich
-from .identify import GainResult, Verdict, counterexample_for, gain_from_data, identify_property
-from .properties import Dims, PropertySpec, SystemPair, minimum_subspace, property_label, validate_property
+from .identify import GainResult, Verdict, counterexample_report, gain_from_data, identify_property
+from .properties import Dims, Problem, PropertySpec, SystemPair
 from .ratmat import Mat
-from .richness import Dataset, InputSection, design_minimum_input
+from .richness import Dataset, InputSection, split_stacked
 
 
 @dataclass(frozen=True)
 class Scenario:
-    """One experiment description; `plan=None` requests a designed minimum input."""
+    """One experiment description; `plan=None` requests a designed minimum input.
+
+    Construction validates the property once into `problem`, with the design
+    when the plan is designed, and `run` reads it."""
 
     dims: Dims
     hidden: SystemPair
     prop: PropertySpec
     plan: Optional[InputSection] = None
     seed: int = 0
+    problem: Problem = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.hidden.dims != self.dims:
             raise DimensionMismatch("hidden system does not match the declared dimensions")
         if self.plan is not None and self.plan.dims != self.dims:
             raise DimensionMismatch("explicit plan does not match the declared dimensions")
-        validate_property(self.prop, self.dims)
+        object.__setattr__(self, "problem", Problem.of(self.prop, self.dims, design=self.plan is None))
 
 
 @dataclass
@@ -70,7 +77,7 @@ def excite(hidden: SystemPair, section: InputSection) -> Dataset:
 
 
 def run(sc: Scenario) -> RunReport:
-    section = sc.plan if sc.plan is not None else design_minimum_input(sc.prop, sc.dims)
+    section = sc.plan if sc.plan is not None else split_stacked(sc.problem.basis, sc.dims)
     dataset = excite(sc.hidden, section)
     k_used = section.k
     k_full = sc.dims.total
@@ -85,9 +92,9 @@ def run(sc: Scenario) -> RunReport:
         return RunReport(dataset, outcome, k_used, k_full, gain=gain, **extra)
 
     try:
-        res = identify_property(dataset, sc.prop)
+        res = identify_property(dataset, sc.prop, sc.problem)
     except NotSufficientlyRich as exc:
-        pair = counterexample_for(section, sc.prop, sc.seed)
+        pair = counterexample_report(section, sc.prop, sc.seed, sc.problem).pair
         return report("not_sufficiently_rich", counterexample=pair, missing=exc.missing)
     if res.outcome == "not_identifiable":
         return report(res.outcome, model_pair=distinct_consistent_pair(dataset))
@@ -108,11 +115,11 @@ def report_efficiency(batch: Sequence[Scenario]) -> List[EfficiencyRow]:
     """Minimum excitation count against full-model excitation, per scenario."""
     rows = []
     for sc in batch:
-        k = minimum_subspace(sc.prop, sc.dims).dim
+        k = sc.problem.minimum_basis().cols
         total = sc.dims.total
         rows.append(
             EfficiencyRow(
-                property_label(sc.prop),
+                sc.prop.label(),
                 sc.dims.n,
                 sc.dims.m,
                 k,

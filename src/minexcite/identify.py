@@ -4,8 +4,11 @@ All verdicts here are guaranteed.  Each identifier solves
 [X-; U-] Q = target once, for a target that spans the property's minimum
 subspace, and that solve is the richness test: when it has no solution
 the plan is not sufficiently rich and `NotSufficientlyRich` is raised
-with the unspanned directions.  With rich data a structure is decided
-without recovering the model, by checking entries or traces of X+ Q.
+with the unspanned directions.  The target and the design come from a
+validated `Problem`: a plan equal to the design reuses the design's Q, and
+a full-space model is [A, B] = X+ Q, checked by the product [A, B] [X-; U-]
+== X+.  With rich data a structure is decided without recovering the
+model, by checking entries or traces of X+ Q.
 Zero tests are exact; floats appear only in the spectral radius of a
 synthesized closed loop and in the stabilizability test.  That radius is
 Newton-polished on the square-free part of the closed loop's exact
@@ -31,23 +34,20 @@ from .adversary import (
     counterexample_structure,
     distinct_consistent_pair,
 )
-from .errors import GainNotApplicable, NotSufficientlyRich
+from .errors import GainNotApplicable, InconsistentDataset, NotSufficientlyRich
 from .properties import (
     Controllability,
     Identifiability,
     LinearStructure,
+    Problem,
     PropertySpec,
     Sparsity,
     Stabilizability,
     SystemPair,
-    build_constraint_matrix,
     evaluate_expr,
-    has_property,
     is_controllable,
     is_stabilizable,
-    minimum_subspace,
     sparsity_columns,
-    validate_property,
 )
 from .ratmat import Mat, format_matrix, format_rational, invert, rank, solve_right, spectral_radius_info
 from .richness import (
@@ -120,15 +120,19 @@ class GainResult:
     marginal: bool
 
 
-def _solve_onto(d: Dataset, p: PropertySpec, target: Mat) -> Mat:
-    """Q with [X-; U-] Q = target, a spanning set of the minimum subspace of p.
+def _solve_onto(d: Dataset, problem: Problem) -> Mat:
+    """Q with [X-; U-] Q = target, the problem's spanning set of the minimum subspace.
 
-    The solve is the richness test: no solution means the plan misses a
-    direction of the minimum subspace.
+    A plan equal to the design's basis takes the design's q, the only
+    solution.  Any other plan takes one solve, which is the richness test:
+    no solution means the plan misses a direction of the minimum subspace.
     """
-    q = solve_right(d.section.stacked(), target)
+    stacked = d.section.stacked()
+    if stacked == problem.basis:
+        return problem.q
+    q = solve_right(stacked, problem.target)
     if q is None:
-        missing = missing_directions(d.section, p)
+        missing = missing_directions(d.section, problem.prop, problem)
         raise NotSufficientlyRich(
             f"plan spans too little: {len(missing)} direction(s) of the minimum subspace missing",
             missing=missing,
@@ -136,24 +140,25 @@ def _solve_onto(d: Dataset, p: PropertySpec, target: Mat) -> Mat:
     return q
 
 
-def identify_sparsity(d: Dataset, p: Sparsity) -> SparsityReport:
+def identify_sparsity(d: Dataset, p: Sparsity, problem: Optional[Problem] = None) -> SparsityReport:
     """Decide a zero pattern directly from data.
 
     Q solves [X-; U-] Q = [e_i for affected columns i]; the pattern holds
-    exactly when every queried entry of X+ Q vanishes.
+    exactly when every queried entry of X+ Q vanishes.  Every identifier
+    takes `problem` when the caller has already validated `p` for the data.
     """
-    dims = d.section.dims
-    validate_property(p, dims)
-    cols = sparsity_columns(p, dims)
-    q = _solve_onto(d, p, Mat.hstack([Mat.unit_column(dims.total, i) for i in cols]))
+    problem = problem or Problem.of(p, d.section.dims)
+    q = _solve_onto(d, problem)
     product = d.x_plus @ q
-    position = {c: l for l, c in enumerate(cols)}
-    checked = [CheckedEntry(r, c, product[r - 1, position[c - 1]]) for r, c in p.positions(dims.n)]
+    position = {c: l for l, c in enumerate(sparsity_columns(p, problem.dims))}
+    checked = [CheckedEntry(r, c, product[r - 1, position[c - 1]]) for r, c in p.positions(problem.dims.n)]
     verdict = Verdict.of(all(e.value == 0 for e in checked))
     return SparsityReport(verdict, q, tuple(checked))
 
 
-def identify_linear_structure(d: Dataset, p: LinearStructure) -> StructureReport:
+def identify_linear_structure(
+    d: Dataset, p: LinearStructure, problem: Optional[Problem] = None
+) -> StructureReport:
     """Decide an and/or combination of linear constraints from data.
 
     With [X-; U-] Q equal to the constraint matrix, the trace of the i-th
@@ -161,59 +166,59 @@ def identify_linear_structure(d: Dataset, p: LinearStructure) -> StructureReport
     unknown system; each value is tested for set membership and the
     results are folded through the expression.
     """
-    dims = d.section.dims
-    validate_property(p, dims)
-    q = _solve_onto(d, p, build_constraint_matrix(p.constraints, dims))
+    q = _solve_onto(d, problem or Problem.of(p, d.section.dims))
     product = d.x_plus @ q
-    n = dims.n
-    values = []
-    for i in range(len(p.constraints)):
-        block = product.take_cols(range(i * n, (i + 1) * n))
-        values.append(block.trace())
+    n = d.section.n
+    values = tuple(product.take_cols(range(i * n, (i + 1) * n)).trace() for i in range(len(p.constraints)))
     satisfied = tuple(c.values.contains(v) for c, v in zip(p.constraints, values))
     verdict = Verdict.of(evaluate_expr(p.expr, satisfied))
-    return StructureReport(verdict, q, tuple(values), satisfied)
+    return StructureReport(verdict, q, values, satisfied)
 
 
-def recover_model(d: Dataset) -> Union[SystemPair, NotIdentifiable]:
+def recover_model(d: Dataset, problem: Optional[Problem] = None) -> Union[SystemPair, NotIdentifiable]:
     """Unique exact model when the plan is persistently exciting.
 
     Raises InconsistentDataset when no linear system reproduces the data,
     which can only happen on corrupted input.
     """
+    problem = problem or Problem.of(Identifiability(), d.section.dims)
     stacked = d.section.stacked()
-    r = rank(stacked)
-    total = d.section.dims.total
-    if r < total:
-        return NotIdentifiable(stacked_rank=r, deficit=total - r)
-    return _any_consistent_model(d)
+    if stacked != problem.basis:  # the designed plan I has full rank
+        r, total = rank(stacked), d.section.dims.total
+        if r < total:
+            return NotIdentifiable(stacked_rank=r, deficit=total - r)
+    return _full_model(d, problem)
 
 
-def _consistent_model_if_rich(d: Dataset, p: PropertySpec) -> SystemPair:
-    """A consistent model, once the plan is found rich for `p`.
+def _full_model(d: Dataset, problem: Problem) -> SystemPair:
+    """The one consistent model, once the plan is found rich for a target of I:
+    [A, B] = X+ Q, checked by the product [A, B] [X-; U-] == X+."""
+    ab = d.x_plus @ _solve_onto(d, problem)
+    if ab @ d.section.stacked() != d.x_plus:
+        raise InconsistentDataset("no linear system reproduces this dataset")
+    return SystemPair.from_ab(ab)
 
-    The minimum subspace of `p` is the whole space or, for one state, the
-    input block; either way every consistent model is equal where `p` looks.
-    """
-    _solve_onto(d, p, minimum_subspace(p, d.section.dims).basis)
-    return _any_consistent_model(d)
 
-
-def identify_stabilizability(d: Dataset) -> Verdict:
+def identify_stabilizability(d: Dataset, problem: Optional[Problem] = None) -> Verdict:
     """Stabilizability needs full excitation, so recover and test the model."""
-    return Verdict.of(is_stabilizable(_consistent_model_if_rich(d, Stabilizability())))
+    problem = problem or Problem.of(Stabilizability(), d.section.dims)
+    return Verdict.of(is_stabilizable(_full_model(d, problem)))
 
 
-def identify_controllability(d: Dataset) -> Verdict:
+def identify_controllability(d: Dataset, problem: Optional[Problem] = None) -> Verdict:
     """Controllability test; for a scalar state only the input block matters.
 
-    With one state the plan need not be persistently exciting: any
-    consistent model shares its B, and controllability is B != 0.
+    With one state the plan need not be persistently exciting: X+ Q =
+    [A, B] [e_2, ..., e_(m+1)] is the B every consistent model shares, and
+    controllability is B != 0.
     """
-    sys = _consistent_model_if_rich(d, Controllability())
-    if d.section.n == 1:
-        return Verdict.of(not sys.b.is_zero())
-    return Verdict.of(is_controllable(sys))
+    problem = problem or Problem.of(Controllability(), d.section.dims)
+    if d.section.n > 1:
+        return Verdict.of(is_controllable(_full_model(d, problem)))
+    b = d.x_plus @ _solve_onto(d, problem)
+    if d.section.stacked() != problem.basis:  # the independent design is consistent with any data
+        _any_consistent_model(d)  # raises InconsistentDataset when no model exists
+    return Verdict.of(not b.is_zero())
 
 
 def gain_from_data(d: Dataset) -> GainResult:
@@ -259,8 +264,8 @@ def system_rows(prefix: str, sys: SystemPair) -> list:
     return [(f"{prefix}A", format_matrix(sys.a)), (f"{prefix}B", format_matrix(sys.b))]
 
 
-def _identify_model(d: Dataset, p: Identifiability) -> Identification:
-    result = recover_model(d)
+def _identify_model(d: Dataset, problem: Problem) -> Identification:
+    result = recover_model(d, problem)
     if isinstance(result, NotIdentifiable):
         return Identification(
             "not_identifiable", facts=lambda: [("rank", result.stacked_rank), ("deficit", result.deficit)]
@@ -278,15 +283,15 @@ def _of_report(res: Union[SparsityReport, StructureReport], checked: Callable[[]
     )
 
 
-def _identify_pattern(d: Dataset, p: Sparsity) -> Identification:
-    res = identify_sparsity(d, p)
+def _identify_pattern(d: Dataset, problem: Problem) -> Identification:
+    res = identify_sparsity(d, problem.prop, problem)
     return _of_report(
         res, lambda: [(f"entry_{e.row}_{e.col}", format_rational(e.value)) for e in res.checked]
     )
 
 
-def _identify_structure(d: Dataset, p: LinearStructure) -> Identification:
-    res = identify_linear_structure(d, p)
+def _identify_structure(d: Dataset, problem: Problem) -> Identification:
+    res = identify_linear_structure(d, problem.prop, problem)
     return _of_report(
         res,
         lambda: [
@@ -296,7 +301,7 @@ def _identify_structure(d: Dataset, p: LinearStructure) -> Identification:
     )
 
 
-def _model_pair(section: InputSection, p: Identifiability, seed: int) -> Identification:
+def _model_pair(section: InputSection, problem: Problem, seed: int) -> Identification:
     """Two distinct systems sharing the feedback of the zero system."""
     shared = Dataset(section, Mat.zeros(section.n, section.k))
     first, second = distinct_consistent_pair(shared)
@@ -310,8 +315,8 @@ def _model_pair(section: InputSection, p: Identifiability, seed: int) -> Identif
     )
 
 
-def _split(pair: CounterexamplePair, p: PropertySpec, seed: int) -> Identification:
-    """The report of a pair that shares one dataset and of which exactly one system has `p`."""
+def _split(pair: CounterexamplePair, problem: Problem, seed: int) -> Identification:
+    """The report of a pair that shares one dataset and of which exactly one system has the property."""
     shared = Dataset(pair.section, pair.shared_feedback)
     return Identification(
         "counterexample",
@@ -325,45 +330,48 @@ def _split(pair: CounterexamplePair, p: PropertySpec, seed: int) -> Identificati
         certificate=lambda: [
             ("with_consistent", consistent_set_contains(shared, pair.sys_with)),
             ("without_consistent", consistent_set_contains(shared, pair.sys_without)),
-            ("with_has_property", has_property(pair.sys_with, p)),
-            ("without_has_property", has_property(pair.sys_without, p)),
+            ("with_has_property", problem.holds(pair.sys_with)),
+            ("without_has_property", problem.holds(pair.sys_without)),
         ],
     )
 
 
 class _Entry(NamedTuple):
-    identify: Callable[[Dataset, PropertySpec], Identification]
-    counterexample: Callable[[InputSection, PropertySpec, int], Identification]
+    identify: Callable[[Dataset, Problem], Identification]
+    counterexample: Callable[[InputSection, Problem, int], Identification]
 
 
 _PROPERTIES = {
     Identifiability: _Entry(_identify_model, _model_pair),
     Stabilizability: _Entry(
-        lambda d, p: _of_verdict(identify_stabilizability(d)),
-        lambda s, p, seed: _split(counterexample_stabilizability(s), p, seed),
+        lambda d, pb: _of_verdict(identify_stabilizability(d, pb)),
+        lambda s, pb, seed: _split(counterexample_stabilizability(s), pb, seed),
     ),
     Controllability: _Entry(
-        lambda d, p: _of_verdict(identify_controllability(d)),
-        lambda s, p, seed: _split(counterexample_controllability(s), p, seed),
+        lambda d, pb: _of_verdict(identify_controllability(d, pb)),
+        lambda s, pb, seed: _split(counterexample_controllability(s, pb), pb, seed),
     ),
     Sparsity: _Entry(
-        _identify_pattern, lambda s, p, seed: _split(counterexample_sparsity(s, p, seed), p, seed)
+        _identify_pattern, lambda s, pb, seed: _split(counterexample_sparsity(s, pb.prop, seed, pb), pb, seed)
     ),
     LinearStructure: _Entry(
-        _identify_structure, lambda s, p, seed: _split(counterexample_structure(s, p, seed), p, seed)
+        _identify_structure, lambda s, pb, seed: _split(counterexample_structure(s, pb.prop, seed, pb), pb, seed)
     ),
 }
 
 
-def identify_property(d: Dataset, p: PropertySpec) -> Identification:
-    """Apply the identifier that matches the class of `p`."""
-    return _PROPERTIES[type(p)].identify(d, p)
+def identify_property(d: Dataset, p: PropertySpec, problem: Optional[Problem] = None) -> Identification:
+    """Apply the identifier that matches the class of `p`, on `problem` when
+    the caller has already validated `p` for the data's dimensions."""
+    return _PROPERTIES[type(p)].identify(d, problem or Problem.of(p, d.section.dims))
 
 
-def counterexample_report(section: InputSection, p: PropertySpec, seed: int = 0) -> Identification:
+def counterexample_report(
+    section: InputSection, p: PropertySpec, seed: int = 0, problem: Optional[Problem] = None
+) -> Identification:
     """Proof that `section` cannot decide `p`: a property-split pair, or for
     identifiability two models sharing zero feedback; SectionIsRich if it can."""
-    return _PROPERTIES[type(p)].counterexample(section, p, seed)
+    return _PROPERTIES[type(p)].counterexample(section, problem or Problem.of(p, section.dims), seed)
 
 
 def counterexample_for(section: InputSection, p: PropertySpec, seed: int = 0) -> CounterexamplePair:

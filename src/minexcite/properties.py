@@ -7,14 +7,18 @@ linearly constrained structures combined with intersections and unions.
 
 Each property determines the smallest subspace of R^(n+m) that a set of
 one-step excitations must span before the property can be decided from
-input and feedback data alone; `minimum_subspace` computes it.
-`has_property` is the ground-truth membership oracle used by tests and by
-counterexample validation.
+input and feedback data alone.  `Problem.of` validates a property once and
+gives the target its identifier solves onto, a spanning set of that
+subspace, and on request the design: a basis of it with the target's
+coordinates in that basis.  `has_property` is the ground-truth membership
+oracle used by tests and by counterexample validation.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
+import re
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -29,6 +33,7 @@ from .ratmat import (
     format_rational,
     image,
     numeric_rank,
+    pivot_basis,
     pivot_columns,
     rank,
     solve_right,
@@ -90,6 +95,11 @@ class SystemPair:
     def ab(self) -> Mat:
         """The n x (n+m) block [A, B]."""
         return Mat.hstack([self.a, self.b])
+
+    @classmethod
+    def from_ab(cls, ab: Mat) -> "SystemPair":
+        """The pair whose block [A, B] is `ab`."""
+        return cls(ab.take_cols(range(ab.rows)), ab.take_cols(range(ab.rows, ab.cols)))
 
 
 # -- value sets ----------------------------------------------------------
@@ -251,22 +261,11 @@ def parse_expr(text: str) -> SetExpr:
     the unbracketed chain form; use parentheses to change the order.
     """
     tokens = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-        elif ch in "&|()":
-            tokens.append(ch)
-            i += 1
-        elif ch.isdigit():
-            j = i
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            tokens.append(int(text[i:j]))
-            i = j
-        else:
-            raise SpecValidationError(f"unexpected character {ch!r} in expression")
+    # an index has at most 9 digits; a longer run reads as adjacent indices and fails, not in int()
+    for number, op, other in re.findall(r"([0-9]{1,9})|([&|()])|(\S)", text):
+        if other:
+            raise SpecValidationError(f"unexpected character {other!r} in expression")
+        tokens.append(int(number) if number else op)
     pos = 0
 
     def atom() -> SetExpr:
@@ -327,7 +326,7 @@ class Mode(Enum):
 
 class PropertySpec:
     """One kind of property: its document `type` name, label, validation,
-    minimum subspace and membership oracle.  The defaults fit identifiability
+    target, design and membership oracle.  The defaults fit identifiability
     and stabilizability: nothing to validate and the whole space as minimum.
     """
 
@@ -340,8 +339,13 @@ class PropertySpec:
     def _validate(self, dims: Dims) -> None:
         pass
 
-    def _minimum_subspace(self, dims: Dims) -> Subspace:
-        return Subspace.full(dims.total)
+    def _target(self, dims: Dims) -> Mat:
+        """The spanning set of the minimum subspace that identification solves onto."""
+        return Mat.identity(dims.total)
+
+    def _design(self, target: Mat, eliminate: bool) -> tuple:
+        """(basis, q) with basis @ q == target; a target of independent columns is its own basis."""
+        return target, Mat.identity(target.cols)
 
     def _holds(self, sys: SystemPair) -> bool:
         raise SpecValidationError(f"{self.type_name} is a property of data, not of a single system")
@@ -374,10 +378,10 @@ class Controllability(PropertySpec):
         if dims.m == 0:
             raise SpecValidationError("controllability needs at least one input channel")
 
-    def _minimum_subspace(self, dims: Dims) -> Subspace:
+    def _target(self, dims: Dims) -> Mat:
         if dims.n == 1:
-            return Subspace.span_of_units(dims.total, list(range(1, dims.total)))
-        return Subspace.full(dims.total)
+            return Mat.identity(dims.total).take_cols(range(1, dims.total))
+        return Mat.identity(dims.total)
 
     def _holds(self, sys: SystemPair) -> bool:
         return is_controllable(sys)
@@ -426,8 +430,8 @@ class Sparsity(PropertySpec):
             if not (1 <= r <= dims.n and 1 <= c <= dims.m):
                 raise SpecValidationError(f"B position ({r}, {c}) outside {dims.n}x{dims.m}")
 
-    def _minimum_subspace(self, dims: Dims) -> Subspace:
-        return Subspace.span_of_units(dims.total, sparsity_columns(self, dims))
+    def _target(self, dims: Dims) -> Mat:
+        return Mat.identity(dims.total).take_cols(sparsity_columns(self, dims))
 
     def _holds(self, sys: SystemPair) -> bool:
         return all(sys.a[r - 1, c - 1] == 0 for r, c in self.zeros_a) and all(
@@ -486,8 +490,11 @@ class LinearStructure(PropertySpec):
             if not _intersection_nonempty(self.constraints):
                 raise SpecValidationError("the constraint intersection is empty")
 
-    def _minimum_subspace(self, dims: Dims) -> Subspace:
-        return image(build_constraint_matrix(self.constraints, dims))
+    def _target(self, dims: Dims) -> Mat:
+        return build_constraint_matrix(self.constraints, dims)
+
+    def _design(self, target: Mat, eliminate: bool) -> tuple:
+        return pivot_basis(target) if eliminate else (None, None)
 
     def _holds(self, sys: SystemPair) -> bool:
         values = structure_values(sys, self.constraints)
@@ -512,15 +519,16 @@ def vec_inv(v: Sequence, rows: int, cols: int) -> Mat:
 def build_constraint_matrix(constraints: Sequence[LinearConstraint], dims: Dims) -> Mat:
     """The (n+m) x (len*n) matrix whose column blocks are the reshaped
     constraint vectors transposed; its column space is the minimum
-    excitation subspace of the constrained structure."""
-    blocks = []
+    excitation subspace of the constrained structure.  Row r of block i is
+    h_i[r*n : (r+1)*n], read as integers over one lcm."""
+    n = dims.n
     for c in constraints:
-        if len(c.h) != dims.n * dims.total:
-            raise DimensionMismatch(
-                f"constraint vector has length {len(c.h)}, expected {dims.n * dims.total}"
-            )
-        blocks.append(vec_inv(c.h, dims.n, dims.total).T)
-    return Mat.hstack(blocks)
+        if len(c.h) != n * dims.total:
+            raise DimensionMismatch(f"constraint vector has length {len(c.h)}, expected {n * dims.total}")
+    ratios = [[v.as_integer_ratio() for v in c.h] for c in constraints]
+    den = math.lcm(*(d for row in ratios for _, d in row))
+    nums = [x * (den // d) for r in range(dims.total) for row in ratios for x, d in row[r * n : (r + 1) * n]]
+    return Mat._make(dims.total, len(constraints) * n, nums, den)
 
 
 def sparsity_columns(p: Sparsity, dims: Dims) -> list:
@@ -528,16 +536,17 @@ def sparsity_columns(p: Sparsity, dims: Dims) -> list:
     return sorted({c - 1 for _, c in p.positions(dims.n)})
 
 
-def sparsity_as_structure(p: Sparsity, dims: Dims) -> LinearStructure:
-    """Equivalent constrained structure: one {0} singleton per zero position."""
-    validate_property(p, dims)
-    n, total = dims.n, dims.total
+def as_structure_problem(problem: "Problem") -> "Problem":
+    """A zero pattern's problem as its equivalent structure's: one {0}
+    singleton per zero position, valid as the pattern is."""
+    n, total = problem.dims.n, problem.dims.total
     constraints = []
-    for r, c in p.positions(n):
+    for r, c in problem.prop.positions(n):
         h = [Fraction(0)] * (n * total)
         h[(c - 1) * n + (r - 1)] = Fraction(1)
         constraints.append(LinearConstraint(tuple(h), BoundedSet.singleton(0)))
-    return LinearStructure.intersection(constraints)
+    structure = LinearStructure.intersection(constraints)
+    return Problem(structure, problem.dims, structure._target(problem.dims))
 
 
 # -- validation -------------------------------------------------------------
@@ -615,16 +624,41 @@ def _fourier_motzkin_feasible(ineqs: list, nvars: int) -> bool:
     return all(rhs >= 0 for _, rhs in ineqs)
 
 
-# -- minimum excitation subspaces -------------------------------------------
+# -- validated problems and minimum excitation subspaces -----------------------
+
+@dataclass(frozen=True)
+class Problem:
+    """A property validated once for `dims`, with the `target` its identifier
+    solves onto: unit columns for a zero pattern and scalar controllability,
+    I for the whole space, the constraint matrix for a structure.  The design
+    is a `basis` of the minimum subspace, the minimum excitation, and the
+    unique `q` with basis @ q == target: the target itself with q = I, or
+    for a structure one elimination, made only on request (else None)."""
+
+    prop: PropertySpec
+    dims: Dims
+    target: Mat
+    basis: Optional[Mat] = None
+    q: Optional[Mat] = None
+
+    @classmethod
+    def of(cls, prop: PropertySpec, dims: Dims, design: bool = False) -> "Problem":
+        validate_property(prop, dims)
+        target = prop._target(dims)
+        return cls(prop, dims, target, *prop._design(target, design))
+
+    def minimum_basis(self) -> Mat:
+        """The design's basis, or else the target's pivot columns."""
+        return self.basis if self.basis is not None else image(self.target).basis
+
+    def holds(self, sys: SystemPair) -> bool:
+        """`has_property` for a system of these dimensions, without validating again."""
+        return self.prop._holds(sys)
+
 
 def minimum_subspace(p: PropertySpec, dims: Dims) -> Subspace:
     """Smallest subspace of R^(n+m) that a sufficiently rich plan must span."""
-    validate_property(p, dims)
-    return p._minimum_subspace(dims)
-
-
-def property_label(p: PropertySpec) -> str:
-    return p.label()
+    return Subspace._of_independent(Problem.of(p, dims).minimum_basis())
 
 
 # -- ground-truth membership oracle ------------------------------------------

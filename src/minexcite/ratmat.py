@@ -169,14 +169,12 @@ class Mat:
 
     @classmethod
     def identity(cls, n: int) -> "Mat":
-        return cls._make(n, n, (int(i == j) for i in range(n) for j in range(n)))
-
-    @classmethod
-    def unit_column(cls, n: int, index: int) -> "Mat":
-        """Standard basis column e_index (0-based) in R^n."""
-        if not 0 <= index < n:
-            raise DimensionMismatch(f"unit index {index} out of range for R^{n}")
-        return cls._make(n, 1, (int(i == index) for i in range(n)))
+        """I_n, canonical as built: ones on the diagonal over denominator 1, so no gcd pass."""
+        nums = [0] * (n * n)
+        nums[:: n + 1] = [1] * n
+        m = cls.__new__(cls)
+        m._init(n, n, tuple(nums), 1)
+        return m
 
     @classmethod
     def column(cls, entries: Sequence) -> "Mat":
@@ -476,6 +474,16 @@ def solve_right(a: Mat, b: Mat) -> Optional[Mat]:
     return Mat._make(p, q, [x for row in nums for x in row], den)
 
 
+def pivot_basis(m: Mat) -> tuple:
+    """(basis, q) from one elimination of m: its leftmost pivot columns and the
+    nonzero rows of its reduced form, the only q with basis @ q == m."""
+    rows = m._int_rows()
+    pivots = _rref(rows, m.cols)
+    den = math.lcm(*(rows[r][pc] for r, pc in enumerate(pivots)))
+    nums = [x * (den // rows[r][pc]) for r, pc in enumerate(pivots) for x in rows[r]]
+    return m.take_cols(pivots), Mat._make(len(pivots), m.cols, nums, den)
+
+
 def unspanned_columns(a: Mat, b: Mat) -> list:
     """Indices of the columns of b outside im(a), from one elimination."""
     rows, pivots = _augmented_rref(a, b)
@@ -519,17 +527,6 @@ class Subspace:
         object.__setattr__(s, "ambient_dim", basis.rows)
         object.__setattr__(s, "basis", basis)
         return s
-
-    @classmethod
-    def full(cls, n: int) -> "Subspace":
-        return cls._of_independent(Mat.identity(n))
-
-    @classmethod
-    def span_of_units(cls, n: int, indices: Sequence[int]) -> "Subspace":
-        if len(set(indices)) != len(indices):
-            raise ValueError("basis columns must be linearly independent")
-        cols = Mat.hstack([Mat.unit_column(n, i) for i in indices]) if indices else Mat.zeros(n, 0)
-        return cls._of_independent(cols)
 
     @property
     def dim(self) -> int:
@@ -642,8 +639,9 @@ _CANDIDATE_BAND = 1e-6
 
 
 def _polished_radius(poly: list) -> Optional[tuple]:
-    """(radius, last Newton step) of a square-free integer polynomial, or None
-    when a Newton run fails, leaves the candidate band or repeats a root."""
+    """(radius, last Newton step) of a square-free integer polynomial, as mpmath
+    numbers, or None when a Newton run fails, leaves the candidate band or
+    repeats a root."""
     import mpmath
 
     try:
@@ -674,7 +672,7 @@ def _polished_radius(poly: list) -> Optional[tuple]:
                 return None
             found.append((z, abs(step)))
         root, step = max(found, key=lambda rs: abs(rs[0]))
-        return float(abs(root)), float(step)
+        return abs(root), step
 
 
 def spectral_radius_info(m: Mat) -> SpectralInfo:
@@ -682,15 +680,21 @@ def spectral_radius_info(m: Mat) -> SpectralInfo:
         raise DimensionMismatch("spectral radius of a non-square matrix")
     if m.rows == 0:
         return SpectralInfo(0.0, 0.0, False)
+    import mpmath
+
     poly = _square_free_part(characteristic_polynomial(m))
+    # poly(2^s y) has poly's roots over 2^s, the largest near 1 for s from the
+    # coefficient sizes, so no float overflows or underflows; mpmath scales back
+    lead, d = abs(poly[0]).bit_length(), len(poly) - 1
+    s = max(((abs(c).bit_length() - lead) // i for i, c in enumerate(poly[1:], 1) if c), default=0)
+    poly = [c << s * (d - i) if s > 0 else c << -s * i for i, c in enumerate(poly)]
     polished = _polished_radius(poly)
     if polished is None:  # safety net: polyroots on a polynomial whose roots are all simple
-        import mpmath
-
         with mpmath.workdps(50):
             roots, err = mpmath.polyroots([mpmath.mpf(c) for c in poly], maxsteps=200, extraprec=120, error=True)
-            polished = float(max(abs(r) for r in roots)), float(err)
-    return SpectralInfo(*polished, abs(polished[0] - 1.0) <= EIG_MARGIN)
+            polished = max(abs(r) for r in roots), mpmath.mpf(err)
+    radius, residual = (float(mpmath.ldexp(v, s)) for v in polished)  # past the float range: inf or 0
+    return SpectralInfo(radius, residual, abs(radius - 1.0) <= EIG_MARGIN)
 
 
 def numeric_rank(a: np.ndarray, tol: float = EIG_MARGIN) -> int:

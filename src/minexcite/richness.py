@@ -6,16 +6,19 @@ R^(n+m).  A plan can decide a property for every system consistent with
 the resulting data exactly when that subspace contains the property's
 minimum subspace, and any basis of the minimum subspace is a minimum
 excitation.  So the richness test is one solve: the plan is rich exactly
-when [X-; U-] Q = basis has a solution, which is the solve each
-identifier makes anyway, and design is picking that basis.
+when [X-; U-] Q = target has a solution, for a `Problem`'s target that
+spans that subspace; it is the solve each identifier makes anyway.  Design
+is picking a basis, and its elimination also gives the q with basis q =
+target, so a plan equal to the design reuses that q with no solve.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 from .errors import DimensionMismatch, InconsistentDataset
-from .properties import Dims, PropertySpec, SystemPair, minimum_subspace
+from .properties import Dims, Problem, PropertySpec, SystemPair
 from .ratmat import Mat, solve_right, unspanned_columns
 
 
@@ -78,19 +81,17 @@ def _any_consistent_model(d: Dataset) -> SystemPair:
     z = solve_right(d.section.stacked().T, d.x_plus.T)
     if z is None:
         raise InconsistentDataset("no linear system reproduces this dataset")
-    ab = z.T
-    n, m = d.section.n, d.section.m
-    return SystemPair(ab.take_cols(range(n)), ab.take_cols(range(n, n + m)))
+    return SystemPair.from_ab(z.T)
 
 
 def is_sufficiently_rich(section: InputSection, p: PropertySpec) -> bool:
     """True when the plan decides `p` no matter what responses come back."""
-    return not unspanned_columns(section.stacked(), minimum_subspace(p, section.dims).basis)
+    return not unspanned_columns(section.stacked(), Problem.of(p, section.dims).target)
 
 
-def missing_directions(section: InputSection, p: PropertySpec) -> list:
+def missing_directions(section: InputSection, p: PropertySpec, problem: Optional[Problem] = None) -> list:
     """Basis columns of the minimum subspace the plan fails to span."""
-    basis = minimum_subspace(p, section.dims).basis
+    basis = (problem or Problem.of(p, section.dims)).minimum_basis()
     return [basis.col(j) for j in unspanned_columns(section.stacked(), basis)]
 
 
@@ -105,8 +106,8 @@ def split_stacked(stacked: Mat, dims: Dims) -> InputSection:
 def design_minimum_input(p: PropertySpec, dims: Dims) -> InputSection:
     """Smallest excitation plan that is sufficiently rich for `p`.
 
-    The plan is the fixed basis of the minimum subspace: unit vectors when
-    that subspace is coordinate-aligned, the pivot columns of the
+    The plan is the design's basis of the minimum subspace: unit vectors
+    when that subspace is coordinate-aligned, the pivot columns of the
     constraint matrix otherwise, so designs are reproducible.
     """
-    return split_stacked(minimum_subspace(p, dims).basis, dims)
+    return split_stacked(Problem.of(p, dims).minimum_basis(), dims)

@@ -71,6 +71,10 @@ def _parse_set(value) -> BoundedSet:
 
 _REQUIRED = object()
 
+# Largest n + m a property or scenario document may declare: a design is a dense
+# (n+m)-square matrix built from the counts alone, which past it exhausts memory.
+MAX_DIMENSION = 1000
+
 
 def _as(kind, value, name: str):
     """`value` read as `kind` (int, str or Mode); SpecValidationError naming `name` if it is not one.
@@ -96,6 +100,13 @@ def _field(doc, key, kind, where: str, default=_REQUIRED):
             raise SpecValidationError(f"{where} is missing field {key!r}")
         return default
     return doc[key] if kind is None else _as(kind, doc[key], f"{where} field {key!r}")
+
+
+def _dims(doc: dict, where: str) -> Dims:
+    dims = Dims(_field(doc, "n", int, where), _field(doc, "m", int, where, 0))
+    if dims.total > MAX_DIMENSION:
+        raise SpecValidationError(f"{where}: n + m = {dims.total} exceeds {MAX_DIMENSION}")
+    return dims
 
 
 def _load_doc(source: Union[str, Path, dict]) -> dict:
@@ -182,7 +193,7 @@ def load_property(source: Union[str, Path, dict]) -> Tuple[PropertySpec, Dims]:
     doc = _load_doc(source)
     where = "property document"
     kind = _field(doc, "type", str, where).lower()
-    dims = Dims(_field(doc, "n", int, where), _field(doc, "m", int, where, 0))
+    dims = _dims(doc, where)
     if kind not in _KINDS:
         raise SpecValidationError(f"unknown property type {kind!r}")
     cls = _KINDS[kind]
@@ -243,7 +254,7 @@ def load_scenario(source: Union[str, Path], base_dir: Optional[Path] = None) -> 
     doc = _load_doc(source)
     if base_dir is None and not isinstance(source, dict):
         base_dir = Path(source).parent
-    dims = Dims(_field(doc, "n", int, "scenario"), _field(doc, "m", int, "scenario", 0))
+    dims = _dims(doc, "scenario")
     hidden_doc = doc.get("hidden")
     if not isinstance(hidden_doc, dict):
         raise SpecValidationError("scenario needs hidden: {A: ..., B: ...}")

@@ -1,9 +1,11 @@
 """Shared generators for randomized tests, everything seeded, and an elimination counter."""
 
+import os
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import settings
 
 from minexcite import (
     BoundedSet,
@@ -19,6 +21,11 @@ from minexcite import (
 )
 from minexcite import ratmat
 from minexcite.properties import And, Leaf, Or
+
+# HYPOTHESIS_PROFILE=ci runs the same examples on every run and prints the blob of a
+# failing one, so a CI failure replays locally with @reproduce_failure
+settings.register_profile("ci", derandomize=True, print_blob=True)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 def rand_fraction(rng: random.Random, span: int = 3, denominators=(1, 1, 2)) -> Fraction:

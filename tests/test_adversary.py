@@ -67,7 +67,7 @@ def test_annihilator_none_when_persistently_exciting():
 def test_annihilator_of_zero_section():
     sec = InputSection(Mat.zeros(2, 1), Mat.zeros(1, 1))
     ann = find_annihilator(sec)
-    assert ann == Mat.unit_column(3, 0)
+    assert ann == Mat.identity(3).take_cols([0])
 
 
 # -- stabilizability pairs --------------------------------------------------------

@@ -248,10 +248,15 @@ def test_huge_yaml_integer_exits_bad_input(tmp_path, verb, flag, text, length):
         ("design", "type: sparsity\nn: 2\nm: 1\nzeros_A: [[1.5, 1]]\n", "zeros_A"),
         ("design", "type: stabilizability\nn: 2.7\nm: 1\n", "'n'"),
         ("design", "type: stabilizability\nn: 2\nm: true\n", "'m'"),
+        ("design", "type: identifiability\nn: 1000000000\nm: 0\n", "exceeds 1000"),
+        ("design", "type: sparsity\nn: 2\nm: 1000000000000000000000\nzeros_A: [[1, 1]]\n", "exceeds 1000"),
+        ("design", 'type: structure\nn: 1\nm: 0\nconstraints: [{h: "1", set: [[0, 0]]}]\nexpr: "1 \u00b2"\n', "'\u00b2'"),
+        ("simulate", "n: 1\nm: 1\nhidden: {A: '0', B: '1'}\nproperty: ''\n", "directory"),
     ],
     ids=["n-not-int", "mode-bogus", "zero-position-not-int", "zeros-not-list", "constraint-without-h",
          "constraint-not-mapping", "constraints-not-list", "plan-without-k", "hidden-without-A", "seed-not-int",
-         "zero-position-not-integral", "n-not-integral", "m-bool"],
+         "zero-position-not-integral", "n-not-integral", "m-bool", "n-past-cap", "m-past-cap",
+         "expr-superscript-digit", "property-path-a-directory"],
 )
 def test_malformed_document_exits_bad_input(tmp_path, stab_prop, capsys, verb, text, field):
     doc = tmp_path / "doc.yaml"
@@ -307,6 +312,26 @@ def test_dependent_intersection_finishes(tmp_path, hs):
     )
     assert proc.returncode in (EXIT_OK, EXIT_BAD_INPUT)
     assert "Traceback" not in proc.stderr
+
+
+def test_gain_past_the_float_range(tmp_path):
+    # the closed loop diag(1e400, 1) has characteristic coefficients past float64;
+    # its radius reads inf, in a process of its own so that a traceback shows
+    doc = tmp_path / "data.yaml"
+    doc.write_text('n: 2\nm: 1\nk: 2\nX: "1, 0; 0, 1"\nU: "0, 0"\nXp: "1e400, 0; 0, 1"\n')
+    src = str(Path(minexcite.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "minexcite.cli", "gain", "--data", str(doc)],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=30,
+    )
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert "Traceback" not in proc.stderr
+    rows = dict(line.split(None, 1) for line in proc.stdout.splitlines())
+    assert rows["radius"] == "inf" and rows["stabilizing"] == "False" and "marginal" not in rows
 
 
 def test_counterexample_for_identifiability(tmp_path, capsys):

@@ -1,0 +1,160 @@
+"""Malformed documents through every CLI verb: a clean exit, never a traceback.
+
+Each example takes valid documents for one verb, mutates them (drops or
+retypes fields, puts junk scalars, huge or non-integral counts and ragged
+matrix literals in their place), writes them as YAML and runs the verb in
+process through `cli.main`.  Whatever the mutation, the verb must answer
+with a documented status (0, 2 or 3), print no traceback and finish within
+the deadline.
+"""
+
+import contextlib
+import copy
+import io
+
+import pytest
+import yaml
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from minexcite.cli import EXIT_BAD_INPUT, EXIT_NOT_RICH, EXIT_OK, main
+
+H_TRACE = "1, 0, 0, 1, 0, 0"  # tr A, over vec([A, B]) for n = 2, m = 1
+H_B = "0, 0, 0, 0, 1, 0"  # B(1, 1)
+
+PROPERTIES = [
+    {"type": "sparsity", "n": 2, "m": 1, "zeros_A": [[1, 1]], "zeros_B": [[2, 1]]},
+    {"type": "stabilizability", "n": 2, "m": 1},
+    {"type": "controllability", "n": 2, "m": 1},
+    {"type": "controllability", "n": 1, "m": 2},
+    {"type": "identifiability", "n": 2, "m": 1},
+    {
+        "type": "linear_structure",
+        "n": 2,
+        "m": 1,
+        "constraints": [{"h": H_TRACE, "set": [[-1, 1]]}, {"h": H_B, "set": [[0, 0], [2, 3]]}],
+        "mode": "intersection",
+    },
+    {
+        "type": "structure",
+        "n": 2,
+        "m": 1,
+        "constraints": [{"h": H_TRACE, "set": [[-1, 1]]}, {"h": H_B, "set": [0]}],
+        "expr": "1 | 2",
+    },
+]
+PLANS = [
+    {"n": 2, "m": 1, "k": 3, "X": "1, 0, 0; 0, 1, 0", "U": "0, 0, 1"},
+    {"n": 2, "m": 1, "k": 2, "X": "1, 0.5; 0, 1", "U": "-1, -1"},
+]
+DATASETS = [
+    {"n": 2, "m": 1, "k": 3, "X": "1, 0, 0; 0, 1, 0", "U": "0, 0, 1", "Xp": "0, 2, 1; 1, 1, 0"},
+    {"n": 2, "m": 1, "k": 2, "X": "1, 0.5; 0, 1", "U": "-1, -1", "Xp": "0.5, -0.25; 1, 1"},
+]
+SCENARIOS = [
+    {"n": 2, "m": 1, "hidden": {"A": "0, 1; 2, 1", "B": "1; 0"}, "property": {"type": "stabilizability"}},
+    {
+        "n": 2,
+        "m": 1,
+        "hidden": {"A": "0, 1; 2, 1", "B": "1; 0"},
+        "property": PROPERTIES[0],
+        "plan": {"X": "1, 0.5; 0, 1", "U": "-1, -1"},
+        "seed": 3,
+    },
+    {"n": 2, "m": 1, "hidden": {"A": "0.5, 0; 1, 0", "B": "0; 1"}, "property": PROPERTIES[5], "plan": "designed"},
+]
+SEEDS = {"property": PROPERTIES, "plan": PLANS, "data": DATASETS, "scenario": SCENARIOS}
+
+# verb: the documents it reads, and its arguments given their paths
+VERBS = {
+    "design": (("property",), lambda p: ["design", "--property", p["property"]]),
+    "check": (("property", "plan"), lambda p: ["check", "--property", p["property"], "--input", p["plan"]]),
+    "identify": (("property", "data"), lambda p: ["identify", "--property", p["property"], "--data", p["data"]]),
+    "recover": (("data",), lambda p: ["recover", "--data", p["data"]]),
+    "gain": (("data",), lambda p: ["gain", "--data", p["data"]]),
+    "counterexample": (
+        ("property", "plan"),
+        lambda p: ["counterexample", "--property", p["property"], "--input", p["plan"]],
+    ),
+    "simulate": (("scenario",), lambda p: ["simulate", "--scenario", p["scenario"]]),
+    "bench": (("scenario",), lambda p: ["bench", p["scenario"]]),
+}
+
+JUNK = [None, True, 0, -1, "", ".", "abc", "1/0", "1e400", "1e-400", "nan", "²", "1, 2; 3",
+        [], {}, [[1]], [1, "a"], {"a": 1}, 1e300, float("inf"), float("nan")]
+HUGE_COUNTS = [10**9, 10**18, 2**64, 10**400, -(10**9)]
+NON_INTEGRAL_COUNTS = [2.5, "2.5", 0.5, "1/2", 1e-3, "2e0"]
+COUNT_FIELDS = {"n", "m", "k", "seed"}
+
+
+def paths(node, prefix=()):
+    """Every position in a document: the root, each mapping value and list item."""
+    yield prefix
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield from paths(child, prefix + (key,))
+
+
+def ragged(literal: str, draw) -> str:
+    """The literal with one row an entry short or an entry long."""
+    rows = [row.split(",") for row in literal.split(";")]
+    row = rows[draw(st.integers(0, len(rows) - 1))]
+    if len(row) > 1 and draw(st.booleans()):
+        row.pop()
+    else:
+        row.append(" 7")
+    return ";".join(",".join(r) for r in rows)
+
+
+def mutate(doc, draw):
+    """The document with one position dropped, retyped or given a bad value."""
+    where = draw(st.sampled_from(list(paths(doc))))
+    if not where:
+        return copy.deepcopy(draw(st.sampled_from(JUNK)))
+    *parents, key = where
+    parent = doc
+    for step in parents:
+        parent = parent[step]
+    value = parent[key]
+    kinds = ["drop", "junk"]
+    if key in COUNT_FIELDS:
+        kinds += ["huge", "non_integral"]
+    if isinstance(value, str) and "," in value:
+        kinds.append("ragged")
+    kind = draw(st.sampled_from(kinds))
+    if kind == "drop":
+        del parent[key]
+    elif kind == "junk":
+        parent[key] = copy.deepcopy(draw(st.sampled_from(JUNK)))  # a later mutation may edit it
+    elif kind == "huge":
+        parent[key] = draw(st.sampled_from(HUGE_COUNTS))
+    elif kind == "non_integral":
+        parent[key] = draw(st.sampled_from(NON_INTEGRAL_COUNTS))
+    else:
+        parent[key] = ragged(value, draw)
+    return doc
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@settings(max_examples=500, deadline=2000, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_mutated_documents_exit_cleanly(workdir, data):
+    verb = data.draw(st.sampled_from(sorted(VERBS)), label="verb")
+    roles, argv = VERBS[verb]
+    docs = {role: copy.deepcopy(data.draw(st.sampled_from(SEEDS[role]), label=role)) for role in roles}
+    for _ in range(data.draw(st.integers(1, 3), label="mutations")):
+        role = data.draw(st.sampled_from(roles), label="target")
+        docs[role] = mutate(docs[role], data.draw)
+    files = {}
+    for role, doc in docs.items():
+        files[role] = workdir / f"{role}.yaml"
+        files[role].write_text(yaml.safe_dump(doc, sort_keys=False))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        status = main(argv({role: str(path) for role, path in files.items()}))
+    assert status in (EXIT_OK, EXIT_NOT_RICH, EXIT_BAD_INPUT), err.getvalue()
+    assert "Traceback" not in err.getvalue()

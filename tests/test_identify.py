@@ -12,6 +12,7 @@ from minexcite import (
     Dataset,
     Dims,
     GainNotApplicable,
+    Identifiability,
     InputSection,
     LinearConstraint,
     LinearStructure,
@@ -19,6 +20,7 @@ from minexcite import (
     Mode,
     NotIdentifiable,
     NotSufficientlyRich,
+    Scenario,
     Sparsity,
     Stabilizability,
     SystemPair,
@@ -38,11 +40,12 @@ from minexcite import (
     missing_directions,
     parse_matrix,
     recover_model,
+    run,
     solve_right,
     validate_property,
 )
 
-from conftest import rand_invertible, rand_mat, rand_structure, rand_system
+from conftest import deficient_section, rand_invertible, rand_mat, rand_structure, rand_system
 
 EXAMPLE_SPARSITY = Sparsity(frozenset({(1, 1)}), frozenset({(2, 1)}))
 CORNER_PLAN = InputSection(parse_matrix("1, 0; 0, 0"), parse_matrix("0, 1"))
@@ -300,28 +303,71 @@ def test_verdicts_survive_right_multiplication():
 
 # -- elimination budget ------------------------------------------------------------
 
-def test_elimination_budget(eliminations):
-    """The identifier's own solve is the richness test: no separate chain of
-    image, re-rank and containment eliminations runs before it."""
+def test_elimination_budget(eliminations, monkeypatch):
+    """A designed run reuses the design's elimination, and a run validates nothing.
+
+    Constructing a scenario validates its property once and, for a designed
+    structure, makes the one elimination that picks the basis and its Q.  A
+    designed run then eliminates only inside the property's own test; the
+    identifier's solve of an explicit plan is its richness test."""
     rng = random.Random(59)
     dims = Dims(3, 2)
     hidden = rand_system(rng, dims.n, dims.m)
+    sparsity = Sparsity(frozenset({(1, 2), (3, 3)}), frozenset({(2, 1)}))
+    structures = [rand_structure(rng, dims, mode) for mode in (Mode.INTERSECTION, Mode.EXPRESSION)]
+    scalar_dims, scalar = Dims(1, 2), rand_system(rng, 1, 2)
+    props = [sparsity, *structures, Identifiability(), Stabilizability(), Controllability()]
+    validations = []
+    for cls in (Sparsity, LinearStructure, Controllability, Identifiability, Stabilizability):
+        real = cls._validate
+        monkeypatch.setattr(cls, "_validate", lambda p, d, real=real: validations.append(p) or real(p, d))
+
+    for p in props:
+        design = 1 if isinstance(p, LinearStructure) else 0
+        assert eliminations(Scenario, dims, hidden, p) == eliminations(validate_property, p, dims) + design
+    for p in props:
+        sc = Scenario(dims, hidden, p)
+        validations.clear()
+        expected = eliminations(is_controllable, hidden) if isinstance(p, Controllability) else 0
+        assert eliminations(run, sc) == expected
+        assert not validations
+    assert eliminations(run, Scenario(scalar_dims, scalar, Controllability())) == 0
+
+    # a deficient run: the failed solve, the missing directions and the recipe, with no
+    # validation; a structure's missing directions need the pivots of its target
+    deficient = {Sparsity: 6, LinearStructure: 7, Identifiability: 3, Stabilizability: 3, Controllability: 6}
+    drng = random.Random(61)
+    for p in props:
+        sc = Scenario(dims, hidden, p, deficient_section(drng, dims, minimum_subspace(p, dims).basis, 4))
+        validations.clear()
+        assert eliminations(run, sc) == deficient[type(p)]
+        assert not validations
 
     def rich(p, d=dims, sys=hidden):
         return excite(sys, design_minimum_input(p, d))
 
-    sparsity = Sparsity(frozenset({(1, 2), (3, 3)}), frozenset({(2, 1)}))
-    assert eliminations(identify_sparsity, rich(sparsity), sparsity) == 1
-    structures = [rand_structure(rng, dims, mode) for mode in (Mode.INTERSECTION, Mode.EXPRESSION)]
+    def twisted(p, d=dims, sys=hidden):
+        """A rich plan other than the design: the design's columns recombined."""
+        plan = design_minimum_input(p, d)
+        t = rand_invertible(rng, plan.k)
+        return excite(sys, InputSection(plan.x_minus @ t, plan.u_minus @ t))
+
+    # the public identifiers build their own problem: on the designed plan the
+    # design's Q is reused, on any other rich plan one solve decides
+    assert eliminations(identify_sparsity, rich(sparsity), sparsity) == 0
+    assert eliminations(identify_sparsity, twisted(sparsity), sparsity) == 1
     for p in structures:
-        assert eliminations(identify_linear_structure, rich(p), p) == 1 + eliminations(validate_property, p, dims)
-    assert eliminations(identify_stabilizability, rich(Stabilizability())) == 2
-    assert eliminations(identify_controllability, rich(Controllability())) == 2 + eliminations(is_controllable, hidden)
-    scalar = rand_system(rng, 1, 2)
-    assert eliminations(identify_controllability, rich(Controllability(), Dims(1, 2), scalar)) == 2
+        for data in (rich(p), twisted(p)):
+            assert eliminations(identify_linear_structure, data, p) == 1 + eliminations(validate_property, p, dims)
+    assert eliminations(identify_stabilizability, rich(Stabilizability())) == 0
+    assert eliminations(identify_stabilizability, twisted(Stabilizability())) == 1
+    own_test = eliminations(is_controllable, hidden)
+    assert eliminations(identify_controllability, rich(Controllability())) == own_test
+    assert eliminations(identify_controllability, twisted(Controllability())) == 1 + own_test
+    assert eliminations(identify_controllability, rich(Controllability(), scalar_dims, scalar)) == 0
 
     cases = [(design_minimum_input(p, dims), p) for p in [sparsity, *structures, Stabilizability(), Controllability()]]
     cases.append((TWO_COLUMN_PLAN, Stabilizability()))  # not rich
     for section, p in cases:
-        for query in (is_sufficiently_rich, missing_directions):
-            assert eliminations(query, section, p) == 1 + eliminations(minimum_subspace, p, section.dims)
+        assert eliminations(is_sufficiently_rich, section, p) == 1 + eliminations(validate_property, p, section.dims)
+        assert eliminations(missing_directions, section, p) == 1 + eliminations(minimum_subspace, p, section.dims)

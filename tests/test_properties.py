@@ -11,12 +11,14 @@ from hypothesis import strategies as st
 from minexcite import (
     BoundedSet,
     Controllability,
+    DimensionMismatch,
     Dims,
     Identifiability,
     LinearConstraint,
     LinearStructure,
     Mat,
     Mode,
+    Problem,
     Sparsity,
     SpecValidationError,
     Stabilizability,
@@ -30,11 +32,10 @@ from minexcite import (
     minimum_subspace,
     parse_expr,
     parse_matrix,
-    sparsity_as_structure,
     vec,
     vec_inv,
 )
-from minexcite.properties import And, Leaf, Or, build_constraint_matrix, flat_chain_ops
+from minexcite.properties import And, Leaf, Or, as_structure_problem, build_constraint_matrix, flat_chain_ops
 
 from conftest import rand_sparsity, rand_system
 
@@ -92,21 +93,41 @@ def test_constraint_matrix_two_row_sums():
     assert image(m) == image(parse_matrix("1; 1"))
 
 
+def test_constraint_matrix_equals_reshaped_blocks():
+    # the integer construction against its definition: the blocks vec_inv(h_i)^T side by side
+    rng = random.Random(67)
+    for _ in range(60):
+        dims = Dims(rng.randint(1, 4), rng.randint(0, 3))
+        width = dims.n * dims.total
+        hs = [[Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 7))) for _ in range(width)] for _ in range(3)]
+        constraints = [LinearConstraint(h, BoundedSet.singleton(0)) for h in hs if any(h)]
+        if not constraints:
+            continue
+        reference = Mat.hstack([vec_inv(c.h, dims.n, dims.total).T for c in constraints])
+        m = build_constraint_matrix(constraints, dims)
+        assert (m.shape, m._nums, m._den) == (reference.shape, reference._nums, reference._den)
+
+
+def test_constraint_matrix_rejects_a_wrong_length():
+    with pytest.raises(DimensionMismatch):
+        build_constraint_matrix([LinearConstraint((1, 0, 1), BoundedSet.singleton(0))], Dims(2, 0))
+
+
 # -- minimum subspaces ------------------------------------------------------
 
 def test_stabilizability_needs_everything():
-    assert minimum_subspace(Stabilizability(), Dims(2, 1)) == Subspace.full(3)
+    assert minimum_subspace(Stabilizability(), Dims(2, 1)) == Subspace(3, Mat.identity(3))
 
 
 def test_scalar_controllability_needs_only_inputs():
     s = minimum_subspace(Controllability(), Dims(1, 2))
-    assert s == Subspace.span_of_units(3, [1, 2])
+    assert s == Subspace(3, Mat.identity(3).take_cols([1, 2]))
 
 
 def test_sparsity_affected_columns():
     p = Sparsity(frozenset({(1, 1)}), frozenset({(2, 1)}))
     s = minimum_subspace(p, Dims(2, 1))
-    assert s == Subspace.span_of_units(3, [0, 2])
+    assert s == Subspace(3, Mat.identity(3).take_cols([0, 2]))
 
 
 @pytest.mark.parametrize("n", range(1, 6))
@@ -133,7 +154,7 @@ def test_singleton_intersection_matches_sparsity():
     for _ in range(25):
         dims = Dims(rng.randint(1, 3), rng.randint(1, 3))
         p = rand_sparsity(rng, dims)
-        structure = sparsity_as_structure(p, dims)
+        structure = as_structure_problem(Problem.of(p, dims)).prop
         assert minimum_subspace(structure, dims) == minimum_subspace(p, dims)
 
 

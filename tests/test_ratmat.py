@@ -24,7 +24,7 @@ from minexcite import (
     spectral_radius_info,
     unspanned_columns,
 )
-from minexcite.ratmat import characteristic_polynomial, pivot_columns
+from minexcite.ratmat import characteristic_polynomial, pivot_basis, pivot_columns
 
 fractions_st = st.fractions(min_value=-5, max_value=5, max_denominator=3)
 
@@ -95,7 +95,7 @@ def test_rank_transpose_invariant(m):
 # -- image and containment ------------------------------------------------
 
 def test_image_identity_is_full():
-    assert image(Mat.identity(2)) == Subspace.full(2)
+    assert image(Mat.identity(2)) == Subspace(2, Mat.identity(2))
 
 
 def test_image_rank_one():
@@ -111,13 +111,13 @@ def test_image_selects_leftmost_pivots():
 
 
 def test_contains_trivial():
-    assert contains(Subspace.full(3), Subspace.span_of_units(3, [0]))
-    assert not contains(Subspace.span_of_units(3, [0, 1]), Subspace.span_of_units(3, [2]))
+    assert contains(Subspace(3, Mat.identity(3)), Subspace(3, Mat.identity(3).take_cols([0])))
+    assert not contains(Subspace(3, Mat.identity(3).take_cols([0, 1])), Subspace(3, Mat.identity(3).take_cols([2])))
 
 
 def test_two_column_span_does_not_contain_r3():
     block = parse_matrix("1, 0.5; 0, 1; -1, -1")
-    assert not contains(image(block), Subspace.full(3))
+    assert not contains(image(block), Subspace(3, Mat.identity(3)))
     assert rank(block) == 2  # cross-check by rank
 
 
@@ -127,7 +127,7 @@ def test_subspace_rejects_dependent_basis():
     with pytest.raises(ValueError):
         Subspace(3, parse_matrix("1, 0, 1; 0, 1, 1; 0, 0, 0"))
     with pytest.raises(ValueError):
-        Subspace.span_of_units(3, [1, 1])
+        Subspace(3, Mat.identity(3).take_cols([1, 1]))
     assert Subspace(2, parse_matrix("1, 2; 2, 5")).dim == 2
 
 
@@ -147,8 +147,25 @@ def test_solve_right_identity():
 
 
 def test_solve_right_unit_targets():
-    a = Mat.hstack([Mat.unit_column(3, 0), Mat.unit_column(3, 2)])
+    a = Mat.identity(3).take_cols([0, 2])
     assert solve_right(a, a) == Mat.identity(2)
+
+
+def test_identity_is_canonical_as_built():
+    for n in range(6):
+        reference = Mat.from_flat(n, n, [int(i == j) for i in range(n) for j in range(n)])
+        assert Mat.identity(n) == reference
+        assert (Mat.identity(n)._nums, Mat.identity(n)._den) == (reference._nums, reference._den)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_mats())
+def test_pivot_basis_is_the_image_basis_and_its_coordinates(m):
+    basis, q = pivot_basis(m)
+    assert basis == m.take_cols(pivot_columns(m))
+    assert basis @ q == m
+    if basis.cols:
+        assert q == solve_right(basis, m)  # independent columns: the only solution
 
 
 def test_solve_right_no_solution():
@@ -558,3 +575,18 @@ def test_spectral_radius_large_matrix_fallback():
         n, n, [Fraction(i + 1) if i == j else Fraction(0) for i in range(n) for j in range(n)]
     )
     assert spectral_radius_info(m).radius == pytest.approx(float(n), abs=1e-9)
+
+
+def test_spectral_radius_of_tiny_eigenvalues():
+    # the float coefficients of (x - 1e-300)(x - 2e-300) underflow unless the variable is scaled
+    info = spectral_radius_info(parse_matrix("1e-300, 1; 0, 2e-300"))
+    assert math.isclose(info.radius, 2e-300, rel_tol=1e-12)
+    assert not info.marginal
+
+
+def test_spectral_radius_past_the_float_range():
+    info = spectral_radius_info(parse_matrix("1e400, 0; 0, 1"))
+    assert info.radius == math.inf
+    assert not info.marginal
+    big = spectral_radius_info(parse_matrix("1e300, 1; 0, 3e300"))
+    assert math.isclose(big.radius, 3e300, rel_tol=1e-12)
