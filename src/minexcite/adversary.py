@@ -10,12 +10,13 @@ before returning it; the property table in `identify` picks the recipe.
 
 from __future__ import annotations
 
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence, Tuple
 
-from .errors import InfeasibleSigns, InternalFault, SectionIsRich
+from .errors import InconsistentDataset, InfeasibleSigns, InternalFault, SectionIsRich
 from .properties import (
     Controllability,
     Leaf,
@@ -33,7 +34,7 @@ from .properties import (
     vec_inv,
 )
 from .ratmat import Mat, image, kernel, solve_right, unspanned_columns
-from .richness import Dataset, InputSection, _any_consistent_model, consistent_set_contains
+from .richness import Dataset, InputSection, consistent_set_contains
 
 
 @dataclass(frozen=True)
@@ -274,8 +275,9 @@ def counterexample_structure(
     if h.is_zero():
         raise InternalFault("a missed column must leave a nonzero residual")
 
-    touched_vectors = [vec_inv(c.h, n, dims.total) @ h for c in p.constraints]
-    c1 = frozenset(i + 1 for i, v in enumerate(touched_vectors) if not v.is_zero())
+    # entry i*n + r of h^T M is row r of vec_inv(h_i) @ h, M's block i being vec_inv(h_i)^T
+    touched = (h.T @ m_mat).row_list(0)
+    c1 = frozenset(i + 1 for i in range(len(p.constraints)) if any(touched[i * n : (i + 1) * n]))
     if (l + 1) not in c1:
         raise InternalFault("the missed column's constraint must be touched")
 
@@ -295,35 +297,29 @@ def counterexample_structure(
     ab0 = vec_inv([theta[i, 0] for i in range(theta.rows)], n, dims.total)
 
     if p.mode is Mode.INTERSECTION:
-        hw = touched_vectors[l][j, 0]
-        scalar = (p.constraints[l].values.point_outside() - targets[l]) / hw
+        scalar = (p.constraints[l].values.point_outside() - targets[l]) / touched[col_idx]
         perturbation = _single_row(n, dims.total, j, [scalar * h[i, 0] for i in range(dims.total)])
     else:
         rng = random.Random(seed)
-        while True:
+        while True:  # a nonzero g with g . (vec_inv(h_i) @ h) nonzero for every touched i
             g = [Fraction(rng.randint(-3, 3)) for _ in range(n)]
-            if all(v == 0 for v in g):
-                continue
-            dots = []
-            ok = True
-            for i in sorted(idx - 1 for idx in c1):
-                dot = sum((g[r] * touched_vectors[i][r, 0] for r in range(n)), Fraction(0))
-                if dot == 0:
-                    ok = False
-                    break
-                dots.append((i, dot))
-            if ok:
+            dots = [(i - 1, sum(map(operator.mul, g, touched[(i - 1) * n : i * n]))) for i in sorted(c1)]
+            if any(g) and all(dot for _, dot in dots):
                 break
-        alpha = Fraction(1)
-        for i, dot in dots:
-            bound = p.constraints[i].values.magnitude_bound()
-            needed = (bound + abs(targets[i]) + 1) / abs(dot)
-            alpha = max(alpha, 1 + needed)
-        c_vec = Mat.column([alpha * v for v in g])
-        perturbation = c_vec @ h.T
+        needed = [(p.constraints[i].values.magnitude_bound() + abs(targets[i]) + 1) / abs(dot) for i, dot in dots]
+        alpha = max([Fraction(1)] + [1 + v for v in needed])
+        perturbation = Mat.column([alpha * v for v in g]) @ h.T
 
     sys_with, sys_without = SystemPair.from_ab(ab0), SystemPair.from_ab(ab0 + perturbation)
     return _verified_pair(section, sys_with, sys_without, problem.holds)
+
+
+def _any_consistent_model(d: Dataset) -> SystemPair:
+    """Some exact member of the consistent set (free directions set to 0)."""
+    z = solve_right(d.section.stacked().T, d.x_plus.T)
+    if z is None:
+        raise InconsistentDataset("no linear system reproduces this dataset")
+    return SystemPair.from_ab(z.T)
 
 
 def distinct_consistent_pair(d: Dataset) -> Tuple[SystemPair, SystemPair]:

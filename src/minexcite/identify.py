@@ -53,7 +53,6 @@ from .ratmat import Mat, format_matrix, format_rational, invert, rank, solve_rig
 from .richness import (
     Dataset,
     InputSection,
-    _any_consistent_model,
     consistent_set_contains,
     missing_directions,
 )
@@ -210,14 +209,17 @@ def identify_controllability(d: Dataset, problem: Optional[Problem] = None) -> V
 
     With one state the plan need not be persistently exciting: X+ Q =
     [A, B] [e_2, ..., e_(m+1)] is the B every consistent model shares, and
-    controllability is B != 0.
+    controllability is B != 0.  Some model is consistent exactly when
+    X+ - B U- is a multiple a X- of the state row, with A = a.
     """
     problem = problem or Problem.of(Controllability(), d.section.dims)
     if d.section.n > 1:
         return Verdict.of(is_controllable(_full_model(d, problem)))
     b = d.x_plus @ _solve_onto(d, problem)
-    if d.section.stacked() != problem.basis:  # the independent design is consistent with any data
-        _any_consistent_model(d)  # raises InconsistentDataset when no model exists
+    x, rest = d.section.x_minus, d.x_plus - b @ d.section.u_minus
+    a = next((r / v for r, v in zip(rest.row_list(0), x.row_list(0)) if v), 0)
+    if rest != x * a:
+        raise InconsistentDataset("no linear system reproduces this dataset")
     return Verdict.of(not b.is_zero())
 
 

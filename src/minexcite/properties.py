@@ -29,20 +29,17 @@ from .ratmat import (
     EIG_MARGIN,
     Mat,
     Subspace,
+    _augmented_rref,
     as_rational,
     format_rational,
     image,
+    nonnegative_solve,
     numeric_rank,
     pivot_basis,
-    pivot_columns,
     rank,
-    solve_right,
 )
 
 import numpy as np
-
-# Fourier-Motzkin steps can square the inequality count; past this many the property is rejected
-MAX_FM_INEQUALITIES = 4096
 
 
 @dataclass(frozen=True)
@@ -567,61 +564,32 @@ def _contains_or(expr: SetExpr) -> bool:
 def _intersection_nonempty(constraints: Sequence[LinearConstraint]) -> bool:
     """Exact feasibility of {theta : h_i . theta in S_i for all i}.
 
-    The values of the leftmost independent constraints P are free and
-    h_i = c_i H_P for every i, so the set is non-empty iff some z has
-    c_i . z in S_i for all i (c_i is a unit vector for i in P).  Each box
-    of one interval per set is decided by Fourier-Motzkin elimination.
+    Values v are some H theta exactly when y . v = 0 for each row y of a
+    basis Y of the left kernel of H, read off one elimination of [H | I];
+    with no such y the constraints are independent and every v is achieved.
+    Otherwise each box of one interval [lo_i, hi_i] per set asks for some
+    x = v - lo and slack s, both nonnegative, with Y x = -Y lo and
+    x + s = hi - lo, which the phase-1 simplex of `nonnegative_solve` decides
+    exactly under Bland's rule (R. G. Bland, Math. Oper. Res. 2(2), 1977).
     """
-    basis = image(Mat([list(c.h) for c in constraints])).basis  # value space, one row per constraint
-    if basis.cols == len(constraints):
-        return True  # every value vector is achievable
-    combos = 1
-    for c in constraints:
-        combos *= len(c.values.pieces)
-    if combos > 4096:
-        raise SpecValidationError(
-            "too many interval combinations to verify non-emptiness exactly"
-        )
-    # rows P to the identity: row i becomes c_i, the unique solution of c_i H_P = h_i
-    free = pivot_columns(basis.T)
-    basis = solve_right(Mat([basis.row_list(i) for i in free]).T, basis.T).T
-    piece_lists = [c.values.pieces for c in constraints]
-    for choice in itertools.product(*piece_lists):
-        ineqs = []
-        for i, (lo, hi) in enumerate(choice):
-            row = basis.row_list(i)
-            ineqs.append((row, hi))
-            ineqs.append(([-v for v in row], -lo))
-        if _fourier_motzkin_feasible(ineqs, basis.cols):
-            return True
-    return False
-
-
-def _fourier_motzkin_feasible(ineqs: list, nvars: int) -> bool:
-    """Feasibility of {y : coeffs . y <= rhs for all (coeffs, rhs)}, in at most
-    MAX_FM_INEQUALITIES inequalities per eliminated variable."""
-    for var in range(nvars):
-        pos, neg, rest = [], [], []
-        for coeffs, rhs in ineqs:
-            c = coeffs[var]
-            if c > 0:
-                pos.append((coeffs, rhs))
-            elif c < 0:
-                neg.append((coeffs, rhs))
-            else:
-                rest.append((coeffs, rhs))
-        if len(rest) + len(pos) * len(neg) > MAX_FM_INEQUALITIES:
-            raise SpecValidationError(
-                f"verifying non-emptiness exactly needs more than {MAX_FM_INEQUALITIES} inequalities"
-            )
-        new = rest
-        for pc, pr in pos:
-            for nc, nr in neg:
-                scale_p, scale_n = -nc[var], pc[var]
-                coeffs = [scale_p * a + scale_n * b for a, b in zip(pc, nc)]
-                new.append((coeffs, scale_p * pr + scale_n * nr))
-        ineqs = new
-    return all(rhs >= 0 for _, rhs in ineqs)
+    k = len(constraints)
+    hmat = Mat([list(c.h) for c in constraints])
+    rows, pivots = _augmented_rref(hmat, Mat.identity(k))
+    relations = [row[hmat.cols :] for row in rows[len(pivots) :]]
+    if not relations:
+        return True
+    if math.prod(len(c.values.pieces) for c in constraints) > 4096:
+        raise SpecValidationError("too many interval combinations to verify non-emptiness exactly")
+    # [Y, 0; I, I] [x; s] = [-Y, 0; -I, I] [lo; hi]: a and shift are the two matrices
+    eye = [[int(i == j) for j in range(k)] for i in range(k)]
+    a, shift = (
+        Mat([[sign * y for y in row] + [0] * k for row in relations] + [[sign * v for v in e] + e for e in eye])
+        for sign in (1, -1)
+    )
+    return any(
+        nonnegative_solve(a, shift @ Mat.column([lo for lo, _ in box] + [hi for _, hi in box])) is not None
+        for box in itertools.product(*(c.values.pieces for c in constraints))
+    )
 
 
 # -- validated problems and minimum excitation subspaces -----------------------

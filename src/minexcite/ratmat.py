@@ -14,8 +14,9 @@ threads.
 Every operation works on the integers with no change to exactness: sums
 bring both operands to the lcm of their denominators, scalar products and
 `@` (integer rows added up over nonzero cells) multiply the denominators,
-and elimination runs fraction-free Gauss-Jordan on primitive integer rows.
-Each result is brought to the canonical form with a single gcd.
+and elimination runs fraction-free Gauss-Jordan on primitive integer rows,
+as does the phase-1 simplex of `nonnegative_solve`.  Each result is
+brought to the canonical form with a single gcd.
 """
 
 from __future__ import annotations
@@ -359,6 +360,19 @@ def format_matrix(m: Mat) -> str:
 
 # -- integer kernels ------------------------------------------------------
 
+def _clear_column(rows: list, r: int, c: int) -> None:
+    """Pivot on rows[r][c]: every other row with a nonzero entry f in column c
+    becomes `piv * row - f * rows[r]`, divided by the gcd of its entries."""
+    row_r = rows[r]
+    piv = row_r[c]
+    for i, row in enumerate(rows):
+        f = row[c]
+        if f and i != r:
+            new = [piv * a - f * b for a, b in zip(row, row_r)]
+            g = math.gcd(*new)
+            rows[i] = [x // g for x in new] if g > 1 else new
+
+
 def _rref(rows: list, pivot_width: int) -> list:
     """Fraction-free Gauss-Jordan elimination with pivots in the leading columns.
 
@@ -394,19 +408,46 @@ def _rref(rows: list, pivot_width: int) -> list:
         if p is None:
             continue
         rows[r], rows[p] = rows[p], rows[r]
-        row_r = rows[r]
-        piv = row_r[c]
-        for i in range(nrows):
-            f = rows[i][c]
-            if f and i != r:
-                new = [piv * a - f * b for a, b in zip(rows[i], row_r)]
-                g = math.gcd(*new)
-                rows[i] = [x // g for x in new] if g > 1 else new
+        _clear_column(rows, r, c)
         pivots.append(c)
         r += 1
         if r == nrows:
             break
     return pivots
+
+
+def nonnegative_solve(a: Mat, b: Mat) -> Optional[Mat]:
+    """Some x >= 0 with a @ x == b for a column b, or None when there is none.
+
+    Phase 1 of the simplex method on the integer rows of [a | I | b], each
+    negated where b is negative, with the artificial variables of I basic and
+    a last row of reduced costs for their sum.  A row keeps a positive
+    coefficient on its basic variable and pivots are positive, so
+    `_clear_column` is a simplex pivot and right-hand sides stay nonnegative.
+    Bland's rule (R. G. Bland, Math. Oper. Res. 2(2), 1977) enters the first
+    column of negative reduced cost and leaves, among the rows of least
+    ratio, the one whose basic variable comes first, so no basis repeats.
+    The sum's minimum is zero exactly when some x exists; the basis gives one.
+    """
+    if a.rows != b.rows or b.cols != 1:
+        raise DimensionMismatch(f"need a column of {a.rows} entries, got {b.rows}x{b.cols}")
+    common, p, m = math.lcm(a._den, b._den), a.cols, a.rows
+    an = a._scaled_nums(common)
+    rows = [
+        [x if y >= 0 else -x for x in an[i * p : (i + 1) * p]] + [int(i == j) for j in range(m)] + [abs(y)]
+        for i, y in enumerate(b._scaled_nums(common))
+    ]
+    rows.append([-sum(row[j] for row in rows) for j in range(p)] + [0] * m + [-sum(row[-1] for row in rows)])
+    basis = list(range(p, p + m))
+    while (c := next((j for j, v in enumerate(rows[m][:-1]) if v < 0), None)) is not None:
+        # some row is positive in c, as the sum of the artificials is bounded below
+        r = min((i for i in range(m) if rows[i][c] > 0), key=lambda i: (Fraction(rows[i][-1], rows[i][c]), basis[i]))
+        _clear_column(rows, r, c)
+        basis[r] = c
+    if rows[m][-1]:
+        return None
+    value = {j: Fraction(row[-1], row[j]) for j, row in zip(basis, rows)}  # nonbasic variables are 0
+    return Mat.column([value.get(j, 0) for j in range(p)])
 
 
 def rank(m: Mat) -> int:

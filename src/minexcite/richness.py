@@ -17,9 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import DimensionMismatch, InconsistentDataset
+from .errors import DimensionMismatch
 from .properties import Dims, Problem, PropertySpec, SystemPair
-from .ratmat import Mat, solve_right, unspanned_columns
+from .ratmat import Mat, unspanned_columns
 
 
 @dataclass(frozen=True)
@@ -74,14 +74,6 @@ def consistent_set_contains(d: Dataset, sys: SystemPair) -> bool:
     if sys.n != d.section.n or sys.m != d.section.m:
         raise DimensionMismatch("candidate dimensions do not match the data")
     return sys.a @ d.section.x_minus + sys.b @ d.section.u_minus == d.x_plus
-
-
-def _any_consistent_model(d: Dataset) -> SystemPair:
-    """Some exact member of the consistent set (free directions set to 0)."""
-    z = solve_right(d.section.stacked().T, d.x_plus.T)
-    if z is None:
-        raise InconsistentDataset("no linear system reproduces this dataset")
-    return SystemPair.from_ab(z.T)
 
 
 def is_sufficiently_rich(section: InputSection, p: PropertySpec) -> bool:

@@ -21,6 +21,7 @@ from minexcite.cli import EXIT_BAD_INPUT, EXIT_NOT_RICH, EXIT_OK, main
 
 H_TRACE = "1, 0, 0, 1, 0, 0"  # tr A, over vec([A, B]) for n = 2, m = 1
 H_B = "0, 0, 0, 0, 1, 0"  # B(1, 1)
+H_SUM = "1, 0, 0, 1, 1, 0"  # tr A + B(1, 1), dependent on the two above
 
 PROPERTIES = [
     {"type": "sparsity", "n": 2, "m": 1, "zeros_A": [[1, 1]], "zeros_B": [[2, 1]]},
@@ -41,6 +42,16 @@ PROPERTIES = [
         "m": 1,
         "constraints": [{"h": H_TRACE, "set": [[-1, 1]]}, {"h": H_B, "set": [0]}],
         "expr": "1 | 2",
+    },
+    {
+        "type": "linear_structure",
+        "n": 2,
+        "m": 1,
+        "constraints": [
+            {"h": H_TRACE, "set": [[-1, 1]]},
+            {"h": H_B, "set": [[0, 0], [2, 3]]},
+            {"h": H_SUM, "set": [[-1, 1], [4, 5]]},  # around 0 + 0, the sum of the midpoints
+        ],
     },
 ]
 PLANS = [

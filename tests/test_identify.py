@@ -194,6 +194,24 @@ def test_corrupted_dataset_detected():
         recover_model(Dataset(sec, Mat(cells)))
 
 
+@pytest.mark.parametrize(
+    "x, u, xp",
+    [
+        ("1, 2, 0, 0", "0, 0, 1, 0; 0, 0, 0, 1", "1, 3, 0, 0"),  # A X- would be (a, 2a)
+        ("0, 0, 0", "1, 0, 1; 0, 1, 0", "1, 1, 3"),  # equal inputs, different responses
+    ],
+)
+def test_inconsistent_scalar_data_detected(x, u, xp):
+    from minexcite import InconsistentDataset
+
+    # one state: the plan spans the input directions without being the design
+    d = Dataset(InputSection(parse_matrix(x), parse_matrix(u)), parse_matrix(xp))
+    with pytest.raises(InconsistentDataset):
+        identify_controllability(d)
+    sys = SystemPair(parse_matrix("2"), parse_matrix("1, -1"))
+    assert identify_controllability(excite(sys, d.section)) is Verdict.HAS_PROPERTY
+
+
 def test_identity_excitation_recovers_exactly():
     rng = random.Random(47)
     for _ in range(20):
@@ -365,6 +383,8 @@ def test_elimination_budget(eliminations, monkeypatch):
     assert eliminations(identify_controllability, rich(Controllability())) == own_test
     assert eliminations(identify_controllability, twisted(Controllability())) == 1 + own_test
     assert eliminations(identify_controllability, rich(Controllability(), scalar_dims, scalar)) == 0
+    # every consistent scalar model has B = X+ Q, so a product checks the data
+    assert eliminations(identify_controllability, twisted(Controllability(), scalar_dims, scalar)) == 1
 
     cases = [(design_minimum_input(p, dims), p) for p in [sparsity, *structures, Stabilizability(), Controllability()]]
     cases.append((TWO_COLUMN_PLAN, Stabilizability()))  # not rich

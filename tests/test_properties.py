@@ -1,7 +1,9 @@
 """Property catalog: vectorization, minimum subspaces, membership oracle."""
 
+import itertools
 import random
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -35,7 +37,9 @@ from minexcite import (
     vec,
     vec_inv,
 )
+from minexcite import properties
 from minexcite.properties import And, Leaf, Or, as_structure_problem, build_constraint_matrix, flat_chain_ops
+from minexcite.ratmat import nonnegative_solve
 
 from conftest import rand_sparsity, rand_system
 
@@ -423,6 +427,78 @@ def test_dependent_intersection_decided_on_value_coordinates(hs, values, nonempt
     else:
         with pytest.raises(SpecValidationError):
             minimum_subspace(p, Dims(2, 1))
+
+
+def fourier_motzkin_nonempty(constraints) -> bool:
+    """Reference: some theta with h_i . theta in S_i, box by box, every unknown
+    eliminated by Fourier-Motzkin elimination."""
+
+    def unit(coeffs, rhs) -> tuple:  # coeffs . theta <= rhs, scaled so that duplicates coincide
+        scale = next((abs(v) for v in coeffs if v), 1)
+        return tuple(v / scale for v in coeffs), rhs / scale
+
+    def feasible(ineqs, var) -> bool:
+        if var == len(constraints[0].h):
+            return all(rhs >= 0 for _, rhs in ineqs)
+        pos = [q for q in ineqs if q[0][var] > 0]
+        neg = [q for q in ineqs if q[0][var] < 0]
+        derived = {q for q in ineqs if q[0][var] == 0}
+        for pc, pr in pos:
+            for nc, nr in neg:
+                p, q = -nc[var], pc[var]
+                derived.add(unit([p * a + q * b for a, b in zip(pc, nc)], p * pr + q * nr))
+        return feasible(derived, var + 1)
+
+    for box in itertools.product(*(c.values.pieces for c in constraints)):
+        ineqs = set()
+        for c, (lo, hi) in zip(constraints, box):
+            ineqs |= {unit(c.h, hi), unit([-v for v in c.h], -lo)}
+        if feasible(ineqs, 0):
+            return True
+    return False
+
+
+@st.composite
+def small_intersections(draw):
+    """Up to five constraints in at most three unknowns, so most are dependent."""
+    unknowns = draw(st.integers(1, 3))
+    row = st.lists(st.integers(-2, 2), min_size=unknowns, max_size=unknowns).filter(any)
+    bounds = st.tuples(st.fractions(-4, 4, max_denominator=3), st.sampled_from([0, Fraction(1, 2), 1, 3]))
+    constraints = []
+    for h in draw(st.lists(row, min_size=1, max_size=5)):
+        pieces = [(lo, lo + width) for lo, width in draw(st.lists(bounds, min_size=1, max_size=2))]
+        constraints.append(LinearConstraint(tuple(h), BoundedSet.from_pairs(pieces)))
+    return constraints
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_intersections())
+def test_simplex_intersection_check_matches_fourier_motzkin(constraints):
+    solutions = []
+
+    def checked(a, b):
+        x = nonnegative_solve(a, b)
+        if x is not None:
+            assert a @ x == b and all(v >= 0 for v in x.col_list(0))
+            solutions.append(x)
+        return x
+
+    with mock.patch.object(properties, "nonnegative_solve", checked):
+        nonempty = properties._intersection_nonempty(constraints)
+    assert nonempty == fourier_motzkin_nonempty(constraints)
+    assert len(solutions) <= 1  # the first box found non-empty decides
+
+
+def test_interval_combinations_are_capped():
+    # a dependent intersection may give at most 4096 boxes to decide
+    def structure(count):
+        return LinearStructure.intersection(
+            [LinearConstraint((1,), BoundedSet.from_pairs([(0, 0), (5, 5)])) for _ in range(count)]
+        )
+
+    assert minimum_subspace(structure(12), Dims(1, 0)).dim == 1  # 4096 boxes, the first non-empty
+    with pytest.raises(SpecValidationError, match="interval combinations"):
+        minimum_subspace(structure(13), Dims(1, 0))
 
 
 def test_intersection_mode_rejects_unions():
