@@ -6,6 +6,12 @@ property; no amount of cleverness on such data can settle the question.
 This module constructs such pairs explicitly, one recipe per property
 family, and validates every pair against the exact membership oracle
 before returning it; the property table in `identify` picks the recipe.
+Each recipe reads the plan's `Span` (`ratmat.read_span`) that the
+identifier made when it found the plan deficient: its left kernel gives
+the annihilated directions, its basis the projection of a structure's
+missed column, and, for a pair of models, its transposed solve the
+consistent model.  Called without it, a recipe reads the plan itself.  The
+pairs are built on the integers of those matrices and of the problem's target.
 """
 
 from __future__ import annotations
@@ -31,9 +37,8 @@ from .properties import (
     expr_leaves,
     flat_chain_ops,
     is_stabilizable,
-    vec_inv,
 )
-from .ratmat import Mat, image, kernel, solve_right, unspanned_columns
+from .ratmat import Mat, Span, Subspace, kernel, read_span, solve_right
 from .richness import Dataset, InputSection, consistent_set_contains
 
 
@@ -47,13 +52,12 @@ class CounterexamplePair:
     shared_feedback: Mat
 
 
-def find_annihilator(section: InputSection) -> Optional[Mat]:
+def find_annihilator(section: InputSection, span: Optional[Span] = None) -> Optional[Mat]:
     """First kernel direction of the transposed plan, an (n+m) x 1 column
-    orthogonal to every excitation, or None when the plan has full rank."""
-    null = kernel(section.stacked().T)
-    if null.cols == 0:
-        return None
-    return null.col(0)
+    orthogonal to every excitation, or None when the plan has full rank.
+    `span` is the caller's read of the plan, if it has made one."""
+    null = span.kernel if span else kernel(section.stacked().T)
+    return null.col(0) if null.cols else None
 
 
 def _verified_pair(
@@ -71,42 +75,45 @@ def _verified_pair(
     return CounterexamplePair(sys_with, sys_without, section, feedback)
 
 
-def _single_row(n: int, cols: int, row: int, entries: Sequence) -> Mat:
-    cells = [[Fraction(0)] * cols for _ in range(n)]
-    cells[row] = [Fraction(v) for v in entries]
-    return Mat(cells)
+def _single_row(n: int, cols: int, row: int, nums: Sequence[int], den: int = 1) -> Mat:
+    """The n x cols matrix whose row `row` is nums / den, for a nonzero int den, and whose other rows are 0."""
+    cells = [0] * (n * cols)
+    cells[row * cols : (row + 1) * cols] = nums if den > 0 else [-x for x in nums]
+    return Mat._make(n, cols, cells, abs(den))
 
 
-def counterexample_stabilizability(section: InputSection) -> CounterexamplePair:
+def _unit(n: int, i: int) -> list:
+    return [int(j == i) for j in range(n)]
+
+
+def counterexample_stabilizability(section: InputSection, span: Optional[Span] = None) -> CounterexamplePair:
     """Stabilizable system and a consistent partner with an uncontrollable
-    eigenvalue at 1, built along an annihilated direction.
+    eigenvalue at 1, built along an annihilated direction.  Every row is read
+    off the integers of the annihilator h over its denominator d.
 
     Raises SectionIsRich when the plan is persistently exciting.
     """
-    ann = find_annihilator(section)
+    ann = find_annihilator(section, span)
     if ann is None:
         raise SectionIsRich("the plan is persistently exciting; stabilizability is decidable")
     n, m = section.n, section.m
-    h = ann.col_list(0)
-    hs, hu = h[:n], h[n:]
-    if all(v == 0 for v in hs):
+    hs, hu = ann._nums[:n], ann._nums[n:]
+    if not any(hs):
         # all annihilated weight sits on the input block
-        a_with = a_without = _single_row(n, n, 0, Mat.identity(n).row_list(0))
-        b_with = _single_row(n, m, 0, hu)
+        a_with = a_without = _single_row(n, n, 0, _unit(n, 0))
+        b_with = _single_row(n, m, 0, hu, ann._den)
     else:
-        l = next(i for i, v in enumerate(hs) if v != 0)
-        scale = -1 / hs[l]
-        a_row = [scale * v for v in hs]
-        a_row[l] += 1
-        a_with = _single_row(n, n, l, a_row)
-        b_with = _single_row(n, m, l, [scale * v for v in hu])
-        a_without = _single_row(n, n, l, Mat.identity(n).row_list(l))
+        # row l of [A, B] is e_l - h / h_l, which h annihilates against the partner's e_l
+        l = next(i for i, v in enumerate(hs) if v)
+        a_with = _single_row(n, n, l, [0 if i == l else -v for i, v in enumerate(hs)], hs[l])
+        b_with = _single_row(n, m, l, [-v for v in hu], hs[l])
+        a_without = _single_row(n, n, l, _unit(n, l))
     sys_with, sys_without = SystemPair(a_with, b_with), SystemPair(a_without, Mat.zeros(n, m))
     return _verified_pair(section, sys_with, sys_without, is_stabilizable)
 
 
 def counterexample_controllability(
-    section: InputSection, problem: Optional[Problem] = None
+    section: InputSection, problem: Optional[Problem] = None, span: Optional[Span] = None
 ) -> CounterexamplePair:
     """Controllable system and a consistent uncontrollable partner.
 
@@ -118,46 +125,38 @@ def counterexample_controllability(
     holds = (problem or Problem.of(Controllability(), section.dims)).holds
     n, m = section.n, section.m
     if n == 1:
-        null = kernel(section.stacked().T)
-        h = next((null.col(j) for j in range(null.cols) if any(null[i, j] for i in range(1, 1 + m))), None)
+        null = span.kernel if span else kernel(section.stacked().T)
+        h = next((c for c in map(null.col, range(null.cols)) if any(c._nums[1:])), None)
         if h is None:
             raise SectionIsRich("the plan already pins down the input-to-state map")
-        sys_with = SystemPair(Mat([[h[0, 0]]]), Mat([[h[i, 0] for i in range(1, 1 + m)]]))
+        sys_with = SystemPair.from_ab(h.T)
         return _verified_pair(section, sys_with, SystemPair(Mat.zeros(1, 1), Mat.zeros(1, m)), holds)
 
-    ann = find_annihilator(section)
+    ann = find_annihilator(section, span)
     if ann is None:
         raise SectionIsRich("the plan is persistently exciting; controllability is decidable")
-    h = ann.col_list(0)
-    hs, hu = h[:n], h[n:]
+    den, hs, hu = ann._den, list(ann._nums[:n]), list(ann._nums[n:])
 
     # arrange a nonzero second state coordinate by a symmetric swap
     perm = Mat.identity(n)
-    if any(v != 0 for v in hs) and hs[1] == 0:
-        first = next(i for i, v in enumerate(hs) if v != 0)
+    if any(hs) and hs[1] == 0:
+        first = next(i for i, v in enumerate(hs) if v)
         order = list(range(n))
         order[1], order[first], hs[1], hs[first] = first, 1, hs[first], hs[1]
-        perm = Mat.identity(n).take_cols(order)
+        perm = perm.take_cols(order)
 
-    ones = [Fraction(1)] * m
-    if all(v == 0 for v in hs):
-        diag = [Fraction(i) for i in range(1, n + 1)]
-        first_a = [Fraction(0)] * n
-        first_b = list(hu)
+    # the first row of [A, B] on the diagonal skeleton is h, or h / h_1 when h_1 is nonzero
+    if not any(hs):
+        diag, first = range(1, n + 1), [0] * n + hu
     elif hs[0] == 0:
-        diag = [Fraction(1), Fraction(1)] + [Fraction(i) for i in range(2, n)]
-        first_a = list(hs)
-        first_b = list(hu)
+        diag, first = [1, *range(1, n)], hs + hu
     else:
-        diag = [Fraction(i) for i in range(1, n + 1)]
-        scale = 1 / hs[0]
-        first_a = [scale * v for v in hs]
-        first_b = [scale * v for v in hu]
+        diag, first, den = range(1, n + 1), hs + hu, hs[0]
 
-    base_a = Mat.from_flat(n, n, [diag[i] if i == j else Fraction(0) for i in range(n) for j in range(n)])
-    a_with = base_a + _single_row(n, n, 0, first_a)
-    b_with = Mat([first_b] + [ones] * (n - 1)) if m else Mat.zeros(n, 0)
-    b_without = Mat([[Fraction(0)] * m] + [ones] * (n - 1)) if m else Mat.zeros(n, 0)
+    base_a = Mat._make(n, n, [diag[i] if i == j else 0 for i in range(n) for j in range(n)])
+    b_without = Mat._make(n, m, [0] * m + [1] * (m * (n - 1)))
+    a_with = base_a + _single_row(n, n, 0, first[:n], den)
+    b_with = b_without + _single_row(n, m, 0, first[n:], den)
 
     # undo the coordinate swap
     a_with = perm.T @ a_with @ perm
@@ -240,17 +239,21 @@ def algorithm2_signs(expr: SetExpr, c1: frozenset) -> tuple:
 
 
 def counterexample_sparsity(
-    section: InputSection, p: Sparsity, seed: int = 0, problem: Optional[Problem] = None
+    section: InputSection, p: Sparsity, seed: int = 0, problem: Optional[Problem] = None, span: Optional[Span] = None
 ) -> CounterexamplePair:
     """Property-split pair for a zero pattern, built on its equivalent structure."""
     problem = problem or Problem.of(p, section.dims)
     structure = as_structure_problem(problem)
-    pair = counterexample_structure(section, structure.prop, seed, structure)
+    pair = counterexample_structure(section, structure.prop, seed, structure, span)
     return _verified_pair(section, pair.sys_with, pair.sys_without, problem.holds)
 
 
 def counterexample_structure(
-    section: InputSection, p: LinearStructure, seed: int = 0, problem: Optional[Problem] = None
+    section: InputSection,
+    p: LinearStructure,
+    seed: int = 0,
+    problem: Optional[Problem] = None,
+    span: Optional[Span] = None,
 ) -> CounterexamplePair:
     """Property-split pair for a combined linear structure.
 
@@ -259,25 +262,28 @@ def counterexample_structure(
     a reference system according to the sign selection, and perturbs it
     along the invisible direction far enough to break every touched
     constraint.  The perturbation scale for bracketed combinations uses a
-    seeded generator so results are replayable.
+    seeded generator so results are replayable.  The missed columns and the
+    span's basis come from `span`, the caller's read of the plan, or from
+    one read here; the constraint rows and the reference system are read
+    off the integers of the target and of the signed solve.
     """
     problem = problem or Problem.of(p, section.dims)
     dims, m_mat = problem.dims, problem.target
-    n = dims.n
-    stacked = section.stacked()
-    missed = unspanned_columns(stacked, m_mat)
+    n, total, count = dims.n, dims.total, len(p.constraints)
+    span = span or read_span(section.stacked())
+    missed = span.unspanned(m_mat)
     if not missed:
         raise SectionIsRich("the plan spans the constraint directions; the structure is decidable")
     col_idx = missed[0]
     l, j = col_idx // n, col_idx % n
     w = m_mat.col(col_idx)
-    h = w - image(stacked).project(w)
+    h = w - Subspace._of_independent(span.basis).project(w)
     if h.is_zero():
         raise InternalFault("a missed column must leave a nonzero residual")
 
     # entry i*n + r of h^T M is row r of vec_inv(h_i) @ h, M's block i being vec_inv(h_i)^T
     touched = (h.T @ m_mat).row_list(0)
-    c1 = frozenset(i + 1 for i in range(len(p.constraints)) if any(touched[i * n : (i + 1) * n]))
+    c1 = frozenset(i + 1 for i in range(count) if any(touched[i * n : (i + 1) * n]))
     if (l + 1) not in c1:
         raise InternalFault("the missed column's constraint must be touched")
 
@@ -287,18 +293,21 @@ def counterexample_structure(
         c.values.point_inside() if s == KEEP else c.values.point_outside()
         for c, s in zip(p.constraints, signs)
     ]
-    hmat = Mat([list(c.h) for c in p.constraints])
+    # h_i is row r of M's block i for r = 1..n+m in turn, and theta is vec([A, B])
+    rows = m_mat._int_rows()
+    h_nums = [x for i in range(count) for row in rows for x in row[i * n : (i + 1) * n]]
+    hmat = Mat._make(count, n * total, h_nums, m_mat._den)
     theta = solve_right(hmat, Mat.column(targets))
     if theta is None:
         raise InfeasibleSigns(
             "no system realizes the signed constraint targets; the constraint "
             "vectors are not independent enough for this combination"
         )
-    ab0 = vec_inv([theta[i, 0] for i in range(theta.rows)], n, dims.total)
+    ab0 = Mat._make(n, total, [theta._nums[c * n + r] for r in range(n) for c in range(total)], theta._den)
 
     if p.mode is Mode.INTERSECTION:
         scalar = (p.constraints[l].values.point_outside() - targets[l]) / touched[col_idx]
-        perturbation = _single_row(n, dims.total, j, [scalar * h[i, 0] for i in range(dims.total)])
+        perturbation = _single_row(n, total, j, h._nums, h._den) * scalar
     else:
         rng = random.Random(seed)
         while True:  # a nonzero g with g . (vec_inv(h_i) @ h) nonzero for every touched i
@@ -314,26 +323,23 @@ def counterexample_structure(
     return _verified_pair(section, sys_with, sys_without, problem.holds)
 
 
-def _any_consistent_model(d: Dataset) -> SystemPair:
-    """Some exact member of the consistent set (free directions set to 0)."""
-    z = solve_right(d.section.stacked().T, d.x_plus.T)
-    if z is None:
-        raise InconsistentDataset("no linear system reproduces this dataset")
-    return SystemPair.from_ab(z.T)
-
-
-def distinct_consistent_pair(d: Dataset) -> Tuple[SystemPair, SystemPair]:
+def distinct_consistent_pair(d: Dataset, span: Optional[Span] = None) -> Tuple[SystemPair, SystemPair]:
     """Two different systems reproducing a rank-deficient dataset exactly.
 
     This certifies that the model cannot be identified from the data; it
-    carries no property split.
+    carries no property split.  One read of the plan beside X+ gives both:
+    the consistent model whose free directions are 0 (the transposed solve)
+    and a second one shifted along the first annihilator.  `span` is that
+    read when model recovery has already made it.
     """
-    ann = find_annihilator(d.section)
+    span = span or read_span(d.section.stacked(), d.x_plus)
+    ann = find_annihilator(d.section, span)
     if ann is None:
         raise SectionIsRich("the plan is persistently exciting; the model is unique")
-    base = _any_consistent_model(d)
-    n, total = d.section.n, d.section.dims.total
-    shift = _single_row(n, total, 0, ann.col_list(0))
+    if span.solution is None:
+        raise InconsistentDataset("no linear system reproduces this dataset")
+    base = SystemPair.from_ab(span.solution.T)
+    shift = _single_row(d.section.n, d.section.dims.total, 0, ann._nums, ann._den)
     other = SystemPair.from_ab(base.ab() + shift)
     for sys in (base, other):
         if not consistent_set_contains(d, sys):

@@ -3,7 +3,9 @@
 Verbs: design, check, identify, recover, gain, counterexample, simulate,
 bench.  Exit statuses: 0 when a verdict or artifact was produced, 2 when
 the excitation plan is not sufficiently rich, 3 for malformed or
-inapplicable input, 4 for an internal invariant failure.
+inapplicable input, 4 for an internal invariant failure.  A property
+document is validated once, by `specio.load_problem`, and the verbs pass
+that problem down.
 """
 
 from __future__ import annotations
@@ -48,8 +50,8 @@ def _emit(pairs, fmt: str) -> None:
 
 
 def _cmd_design(args) -> int:
-    prop, dims = specio.load_property(args.property)
-    section = design_minimum_input(prop, dims)
+    problem = specio.load_problem(args.property)
+    section = design_minimum_input(problem.prop, problem.dims, problem)
     text = specio.dump_input_section(section)
     if args.out:
         Path(args.out).write_text(text)
@@ -60,31 +62,33 @@ def _cmd_design(args) -> int:
     return EXIT_OK
 
 
-def _property_and_plan(args) -> tuple:
-    prop, dims = specio.load_property(args.property)
+def _problem_and_plan(args) -> tuple:
+    problem = specio.load_problem(args.property)
     section = specio.load_input_section(args.input)
-    if section.dims != dims:
+    if section.dims != problem.dims:
         raise SpecValidationError("plan dimensions disagree with the property document")
-    return prop, section
+    return problem, section
 
 
 def _cmd_check(args) -> int:
-    prop, section = _property_and_plan(args)
-    rich = is_sufficiently_rich(section, prop)
+    problem, section = _problem_and_plan(args)
+    prop = problem.prop
+    rich = is_sufficiently_rich(section, prop, problem)
     rows = [("property", prop.label()), ("k", section.k), ("sufficiently_rich", rich)]
     if not rich and args.verbose:
-        for i, col in enumerate(missing_directions(section, prop)):
+        for i, col in enumerate(missing_directions(section, prop, problem)):
             rows.append((f"missing_{i + 1}", format_matrix(col.T)))
     _emit(rows, args.format)
     return EXIT_OK if rich else EXIT_NOT_RICH
 
 
 def _cmd_identify(args) -> int:
-    prop, dims = specio.load_property(args.property)
+    problem = specio.load_problem(args.property)
     data = specio.load_dataset(args.data)
-    if data.section.dims != dims:
+    if data.section.dims != problem.dims:
         raise SpecValidationError("dataset dimensions disagree with the property document")
-    return _emit_identification([("property", prop.label())], identify_property(data, prop), args)
+    res = identify_property(data, problem.prop, problem)
+    return _emit_identification([("property", problem.prop.label())], res, args)
 
 
 def _cmd_recover(args) -> int:
@@ -117,9 +121,9 @@ def _cmd_gain(args) -> int:
 
 
 def _cmd_counterexample(args) -> int:
-    prop, section = _property_and_plan(args)
+    problem, section = _problem_and_plan(args)
     try:
-        res = counterexample_report(section, prop, args.seed)
+        res = counterexample_report(section, problem.prop, args.seed, problem)
     except SectionIsRich as exc:
         _emit([("verdict", "section_is_rich"), ("detail", exc)], args.format)
         return EXIT_OK

@@ -13,12 +13,14 @@ class NotSufficientlyRich(Exception):
     """An excitation plan cannot settle the requested property.
 
     Carries the unit directions of the minimum subspace that the plan
-    fails to span, as a list of column vectors.
+    fails to span, as a list of column vectors, and `span`, the identifier's
+    read of the plan (a `ratmat.Span`), which the counterexample recipe reuses.
     """
 
-    def __init__(self, message, missing=()):
+    def __init__(self, message, missing=(), span=None):
         super().__init__(message)
         self.missing = tuple(missing)
+        self.span = span
 
 
 class SectionIsRich(Exception):

@@ -7,8 +7,12 @@ system one step per column (states are reset between excitations, never
 continued along a trajectory), then applies the matching identifier.
 Deficient explicit plans additionally get a certifying counterexample.
 A designed plan is the design's basis, so the identifier reuses the
-design's Q with no solve, and a full-space model is X+ Q checked by a
-product: a designed run eliminates only inside the property's own test.
+design's Q with no solve, and a full-space model is X+ Q: a designed run
+eliminates only inside the property's own test.  On an explicit plan the
+identifier's read of the plan's span travels with its failure, in
+`NotSufficientlyRich` or the not_identifiable result, to the certificate,
+which reads its annihilators and consistent model from it.  An explicit
+square plan's gain leaves its spectral radius unread.
 """
 
 from __future__ import annotations
@@ -94,10 +98,10 @@ def run(sc: Scenario) -> RunReport:
     try:
         res = identify_property(dataset, sc.prop, sc.problem)
     except NotSufficientlyRich as exc:
-        pair = counterexample_report(section, sc.prop, sc.seed, sc.problem).pair
+        pair = counterexample_report(section, sc.prop, sc.seed, sc.problem, exc.span).pair
         return report("not_sufficiently_rich", counterexample=pair, missing=exc.missing)
     if res.outcome == "not_identifiable":
-        return report(res.outcome, model_pair=distinct_consistent_pair(dataset))
+        return report(res.outcome, model_pair=distinct_consistent_pair(dataset, res.span))
     return report(res.outcome, verdict=res.verdict, q=res.q, recovered=res.recovered)
 
 

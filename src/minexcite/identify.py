@@ -1,18 +1,23 @@
 """Direct property identification from excitation and feedback data.
 
-All verdicts here are guaranteed.  Each identifier solves
-[X-; U-] Q = target once, for a target that spans the property's minimum
-subspace, and that solve is the richness test: when it has no solution
-the plan is not sufficiently rich and `NotSufficientlyRich` is raised
-with the unspanned directions.  The target and the design come from a
-validated `Problem`: a plan equal to the design reuses the design's Q, and
-a full-space model is [A, B] = X+ Q, checked by the product [A, B] [X-; U-]
-== X+.  With rich data a structure is decided without recovering the
-model, by checking entries or traces of X+ Q.
+All verdicts here are guaranteed.  The target and the design come from a
+validated `Problem`, and a plan equal to the design reuses the design's Q.
+On any other plan, a zero pattern, a structure or a scalar state's
+controllability solves [X-; U-] Q = target once, and that solve is the
+richness test; with rich data the property is decided without recovering
+the model, by checking entries or traces of X+ Q.  A target of the whole
+space (identifiability, stabilizability, controllability) takes one
+elimination of [X-; U-]^T beside X+^T instead (`ratmat.read_span`): its
+rank decides richness and its transposed solve is the model [A, B], or
+shows that no system reproduces the data.  A deficient plan raises
+`NotSufficientlyRich` with the missing directions, read off that span's
+left kernel, and the span itself, from which the counterexample recipe
+reads its certificate; `NotIdentifiable` carries it the same way.
 Zero tests are exact; floats appear only in the spectral radius of a
-synthesized closed loop and in the stabilizability test.  That radius is
-Newton-polished on the square-free part of the closed loop's exact
-characteristic polynomial, so repeated eigenvalues keep full accuracy.
+synthesized closed loop, computed when first read, and in the
+stabilizability test.  That radius is Newton-polished on the square-free
+part of the closed loop's exact characteristic polynomial, so repeated
+eigenvalues keep full accuracy.
 
 One table maps each property class to its identifier and its
 counterexample recipe; `identify_property`, `counterexample_report` and
@@ -21,10 +26,11 @@ counterexample recipe; `identify_property`, `counterexample_report` and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from typing import Callable, NamedTuple, Optional, Union
+from functools import cached_property
+from typing import Callable, NamedTuple, NoReturn, Optional, Union
 
 from .adversary import (
     CounterexamplePair,
@@ -44,12 +50,23 @@ from .properties import (
     Sparsity,
     Stabilizability,
     SystemPair,
+    block_traces,
     evaluate_expr,
     is_controllable,
     is_stabilizable,
     sparsity_columns,
 )
-from .ratmat import Mat, format_matrix, format_rational, invert, rank, solve_right, spectral_radius_info
+from .ratmat import (
+    Mat,
+    SpectralInfo,
+    Span,
+    format_matrix,
+    format_rational,
+    invert,
+    read_span,
+    solve_right,
+    spectral_radius_info,
+)
 from .richness import (
     Dataset,
     InputSection,
@@ -97,10 +114,12 @@ class StructureReport:
 
 @dataclass(frozen=True)
 class NotIdentifiable:
-    """Model recovery failed: the stacked plan is rank deficient."""
+    """Model recovery failed: the stacked plan is rank deficient.  `span` is the
+    read of the plan and its data that found it, and takes no part in equality."""
 
     stacked_rank: int
     deficit: int
+    span: Optional[Span] = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -110,13 +129,34 @@ class GainResult:
     `radius` is the spectral radius of the closed loop, Newton-polished on
     the square-free part of its exact characteristic polynomial at every
     size; the caller decides success, conventionally radius < 1 - margin,
-    and should distrust any verdict when `marginal` is set.
+    and should distrust any verdict when `marginal` is set.  Both come from
+    one `spectral_radius_info` call, made when either is first read.
     """
 
     gain: Mat
     closed_loop: Mat
-    radius: float
-    marginal: bool
+
+    @cached_property
+    def _spectrum(self) -> SpectralInfo:
+        return spectral_radius_info(self.closed_loop)
+
+    @property
+    def radius(self) -> float:
+        return self._spectrum.radius
+
+    @property
+    def marginal(self) -> bool:
+        return self._spectrum.marginal
+
+
+def _not_rich(section: InputSection, problem: Problem, span: Span) -> NoReturn:
+    """Raise NotSufficientlyRich with the directions `span`, the plan's read, misses."""
+    missing = missing_directions(section, problem.prop, problem, span)
+    raise NotSufficientlyRich(
+        f"plan spans too little: {len(missing)} direction(s) of the minimum subspace missing",
+        missing=missing,
+        span=span,
+    )
 
 
 def _solve_onto(d: Dataset, problem: Problem) -> Mat:
@@ -124,18 +164,15 @@ def _solve_onto(d: Dataset, problem: Problem) -> Mat:
 
     A plan equal to the design's basis takes the design's q, the only
     solution.  Any other plan takes one solve, which is the richness test:
-    no solution means the plan misses a direction of the minimum subspace.
+    no solution means the plan misses a direction of the minimum subspace,
+    and one read of the plan's span names them.
     """
     stacked = d.section.stacked()
     if stacked == problem.basis:
         return problem.q
     q = solve_right(stacked, problem.target)
     if q is None:
-        missing = missing_directions(d.section, problem.prop, problem)
-        raise NotSufficientlyRich(
-            f"plan spans too little: {len(missing)} direction(s) of the minimum subspace missing",
-            missing=missing,
-        )
+        _not_rich(d.section, problem, read_span(stacked))
     return q
 
 
@@ -166,9 +203,7 @@ def identify_linear_structure(
     results are folded through the expression.
     """
     q = _solve_onto(d, problem or Problem.of(p, d.section.dims))
-    product = d.x_plus @ q
-    n = d.section.n
-    values = tuple(product.take_cols(range(i * n, (i + 1) * n)).trace() for i in range(len(p.constraints)))
+    values = block_traces(d.x_plus @ q, d.section.n)
     satisfied = tuple(c.values.contains(v) for c, v in zip(p.constraints, values))
     verdict = Verdict.of(evaluate_expr(p.expr, satisfied))
     return StructureReport(verdict, q, values, satisfied)
@@ -180,22 +215,37 @@ def recover_model(d: Dataset, problem: Optional[Problem] = None) -> Union[System
     Raises InconsistentDataset when no linear system reproduces the data,
     which can only happen on corrupted input.
     """
-    problem = problem or Problem.of(Identifiability(), d.section.dims)
+    model = _model_or_span(d, problem or Problem.of(Identifiability(), d.section.dims))
+    if isinstance(model, Span):
+        return NotIdentifiable(model.rank, d.section.dims.total - model.rank, model)
+    return model
+
+
+def _model_or_span(d: Dataset, problem: Problem) -> Union[SystemPair, Span]:
+    """The one consistent model for a target of I, or the plan's span when it is deficient.
+
+    The designed plan I gives [A, B] = X+ Q.  Any other plan takes one
+    elimination of [X-; U-]^T beside X+^T: a rank short of n+m is returned as
+    the span read, else [A, B] is the transposed solve Z^T, which exists
+    exactly when some linear system reproduces the data.
+    """
     stacked = d.section.stacked()
-    if stacked != problem.basis:  # the designed plan I has full rank
-        r, total = rank(stacked), d.section.dims.total
-        if r < total:
-            return NotIdentifiable(stacked_rank=r, deficit=total - r)
-    return _full_model(d, problem)
+    if stacked == problem.basis:
+        return SystemPair.from_ab(d.x_plus @ problem.q)
+    span = read_span(stacked, d.x_plus)
+    if span.rank < stacked.rows:
+        return span
+    if span.solution is None:
+        raise InconsistentDataset("no linear system reproduces this dataset")
+    return SystemPair.from_ab(span.solution.T)
 
 
 def _full_model(d: Dataset, problem: Problem) -> SystemPair:
-    """The one consistent model, once the plan is found rich for a target of I:
-    [A, B] = X+ Q, checked by the product [A, B] [X-; U-] == X+."""
-    ab = d.x_plus @ _solve_onto(d, problem)
-    if ab @ d.section.stacked() != d.x_plus:
-        raise InconsistentDataset("no linear system reproduces this dataset")
-    return SystemPair.from_ab(ab)
+    """The one consistent model; NotSufficientlyRich when the plan is deficient."""
+    model = _model_or_span(d, problem)
+    if isinstance(model, Span):
+        _not_rich(d.section, problem, model)
+    return model
 
 
 def identify_stabilizability(d: Dataset, problem: Optional[Problem] = None) -> Verdict:
@@ -227,7 +277,8 @@ def gain_from_data(d: Dataset) -> GainResult:
     """Feedback gain U- X-^{-1} and the closed loop X+ X-^{-1}, exactly.
 
     Only applicable when the state block is square and invertible; the
-    spectral radius of the closed loop is computed in floating point.
+    spectral radius of the closed loop is computed in floating point, when
+    the result's `radius` or `marginal` is first read.
     """
     n = d.section.n
     if d.section.k != n:
@@ -235,9 +286,7 @@ def gain_from_data(d: Dataset) -> GainResult:
     x_inv = invert(d.section.x_minus)
     if x_inv is None:
         raise GainNotApplicable("the state block is singular")
-    closed_loop = d.x_plus @ x_inv
-    info = spectral_radius_info(closed_loop)
-    return GainResult(d.section.u_minus @ x_inv, closed_loop, info.radius, info.marginal)
+    return GainResult(d.section.u_minus @ x_inv, d.x_plus @ x_inv)
 
 
 # -- one table for every property ---------------------------------------------
@@ -249,7 +298,9 @@ class Identification:
     `outcome` is has_property, lacks_property, identified, not_identifiable
     or counterexample.  `facts()` gives the (name, value) rows that always
     go with the outcome and `certificate()` the rows that show how the
-    verdict was reached; both format only when called.
+    verdict was reached; both format only when called.  A not_identifiable
+    outcome of data carries the `span` read that found it, from which
+    `distinct_consistent_pair` builds its pair.
     """
 
     outcome: str
@@ -257,6 +308,7 @@ class Identification:
     q: Optional[Mat] = None
     recovered: Optional[SystemPair] = None
     pair: Optional[CounterexamplePair] = None
+    span: Optional[Span] = None
     facts: Callable[[], list] = list
     certificate: Callable[[], list] = list
 
@@ -270,7 +322,9 @@ def _identify_model(d: Dataset, problem: Problem) -> Identification:
     result = recover_model(d, problem)
     if isinstance(result, NotIdentifiable):
         return Identification(
-            "not_identifiable", facts=lambda: [("rank", result.stacked_rank), ("deficit", result.deficit)]
+            "not_identifiable",
+            span=result.span,
+            facts=lambda: [("rank", result.stacked_rank), ("deficit", result.deficit)],
         )
     return Identification("identified", recovered=result, facts=lambda: system_rows("", result))
 
@@ -303,7 +357,7 @@ def _identify_structure(d: Dataset, problem: Problem) -> Identification:
     )
 
 
-def _model_pair(section: InputSection, problem: Problem, seed: int) -> Identification:
+def _model_pair(section: InputSection, problem: Problem, seed: int, span: Optional[Span]) -> Identification:
     """Two distinct systems sharing the feedback of the zero system."""
     shared = Dataset(section, Mat.zeros(section.n, section.k))
     first, second = distinct_consistent_pair(shared)
@@ -340,24 +394,26 @@ def _split(pair: CounterexamplePair, problem: Problem, seed: int) -> Identificat
 
 class _Entry(NamedTuple):
     identify: Callable[[Dataset, Problem], Identification]
-    counterexample: Callable[[InputSection, Problem, int], Identification]
+    counterexample: Callable[[InputSection, Problem, int, Optional[Span]], Identification]
 
 
 _PROPERTIES = {
     Identifiability: _Entry(_identify_model, _model_pair),
     Stabilizability: _Entry(
         lambda d, pb: _of_verdict(identify_stabilizability(d, pb)),
-        lambda s, pb, seed: _split(counterexample_stabilizability(s), pb, seed),
+        lambda s, pb, seed, span: _split(counterexample_stabilizability(s, span), pb, seed),
     ),
     Controllability: _Entry(
         lambda d, pb: _of_verdict(identify_controllability(d, pb)),
-        lambda s, pb, seed: _split(counterexample_controllability(s, pb), pb, seed),
+        lambda s, pb, seed, span: _split(counterexample_controllability(s, pb, span), pb, seed),
     ),
     Sparsity: _Entry(
-        _identify_pattern, lambda s, pb, seed: _split(counterexample_sparsity(s, pb.prop, seed, pb), pb, seed)
+        _identify_pattern,
+        lambda s, pb, seed, span: _split(counterexample_sparsity(s, pb.prop, seed, pb, span), pb, seed),
     ),
     LinearStructure: _Entry(
-        _identify_structure, lambda s, pb, seed: _split(counterexample_structure(s, pb.prop, seed, pb), pb, seed)
+        _identify_structure,
+        lambda s, pb, seed, span: _split(counterexample_structure(s, pb.prop, seed, pb, span), pb, seed),
     ),
 }
 
@@ -369,11 +425,17 @@ def identify_property(d: Dataset, p: PropertySpec, problem: Optional[Problem] = 
 
 
 def counterexample_report(
-    section: InputSection, p: PropertySpec, seed: int = 0, problem: Optional[Problem] = None
+    section: InputSection,
+    p: PropertySpec,
+    seed: int = 0,
+    problem: Optional[Problem] = None,
+    span: Optional[Span] = None,
 ) -> Identification:
     """Proof that `section` cannot decide `p`: a property-split pair, or for
-    identifiability two models sharing zero feedback; SectionIsRich if it can."""
-    return _PROPERTIES[type(p)].counterexample(section, problem or Problem.of(p, section.dims), seed)
+    identifiability two models sharing zero feedback; SectionIsRich if it can.
+    `span` is the plan's read that `NotSufficientlyRich` carries, when the
+    identifier has made one; the recipe reads the plan itself otherwise."""
+    return _PROPERTIES[type(p)].counterexample(section, problem or Problem.of(p, section.dims), seed, span)
 
 
 def counterexample_for(section: InputSection, p: PropertySpec, seed: int = 0) -> CounterexamplePair:

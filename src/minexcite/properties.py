@@ -11,7 +11,8 @@ input and feedback data alone.  `Problem.of` validates a property once and
 gives the target its identifier solves onto, a spanning set of that
 subspace, and on request the design: a basis of it with the target's
 coordinates in that basis.  `has_property` is the ground-truth membership
-oracle used by tests and by counterexample validation.
+oracle used by tests and by counterexample validation; a structure's values
+are the block traces of [A, B] times its target, the identifier's formula.
 """
 
 from __future__ import annotations
@@ -344,7 +345,8 @@ class PropertySpec:
         """(basis, q) with basis @ q == target; a target of independent columns is its own basis."""
         return target, Mat.identity(target.cols)
 
-    def _holds(self, sys: SystemPair) -> bool:
+    def _holds(self, sys: SystemPair, target: Mat) -> bool:
+        """Membership of `sys`, given the target of its dimensions."""
         raise SpecValidationError(f"{self.type_name} is a property of data, not of a single system")
 
 
@@ -361,7 +363,7 @@ class Stabilizability(PropertySpec):
 
     type_name = "stabilizability"
 
-    def _holds(self, sys: SystemPair) -> bool:
+    def _holds(self, sys: SystemPair, target: Mat) -> bool:
         return is_stabilizable(sys)
 
 
@@ -380,7 +382,7 @@ class Controllability(PropertySpec):
             return Mat.identity(dims.total).take_cols(range(1, dims.total))
         return Mat.identity(dims.total)
 
-    def _holds(self, sys: SystemPair) -> bool:
+    def _holds(self, sys: SystemPair, target: Mat) -> bool:
         return is_controllable(sys)
 
 
@@ -430,7 +432,7 @@ class Sparsity(PropertySpec):
     def _target(self, dims: Dims) -> Mat:
         return Mat.identity(dims.total).take_cols(sparsity_columns(self, dims))
 
-    def _holds(self, sys: SystemPair) -> bool:
+    def _holds(self, sys: SystemPair, target: Mat) -> bool:
         return all(sys.a[r - 1, c - 1] == 0 for r, c in self.zeros_a) and all(
             sys.b[r - 1, c - 1] == 0 for r, c in self.zeros_b
         )
@@ -493,8 +495,8 @@ class LinearStructure(PropertySpec):
     def _design(self, target: Mat, eliminate: bool) -> tuple:
         return pivot_basis(target) if eliminate else (None, None)
 
-    def _holds(self, sys: SystemPair) -> bool:
-        values = structure_values(sys, self.constraints)
+    def _holds(self, sys: SystemPair, target: Mat) -> bool:
+        values = block_traces(sys.ab() @ target, sys.n)
         return evaluate_expr(self.expr, [c.values.contains(v) for c, v in zip(self.constraints, values)])
 
 
@@ -526,6 +528,14 @@ def build_constraint_matrix(constraints: Sequence[LinearConstraint], dims: Dims)
     den = math.lcm(*(d for row in ratios for _, d in row))
     nums = [x * (den // d) for r in range(dims.total) for row in ratios for x, d in row[r * n : (r + 1) * n]]
     return Mat._make(dims.total, len(constraints) * n, nums, den)
+
+
+def block_traces(product: Mat, n: int) -> tuple:
+    """Traces of the n-column blocks of an n-row product.  Block i of a
+    structure's target is vec_inv(h_i)^T, so with [A, B] @ target, or X+ Q
+    for [X-; U-] Q = target, trace i is the constraint value h_i . vec([A, B])."""
+    c = product.cols
+    return tuple(Fraction(sum(product._nums[s * c + b + s] for s in range(n)), product._den) for b in range(0, c, n))
 
 
 def sparsity_columns(p: Sparsity, dims: Dims) -> list:
@@ -621,7 +631,7 @@ class Problem:
 
     def holds(self, sys: SystemPair) -> bool:
         """`has_property` for a system of these dimensions, without validating again."""
-        return self.prop._holds(sys)
+        return self.prop._holds(sys, self.target)
 
 
 def minimum_subspace(p: PropertySpec, dims: Dims) -> Subspace:
@@ -630,18 +640,6 @@ def minimum_subspace(p: PropertySpec, dims: Dims) -> Subspace:
 
 
 # -- ground-truth membership oracle ------------------------------------------
-
-def structure_values(sys: SystemPair, constraints: Sequence[LinearConstraint]) -> list:
-    """Exact values h_i . vec([A, B]) for each constraint, over the nonzero
-    weights only: entry k of vec([A, B]) is cell (k mod n, k div n)."""
-    ab, n = sys.ab(), sys.n
-    values = []
-    for c in constraints:
-        if len(c.h) != n * ab.cols:
-            raise DimensionMismatch("constraint length does not match the system size")
-        values.append(sum((h * ab[k % n, k // n] for k, h in enumerate(c.h) if h), Fraction(0)))
-    return values
-
 
 def is_controllable(sys: SystemPair) -> bool:
     """Exact rank test on the Krylov matrices K_j = [B, AB, ..., A^(j-1) B].
@@ -686,5 +684,4 @@ def is_stabilizable(sys: SystemPair, tol: float = EIG_MARGIN) -> bool:
 
 def has_property(sys: SystemPair, p: PropertySpec) -> bool:
     """Ground-truth membership test for every decidable catalog entry."""
-    validate_property(p, sys.dims)
-    return p._holds(sys)
+    return Problem.of(p, sys.dims).holds(sys)

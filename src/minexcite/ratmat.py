@@ -459,6 +459,27 @@ def pivot_columns(m: Mat) -> list:
     return _rref(m._int_rows(), m.cols)
 
 
+def _reduced_read(rows: list, pivots: list, p: int, rhs: Optional[range] = None) -> Mat:
+    """A matrix of p rows read off an elimination whose pivots lie in the first p columns.
+
+    With `rhs`, the columns of a right-hand side, it is the solution whose free
+    variables are 0: row pc, for the pivot pc of row r, is rows[r][rhs] / rows[r][pc].
+    Without, it is the kernel basis, one vector per free variable set to 1,
+    leftmost first: row pc is -rows[r][free] / rows[r][pc] and row free[j] is e_j.
+    """
+    pivot_set = set(pivots)
+    cols = rhs if rhs is not None else [c for c in range(p) if c not in pivot_set]
+    den, sign = math.lcm(*(rows[r][pc] for r, pc in enumerate(pivots))), 1 if rhs is not None else -1
+    nums = [[0] * len(cols) for _ in range(p)]
+    for r, pc in enumerate(pivots):
+        scale = sign * (den // rows[r][pc])
+        nums[pc] = [rows[r][j] * scale for j in cols]
+    if rhs is None:
+        for j, f in enumerate(cols):
+            nums[f][j] = den
+    return Mat._make(p, len(cols), [x for row in nums for x in row], den)
+
+
 def kernel(m: Mat) -> Mat:
     """Basis of the right kernel as columns, leftmost-free-variable first.
 
@@ -466,19 +487,7 @@ def kernel(m: Mat) -> Mat:
     the output is deterministic and reproducible.
     """
     rows = m._int_rows()
-    pivots = _rref(rows, m.cols)
-    pivot_set = set(pivots)
-    free = [c for c in range(m.cols) if c not in pivot_set]
-    # over the lcm of the pivots, pivot variable pc of basis vector f is
-    # -rows[r][f] / rows[r][pc] and free variable f is 1
-    den = math.lcm(*(rows[r][pc] for r, pc in enumerate(pivots)))
-    nums = [[0] * len(free) for _ in range(m.cols)]
-    for r, pc in enumerate(pivots):
-        scale = den // rows[r][pc]
-        nums[pc] = [-rows[r][f] * scale for f in free]
-    for j, f in enumerate(free):
-        nums[f][j] = den
-    return Mat._make(m.cols, len(free), [x for row in nums for x in row], den)
+    return _reduced_read(rows, _rref(rows, m.cols), m.cols)
 
 
 def _augmented_rref(a: Mat, b: Mat) -> tuple:
@@ -503,16 +512,9 @@ def solve_right(a: Mat, b: Mat) -> Optional[Mat]:
     free variable set to 0, which yields the minimal-support solution.
     """
     rows, pivots = _augmented_rref(a, b)
-    p, q = a.cols, b.cols
-    if any(any(row[p:]) for row in rows[len(pivots) :]):
+    if any(any(row[a.cols :]) for row in rows[len(pivots) :]):
         return None
-    # row pc of Q is rows[r][p:] / rows[r][pc]; put Q over the lcm of the pivots
-    den = math.lcm(*(rows[r][pc] for r, pc in enumerate(pivots)))
-    nums = [[0] * q for _ in range(p)]
-    for r, pc in enumerate(pivots):
-        scale = den // rows[r][pc]
-        nums[pc] = [x * scale for x in rows[r][p:]]
-    return Mat._make(p, q, [x for row in nums for x in row], den)
+    return _reduced_read(rows, pivots, a.cols, range(a.cols, a.cols + b.cols))
 
 
 def pivot_basis(m: Mat) -> tuple:
@@ -530,6 +532,39 @@ def unspanned_columns(a: Mat, b: Mat) -> list:
     rows, pivots = _augmented_rref(a, b)
     zero_rows = rows[len(pivots) :]
     return [j for j in range(b.cols) if any(row[a.cols + j] for row in zero_rows)]
+
+
+@dataclass(frozen=True)
+class Span:
+    """What one elimination of [a^T | b^T] tells of the column span of a (see `read_span`):
+    its rank, Y = kernel(a.T), a basis of im a, and solve_right(a.T, b.T) or None."""
+
+    rank: int
+    kernel: Mat
+    basis: Mat
+    solution: Optional[Mat]
+
+    def unspanned(self, b: Mat) -> list:
+        """Indices of the columns of b outside im a, as `unspanned_columns(a, b)`
+        gives them: the nonzero columns of the product Y^T b."""
+        seen = self.kernel.T @ b
+        return [j for j in range(b.cols) if any(seen._col_nums(j))]
+
+
+def read_span(a: Mat, b: Optional[Mat] = None) -> Span:
+    """The `Span` of a from one elimination of [a^T | b^T], or of a^T alone when b is None.
+
+    Its rows are nonzero multiples of the rows the separate calls reduce, so the
+    kernel and the solution equal theirs cell for cell.  The basis of im a is
+    the nonzero rows of the reduced a^T, as columns.
+    """
+    rows, pivots = _augmented_rref(a.T, b.T if b is not None else Mat.zeros(a.cols, 0))
+    p, r = a.rows, len(pivots)
+    basis = Mat._make(p, r, [rows[t][i] for i in range(p) for t in range(r)])
+    solution = None
+    if b is not None and not any(any(row[p:]) for row in rows[r:]):
+        solution = _reduced_read(rows, pivots, p, range(p, p + b.rows))
+    return Span(r, _reduced_read(rows, pivots, p), basis, solution)
 
 
 def invert(m: Mat) -> Optional[Mat]:

@@ -9,7 +9,10 @@ excitation.  So the richness test is one solve: the plan is rich exactly
 when [X-; U-] Q = target has a solution, for a `Problem`'s target that
 spans that subspace; it is the solve each identifier makes anyway.  Design
 is picking a basis, and its elimination also gives the q with basis q =
-target, so a plan equal to the design reuses that q with no solve.
+target, so a plan equal to the design reuses that q with no solve.  The
+missing directions of a deficient plan are the basis columns that the
+left kernel Y of the plan does not annihilate: a product Y^T basis once
+an identifier has read the plan (`ratmat.read_span`), else one elimination.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from typing import Optional
 
 from .errors import DimensionMismatch
 from .properties import Dims, Problem, PropertySpec, SystemPair
-from .ratmat import Mat, unspanned_columns
+from .ratmat import Mat, Span, unspanned_columns
 
 
 @dataclass(frozen=True)
@@ -76,15 +79,19 @@ def consistent_set_contains(d: Dataset, sys: SystemPair) -> bool:
     return sys.a @ d.section.x_minus + sys.b @ d.section.u_minus == d.x_plus
 
 
-def is_sufficiently_rich(section: InputSection, p: PropertySpec) -> bool:
+def is_sufficiently_rich(section: InputSection, p: PropertySpec, problem: Optional[Problem] = None) -> bool:
     """True when the plan decides `p` no matter what responses come back."""
-    return not unspanned_columns(section.stacked(), Problem.of(p, section.dims).target)
+    return not unspanned_columns(section.stacked(), (problem or Problem.of(p, section.dims)).target)
 
 
-def missing_directions(section: InputSection, p: PropertySpec, problem: Optional[Problem] = None) -> list:
-    """Basis columns of the minimum subspace the plan fails to span."""
+def missing_directions(
+    section: InputSection, p: PropertySpec, problem: Optional[Problem] = None, span: Optional[Span] = None
+) -> list:
+    """Basis columns of the minimum subspace the plan fails to span: a product
+    with `span`, the caller's read of the plan, else one elimination."""
     basis = (problem or Problem.of(p, section.dims)).minimum_basis()
-    return [basis.col(j) for j in unspanned_columns(section.stacked(), basis)]
+    missed = span.unspanned(basis) if span else unspanned_columns(section.stacked(), basis)
+    return [basis.col(j) for j in missed]
 
 
 def split_stacked(stacked: Mat, dims: Dims) -> InputSection:
@@ -95,11 +102,11 @@ def split_stacked(stacked: Mat, dims: Dims) -> InputSection:
     return InputSection(Mat._make(dims.n, k, nums[:cut], den), Mat._make(dims.m, k, nums[cut:], den))
 
 
-def design_minimum_input(p: PropertySpec, dims: Dims) -> InputSection:
+def design_minimum_input(p: PropertySpec, dims: Dims, problem: Optional[Problem] = None) -> InputSection:
     """Smallest excitation plan that is sufficiently rich for `p`.
 
     The plan is the design's basis of the minimum subspace: unit vectors
     when that subspace is coordinate-aligned, the pivot columns of the
     constraint matrix otherwise, so designs are reproducible.
     """
-    return split_stacked(Problem.of(p, dims).minimum_basis(), dims)
+    return split_stacked((problem or Problem.of(p, dims)).minimum_basis(), dims)

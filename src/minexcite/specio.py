@@ -5,6 +5,8 @@ Documents are YAML.  Matrices appear as literal strings in the format
 ("p/q", integers, or decimal strings such as "0.5").  Bare YAML integers
 are exact; bare YAML floats are re-read from their shortest decimal
 representation, so write non-integer values as strings when in doubt.
+A property document is validated once, into the `Problem` that
+`load_problem` returns; a scenario's property is validated by its `Scenario`.
 """
 
 from __future__ import annotations
@@ -23,13 +25,13 @@ from .properties import (
     LinearConstraint,
     LinearStructure,
     Mode,
+    Problem,
     PropertySpec,
     Sparsity,
     SystemPair,
     chain_expr,
     format_expr,
     parse_expr,
-    validate_property,
 )
 from .ratmat import MAX_LITERAL_LENGTH, as_rational, format_matrix, format_rational, parse_matrix
 from .richness import Dataset, InputSection
@@ -188,8 +190,8 @@ _FIELDS = {
 }
 
 
-def load_property(source: Union[str, Path, dict]) -> Tuple[PropertySpec, Dims]:
-    """Read a property document; returns the spec and its dimensions."""
+def _read_property(source: Union[str, Path, dict]) -> Tuple[PropertySpec, Dims]:
+    """The spec and dimensions of a property document, not yet validated together."""
     doc = _load_doc(source)
     where = "property document"
     kind = _field(doc, "type", str, where).lower()
@@ -197,9 +199,18 @@ def load_property(source: Union[str, Path, dict]) -> Tuple[PropertySpec, Dims]:
     if kind not in _KINDS:
         raise SpecValidationError(f"unknown property type {kind!r}")
     cls = _KINDS[kind]
-    prop = _FIELDS[cls][0](doc) if cls in _FIELDS else cls()
-    validate_property(prop, dims)
-    return prop, dims
+    return _FIELDS[cls][0](doc) if cls in _FIELDS else cls(), dims
+
+
+def load_problem(source: Union[str, Path, dict]) -> Problem:
+    """Read a property document and validate it, once, into a `Problem`."""
+    return Problem.of(*_read_property(source))
+
+
+def load_property(source: Union[str, Path, dict]) -> Tuple[PropertySpec, Dims]:
+    """Read and validate a property document; returns the spec and its dimensions."""
+    problem = load_problem(source)
+    return problem.prop, problem.dims
 
 
 def dump_property(prop: PropertySpec, dims: Dims) -> str:
@@ -266,12 +277,12 @@ def load_scenario(source: Union[str, Path], base_dir: Optional[Path] = None) -> 
         path = Path(prop_doc)
         if base_dir is not None and not path.is_absolute():
             path = base_dir / path
-        prop, prop_dims = load_property(path)
+        prop, prop_dims = _read_property(path)
     elif isinstance(prop_doc, dict):
         merged = dict(prop_doc)
         merged.setdefault("n", dims.n)
         merged.setdefault("m", dims.m)
-        prop, prop_dims = load_property(merged)
+        prop, prop_dims = _read_property(merged)
     else:
         raise SpecValidationError("scenario needs a property mapping or path")
     if prop_dims != dims:

@@ -99,6 +99,13 @@ def rand_structure(rng: random.Random, dims: Dims, mode: Mode) -> LinearStructur
     return LinearStructure(constraints, expr, Mode.EXPRESSION)
 
 
+def reference_values(sys: SystemPair, constraints) -> list:
+    """The constraint values h_i . vec([A, B]) in Fraction arithmetic, straight from
+    the definition: entry k of vec([A, B]) is cell (k mod n, k div n)."""
+    ab, n = sys.ab(), sys.n
+    return [sum((h * ab[k % n, k // n] for k, h in enumerate(c.h)), Fraction(0)) for c in constraints]
+
+
 def deficient_section(rng: random.Random, dims: Dims, target_basis: Mat, k: int) -> InputSection:
     """Plan that misses one direction of the target: drop a basis vector and
     keep every excitation inside its orthogonal complement."""

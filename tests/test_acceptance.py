@@ -55,6 +55,7 @@ from conftest import (
     rand_invertible,
     rand_sparsity,
     rand_system,
+    reference_values,
 )
 
 
@@ -179,13 +180,11 @@ def test_criterion_5_design_minimality():
 
 def adapted_structure(rng: random.Random, sys: SystemPair, dims: Dims, mode: Mode) -> LinearStructure:
     """Random structure whose value sets straddle the system's actual values."""
-    from minexcite.properties import structure_values
-
     count = rng.randint(1, 3)
     width = dims.n * dims.total
     rows = rand_independent_rows(rng, min(count, width), width)
     holders = [LinearConstraint(r, BoundedSet.singleton(0)) for r in rows]
-    values = structure_values(sys, holders)
+    values = reference_values(sys, holders)
     constraints = []
     for r, v in zip(rows, values):
         if rng.random() < 0.5:

@@ -8,7 +8,8 @@ from pathlib import Path
 import pytest
 
 import minexcite
-from minexcite import Dataset, InputSection, SystemPair, consistent_set_contains, parse_matrix
+from minexcite import Dataset, InputSection, LinearStructure, SystemPair, consistent_set_contains, parse_matrix
+from minexcite.properties import PropertySpec
 from minexcite.cli import EXIT_BAD_INPUT, EXIT_NOT_RICH, EXIT_OK, main
 
 
@@ -358,3 +359,40 @@ def test_csv_format(sparsity_prop, corner_dataset, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[0].startswith("property,")
     assert "has_property" in lines[1]
+
+
+STRUCTURE_DOC = (
+    "type: linear_structure\nn: 2\nm: 0\nconstraints:\n"
+    '  - {h: "1, 0, 1, 0", set: [[0, 0]]}\n'
+    '  - {h: "0, 1, 0, 1", set: [[-1, 1]]}\n'
+)
+
+
+@pytest.mark.parametrize("verb", ["design", "check", "identify", "counterexample", "recover", "simulate"])
+def test_each_verb_validates_the_property_once(tmp_path, monkeypatch, capsys, verb):
+    # the document is validated at the boundary and the problem passed down; check
+    # --verbose on a deficient plan also lists the missing directions
+    (tmp_path / "prop.yaml").write_text(STRUCTURE_DOC)
+    (tmp_path / "plan.yaml").write_text('n: 2\nm: 0\nk: 1\nX: "1; 0"\n')
+    (tmp_path / "data.yaml").write_text('n: 2\nm: 0\nk: 1\nX: "1; 0"\nXp: "0; 1"\n')
+    (tmp_path / "scenario.yaml").write_text(
+        "n: 2\nm: 0\nhidden: {A: '0, 1; 2, 1'}\nproperty: prop.yaml\nplan: designed\n"
+    )
+    files = {flag: str(tmp_path / name) for flag, name in
+             [("--property", "prop.yaml"), ("--input", "plan.yaml"), ("--data", "data.yaml"),
+              ("--scenario", "scenario.yaml")]}
+    flags = {
+        "design": ["--property"],
+        "check": ["--property", "--input"],
+        "identify": ["--property", "--data"],
+        "counterexample": ["--property", "--input"],
+        "recover": ["--data"],
+        "simulate": ["--scenario"],
+    }[verb]
+    calls = []
+    for cls in (LinearStructure, PropertySpec):  # what validate_property runs, however it is reached
+        real = cls._validate
+        monkeypatch.setattr(cls, "_validate", lambda p, dims, real=real: calls.append(p) or real(p, dims))
+    status = main(["--verbose", verb, *(x for flag in flags for x in (flag, files[flag]))])
+    assert status in (EXIT_OK, EXIT_NOT_RICH), capsys.readouterr().err
+    assert len(calls) == 1

@@ -289,6 +289,21 @@ def test_gain_golden_not_stabilizing():
     assert res.marginal
 
 
+def test_gain_radius_is_computed_once_when_first_read(monkeypatch):
+    from minexcite import identify
+
+    calls = []
+    real = identify.spectral_radius_info
+    monkeypatch.setattr(identify, "spectral_radius_info", lambda m: calls.append(m) or real(m))
+    d = Dataset(TWO_COLUMN_PLAN, parse_matrix("0.5, 0; 1, 2"))
+    res = gain_from_data(d)
+    # a run keeps the gain of an explicit square plan and never reads its radius
+    assert run(Scenario(Dims(2, 1), HIDDEN, Stabilizability(), TWO_COLUMN_PLAN)).gain is not None
+    assert not calls
+    assert res.marginal and abs(res.radius - 1.0) < 1e-9
+    assert calls == [res.closed_loop]
+
+
 def test_gain_zero_input_returns_open_loop():
     sec = InputSection(Mat.identity(2), Mat.zeros(1, 2))
     a = parse_matrix("0, 1; 1, 0")
@@ -351,9 +366,12 @@ def test_elimination_budget(eliminations, monkeypatch):
         assert not validations
     assert eliminations(run, Scenario(scalar_dims, scalar, Controllability())) == 0
 
-    # a deficient run: the failed solve, the missing directions and the recipe, with no
-    # validation; a structure's missing directions need the pivots of its target
-    deficient = {Sparsity: 6, LinearStructure: 7, Identifiability: 3, Stabilizability: 3, Controllability: 6}
+    # a deficient run, with no validation.  A full-space target takes one read of the
+    # plan's span: its rank, missing directions and annihilators (controllability adds
+    # the Krylov ranks of the pair's two oracle calls, 3 here).  A zero pattern or a
+    # structure takes the failed solve, that read, the projection and the signed solve;
+    # a structure's missing directions also need the pivots of its target.
+    deficient = {Sparsity: 4, LinearStructure: 5, Identifiability: 1, Stabilizability: 1, Controllability: 4}
     drng = random.Random(61)
     for p in props:
         sc = Scenario(dims, hidden, p, deficient_section(drng, dims, minimum_subspace(p, dims).basis, 4))

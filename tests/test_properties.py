@@ -38,10 +38,18 @@ from minexcite import (
     vec_inv,
 )
 from minexcite import properties
-from minexcite.properties import And, Leaf, Or, as_structure_problem, build_constraint_matrix, flat_chain_ops
+from minexcite.properties import (
+    And,
+    Leaf,
+    Or,
+    as_structure_problem,
+    block_traces,
+    build_constraint_matrix,
+    flat_chain_ops,
+)
 from minexcite.ratmat import nonnegative_solve
 
-from conftest import rand_sparsity, rand_system
+from conftest import rand_expr, rand_independent_rows, rand_sparsity, rand_system, reference_values
 
 
 def single_constraint(h, values=None) -> LinearStructure:
@@ -293,6 +301,29 @@ def test_linear_structure_membership():
     bad = SystemPair(Mat.identity(2), Mat.zeros(2, 0))
     assert has_property(good, p)
     assert not has_property(bad, p)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 3), st.integers(0, 2), st.integers(0, 2**32 - 1))
+def test_structure_values_are_the_block_traces_of_the_target(n, m, seed):
+    """The integer block traces of [A, B] @ target against the Fraction
+    definition h_i . vec([A, B]), and membership read from either."""
+    rng, dims = random.Random(seed), Dims(n, m)
+    sys = rand_system(rng, n, m)
+    rows = rand_independent_rows(rng, rng.randint(1, min(3, n * dims.total)), n * dims.total)
+    reference = reference_values(sys, [LinearConstraint(r, BoundedSet.singleton(0)) for r in rows])
+    # each set holds its value or misses it, so both verdicts occur
+    constraints = tuple(
+        LinearConstraint(r, BoundedSet.singleton(v + rng.randint(0, 1))) for r, v in zip(rows, reference)
+    )
+    if rng.random() < 0.5:
+        p = LinearStructure.intersection(constraints)
+    else:
+        p = LinearStructure(constraints, rand_expr(rng, len(constraints)), Mode.EXPRESSION)
+    problem = Problem.of(p, dims)
+    assert block_traces(sys.ab() @ problem.target, n) == tuple(reference)
+    expected = evaluate_expr(p.expr, [c.values.contains(v) for c, v in zip(constraints, reference)])
+    assert problem.holds(sys) == has_property(sys, p) == expected
 
 
 def test_expression_membership_or():

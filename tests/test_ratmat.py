@@ -24,7 +24,7 @@ from minexcite import (
     spectral_radius_info,
     unspanned_columns,
 )
-from minexcite.ratmat import characteristic_polynomial, pivot_basis, pivot_columns
+from minexcite.ratmat import characteristic_polynomial, pivot_basis, pivot_columns, read_span
 
 fractions_st = st.fractions(min_value=-5, max_value=5, max_denominator=3)
 
@@ -314,6 +314,49 @@ def test_integer_kernels_match_fraction_reference(inputs):
     assert product == _ref_matmul(a, q)
     for m in (null, product):
         _assert_canonical(m)
+
+
+@st.composite
+def plan_inputs(draw):
+    """(plan, x_plus, target, w) as a run meets them: an (n+m) x k plan, m = 0
+    allowed and k up to past n+m, often of lower rank, mostly zeros or with zero
+    columns; feedback that some system reproduces or not; a target with n+m rows
+    and a column to project."""
+    entries = st.builds(Fraction, st.integers(-6, 6), st.sampled_from([1, 1, 2, 3, 7]))
+    if draw(st.booleans()):
+        entries = st.one_of(st.just(Fraction(0)), st.just(Fraction(0)), st.just(Fraction(0)), entries)
+
+    def block(rows, cols):
+        return Mat.from_flat(rows, cols, draw(st.lists(entries, min_size=rows * cols, max_size=rows * cols)))
+
+    n, m = draw(st.integers(1, 4)), draw(st.integers(0, 3))
+    p, k = n + m, draw(st.integers(0, n + m + 3))
+    if draw(st.booleans()):
+        r = draw(st.integers(0, p))
+        plan = _ref_matmul(block(p, r), block(r, k))
+    else:
+        plan = block(p, k)
+    zero_cols = draw(st.sets(st.integers(0, max(k - 1, 0)), max_size=2))
+    plan = Mat.from_flat(p, k, [0 if j in zero_cols else plan[i, j] for i in range(p) for j in range(k)])
+    x_plus = _ref_matmul(block(n, p), plan) if draw(st.booleans()) else block(n, k)
+    return plan, x_plus, block(p, draw(st.integers(0, 4))), block(p, 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(plan_inputs())
+def test_span_read_matches_the_separate_calls(inputs):
+    plan, x_plus, target, w = inputs
+    span = read_span(plan, x_plus)
+    assert span.rank == rank(plan)
+    assert span.kernel == kernel(plan.T)
+    assert span.solution == solve_right(plan.T, x_plus.T)
+    assert span.unspanned(target) == unspanned_columns(plan, target)
+    basis = Subspace(plan.rows, span.basis)  # the constructor rejects dependent columns
+    assert basis.dim == span.rank and basis == image(plan)
+    assert basis.project(w) == image(plan).project(w)
+    bare = read_span(plan)
+    assert (bare.rank, bare.kernel, bare.solution) == (span.rank, span.kernel, None)
+    assert Subspace(plan.rows, bare.basis) == basis
 
 
 @st.composite
