@@ -12,7 +12,6 @@ from .errors import (
     DimensionMismatch,
     GainNotApplicable,
     InconsistentDataset,
-    InfeasibleSigns,
     InternalFault,
     NotSufficientlyRich,
     SectionIsRich,
@@ -33,7 +32,6 @@ from .ratmat import (
     rank,
     solve_right,
     spectral_radius_info,
-    unspanned_columns,
 )
 from .properties import (
     And,

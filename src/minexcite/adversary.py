@@ -10,8 +10,9 @@ Each recipe reads the plan's `Span` (`ratmat.read_span`) that the
 identifier made when it found the plan deficient: its left kernel gives
 the annihilated directions, its basis the projection of a structure's
 missed column, and, for a pair of models, its transposed solve the
-consistent model.  Called without it, a recipe reads the plan itself.  The
-pairs are built on the integers of those matrices and of the problem's target.
+consistent model.  Called without it, a recipe makes that one read itself.
+The pairs are built on the integers of those matrices and of the problem's
+target, and each is checked once, with the oracle of the property asked.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence, Tuple
 
-from .errors import InconsistentDataset, InfeasibleSigns, InternalFault, SectionIsRich
+from .errors import InconsistentDataset, InternalFault, SectionIsRich
 from .properties import (
     Controllability,
     Leaf,
@@ -38,7 +39,7 @@ from .properties import (
     flat_chain_ops,
     is_stabilizable,
 )
-from .ratmat import Mat, Span, Subspace, kernel, read_span, solve_right
+from .ratmat import Mat, Span, Subspace, read_span, solve_right
 from .richness import Dataset, InputSection, consistent_set_contains
 
 
@@ -56,7 +57,7 @@ def find_annihilator(section: InputSection, span: Optional[Span] = None) -> Opti
     """First kernel direction of the transposed plan, an (n+m) x 1 column
     orthogonal to every excitation, or None when the plan has full rank.
     `span` is the caller's read of the plan, if it has made one."""
-    null = span.kernel if span else kernel(section.stacked().T)
+    null = (span or read_span(section.stacked())).kernel
     return null.col(0) if null.cols else None
 
 
@@ -125,7 +126,7 @@ def counterexample_controllability(
     holds = (problem or Problem.of(Controllability(), section.dims)).holds
     n, m = section.n, section.m
     if n == 1:
-        null = span.kernel if span else kernel(section.stacked().T)
+        null = (span or read_span(section.stacked())).kernel
         h = next((c for c in map(null.col, range(null.cols)) if any(c._nums[1:])), None)
         if h is None:
             raise SectionIsRich("the plan already pins down the input-to-state map")
@@ -241,11 +242,11 @@ def algorithm2_signs(expr: SetExpr, c1: frozenset) -> tuple:
 def counterexample_sparsity(
     section: InputSection, p: Sparsity, seed: int = 0, problem: Optional[Problem] = None, span: Optional[Span] = None
 ) -> CounterexamplePair:
-    """Property-split pair for a zero pattern, built on its equivalent structure."""
+    """Property-split pair for a zero pattern, built on its equivalent
+    structure and checked with the zero-pattern oracle."""
     problem = problem or Problem.of(p, section.dims)
     structure = as_structure_problem(problem)
-    pair = counterexample_structure(section, structure.prop, seed, structure, span)
-    return _verified_pair(section, pair.sys_with, pair.sys_without, problem.holds)
+    return _verified_pair(section, *_structure_systems(section, structure, seed, span), problem.holds)
 
 
 def counterexample_structure(
@@ -255,7 +256,15 @@ def counterexample_structure(
     problem: Optional[Problem] = None,
     span: Optional[Span] = None,
 ) -> CounterexamplePair:
-    """Property-split pair for a combined linear structure.
+    """Property-split pair for a combined linear structure (see `_structure_systems`)."""
+    problem = problem or Problem.of(p, section.dims)
+    return _verified_pair(section, *_structure_systems(section, problem, seed, span), problem.holds)
+
+
+def _structure_systems(
+    section: InputSection, problem: Problem, seed: int, span: Optional[Span]
+) -> Tuple[SystemPair, SystemPair]:
+    """The unchecked systems with and without the structure `problem.prop`.
 
     Picks a constraint-matrix column the plan misses, strips its component
     inside the plan's span to get a direction invisible to the data, seats
@@ -267,8 +276,7 @@ def counterexample_structure(
     one read here; the constraint rows and the reference system are read
     off the integers of the target and of the signed solve.
     """
-    problem = problem or Problem.of(p, section.dims)
-    dims, m_mat = problem.dims, problem.target
+    p, dims, m_mat = problem.prop, problem.dims, problem.target
     n, total, count = dims.n, dims.total, len(p.constraints)
     span = span or read_span(section.stacked())
     missed = span.unspanned(m_mat)
@@ -298,11 +306,13 @@ def counterexample_structure(
     h_nums = [x for i in range(count) for row in rows for x in row[i * n : (i + 1) * n]]
     hmat = Mat._make(count, n * total, h_nums, m_mat._den)
     theta = solve_right(hmat, Mat.column(targets))
+    if theta is None and problem.point:
+        # dependent constraints whose midpoints disagree; every sign keeps, so
+        # the point of the intersection that validation found serves
+        targets = problem.point
+        theta = solve_right(hmat, Mat.column(targets))
     if theta is None:
-        raise InfeasibleSigns(
-            "no system realizes the signed constraint targets; the constraint "
-            "vectors are not independent enough for this combination"
-        )
+        raise InternalFault("no system realizes the signed constraint targets")
     ab0 = Mat._make(n, total, [theta._nums[c * n + r] for r in range(n) for c in range(total)], theta._den)
 
     if p.mode is Mode.INTERSECTION:
@@ -319,8 +329,7 @@ def counterexample_structure(
         alpha = max([Fraction(1)] + [1 + v for v in needed])
         perturbation = Mat.column([alpha * v for v in g]) @ h.T
 
-    sys_with, sys_without = SystemPair.from_ab(ab0), SystemPair.from_ab(ab0 + perturbation)
-    return _verified_pair(section, sys_with, sys_without, problem.holds)
+    return SystemPair.from_ab(ab0), SystemPair.from_ab(ab0 + perturbation)
 
 
 def distinct_consistent_pair(d: Dataset, span: Optional[Span] = None) -> Tuple[SystemPair, SystemPair]:

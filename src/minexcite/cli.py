@@ -5,7 +5,8 @@ bench.  Exit statuses: 0 when a verdict or artifact was produced, 2 when
 the excitation plan is not sufficiently rich, 3 for malformed or
 inapplicable input, 4 for an internal invariant failure.  A property
 document is validated once, by `specio.load_problem`, and the verbs pass
-that problem down.
+that problem down; `check` reads the plan's span once, for the verdict
+and the missing directions.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from .errors import (
     DimensionMismatch,
     GainNotApplicable,
     InconsistentDataset,
-    InfeasibleSigns,
     InternalFault,
     NotSufficientlyRich,
     SectionIsRich,
@@ -30,8 +30,8 @@ from .errors import (
 from .harness import efficiency_csv, efficiency_text, report_efficiency, run
 from .identify import counterexample_report, gain_from_data, identify_property, system_rows
 from .properties import Identifiability
-from .ratmat import EIG_MARGIN, format_matrix
-from .richness import design_minimum_input, is_sufficiently_rich, missing_directions
+from .ratmat import EIG_MARGIN, format_matrix, read_span
+from .richness import design_minimum_input, missing_directions
 
 EXIT_OK = 0
 EXIT_NOT_RICH = 2
@@ -72,11 +72,11 @@ def _problem_and_plan(args) -> tuple:
 
 def _cmd_check(args) -> int:
     problem, section = _problem_and_plan(args)
-    prop = problem.prop
-    rich = is_sufficiently_rich(section, prop, problem)
+    prop, span = problem.prop, read_span(section.stacked())
+    rich = not span.unspanned(problem.target)
     rows = [("property", prop.label()), ("k", section.k), ("sufficiently_rich", rich)]
     if not rich and args.verbose:
-        for i, col in enumerate(missing_directions(section, prop, problem)):
+        for i, col in enumerate(missing_directions(section, prop, problem, span)):
             rows.append((f"missing_{i + 1}", format_matrix(col.T)))
     _emit(rows, args.format)
     return EXIT_OK if rich else EXIT_NOT_RICH
@@ -216,13 +216,11 @@ def main(argv=None) -> int:
     except NotSufficientlyRich as exc:
         print(f"not sufficiently rich: {exc}", file=sys.stderr)
         return EXIT_NOT_RICH
-    except (SpecValidationError, DimensionMismatch, GainNotApplicable, InconsistentDataset) as exc:
+    except (SpecValidationError, DimensionMismatch, GainNotApplicable, InconsistentDataset,
+            OSError, yaml.YAMLError) as exc:  # OSError: a missing file, or a directory named as one
         print(f"bad input: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
-    except (OSError, yaml.YAMLError) as exc:  # a missing file, or a directory named as one
-        print(f"bad input: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    except (InternalFault, InfeasibleSigns) as exc:
+    except InternalFault as exc:
         print(f"internal fault: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 

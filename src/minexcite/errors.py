@@ -27,15 +27,6 @@ class SectionIsRich(Exception):
     """No counterexample exists: the excitation plan is sufficiently rich."""
 
 
-class InfeasibleSigns(Exception):
-    """The signed constraint system admits no solution.
-
-    Under the documented hypotheses (independent constraint vectors,
-    bounded non-empty value sets) this cannot happen; it signals an
-    input that violates those hypotheses.
-    """
-
-
 class InconsistentDataset(Exception):
     """No linear system reproduces the dataset exactly; the data is corrupted."""
 

@@ -67,21 +67,12 @@ from .ratmat import (
     solve_right,
     spectral_radius_info,
 )
-from .richness import (
-    Dataset,
-    InputSection,
-    consistent_set_contains,
-    missing_directions,
-)
+from .richness import Dataset, InputSection, consistent_set_contains, missing_directions
 
 
 class Verdict(Enum):
     HAS_PROPERTY = "has_property"
     LACKS_PROPERTY = "lacks_property"
-
-    @property
-    def holds(self) -> bool:
-        return self is Verdict.HAS_PROPERTY
 
     @classmethod
     def of(cls, flag: bool) -> "Verdict":
@@ -341,9 +332,7 @@ def _of_report(res: Union[SparsityReport, StructureReport], checked: Callable[[]
 
 def _identify_pattern(d: Dataset, problem: Problem) -> Identification:
     res = identify_sparsity(d, problem.prop, problem)
-    return _of_report(
-        res, lambda: [(f"entry_{e.row}_{e.col}", format_rational(e.value)) for e in res.checked]
-    )
+    return _of_report(res, lambda: [(f"entry_{e.row}_{e.col}", format_rational(e.value)) for e in res.checked])
 
 
 def _identify_structure(d: Dataset, problem: Problem) -> Identification:

@@ -303,14 +303,8 @@ def format_expr(expr: SetExpr) -> str:
     def fmt(node: SetExpr) -> str:
         if isinstance(node, Leaf):
             return str(node.index)
-        op = "&" if isinstance(node, And) else "|"
-        left = fmt(node.left)
-        right = fmt(node.right)
-        if not isinstance(node.left, Leaf):
-            left = f"({left})"
-        if not isinstance(node.right, Leaf):
-            right = f"({right})"
-        return f"{left} {op} {right}"
+        left, right = (fmt(c) if isinstance(c, Leaf) else f"({fmt(c)})" for c in (node.left, node.right))
+        return f"{left} {'&' if isinstance(node, And) else '|'} {right}"
 
     return fmt(expr)
 
@@ -334,8 +328,8 @@ class PropertySpec:
     def label(self) -> str:
         return self.type_name
 
-    def _validate(self, dims: Dims) -> None:
-        pass
+    def _validate(self, dims: Dims) -> Optional[list]:
+        """Raise SpecValidationError on a broken invariant; a dependent intersection returns its point."""
 
     def _target(self, dims: Dims) -> Mat:
         """The spanning set of the minimum subspace that identification solves onto."""
@@ -470,7 +464,7 @@ class LinearStructure(PropertySpec):
     def label(self) -> str:
         return f"structure({len(self.constraints)} constraints, {self.mode.value})"
 
-    def _validate(self, dims: Dims) -> None:
+    def _validate(self, dims: Dims) -> Optional[list]:
         width = dims.n * dims.total
         for c in self.constraints:
             if len(c.h) != width:
@@ -478,16 +472,15 @@ class LinearStructure(PropertySpec):
         if self.mode is Mode.EXPRESSION:
             hmat = Mat([list(c.h) for c in self.constraints])
             if rank(hmat) != len(self.constraints):
-                raise SpecValidationError(
-                    "expression mode requires linearly independent constraint vectors"
-                )
+                raise SpecValidationError("expression mode requires linearly independent constraint vectors")
         else:
             if _contains_or(self.expr):
                 raise SpecValidationError(
                     "intersection mode admits only conjunctions; use expression mode for unions"
                 )
-            if not _intersection_nonempty(self.constraints):
+            if (point := intersection_point(self.constraints)) is None:
                 raise SpecValidationError("the constraint intersection is empty")
+            return point or None
 
     def _target(self, dims: Dims) -> Mat:
         return build_constraint_matrix(self.constraints, dims)
@@ -571,23 +564,25 @@ def _contains_or(expr: SetExpr) -> bool:
     return _contains_or(expr.left) or _contains_or(expr.right)
 
 
-def _intersection_nonempty(constraints: Sequence[LinearConstraint]) -> bool:
-    """Exact feasibility of {theta : h_i . theta in S_i for all i}.
+def intersection_point(constraints: Sequence[LinearConstraint]) -> Optional[list]:
+    """Values v_i in S_i that some theta gives as h_i . theta for every i, or
+    None when {theta : h_i . theta in S_i for all i} is empty; decided exactly.
 
     Values v are some H theta exactly when y . v = 0 for each row y of a
     basis Y of the left kernel of H, read off one elimination of [H | I];
-    with no such y the constraints are independent and every v is achieved.
-    Otherwise each box of one interval [lo_i, hi_i] per set asks for some
-    x = v - lo and slack s, both nonnegative, with Y x = -Y lo and
-    x + s = hi - lo, which the phase-1 simplex of `nonnegative_solve` decides
-    exactly under Bland's rule (R. G. Bland, Math. Oper. Res. 2(2), 1977).
+    with no such y the constraints are independent, every v is achieved, and
+    the empty list stands for that with no point computed.  Otherwise each box
+    of one interval [lo_i, hi_i] per set asks for some x = v - lo and slack s,
+    both nonnegative, with Y x = -Y lo and x + s = hi - lo, which the phase-1
+    simplex of `nonnegative_solve` decides exactly under Bland's rule (R. G.
+    Bland, Math. Oper. Res. 2(2), 1977); the first feasible box gives v = lo + x.
     """
     k = len(constraints)
     hmat = Mat([list(c.h) for c in constraints])
     rows, pivots = _augmented_rref(hmat, Mat.identity(k))
     relations = [row[hmat.cols :] for row in rows[len(pivots) :]]
     if not relations:
-        return True
+        return []
     if math.prod(len(c.values.pieces) for c in constraints) > 4096:
         raise SpecValidationError("too many interval combinations to verify non-emptiness exactly")
     # [Y, 0; I, I] [x; s] = [-Y, 0; -I, I] [lo; hi]: a and shift are the two matrices
@@ -596,10 +591,12 @@ def _intersection_nonempty(constraints: Sequence[LinearConstraint]) -> bool:
         Mat([[sign * y for y in row] + [0] * k for row in relations] + [[sign * v for v in e] + e for e in eye])
         for sign in (1, -1)
     )
-    return any(
-        nonnegative_solve(a, shift @ Mat.column([lo for lo, _ in box] + [hi for _, hi in box])) is not None
-        for box in itertools.product(*(c.values.pieces for c in constraints))
-    )
+    for box in itertools.product(*(c.values.pieces for c in constraints)):
+        lo = [lo for lo, _ in box]
+        x = nonnegative_solve(a, shift @ Mat.column(lo + [hi for _, hi in box]))
+        if x is not None:
+            return [v + d for v, d in zip(lo, x.col_list(0))]
+    return None
 
 
 # -- validated problems and minimum excitation subspaces -----------------------
@@ -611,19 +608,21 @@ class Problem:
     I for the whole space, the constraint matrix for a structure.  The design
     is a `basis` of the minimum subspace, the minimum excitation, and the
     unique `q` with basis @ q == target: the target itself with q = I, or
-    for a structure one elimination, made only on request (else None)."""
+    for a structure one elimination, made only on request (else None).  The
+    `point` is a dependent intersection's, found by validation (see `_validate`)."""
 
     prop: PropertySpec
     dims: Dims
     target: Mat
     basis: Optional[Mat] = None
     q: Optional[Mat] = None
+    point: Optional[list] = None
 
     @classmethod
     def of(cls, prop: PropertySpec, dims: Dims, design: bool = False) -> "Problem":
-        validate_property(prop, dims)
+        point = prop._validate(dims)
         target = prop._target(dims)
-        return cls(prop, dims, target, *prop._design(target, design))
+        return cls(prop, dims, target, *prop._design(target, design), point)
 
     def minimum_basis(self) -> Mat:
         """The design's basis, or else the target's pivot columns."""
@@ -664,20 +663,20 @@ def is_controllable(sys: SystemPair) -> bool:
         last, j = r, min(2 * j, n)
 
 
-def is_stabilizable(sys: SystemPair, tol: float = EIG_MARGIN) -> bool:
+def is_stabilizable(sys: SystemPair) -> bool:
     """Eigenvalue split plus a numeric rank test on each unstable mode.
 
-    Any eigenvalue with modulus at least 1 - tol is treated as unstable
-    and must pass rank [A - lambda I, B] = n at the same tolerance.
+    Any eigenvalue with modulus at least 1 - EIG_MARGIN is treated as unstable
+    and must pass rank [A - lambda I, B] = n at the same margin.
     """
     a = sys.a.to_float()
     b = sys.b.to_float().reshape(sys.n, sys.m)
     eigenvalues = np.linalg.eigvals(a)
     eye = np.eye(sys.n)
     for lam in eigenvalues:
-        if abs(lam) >= 1.0 - tol:
+        if abs(lam) >= 1.0 - EIG_MARGIN:
             block = np.hstack([a - lam * eye, b]).astype(complex)
-            if numeric_rank(block, tol) < sys.n:
+            if numeric_rank(block) < sys.n:
                 return False
     return True
 

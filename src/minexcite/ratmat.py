@@ -17,6 +17,10 @@ bring both operands to the lcm of their denominators, scalar products and
 and elimination runs fraction-free Gauss-Jordan on primitive integer rows,
 as does the phase-1 simplex of `nonnegative_solve`.  Each result is
 brought to the canonical form with a single gcd.
+
+`read_span` is the one reader of a plan's column span: one elimination of
+its transpose gives the left kernel Y, and a column lies outside the span
+exactly when its product with Y^T is nonzero, read off the reduced rows.
 """
 
 from __future__ import annotations
@@ -24,8 +28,9 @@ from __future__ import annotations
 import math
 import operator
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -92,9 +97,7 @@ def as_rational(value) -> Fraction:
         except ValueError as exc:
             raise SpecValidationError(f"cannot read {text!r} as a rational number") from exc
     if isinstance(value, float):
-        raise TypeError(
-            "float entries are not exact; pass a string such as '0.5' or a Fraction"
-        )
+        raise TypeError("float entries are not exact; pass a string such as '0.5' or a Fraction")
     raise TypeError(f"cannot interpret {value!r} as a rational entry")
 
 
@@ -527,44 +530,56 @@ def pivot_basis(m: Mat) -> tuple:
     return m.take_cols(pivots), Mat._make(len(pivots), m.cols, nums, den)
 
 
-def unspanned_columns(a: Mat, b: Mat) -> list:
-    """Indices of the columns of b outside im(a), from one elimination."""
-    rows, pivots = _augmented_rref(a, b)
-    zero_rows = rows[len(pivots) :]
-    return [j for j in range(b.cols) if any(row[a.cols + j] for row in zero_rows)]
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Span:
     """What one elimination of [a^T | b^T] tells of the column span of a (see `read_span`):
-    its rank, Y = kernel(a.T), a basis of im a, and solve_right(a.T, b.T) or None."""
+    its rank, Y = kernel(a.T) and a basis of im a, both read off the kept reduced
+    rows when first asked for, and solve_right(a.T, b.T) or None."""
 
     rank: int
-    kernel: Mat
-    basis: Mat
     solution: Optional[Mat]
+    _width: int = field(repr=False)  # the rows of a
+    _rows: list = field(repr=False)  # the nonzero reduced rows of [a^T | b^T]
+    _pivots: list = field(repr=False)
+
+    @cached_property
+    def kernel(self) -> Mat:
+        return _reduced_read(self._rows, self._pivots, self._width)
+
+    @cached_property
+    def basis(self) -> Mat:  # the nonzero rows of the reduced a^T, as columns
+        return Mat._make(self._width, self.rank, [row[i] for i in range(self._width) for row in self._rows])
 
     def unspanned(self, b: Mat) -> list:
-        """Indices of the columns of b outside im a, as `unspanned_columns(a, b)`
-        gives them: the nonzero columns of the product Y^T b."""
-        seen = self.kernel.T @ b
-        return [j for j in range(b.cols) if any(seen._col_nums(j))]
+        """Indices of the columns of b outside im a, ascending: the nonzero columns of
+        Y^T b, read off the reduced rows without forming Y.  Row f of Y^T b, for a free
+        column f, is b_f - sum_r (rows[r][f] / rows[r][pc]) b_pc, with b_i the rows of b."""
+        if b.rows != self._width:
+            raise DimensionMismatch(f"need columns of {self._width} entries, got {b.rows}")
+        pivots, b_rows = self._pivots, [b._nums[i * b.cols : (i + 1) * b.cols] for i in range(b.rows)]
+        den = math.lcm(*(row[pc] for row, pc in zip(self._rows, pivots)))
+        missed = set()
+        for f in set(range(b.rows)).difference(pivots):
+            terms = [(row[f] * (den // row[pc]), b_rows[pc]) for row, pc in zip(self._rows, pivots) if row[f]]
+            seen = [x * den for x in b_rows[f]] if terms else b_rows[f]
+            for c, b_pc in terms:
+                seen = [x - c * y for x, y in zip(seen, b_pc)]
+            missed.update(j for j, x in enumerate(seen) if x)
+        return sorted(missed)
 
 
 def read_span(a: Mat, b: Optional[Mat] = None) -> Span:
     """The `Span` of a from one elimination of [a^T | b^T], or of a^T alone when b is None.
 
     Its rows are nonzero multiples of the rows the separate calls reduce, so the
-    kernel and the solution equal theirs cell for cell.  The basis of im a is
-    the nonzero rows of the reduced a^T, as columns.
+    kernel and the solution equal theirs cell for cell.
     """
     rows, pivots = _augmented_rref(a.T, b.T if b is not None else Mat.zeros(a.cols, 0))
     p, r = a.rows, len(pivots)
-    basis = Mat._make(p, r, [rows[t][i] for i in range(p) for t in range(r)])
     solution = None
     if b is not None and not any(any(row[p:]) for row in rows[r:]):
         solution = _reduced_read(rows, pivots, p, range(p, p + b.rows))
-    return Span(r, _reduced_read(rows, pivots, p), basis, solution)
+    return Span(r, solution, p, rows[:r], pivots)
 
 
 def invert(m: Mat) -> Optional[Mat]:
@@ -773,9 +788,9 @@ def spectral_radius_info(m: Mat) -> SpectralInfo:
     return SpectralInfo(radius, residual, abs(radius - 1.0) <= EIG_MARGIN)
 
 
-def numeric_rank(a: np.ndarray, tol: float = EIG_MARGIN) -> int:
-    """Singular values above tol (relative to the largest, floored at 1)."""
+def numeric_rank(a: np.ndarray) -> int:
+    """Singular values above EIG_MARGIN (relative to the largest, floored at 1)."""
     if a.size == 0:
         return 0
     s = np.linalg.svd(a, compute_uv=False)
-    return int(np.sum(s > tol * max(1.0, float(s[0]))))
+    return int(np.sum(s > EIG_MARGIN * max(1.0, float(s[0]))))

@@ -5,14 +5,15 @@ initial state and input; stacked, the columns span a subspace of
 R^(n+m).  A plan can decide a property for every system consistent with
 the resulting data exactly when that subspace contains the property's
 minimum subspace, and any basis of the minimum subspace is a minimum
-excitation.  So the richness test is one solve: the plan is rich exactly
-when [X-; U-] Q = target has a solution, for a `Problem`'s target that
-spans that subspace; it is the solve each identifier makes anyway.  Design
-is picking a basis, and its elimination also gives the q with basis q =
-target, so a plan equal to the design reuses that q with no solve.  The
-missing directions of a deficient plan are the basis columns that the
-left kernel Y of the plan does not annihilate: a product Y^T basis once
-an identifier has read the plan (`ratmat.read_span`), else one elimination.
+excitation.  So a plan is rich exactly when [X-; U-] Q = target has a
+solution, for a `Problem`'s target that spans that subspace; an
+identifier's solve decides it on the way.  Asked directly, richness is one
+read of the plan (`ratmat.read_span`): its left kernel Y annihilates every
+target column.  Design is picking a basis, and its elimination also gives
+the q with basis q = target, so a plan equal to the design reuses that q
+with no solve.  The missing directions of a deficient plan are the basis
+columns that Y does not annihilate: a product Y^T basis on the caller's
+read of the plan, else on one read made here.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from typing import Optional
 
 from .errors import DimensionMismatch
 from .properties import Dims, Problem, PropertySpec, SystemPair
-from .ratmat import Mat, Span, unspanned_columns
+from .ratmat import Mat, Span, read_span
 
 
 @dataclass(frozen=True)
@@ -81,17 +82,16 @@ def consistent_set_contains(d: Dataset, sys: SystemPair) -> bool:
 
 def is_sufficiently_rich(section: InputSection, p: PropertySpec, problem: Optional[Problem] = None) -> bool:
     """True when the plan decides `p` no matter what responses come back."""
-    return not unspanned_columns(section.stacked(), (problem or Problem.of(p, section.dims)).target)
+    return not read_span(section.stacked()).unspanned((problem or Problem.of(p, section.dims)).target)
 
 
 def missing_directions(
     section: InputSection, p: PropertySpec, problem: Optional[Problem] = None, span: Optional[Span] = None
 ) -> list:
     """Basis columns of the minimum subspace the plan fails to span: a product
-    with `span`, the caller's read of the plan, else one elimination."""
+    with `span`, the caller's read of the plan, else with one read made here."""
     basis = (problem or Problem.of(p, section.dims)).minimum_basis()
-    missed = span.unspanned(basis) if span else unspanned_columns(section.stacked(), basis)
-    return [basis.col(j) for j in missed]
+    return [basis.col(j) for j in (span or read_span(section.stacked())).unspanned(basis)]
 
 
 def split_stacked(stacked: Mat, dims: Dims) -> InputSection:

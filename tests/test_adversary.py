@@ -1,8 +1,12 @@
 """Counterexample construction: annihilators, sign selection, pair recipes."""
 
+import operator
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from minexcite import (
     BoundedSet,
@@ -31,10 +35,14 @@ from minexcite import (
     excite,
     find_annihilator,
     has_property,
+    minimum_subspace,
     parse_matrix,
 )
+from minexcite import adversary, properties
 from minexcite.adversary import COMPLEMENT, KEEP
 from minexcite.properties import And, Leaf, Or, parse_expr
+
+from conftest import deficient_section
 
 TWO_COLUMN_PLAN = InputSection(parse_matrix("1, 0.5; 0, 1"), parse_matrix("-1, -1"))
 CORNER_PLAN = InputSection(parse_matrix("1, 0; 0, 0"), parse_matrix("0, 1"))
@@ -224,6 +232,77 @@ def test_structure_pair_replayable():
     assert first == second
 
 
+@st.composite
+def dependent_intersections(draw):
+    """(structure, plan, seed): one or two constraint vectors on [A, B] and one or
+    two combinations of them, so the vectors are dependent.  Each value set's
+    first interval holds h_i . theta for one drawn theta, so the intersection is
+    non-empty while the midpoints mostly disagree; the plan misses one direction
+    of the minimum subspace."""
+    dims = Dims(draw(st.integers(1, 2)), draw(st.integers(0, 1)))
+    width = dims.n * dims.total
+    small = st.integers(-2, 2)
+    rows = draw(st.lists(st.lists(small, min_size=width, max_size=width).filter(any), min_size=1, max_size=2))
+    for _ in range(draw(st.integers(1, 2))):
+        c = [draw(small) for _ in rows]
+        combined = [sum(ci * r[t] for ci, r in zip(c, rows)) for t in range(width)]
+        rows.append(combined if any(combined) else rows[0])
+    theta = [Fraction(draw(small), draw(st.sampled_from([1, 2]))) for _ in range(width)]
+    halves = st.sampled_from([0, Fraction(1, 2), 1, 2])
+    constraints = []
+    for h in rows:
+        v = sum(map(operator.mul, h, theta))
+        pieces = [(v - draw(halves), v + draw(halves))]
+        if draw(st.booleans()):
+            pieces.append((v + 3, v + 3 + draw(halves)))
+        constraints.append(LinearConstraint(tuple(h), BoundedSet.from_pairs(pieces)))
+    p = LinearStructure.intersection(constraints)
+    rng = random.Random(draw(st.integers(0, 2**16)))
+    plan = deficient_section(rng, dims, minimum_subspace(p, dims).basis, rng.randint(1, dims.total))
+    return p, plan, draw(st.integers(0, 99))
+
+
+@settings(max_examples=150, deadline=None)
+@given(dependent_intersections())
+def test_dependent_intersection_pairs_valid(case):
+    p, plan, seed = case
+    assert_valid_pair(counterexample_structure(plan, p, seed), p)
+
+
+def test_dependent_intersection_is_searched_once(monkeypatch):
+    # a11 in [0, 2] and a11 in [1, 3]: the midpoints have no signed solve, so the
+    # pair seats the point that validation found with its one phase 1, not a second
+    calls = []
+    real = properties.nonnegative_solve
+    monkeypatch.setattr(properties, "nonnegative_solve", lambda a, b: calls.append(b) or real(a, b))
+    p = LinearStructure.intersection(
+        [LinearConstraint((1, 0, 0, 0, 0, 0), BoundedSet.from_pairs([piece])) for piece in [(0, 2), (1, 3)]]
+    )
+    pair = counterexample_structure(InputSection(parse_matrix("0, 0; 1, 0"), parse_matrix("0, 1")), p)
+    assert len(calls) == 1
+    assert_valid_pair(pair, p)
+
+
+def test_each_recipe_checks_its_pair_once(monkeypatch):
+    # the zero pattern's pair is built as its structure's and checked once, with
+    # the zero-pattern oracle
+    calls = []
+    real = adversary._verified_pair
+    monkeypatch.setattr(adversary, "_verified_pair", lambda *args: calls.append(args) or real(*args))
+    b11 = LinearConstraint((0, 0, 0, 0, 1, 0), BoundedSet.singleton(0))
+    cases = [
+        (STATES_ONLY_21, Sparsity(frozenset(), frozenset({(1, 1)}))),
+        (STATES_ONLY_21, LinearStructure.intersection([b11])),
+        (TWO_COLUMN_PLAN, Stabilizability()),
+        (TWO_COLUMN_PLAN, Controllability()),
+        (InputSection(Mat.identity(1), Mat.zeros(1, 1)), Controllability()),
+    ]
+    for plan, prop in cases:
+        calls.clear()
+        assert_valid_pair(counterexample_for(plan, prop), prop)
+        assert len(calls) == 1, prop
+
+
 def test_structure_rich_plan_refused():
     sec = design_minimum_input(row_sum_structure(), Dims(2, 0))
     with pytest.raises(SectionIsRich):
@@ -251,9 +330,9 @@ def test_distinct_pair_refused_on_full_data():
 # -- randomized soundness (small scale; the acceptance suite runs the full sweep) -----------
 
 def test_randomized_pairs_all_valid():
-    from minexcite import is_sufficiently_rich, minimum_subspace
+    from minexcite import is_sufficiently_rich
 
-    from conftest import deficient_section, rand_sparsity
+    from conftest import rand_sparsity
 
     rng = random.Random(97)
     for trial in range(40):

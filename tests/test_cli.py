@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import minexcite
+from minexcite import specio
 from minexcite import Dataset, InputSection, LinearStructure, SystemPair, consistent_set_contains, parse_matrix
 from minexcite.properties import PropertySpec
 from minexcite.cli import EXIT_BAD_INPUT, EXIT_NOT_RICH, EXIT_OK, main
@@ -396,3 +397,45 @@ def test_each_verb_validates_the_property_once(tmp_path, monkeypatch, capsys, ve
     status = main(["--verbose", verb, *(x for flag in flags for x in (flag, files[flag]))])
     assert status in (EXIT_OK, EXIT_NOT_RICH), capsys.readouterr().err
     assert len(calls) == 1
+
+
+DEPENDENT_PAIR_DOC = (
+    "type: linear_structure\nn: 2\nm: 1\nconstraints:\n"
+    '  - {h: "1, 0, 0, 0, 0, 0", set: [[0, 2]]}\n'
+    '  - {h: "1, 0, 0, 0, 0, 0", set: [[1, 3]]}\n'
+)
+UNSEEN_A11_PLAN = 'n: 2\nm: 1\nk: 2\nX: "0, 0; 1, 0"\nU: "0, 1"\n'
+
+
+def test_dependent_intersection_counterexample(tmp_path, capsys):
+    # both constraints read a11, and the midpoints 1 and 2 of their intervals
+    # disagree; a point of the intersection seats the system with the property
+    (tmp_path / "prop.yaml").write_text(DEPENDENT_PAIR_DOC)
+    (tmp_path / "plan.yaml").write_text(UNSEEN_A11_PLAN)
+    files = ["--property", str(tmp_path / "prop.yaml"), "--input", str(tmp_path / "plan.yaml")]
+    assert main(["check", *files]) == EXIT_NOT_RICH
+    capsys.readouterr()
+    assert main(["--verbose", "counterexample", *files]) == EXIT_OK
+    rows = dict(line.split(None, 1) for line in capsys.readouterr().out.splitlines())
+    assert rows["verdict"] == "counterexample"
+    assert rows["with_has_property"] == "True" and rows["without_has_property"] == "False"
+    assert rows["with_consistent"] == rows["without_consistent"] == "True"
+
+
+UNION_DOC = (
+    "type: linear_structure\nn: 2\nm: 1\nexpr: 1 | 2\nconstraints:\n"
+    '  - {h: "1, 0, 0, 0, 0, 0", set: [[0, 2]]}\n'
+    '  - {h: "0, 1, 0, 0, 0, 0", set: [[1, 3]]}\n'
+)
+
+
+@pytest.mark.parametrize("doc", [DEPENDENT_PAIR_DOC, UNION_DOC], ids=["intersection", "expression"])
+def test_verbose_check_reads_the_plan_once(tmp_path, eliminations, capsys, doc):
+    # validation, one read of the plan for the verdict and the missing
+    # directions, and the pivots of the target for its basis
+    (tmp_path / "prop.yaml").write_text(doc)
+    (tmp_path / "plan.yaml").write_text(UNSEEN_A11_PLAN)
+    prop = str(tmp_path / "prop.yaml")
+    argv = ["--verbose", "check", "--property", prop, "--input", str(tmp_path / "plan.yaml")]
+    assert eliminations(main, argv) == eliminations(specio.load_problem, prop) + 2
+    assert "missing_1" in capsys.readouterr().out

@@ -4,9 +4,12 @@ import random
 from fractions import Fraction
 
 from minexcite import (
+    BoundedSet,
     Controllability,
     Dims,
     InputSection,
+    LinearConstraint,
+    LinearStructure,
     Mat,
     Scenario,
     Sparsity,
@@ -99,6 +102,17 @@ def test_explicit_deficient_plan_yields_counterexample():
     assert rep.missing
     # square invertible state data also yields the opportunistic gain artifact
     assert rep.gain is not None and rep.gain.gain == parse_matrix("-1, -1/2")
+
+
+def test_dependent_intersection_run_yields_counterexample():
+    # a11 in [0, 2] and a11 in [1, 3]: the midpoints disagree, yet [1, 2] meets both
+    constraints = [LinearConstraint((1, 0, 0, 0, 0, 0), BoundedSet.from_pairs([piece])) for piece in [(0, 2), (1, 3)]]
+    p = LinearStructure.intersection(constraints)
+    plan = InputSection(parse_matrix("0, 0; 1, 0"), parse_matrix("0, 1"))
+    rep = run(Scenario(Dims(2, 1), HIDDEN, p, plan=plan))
+    assert rep.outcome == "not_sufficiently_rich"
+    pair = rep.counterexample
+    assert has_property(pair.sys_with, p) and not has_property(pair.sys_without, p)
 
 
 def test_identifiability_scenarios():

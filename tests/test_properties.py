@@ -47,7 +47,7 @@ from minexcite.properties import (
     build_constraint_matrix,
     flat_chain_ops,
 )
-from minexcite.ratmat import nonnegative_solve
+from minexcite.ratmat import nonnegative_solve, solve_right
 
 from conftest import rand_expr, rand_independent_rows, rand_sparsity, rand_system, reference_values
 
@@ -515,9 +515,12 @@ def test_simplex_intersection_check_matches_fourier_motzkin(constraints):
         return x
 
     with mock.patch.object(properties, "nonnegative_solve", checked):
-        nonempty = properties._intersection_nonempty(constraints)
-    assert nonempty == fourier_motzkin_nonempty(constraints)
+        point = properties.intersection_point(constraints)
+    assert (point is not None) == fourier_motzkin_nonempty(constraints)
     assert len(solutions) <= 1  # the first box found non-empty decides
+    if point:  # a point of the intersection: in every set, and some H theta ([] for independent rows)
+        assert all(c.values.contains(v) for c, v in zip(constraints, point))
+        assert solve_right(Mat([list(c.h) for c in constraints]), Mat.column(point)) is not None
 
 
 def test_interval_combinations_are_capped():

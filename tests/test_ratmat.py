@@ -22,7 +22,6 @@ from minexcite import (
     rank,
     solve_right,
     spectral_radius_info,
-    unspanned_columns,
 )
 from minexcite.ratmat import characteristic_polynomial, pivot_basis, pivot_columns, read_span
 
@@ -306,7 +305,7 @@ def test_integer_kernels_match_fraction_reference(inputs):
     assert (a @ null).is_zero()
     x = solve_right(a, b)
     assert x == _ref_solve_right(a, b)
-    assert unspanned_columns(a, b) == [j for j in range(b.cols) if solve_right(a, b.col(j)) is None]
+    assert read_span(a).unspanned(b) == [j for j in range(b.cols) if solve_right(a, b.col(j)) is None]
     if x is not None:
         _assert_canonical(x)
         assert a @ x == b
@@ -350,12 +349,13 @@ def test_span_read_matches_the_separate_calls(inputs):
     assert span.rank == rank(plan)
     assert span.kernel == kernel(plan.T)
     assert span.solution == solve_right(plan.T, x_plus.T)
-    assert span.unspanned(target) == unspanned_columns(plan, target)
+    assert span.unspanned(target) == [j for j in range(target.cols) if solve_right(plan, target.col(j)) is None]
     basis = Subspace(plan.rows, span.basis)  # the constructor rejects dependent columns
     assert basis.dim == span.rank and basis == image(plan)
     assert basis.project(w) == image(plan).project(w)
     bare = read_span(plan)
     assert (bare.rank, bare.kernel, bare.solution) == (span.rank, span.kernel, None)
+    assert bare.unspanned(target) == span.unspanned(target)
     assert Subspace(plan.rows, bare.basis) == basis
 
 
