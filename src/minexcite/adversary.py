@@ -40,7 +40,7 @@ from .properties import (
     is_stabilizable,
 )
 from .ratmat import Mat, Span, Subspace, read_span, solve_right
-from .richness import Dataset, InputSection, consistent_set_contains
+from .richness import Dataset, InputSection, consistent_set_contains, feedback
 
 
 @dataclass(frozen=True)
@@ -66,14 +66,14 @@ def _verified_pair(
 ) -> CounterexamplePair:
     """The pair sharing the feedback `sys_with` gives on `section`, checked with
     `holds`, the exact oracle of a property validated by the recipe's caller."""
-    feedback = sys_with.a @ section.x_minus + sys_with.b @ section.u_minus
-    if not consistent_set_contains(Dataset(section, feedback), sys_without):
+    shared = feedback(sys_with, section)
+    if not consistent_set_contains(Dataset(section, shared), sys_without):
         raise InternalFault("constructed system without the property is inconsistent")
     if not holds(sys_with):
         raise InternalFault("constructed system fails to have the property")
     if holds(sys_without):
         raise InternalFault("constructed partner unexpectedly has the property")
-    return CounterexamplePair(sys_with, sys_without, section, feedback)
+    return CounterexamplePair(sys_with, sys_without, section, shared)
 
 
 def _single_row(n: int, cols: int, row: int, nums: Sequence[int], den: int = 1) -> Mat:

@@ -1,18 +1,18 @@
 """End-to-end scenario running and data-efficiency reporting.
 
-A scenario holds a hidden system, a property of interest, and a plan:
-either "designed", meaning the minimum excitation is synthesized, or an
-explicit set of experiments.  Running a scenario excites the hidden
-system one step per column (states are reset between excitations, never
-continued along a trajectory), then applies the matching identifier.
-Deficient explicit plans additionally get a certifying counterexample.
-A designed plan is the design's basis, so the identifier reuses the
-design's Q with no solve, and a full-space model is X+ Q: a designed run
-eliminates only inside the property's own test.  On an explicit plan the
-identifier's read of the plan's span travels with its failure, in
-`NotSufficientlyRich` or the not_identifiable result, to the certificate,
-which reads its annihilators and consistent model from it.  An explicit
-square plan's gain leaves its spectral radius unread.
+A scenario holds a hidden system, a property and a plan: either
+"designed", the minimum excitation synthesized, or explicit experiments.
+Running it excites the hidden system one step per column in one product,
+X+ = [A, B] [X-; U-] (states are reset, never continued along a
+trajectory), then applies the matching identifier; a deficient explicit
+plan also gets a certifying counterexample.  A designed plan is the
+design's basis, so the identifier reuses the design's Q with no solve and
+a full-space model is X+ itself: a designed run eliminates only inside the
+property's own test, and a whole-space one (S = I, Q = I) makes no
+product.  On an explicit plan the identifier's read of the plan's span
+travels with its failure, in `NotSufficientlyRich` or the not_identifiable
+result, to the certificate, which reads its annihilators and consistent
+model from it.  A square plan's gain leaves its spectral radius unread.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from .errors import DimensionMismatch, GainNotApplicable, NotSufficientlyRich
 from .identify import GainResult, Verdict, counterexample_report, gain_from_data, identify_property
 from .properties import Dims, Problem, PropertySpec, SystemPair
 from .ratmat import Mat
-from .richness import Dataset, InputSection, split_stacked
+from .richness import Dataset, InputSection, feedback, split_stacked
 
 
 @dataclass(frozen=True)
@@ -74,10 +74,7 @@ class RunReport:
 
 def excite(hidden: SystemPair, section: InputSection) -> Dataset:
     """One exact step per excitation column; no trajectory continuation."""
-    if hidden.n != section.n or hidden.m != section.m:
-        raise DimensionMismatch("system and plan dimensions do not match")
-    x_plus = hidden.a @ section.x_minus + hidden.b @ section.u_minus
-    return Dataset(section, x_plus)
+    return Dataset(section, feedback(hidden, section))
 
 
 def run(sc: Scenario) -> RunReport:

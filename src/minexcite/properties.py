@@ -23,6 +23,7 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional, Sequence
 
 from .errors import DimensionMismatch, SpecValidationError
@@ -90,14 +91,18 @@ class SystemPair:
     def dims(self) -> Dims:
         return Dims(self.n, self.m)
 
+    _ab = cached_property(lambda self: Mat.hstack([self.a, self.b]))
+
     def ab(self) -> Mat:
-        """The n x (n+m) block [A, B]."""
-        return Mat.hstack([self.a, self.b])
+        """The n x (n+m) block [A, B], built once and kept outside equality, hash and repr."""
+        return self._ab
 
     @classmethod
     def from_ab(cls, ab: Mat) -> "SystemPair":
-        """The pair whose block [A, B] is `ab`."""
-        return cls(ab.take_cols(range(ab.rows)), ab.take_cols(range(ab.rows, ab.cols)))
+        """The pair whose block [A, B] is `ab`, which it keeps."""
+        pair = cls(ab.take_cols(range(ab.rows)), ab.take_cols(range(ab.rows, ab.cols)))
+        pair.__dict__["_ab"] = ab
+        return pair
 
 
 # -- value sets ----------------------------------------------------------

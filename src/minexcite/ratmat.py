@@ -8,15 +8,15 @@ this module, which carry an explicit margin for unit-circle tests.
 A `Mat` stores its cells as Python ints over one common denominator, in
 a canonical form (see the class docstring), and reads come back as
 `fractions.Fraction` values built on demand.  Matrices and subspaces are
-immutable; all operations return new values and are safe to share across
-threads.
+immutable, so every result, an operand handed back included, is safe to
+share across threads.
 
 Every operation works on the integers with no change to exactness: sums
-bring both operands to the lcm of their denominators, scalar products and
-`@` (integer rows added up over nonzero cells) multiply the denominators,
-and elimination runs fraction-free Gauss-Jordan on primitive integer rows,
-as does the phase-1 simplex of `nonnegative_solve`.  Each result is
-brought to the canonical form with a single gcd.
+bring both operands to the lcm of their denominators, `*` and `@` (integer
+rows added up over nonzero cells) multiply the denominators, elimination
+runs fraction-free Gauss-Jordan on primitive integer rows, as does the
+phase-1 simplex of `nonnegative_solve`, and one gcd makes each result
+canonical.  So an identity right factor costs nothing: `M @ I` is M itself.
 
 `read_span` is the one reader of a plan's column span: one elimination of
 its transpose gives the left kernel Y, and a column lies outside the span
@@ -301,6 +301,8 @@ class Mat:
         if self.cols != other.rows:
             raise DimensionMismatch(f"cannot multiply {self.shape} by {other.shape}")
         n, w = self.cols, other.cols
+        if w == n and other._den == 1 and other._nums[:: n + 1].count(1) == n and other._nums.count(0) == n * n - n:
+            return self  # other is I_n, n ones on its diagonal and zeros elsewhere: M I = M exactly
         rhs = [[(j, y) for j, y in enumerate(other._nums[k * w : (k + 1) * w]) if y] for k in range(n)]
         nums = []
         for i in range(self.rows):

@@ -1,24 +1,25 @@
 """Sufficient richness checks and minimum excitation design.
 
 An excitation plan is a set of k one-step experiments, each a pair of
-initial state and input; stacked, the columns span a subspace of
-R^(n+m).  A plan can decide a property for every system consistent with
-the resulting data exactly when that subspace contains the property's
-minimum subspace, and any basis of the minimum subspace is a minimum
-excitation.  So a plan is rich exactly when [X-; U-] Q = target has a
-solution, for a `Problem`'s target that spans that subspace; an
-identifier's solve decides it on the way.  Asked directly, richness is one
-read of the plan (`ratmat.read_span`): its left kernel Y annihilates every
-target column.  Design is picking a basis, and its elimination also gives
-the q with basis q = target, so a plan equal to the design reuses that q
-with no solve.  The missing directions of a deficient plan are the basis
-columns that Y does not annihilate: a product Y^T basis on the caller's
-read of the plan, else on one read made here.
+initial state and input; stacked, the columns span a subspace of R^(n+m).
+A system on a plan is one product, X+ = [A, B] [X-; U-] (`feedback`), of
+blocks the pair and the plan each build once; consistency is that product
+equal to the data.  A plan decides a property for every consistent system
+exactly when its span contains the property's minimum subspace, and any
+basis of that subspace is a minimum excitation.  So a plan is rich exactly
+when [X-; U-] Q = target is solvable, for a `Problem`'s target spanning
+that subspace; an identifier's solve decides it on the way.  Asked
+directly, richness is one read of the plan (`ratmat.read_span`): its left
+kernel Y annihilates every target column.  Design picks a basis, whose
+elimination also gives q with basis q = target, so a plan equal to the
+design reuses that q.  The missing directions of a deficient plan are the
+basis columns Y does not annihilate, on the caller's read or one made here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 from .errors import DimensionMismatch
@@ -55,8 +56,11 @@ class InputSection:
     def dims(self) -> Dims:
         return Dims(self.n, self.m)
 
+    _stacked = cached_property(lambda self: Mat.vstack([self.x_minus, self.u_minus]))
+
     def stacked(self) -> Mat:
-        return Mat.vstack([self.x_minus, self.u_minus])
+        """The (n+m) x k plan [X-; U-], built once and kept outside equality, hash and repr."""
+        return self._stacked
 
 
 @dataclass(frozen=True)
@@ -73,11 +77,16 @@ class Dataset:
             raise DimensionMismatch("responses live in the state space")
 
 
+def feedback(sys: SystemPair, section: InputSection) -> Mat:
+    """The data equation X+ = [A, B] [X-; U-]: one product of the kept blocks."""
+    if sys.n != section.n or sys.m != section.m:
+        raise DimensionMismatch("system and plan dimensions do not match")
+    return sys.ab() @ section.stacked()
+
+
 def consistent_set_contains(d: Dataset, sys: SystemPair) -> bool:
     """True when the candidate reproduces the dataset exactly."""
-    if sys.n != d.section.n or sys.m != d.section.m:
-        raise DimensionMismatch("candidate dimensions do not match the data")
-    return sys.a @ d.section.x_minus + sys.b @ d.section.u_minus == d.x_plus
+    return feedback(sys, d.section) == d.x_plus
 
 
 def is_sufficiently_rich(section: InputSection, p: PropertySpec, problem: Optional[Problem] = None) -> bool:
@@ -99,7 +108,9 @@ def split_stacked(stacked: Mat, dims: Dims) -> InputSection:
     if stacked.rows != dims.total:
         raise DimensionMismatch(f"expected {dims.total} rows, got {stacked.rows}")
     k, cut, nums, den = stacked.cols, dims.n * stacked.cols, stacked._nums, stacked._den
-    return InputSection(Mat._make(dims.n, k, nums[:cut], den), Mat._make(dims.m, k, nums[cut:], den))
+    section = InputSection(Mat._make(dims.n, k, nums[:cut], den), Mat._make(dims.m, k, nums[cut:], den))
+    section.__dict__["_stacked"] = stacked
+    return section
 
 
 def design_minimum_input(p: PropertySpec, dims: Dims, problem: Optional[Problem] = None) -> InputSection:

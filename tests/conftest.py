@@ -1,4 +1,4 @@
-"""Shared generators for randomized tests, everything seeded, and an elimination counter."""
+"""Shared generators for randomized tests, everything seeded, and elimination and product counters."""
 
 import os
 import random
@@ -140,6 +140,30 @@ def eliminations(monkeypatch):
         return real(rows, pivot_width)
 
     monkeypatch.setattr(ratmat, "_rref", counting)
+
+    def count(f, *args):
+        calls.clear()
+        f(*args)
+        return len(calls)
+
+    return count
+
+
+@pytest.fixture
+def products(monkeypatch):
+    """`products(f, *args)` calls f and returns how many `Mat @` calls reached the
+    multiply loop.  A product by the identity returns its left operand itself,
+    while the loop always builds a new matrix, so the first is not counted."""
+    calls = []
+    real = Mat.__matmul__
+
+    def counting(left, right):
+        out = real(left, right)
+        if out is not left:
+            calls.append(out.shape)
+        return out
+
+    monkeypatch.setattr(Mat, "__matmul__", counting)
 
     def count(f, *args):
         calls.clear()

@@ -44,6 +44,7 @@ from minexcite import (
     solve_right,
     validate_property,
 )
+from minexcite.adversary import _verified_pair
 
 from conftest import deficient_section, rand_invertible, rand_mat, rand_structure, rand_system
 
@@ -409,3 +410,29 @@ def test_elimination_budget(eliminations, monkeypatch):
     for section, p in cases:
         assert eliminations(is_sufficiently_rich, section, p) == 1 + eliminations(validate_property, p, section.dims)
         assert eliminations(missing_directions, section, p) == 1 + eliminations(minimum_subspace, p, section.dims)
+
+
+def test_product_budget(products):
+    """A system on a plan is one product, [A, B] [X-; U-], and a product by the
+    identity costs nothing.  A designed whole-space run has S = I and Q = I, so
+    it makes no product; a designed zero pattern's plan is unit columns and its
+    Q is I, so it makes the one product of its excitation."""
+    rng = random.Random(67)
+    dims = Dims(3, 2)
+    hidden = rand_system(rng, dims.n, dims.m)
+    for p in (Identifiability(), Stabilizability()):
+        assert products(run, Scenario(dims, hidden, p)) == 0
+    sparsity = Sparsity(frozenset({(1, 2), (3, 3)}), frozenset({(2, 1)}))
+    assert products(run, Scenario(dims, hidden, sparsity)) == 1
+
+    # a plan of four columns in R^5 and a partner moved along its left kernel
+    section = InputSection(rand_mat(rng, dims.n, 4), rand_mat(rng, dims.m, 4))
+    h = kernel(section.stacked().T).col(0)
+    partner = SystemPair.from_ab(hidden.ab() + Mat.column([1, 0, 0]) @ h.T)
+    data = excite(hidden, section)
+    assert products(excite, hidden, section) == 1
+    assert products(consistent_set_contains, data, partner) == 1
+    # the pair's shared feedback, then the partner's consistency check; the
+    # oracle here makes no product, so the count is the data equation's alone
+    holds = lambda sys: sys is hidden  # noqa: E731
+    assert products(_verified_pair, section, hidden, partner, holds) == 2

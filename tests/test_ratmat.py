@@ -315,6 +315,28 @@ def test_integer_kernels_match_fraction_reference(inputs):
         _assert_canonical(m)
 
 
+@settings(max_examples=150, deadline=None)
+@given(kernel_inputs())
+def test_product_by_the_identity_is_the_left_operand(inputs):
+    """M I = M exactly, so `@` hands back M itself, 0-column shapes included;
+    a right factor that only resembles I is multiplied like any other."""
+    a = inputs[0]
+    assert a @ Mat.identity(a.cols) is a
+    assert Mat.identity(a.rows) @ a == a
+    n = a.cols
+    for near in (
+        Mat.identity(n) * 2,
+        Mat.identity(n) * Fraction(1, 2),
+        Mat.from_flat(n, n, [int(i == j and i) for i in range(n) for j in range(n)]),  # first one dropped
+        Mat.from_flat(n, n, [int(i == j or (i, j) == (0, n - 1)) for i in range(n) for j in range(n)]),
+        Mat.from_flat(n, n, [int(i + j == n - 1) for i in range(n) for j in range(n)]),  # reversal
+    ):
+        if near != Mat.identity(n):
+            product = a @ near
+            assert product is not a and product == _ref_matmul(a, near)
+            _assert_canonical(product)
+
+
 @st.composite
 def plan_inputs(draw):
     """(plan, x_plus, target, w) as a run meets them: an (n+m) x k plan, m = 0

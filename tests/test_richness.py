@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from minexcite import (
     Controllability,
@@ -15,6 +17,8 @@ from minexcite import (
     Sparsity,
     Stabilizability,
     Subspace,
+    SystemPair,
+    consistent_set_contains,
     contains,
     design_minimum_input,
     image,
@@ -22,10 +26,12 @@ from minexcite import (
     minimum_subspace,
     missing_directions,
     parse_matrix,
+    split_stacked,
 )
 
 from conftest import rand_invertible, rand_sparsity, rand_structure
 from minexcite import Mode
+from minexcite.richness import Dataset, feedback
 
 
 TWO_COLUMN_PLAN = InputSection(parse_matrix("1, 0.5; 0, 1"), parse_matrix("-1, -1"))
@@ -191,3 +197,74 @@ def test_section_needs_matching_columns():
 def test_section_needs_a_column():
     with pytest.raises(DimensionMismatch):
         InputSection(Mat.zeros(2, 0), Mat.zeros(1, 0))
+
+
+# -- a system on a plan ------------------------------------------------------------
+
+BIG = 10**30 + 57  # a denominator far past a machine word, shared by many cells
+
+
+@st.composite
+def systems_on_plans(draw):
+    """(a, b, x, u): a system and a plan of k columns, with m = 0 and k = 1
+    among the shapes, blocks that may be all zero, and cells over a large
+    shared denominator as well as small ones."""
+    n, m, k = draw(st.integers(1, 4)), draw(st.integers(0, 3)), draw(st.integers(1, 4))
+    entries = st.builds(Fraction, st.integers(-10**6, 10**6), st.sampled_from([1, 2, 3, BIG, 3 * BIG]))
+
+    def block(rows, cols):
+        if draw(st.booleans()) and draw(st.booleans()):
+            return Mat.zeros(rows, cols)
+        return Mat.from_flat(rows, cols, draw(st.lists(entries, min_size=rows * cols, max_size=rows * cols)))
+
+    return block(n, n), block(n, m), block(n, k), block(m, k)
+
+
+def _reference_feedback(a, b, x, u):
+    """A X- + B U-, cell by cell in Fraction arithmetic."""
+    n, m, k = a.rows, b.cols, x.cols
+
+    def cell(i, c):
+        return sum((a[i, j] * x[j, c] for j in range(n)), Fraction(0)) + sum(
+            (b[i, j] * u[j, c] for j in range(m)), Fraction(0)
+        )
+
+    return Mat.from_flat(n, k, [cell(i, c) for i in range(n) for c in range(k)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(systems_on_plans(), st.booleans(), st.booleans())
+def test_feedback_is_the_two_block_sum(blocks, from_ab, from_stacked):
+    a, b, x, u = blocks
+    sys = SystemPair.from_ab(Mat.hstack([a, b])) if from_ab else SystemPair(a, b)
+    section = split_stacked(Mat.vstack([x, u]), Dims(a.rows, b.cols)) if from_stacked else InputSection(x, u)
+    x_plus = feedback(sys, section)
+    assert x_plus == a @ x + b @ u == _reference_feedback(a, b, x, u)  # canonical: equal cell for cell
+    assert consistent_set_contains(Dataset(section, x_plus), sys)
+
+
+def test_feedback_checks_dimensions():
+    # n + m agree, so only the check tells the blocks apart
+    sys, plan = SystemPair(Mat.zeros(2, 2), Mat.zeros(2, 1)), InputSection(Mat.zeros(1, 2), Mat.zeros(2, 2))
+    with pytest.raises(DimensionMismatch):
+        feedback(sys, plan)
+    with pytest.raises(DimensionMismatch):
+        consistent_set_contains(Dataset(plan, Mat.zeros(1, 2)), sys)
+
+
+@settings(max_examples=100, deadline=None)
+@given(systems_on_plans())
+def test_kept_blocks_stay_out_of_equality_hash_and_repr(blocks):
+    """A pair built from [A, B] and a plan split from [X-; U-] keep the block
+    they were built from, and compare, hash and print like the plain ones,
+    whether or not either side's block has been read."""
+    a, b, x, u = blocks
+    ab, stacked, dims = Mat.hstack([a, b]), Mat.vstack([x, u]), Dims(a.rows, b.cols)
+    kept_pair, kept_plan = SystemPair.from_ab(ab), split_stacked(stacked, dims)
+    assert kept_pair.ab() is ab and kept_plan.stacked() is stacked
+    for read in (False, True):
+        pair, plan = SystemPair(a, b), InputSection(x, u)
+        if read:
+            assert pair.ab() == ab and plan.stacked() == stacked
+        assert kept_pair == pair and hash(kept_pair) == hash(pair) and repr(kept_pair) == repr(pair)
+        assert kept_plan == plan and hash(kept_plan) == hash(plan) and repr(kept_plan) == repr(plan)
