@@ -8,7 +8,6 @@ property of the data, not of any recovered model.
 
 from minexcite import (
     Dataset,
-    EIG_MARGIN,
     InputSection,
     format_matrix,
     gain_from_data,
@@ -27,17 +26,17 @@ for label, responses in [
     data = Dataset(plan, parse_matrix(responses))
     assert isinstance(recover_model(data), NotIdentifiable)  # model stays unknown
     result = gain_from_data(data)
-    stabilizing = result.radius < 1.0 - EIG_MARGIN
     print(f"{label}: X+ = [{responses}]")
     print(f"  K = [{format_matrix(result.gain)}]")
     print(f"  closed loop = [{format_matrix(result.closed_loop)}]")
     print(f"  spectral radius = {result.radius:.10f}")
-    print(f"  stabilizing: {stabilizing}" + ("  (marginal!)" if result.marginal else ""))
+    print(f"  stabilizing: {result.stabilizing}" + ("  (marginal!)" if result.marginal else ""))
     print()
 
 print(
     "The second dataset has a double eigenvalue exactly on the unit circle;"
-    "\nthe radius is computed from the exact characteristic polynomial, so"
-    "\nthe boundary case is reported as 1.0 and flagged marginal rather than"
-    "\ndrifting to 1.00000001 as float eigensolvers do."
+    "\nthe verdict is decided exactly, with no margin, and the radius is"
+    "\ncomputed from the exact characteristic polynomial, so the boundary"
+    "\ncase is reported as 1.0 and flagged marginal rather than drifting to"
+    "\n1.00000001 as float eigensolvers do."
 )

@@ -30,7 +30,7 @@ from .errors import (
 from .harness import efficiency_csv, efficiency_text, report_efficiency, run
 from .identify import counterexample_report, gain_from_data, identify_property, system_rows
 from .properties import Identifiability
-from .ratmat import EIG_MARGIN, format_matrix, read_span
+from .ratmat import format_matrix, read_span
 from .richness import design_minimum_input, missing_directions
 
 EXIT_OK = 0
@@ -107,12 +107,11 @@ def _emit_identification(rows: list, res, args) -> int:
 def _cmd_gain(args) -> int:
     data = specio.load_dataset(args.data)
     res = gain_from_data(data)
-    stabilizing = res.radius < 1.0 - EIG_MARGIN
     rows = [
         ("K", format_matrix(res.gain)),
         ("closed_loop", format_matrix(res.closed_loop)),
         ("radius", f"{res.radius:.12g}"),
-        ("stabilizing", stabilizing),
+        ("stabilizing", res.stabilizing),
     ]
     if res.marginal:
         rows.append(("marginal", True))

@@ -14,10 +14,9 @@ shows that no system reproduces the data.  A deficient plan raises
 left kernel, and the span itself, from which the counterexample recipe
 reads its certificate; `NotIdentifiable` carries it the same way.
 Zero tests are exact; floats appear only in the spectral radius of a
-synthesized closed loop, computed when first read, and in the
-stabilizability test.  That radius is Newton-polished on the square-free
-part of the closed loop's exact characteristic polynomial, so repeated
-eigenvalues keep full accuracy.
+synthesized closed loop, computed when first read.  That radius is
+Newton-polished on the square-free part of the closed loop's exact
+characteristic polynomial, so repeated eigenvalues keep full accuracy.
 
 One table maps each property class to its identifier and its
 counterexample recipe; `identify_property`, `counterexample_report` and
@@ -66,6 +65,7 @@ from .ratmat import (
     read_span,
     solve_right,
     spectral_radius_info,
+    stabilizable,
 )
 from .richness import Dataset, InputSection, consistent_set_contains, missing_directions
 
@@ -117,12 +117,10 @@ class NotIdentifiable:
 class GainResult:
     """Feedback gain read off square invertible state data.
 
-    `radius` is the spectral radius of the closed loop, Newton-polished on
-    the square-free part of its exact characteristic polynomial at every
-    size; the caller decides success, conventionally radius < 1 - margin,
-    and should distrust any verdict when `marginal` is set.  Both come from
-    one `spectral_radius_info` call, made when either is first read.
-    """
+    Each is computed on first read.  `stabilizing`, exact, says every closed-loop eigenvalue
+    lies strictly inside the unit disc.  For display only, one `spectral_radius_info` call gives
+    `radius`, Newton-polished on the square-free exact characteristic polynomial, and
+    `marginal`, set when it lies within EIG_MARGIN of 1."""
 
     gain: Mat
     closed_loop: Mat
@@ -130,6 +128,10 @@ class GainResult:
     @cached_property
     def _spectrum(self) -> SpectralInfo:
         return spectral_radius_info(self.closed_loop)
+
+    @cached_property
+    def stabilizing(self) -> bool:
+        return stabilizable(self.closed_loop, Mat.zeros(self.closed_loop.rows, 0))
 
     @property
     def radius(self) -> float:
@@ -268,8 +270,7 @@ def gain_from_data(d: Dataset) -> GainResult:
     """Feedback gain U- X-^{-1} and the closed loop X+ X-^{-1}, exactly.
 
     Only applicable when the state block is square and invertible; the
-    spectral radius of the closed loop is computed in floating point, when
-    the result's `radius` or `marginal` is first read.
+    result's `stabilizing` and float spectral radius are read on demand.
     """
     n = d.section.n
     if d.section.k != n:

@@ -28,7 +28,6 @@ from typing import Optional, Sequence
 
 from .errors import DimensionMismatch, SpecValidationError
 from .ratmat import (
-    EIG_MARGIN,
     Mat,
     Subspace,
     _augmented_rref,
@@ -36,12 +35,11 @@ from .ratmat import (
     format_rational,
     image,
     nonnegative_solve,
-    numeric_rank,
     pivot_basis,
     rank,
+    reachable_rank,
+    stabilizable,
 )
-
-import numpy as np
 
 
 @dataclass(frozen=True)
@@ -646,44 +644,13 @@ def minimum_subspace(p: PropertySpec, dims: Dims) -> Subspace:
 # -- ground-truth membership oracle ------------------------------------------
 
 def is_controllable(sys: SystemPair) -> bool:
-    """Exact rank test on the Krylov matrices K_j = [B, AB, ..., A^(j-1) B].
-
-    j starts at ceil(n/m), the fewest blocks that can reach rank n, and doubles,
-    capped at n (the whole reachability matrix), until the rank is n.  A rank
-    that does not grow from j = i to the next j means im K_i = im K_(i+1) is
-    A-invariant, so no further power adds a direction: not controllable.
-    """
-    n, m = sys.n, sys.m
-    if m == 0:
-        return False
-    blocks, j, last = [sys.b], -(-n // m), None
-    while True:
-        while len(blocks) < j:
-            blocks.append(sys.a @ blocks[-1])
-        r = rank(Mat.hstack(blocks))
-        if r == n:
-            return True
-        if r == last or j >= n:
-            return False
-        last, j = r, min(2 * j, n)
+    """Exact: the reachable subspace of the Krylov staircase (`ratmat.reachable_rank`) is R^n."""
+    return reachable_rank(sys.a, sys.b) == sys.n
 
 
 def is_stabilizable(sys: SystemPair) -> bool:
-    """Eigenvalue split plus a numeric rank test on each unstable mode.
-
-    Any eigenvalue with modulus at least 1 - EIG_MARGIN is treated as unstable
-    and must pass rank [A - lambda I, B] = n at the same margin.
-    """
-    a = sys.a.to_float()
-    b = sys.b.to_float().reshape(sys.n, sys.m)
-    eigenvalues = np.linalg.eigvals(a)
-    eye = np.eye(sys.n)
-    for lam in eigenvalues:
-        if abs(lam) >= 1.0 - EIG_MARGIN:
-            block = np.hstack([a - lam * eye, b]).astype(complex)
-            if numeric_rank(block) < sys.n:
-                return False
-    return True
+    """Exact: every mode outside the reachable subspace lies strictly inside the unit disc (`ratmat.stabilizable`)."""
+    return stabilizable(sys.a, sys.b)
 
 
 def has_property(sys: SystemPair, p: PropertySpec) -> bool:

@@ -1,9 +1,9 @@
 """Exact rational matrices and subspace arithmetic.
 
-Every structural decision in this package (rank, image, containment,
-membership, linear solves) is made over the rationals with no rounding.
-Floating point enters only through the spectral helpers at the bottom of
-this module, which carry an explicit margin for unit-circle tests.
+Every decision in this package (rank, image, containment, membership,
+linear solves, controllability and stability) is made over the rationals
+with no rounding.  Floating point enters only through the spectral radius
+at the bottom of this module, a displayed figure that feeds no verdict.
 
 A `Mat` stores its cells as Python ints over one common denominator, in
 a canonical form (see the class docstring), and reads come back as
@@ -21,10 +21,13 @@ canonical.  So an identity right factor costs nothing: `M @ I` is M itself.
 `read_span` is the one reader of a plan's column span: one elimination of
 its transpose gives the left kernel Y, and a column lies outside the span
 exactly when its product with Y^T is nonzero, read off the reduced rows.
+`_staircase` is the one reader of a pair (A, B): one Krylov elimination gives
+its reachable subspace and the modes outside it, each set decided exactly.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 import re
@@ -33,12 +36,9 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
-import numpy as np
-
 from .errors import DimensionMismatch, SpecValidationError
 
-# An eigenvalue counts as on or outside the unit circle when its modulus is
-# at least 1 - EIG_MARGIN; moduli within EIG_MARGIN of 1 are flagged marginal.
+# A spectral radius within EIG_MARGIN of 1 is flagged marginal.
 EIG_MARGIN = 1e-9
 
 
@@ -258,9 +258,6 @@ class Mat:
 
     def to_lists(self) -> list:
         return [self.row_list(i) for i in range(self.rows)]
-
-    def to_float(self) -> np.ndarray:
-        return np.array([x / self._den for x in self._nums], dtype=float).reshape(self.rows, self.cols)
 
     # -- algebra ------------------------------------------------------
 
@@ -662,6 +659,89 @@ def contains(outer: Subspace, inner: Subspace) -> bool:
     return rank(Mat.hstack([outer.basis, inner.basis])) == outer.dim
 
 
+# -- the Krylov staircase ----------------------------------------------------
+
+def _schur_stable(poly: list) -> bool:
+    """Whether an integer polynomial, lowest degree first, has every root strictly inside the unit
+    disc: z = (1+s)/(1-s) maps it onto the left half-plane, so g(s) = (1-s)^d p(z) keeps degree d
+    and the first column of its Routh array, rows made primitive, is positive (Routh-Hurwitz)."""
+    while not poly[0]:  # a root at 0 lies inside
+        poly = poly[1:]
+    g, power = [poly[-1]], [1]  # power is (1-s)^k
+    for c in reversed(poly[:-1]):
+        power = [x - y for x, y in zip(power + [0], [0] + power)]
+        g = [x + y + c * z for x, y, z in zip(g + [0], [0] + g, power)]
+    g = [x if g[-1] > 0 else -x for x in reversed(g)]  # highest degree first, g[0] >= 0
+    upper, lower = g[0::2], g[1::2]
+    while lower and lower[0] > 0:
+        upper, lower = lower, _primitive([lower[0] * x - upper[0] * y for x, y in zip(upper[1:], lower[1:] + [0])])
+    return not lower and g[0] > 0
+
+
+def _staircase(a: Mat, b: Mat, stages: bool) -> tuple:
+    """(r, stable): r is the dimension of the reachable subspace of (a, b) and `stable`, None
+    without `stages`, whether every mode outside it lies strictly inside the unit disc.
+
+    Integer rows in semi-echelon form, each zero at the pivots before it.  a' = den * a, the cells
+    of a, is applied by its nonzero rows to the directions each level adds, from b's columns on,
+    until the span is a-invariant.  Then a unit vector at no pivot whose column of a' is zero adds
+    itself, a stage of polynomial x, and cyclic stages grow from the first other one, e.  Past its
+    n entries a stage's vector carries a tag weighing a'^i e, kept primitive at every step, and
+    earlier rows zeros, as their span is a-invariant.  A dependent vector's tag is a polynomial q,
+    and q(den * z) the characteristic polynomial of a on the stage's quotient.
+    """
+    n, m, den = a.rows, b.cols, a._den
+    rows_a = [(i, row) for i in range(n) if any(row := a._nums[i * n : (i + 1) * n])]
+    basis = []  # (pivot, row)
+
+    def times_a(v: list) -> list:  # a zero row of a' costs nothing
+        out = [0] * n
+        for i, row in rows_a:
+            out[i] = sum(map(operator.mul, row, v))
+        return out
+
+    def add(v: list) -> list:
+        """v reduced against the basis, and appended to it unless its first n entries are 0."""
+        for p, row in basis:
+            if f := v[p]:
+                v = [row[p] * x - f * y for x, y in zip(v, row)]
+                if len(v) > n:
+                    v = _primitive(v)
+        v = _primitive(v)
+        if (p := next(itertools.compress(range(n), v), None)) is not None:
+            basis.append((p, v))
+        return v
+
+    level = [list(b._nums[j::m]) for j in range(m)]
+    while level:  # stops at once when the span is R^n
+        added = [v for v in (add(v) for v in level if len(basis) < n) if any(v)]
+        level = [times_a(v) for v in added] if len(basis) < n else []
+    r, done = len(basis), 0
+    if not stages:
+        return r, None
+    pivots = {p for p, _ in basis}
+    basis += [(f, [int(i == f) for i in range(n)]) for f in range(n) if f not in pivots and not any(a._nums[f::n])]
+    while len(basis) < n:
+        basis[done:] = [(p, row[:n] + [0] * (n + 1)) for p, row in basis[done:]]
+        done, v = len(basis), [0] * (2 * n + 1)
+        v[min(set(range(n)).difference(p for p, _ in basis))] = v[n] = 1
+        while any((v := add(v))[:n]):
+            v = times_a(v) + [0] + v[n:-1]
+        if not _schur_stable([t * den**i for i, t in enumerate(v[n : n + len(basis) - done + 1])]):
+            return r, False
+    return r, True
+
+
+def reachable_rank(a: Mat, b: Mat) -> int:
+    """Dimension of im [b, ab, ..., a^(n-1) b], from `_staircase`."""
+    return _staircase(a, b, False)[0]
+
+
+def stabilizable(a: Mat, b: Mat) -> bool:
+    """Whether every mode outside im [b, ab, ...] is inside the unit disc; for b = [], a's, from `_staircase`."""
+    return _staircase(a, b, True)[1]
+
+
 # -- floating bridge -----------------------------------------------------
 
 @dataclass(frozen=True)
@@ -671,8 +751,8 @@ class SpectralInfo:
     The radius is Newton-polished on the square-free part of the exact
     characteristic polynomial at every size, and `residual` is the size of
     the last Newton step.  `marginal` is set when the radius lies
-    within EIG_MARGIN of the unit circle, in which case stability verdicts
-    should not be trusted.
+    within EIG_MARGIN of the unit circle.  Both are for display: stability
+    is decided exactly by `stabilizable`.
     """
 
     radius: float
@@ -694,9 +774,9 @@ def characteristic_polynomial(m: Mat) -> list:
 
 
 def _primitive(poly: list) -> list:
-    """Integer polynomial divided by the gcd of its coefficients."""
+    """Integer polynomial divided by the gcd of its coefficients; 0 stays itself."""
     g = math.gcd(*poly)
-    return [c // g for c in poly]
+    return [c // g for c in poly] if g > 1 else poly
 
 
 def _pseudo_divmod(a: list, b: list) -> tuple:
@@ -736,6 +816,7 @@ def _polished_radius(poly: list) -> Optional[tuple]:
     numbers, or None when a Newton run fails, leaves the candidate band or
     repeats a root."""
     import mpmath
+    import numpy as np
 
     try:
         starts = np.roots([c / poly[0] for c in poly])  # monic, so the companion matrix is finite
@@ -788,11 +869,3 @@ def spectral_radius_info(m: Mat) -> SpectralInfo:
             polished = max(abs(r) for r in roots), mpmath.mpf(err)
     radius, residual = (float(mpmath.ldexp(v, s)) for v in polished)  # past the float range: inf or 0
     return SpectralInfo(radius, residual, abs(radius - 1.0) <= EIG_MARGIN)
-
-
-def numeric_rank(a: np.ndarray) -> int:
-    """Singular values above EIG_MARGIN (relative to the largest, floored at 1)."""
-    if a.size == 0:
-        return 0
-    s = np.linalg.svd(a, compute_uv=False)
-    return int(np.sum(s > EIG_MARGIN * max(1.0, float(s[0]))))

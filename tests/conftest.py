@@ -131,15 +131,18 @@ def deficient_section(rng: random.Random, dims: Dims, target_basis: Mat, k: int)
 
 @pytest.fixture
 def eliminations(monkeypatch):
-    """`eliminations(f, *args)` calls f and returns how many eliminations it ran."""
+    """`eliminations(f, *args)` calls f and returns how many eliminations it ran:
+    calls of `ratmat._rref`, and of the Krylov staircase `ratmat._staircase`,
+    one elimination per call."""
     calls = []
-    real = ratmat._rref
+    for name in ("_rref", "_staircase"):
+        real = getattr(ratmat, name)
 
-    def counting(rows, pivot_width):
-        calls.append(pivot_width)
-        return real(rows, pivot_width)
+        def counting(*args, real=real):
+            calls.append(real)
+            return real(*args)
 
-    monkeypatch.setattr(ratmat, "_rref", counting)
+        monkeypatch.setattr(ratmat, name, counting)
 
     def count(f, *args):
         calls.clear()

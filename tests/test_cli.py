@@ -178,6 +178,26 @@ def test_gain_on_triple_eigenvalue_is_marginal(tmp_path):
     assert rows["stabilizing"] == "False"
 
 
+def test_gain_decides_stabilizing_exactly(tmp_path, capsys):
+    # the closed loop [1 - 1e-12] is stable; its radius lies inside the display margin
+    data = tmp_path / "near.yaml"
+    data.write_text('n: 1\nm: 1\nk: 1\nX: "1"\nU: "0"\nXp: "0.999999999999"\n')
+    assert main(["gain", "--data", str(data)]) == EXIT_OK
+    rows = dict(line.split(None, 1) for line in capsys.readouterr().out.splitlines())
+    assert rows["stabilizing"] == "True"
+    assert rows["marginal"] == "True"
+
+
+def test_cli_import_loads_no_numpy():
+    # numpy serves only the displayed spectral radius, so it loads when one is computed
+    src = str(Path(minexcite.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import sys, minexcite.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 @pytest.mark.parametrize(
     "field, text",
     [("X", "1/0, 1"), ("X", "abc, 1"), ("Xp", "1e999999999, 0")],

@@ -1,10 +1,10 @@
 """The `eliminations` fixture sees every elimination.
 
-The fixture counts calls through the module attribute `ratmat._rref`.  A
-module that imported `_rref` by name, or reached it as an attribute of an
-imported `ratmat`, would keep a reference the patch does not replace, and
-its eliminations would escape every budget without a failing test.  So no
-module but `ratmat` may name `_rref` at all.
+The fixture counts calls through the module attributes `ratmat._rref` and
+`ratmat._staircase`.  A module that imported either by name, or reached it
+as an attribute of an imported `ratmat`, would keep a reference the patch
+does not replace, and its eliminations would escape every budget without a
+failing test.  So no module but `ratmat` may name either kernel at all.
 """
 
 import ast
@@ -13,32 +13,34 @@ from pathlib import Path
 import minexcite
 
 PACKAGE = Path(minexcite.__file__).resolve().parent
-NAME = "_rref"
+KERNELS = ("_rref", "_staircase")
 
 
-def references(path: Path) -> list:
-    """Line numbers where `path` names `_rref`: a name, an attribute or an import."""
+def references(path: Path, name: str) -> list:
+    """Line numbers where `path` names `name`: a name, an attribute or an import."""
     lines = []
     for node in ast.walk(ast.parse(path.read_text(), str(path))):
-        if isinstance(node, ast.Name) and node.id == NAME:
+        if isinstance(node, ast.Name) and node.id == name:
             lines.append(node.lineno)
-        elif isinstance(node, ast.Attribute) and node.attr == NAME:
+        elif isinstance(node, ast.Attribute) and node.attr == name:
             lines.append(node.lineno)
         elif isinstance(node, (ast.Import, ast.ImportFrom)):
             names = [alias.name.rsplit(".", 1)[-1] for alias in node.names]
-            lines += [node.lineno] * names.count(NAME)
+            lines += [node.lineno] * names.count(name)
     return lines
 
 
 def test_only_ratmat_names_the_elimination_kernel():
     outside = {
-        path.name: lines
+        (path.name, name): lines
         for path in sorted(PACKAGE.glob("*.py"))
-        if path.name != "ratmat.py" and (lines := references(path))
+        for name in KERNELS
+        if path.name != "ratmat.py" and (lines := references(path, name))
     }
-    assert not outside, f"modules naming {NAME} outside ratmat.py escape the elimination count: {outside}"
+    assert not outside, f"kernels named outside ratmat.py escape the elimination count: {outside}"
 
 
 def test_the_walk_sees_the_kernel_in_ratmat():
-    # guards the walk itself: ratmat defines _rref and calls it by name
-    assert len(references(PACKAGE / "ratmat.py")) >= 5
+    # guards the walk itself: ratmat calls each kernel by name
+    assert len(references(PACKAGE / "ratmat.py", "_rref")) >= 5
+    assert len(references(PACKAGE / "ratmat.py", "_staircase")) >= 2

@@ -343,7 +343,8 @@ def test_elimination_budget(eliminations, monkeypatch):
     Constructing a scenario validates its property once and, for a designed
     structure, makes the one elimination that picks the basis and its Q.  A
     designed run then eliminates only inside the property's own test; the
-    identifier's solve of an explicit plan is its richness test."""
+    identifier's solve of an explicit plan is its richness test.  The membership
+    oracles of stabilizability and controllability are one Krylov staircase each."""
     rng = random.Random(59)
     dims = Dims(3, 2)
     hidden = rand_system(rng, dims.n, dims.m)
@@ -362,17 +363,17 @@ def test_elimination_budget(eliminations, monkeypatch):
     for p in props:
         sc = Scenario(dims, hidden, p)
         validations.clear()
-        expected = eliminations(is_controllable, hidden) if isinstance(p, Controllability) else 0
+        expected = 1 if isinstance(p, (Stabilizability, Controllability)) else 0  # the oracle's staircase
         assert eliminations(run, sc) == expected
         assert not validations
     assert eliminations(run, Scenario(scalar_dims, scalar, Controllability())) == 0
 
     # a deficient run, with no validation.  A full-space target takes one read of the
-    # plan's span: its rank, missing directions and annihilators (controllability adds
-    # the Krylov ranks of the pair's two oracle calls, 3 here).  A zero pattern or a
-    # structure takes the failed solve, that read, the projection and the signed solve;
-    # a structure's missing directions also need the pivots of its target.
-    deficient = {Sparsity: 4, LinearStructure: 5, Identifiability: 1, Stabilizability: 1, Controllability: 4}
+    # plan's span: its rank, missing directions and annihilators (stabilizability and
+    # controllability add the staircases of the pair's two oracle calls).  A zero
+    # pattern or a structure takes the failed solve, that read, the projection and the
+    # signed solve; a structure's missing directions also need the pivots of its target.
+    deficient = {Sparsity: 4, LinearStructure: 5, Identifiability: 1, Stabilizability: 3, Controllability: 3}
     drng = random.Random(61)
     for p in props:
         sc = Scenario(dims, hidden, p, deficient_section(drng, dims, minimum_subspace(p, dims).basis, 4))
@@ -396,8 +397,8 @@ def test_elimination_budget(eliminations, monkeypatch):
     for p in structures:
         for data in (rich(p), twisted(p)):
             assert eliminations(identify_linear_structure, data, p) == 1 + eliminations(validate_property, p, dims)
-    assert eliminations(identify_stabilizability, rich(Stabilizability())) == 0
-    assert eliminations(identify_stabilizability, twisted(Stabilizability())) == 1
+    assert eliminations(identify_stabilizability, rich(Stabilizability())) == 1
+    assert eliminations(identify_stabilizability, twisted(Stabilizability())) == 2
     own_test = eliminations(is_controllable, hidden)
     assert eliminations(identify_controllability, rich(Controllability())) == own_test
     assert eliminations(identify_controllability, twisted(Controllability())) == 1 + own_test

@@ -7,7 +7,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from minexcite import (
@@ -31,6 +31,7 @@ from minexcite import (
     has_property,
     image,
     is_controllable,
+    is_stabilizable,
     minimum_subspace,
     parse_expr,
     parse_matrix,
@@ -194,11 +195,18 @@ def test_stabilizability_oracle_basics():
     assert has_property(rescued, Stabilizability())
 
 
-def numeric_pbh_controllable(sys: SystemPair, tol=1e-9) -> bool:
-    """Independent float oracle: rank [A - lambda I, B] at every eigenvalue."""
-    a = sys.a.to_float()
-    b = sys.b.to_float().reshape(sys.n, sys.m)
+def float_cells(m: Mat) -> np.ndarray:
+    """The cells of m as float64, each converted from its Fraction."""
+    return np.array([float(x) for i in range(m.rows) for x in m.row_list(i)], dtype=float).reshape(m.rows, m.cols)
+
+
+def numeric_pbh_controllable(sys: SystemPair, tol=1e-9, least_modulus=0.0) -> bool:
+    """Independent float oracle: rank [A - lambda I, B] at every eigenvalue of
+    modulus at least `least_modulus`; 0 tests controllability, 1 stabilizability."""
+    a, b = float_cells(sys.a), float_cells(sys.b)
     for lam in np.linalg.eigvals(a):
+        if abs(lam) < least_modulus:
+            continue
         block = np.hstack([a - lam * np.eye(sys.n), b]).astype(complex)
         s = np.linalg.svd(block, compute_uv=False)
         if int(np.sum(s > tol * max(1.0, float(s[0])))) < sys.n:
@@ -284,6 +292,49 @@ def test_krylov_controllability_matches_full_kalman_rank(case):
     sys = SystemPair(Mat(a), Mat(b) if m else Mat.zeros(n, 0))
     expected = m > 0 and kalman_rank_reference(a, b) == n
     assert is_controllable(sys) == expected
+
+
+@st.composite
+def stability_systems(draw):
+    """(A, B) as Fraction lists from `control_systems`, scaled so that moduli fall
+    on both sides of 1, and often block triangular: A = [A11, A12; 0, A22] with
+    B = [B1; 0], which plants the modes of A22 outside the reachable subspace."""
+    a, b = draw(control_systems())
+    n = len(a)
+    scale = draw(st.sampled_from([Fraction(1), Fraction(1, 2), Fraction(1, 3), Fraction(1, 5), Fraction(3, 7)]))
+    a = [[x * scale for x in row] for row in a]
+    if n > 1 and draw(st.booleans()):
+        cut = draw(st.integers(1, n - 1))
+        a = [[x if i < cut or j >= cut else Fraction(0) for j, x in enumerate(row)] for i, row in enumerate(a)]
+        b = [row if i < cut else [Fraction(0)] * len(row) for i, row in enumerate(b)]
+    return a, b
+
+
+@settings(max_examples=300, deadline=None)
+@given(stability_systems())
+@example(([[Fraction(1, 2)]], [[]]))  # n = 1, m = 0
+@example(([[Fraction(3)]], [[Fraction(0)]]))  # n = 1, an unstable mode out of reach
+@example(([[Fraction(2), Fraction(1)], [Fraction(0), Fraction(1, 2)]], [[Fraction(1)], [Fraction(0)]]))
+@example(([[Fraction(1, 2), Fraction(1)], [Fraction(0), Fraction(2)]], [[Fraction(1)], [Fraction(0)]]))
+def test_exact_oracles_match_float_pbh_and_kalman_rank(case):
+    a, b = case
+    n, m = len(a), len(b[0])
+    sys = SystemPair(Mat(a), Mat(b) if m else Mat.zeros(n, 0))
+    assert is_controllable(sys) == (m > 0 and kalman_rank_reference(a, b) == n)
+    moduli = np.abs(np.linalg.eigvals(float_cells(sys.a)))
+    if np.any(np.abs(moduli - 1) <= 1e-6):
+        return  # the float reference cannot tell these apart
+    assert is_stabilizable(sys) == numeric_pbh_controllable(sys, least_modulus=1.0)
+
+
+def test_stabilizability_is_exact_at_the_unit_circle():
+    # modes 1e-12 inside and outside the circle, closer than any float margin
+    assert is_stabilizable(SystemPair(parse_matrix("0.999999999999"), Mat.zeros(1, 1)))
+    assert not is_stabilizable(SystemPair(parse_matrix("1.000000000001"), Mat.zeros(1, 1)))
+    # a rotation with rational cosine: both eigenvalues lie exactly on the circle
+    rotation = parse_matrix("3/5, -4/5; 4/5, 3/5")
+    assert not is_stabilizable(SystemPair(rotation, Mat.zeros(2, 0)))
+    assert is_stabilizable(SystemPair(rotation * Fraction(999999, 1000000), Mat.zeros(2, 0)))
 
 
 def test_controllability_of_a_generic_system_takes_one_elimination(eliminations):
