@@ -89,9 +89,6 @@ from .adversary import (
     CounterexamplePair,
     algorithm1_signs,
     algorithm2_signs,
-    counterexample_controllability,
-    counterexample_stabilizability,
-    counterexample_structure,
     distinct_consistent_pair,
     find_annihilator,
 )

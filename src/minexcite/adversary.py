@@ -5,14 +5,15 @@ that reproduce the exact same feedback data while exactly one has the
 property; no amount of cleverness on such data can settle the question.
 This module constructs such pairs explicitly, one recipe per property
 family, and validates every pair against the exact membership oracle
-before returning it; the property table in `identify` picks the recipe.
-Each recipe reads the plan's `Span` (`ratmat.read_span`) that the
-identifier made when it found the plan deficient: its left kernel gives
-the annihilated directions, its basis the projection of a structure's
-missed column, and, for a pair of models, its transposed solve the
-consistent model.  Called without it, a recipe makes that one read itself.
-The pairs are built on the integers of those matrices and of the problem's
-target, and each is checked once, with the oracle of the property asked.
+before returning it.  Every recipe takes (section, problem, seed, span),
+and the property table in `identify` holds them as they are.  The table
+hands each recipe the plan's read (`ratmat.read_span`): the one the
+identifier made when it found the plan deficient, or one made for the
+recipe.  Its left kernel gives the annihilated directions, its basis the
+projection of a structure's missed column, and, for a pair of models, its
+transposed solve the consistent model.  The pairs are built on the
+integers of those matrices and of the problem's target, and each is checked
+once, with the oracle of the validated problem.
 """
 
 from __future__ import annotations
@@ -25,19 +26,16 @@ from typing import Callable, Optional, Sequence, Tuple
 
 from .errors import InconsistentDataset, InternalFault, SectionIsRich
 from .properties import (
-    Controllability,
     Leaf,
     LinearStructure,
     Mode,
     Or,
     Problem,
     SetExpr,
-    Sparsity,
     SystemPair,
     as_structure_problem,
     expr_leaves,
     flat_chain_ops,
-    is_stabilizable,
 )
 from .ratmat import Mat, Span, Subspace, read_span, solve_right
 from .richness import Dataset, InputSection, consistent_set_contains, feedback
@@ -53,12 +51,15 @@ class CounterexamplePair:
     shared_feedback: Mat
 
 
-def find_annihilator(section: InputSection, span: Optional[Span] = None) -> Optional[Mat]:
+def find_annihilator(section: InputSection) -> Optional[Mat]:
     """First kernel direction of the transposed plan, an (n+m) x 1 column
-    orthogonal to every excitation, or None when the plan has full rank.
-    `span` is the caller's read of the plan, if it has made one."""
-    null = (span or read_span(section.stacked())).kernel
-    return null.col(0) if null.cols else None
+    orthogonal to every excitation, or None when the plan has full rank."""
+    return _annihilator(read_span(section.stacked()))
+
+
+def _annihilator(span: Span) -> Optional[Mat]:
+    """The first column of the left kernel of a plan's read, or None when it is empty."""
+    return span.kernel.col(0) if span.kernel.cols else None
 
 
 def _verified_pair(
@@ -87,14 +88,16 @@ def _unit(n: int, i: int) -> list:
     return [int(j == i) for j in range(n)]
 
 
-def counterexample_stabilizability(section: InputSection, span: Optional[Span] = None) -> CounterexamplePair:
+def counterexample_stabilizability(
+    section: InputSection, problem: Problem, seed: int, span: Span
+) -> CounterexamplePair:
     """Stabilizable system and a consistent partner with an uncontrollable
     eigenvalue at 1, built along an annihilated direction.  Every row is read
     off the integers of the annihilator h over its denominator d.
 
     Raises SectionIsRich when the plan is persistently exciting.
     """
-    ann = find_annihilator(section, span)
+    ann = _annihilator(span)
     if ann is None:
         raise SectionIsRich("the plan is persistently exciting; stabilizability is decidable")
     n, m = section.n, section.m
@@ -110,11 +113,11 @@ def counterexample_stabilizability(section: InputSection, span: Optional[Span] =
         b_with = _single_row(n, m, l, [-v for v in hu], hs[l])
         a_without = _single_row(n, n, l, _unit(n, l))
     sys_with, sys_without = SystemPair(a_with, b_with), SystemPair(a_without, Mat.zeros(n, m))
-    return _verified_pair(section, sys_with, sys_without, is_stabilizable)
+    return _verified_pair(section, sys_with, sys_without, problem.holds)
 
 
 def counterexample_controllability(
-    section: InputSection, problem: Optional[Problem] = None, span: Optional[Span] = None
+    section: InputSection, problem: Problem, seed: int, span: Span
 ) -> CounterexamplePair:
     """Controllable system and a consistent uncontrollable partner.
 
@@ -123,17 +126,16 @@ def counterexample_controllability(
     diagonal skeleton carries the annihilated direction in its first row
     and the partner simply drops that row's contribution.
     """
-    holds = (problem or Problem.of(Controllability(), section.dims)).holds
     n, m = section.n, section.m
     if n == 1:
-        null = (span or read_span(section.stacked())).kernel
+        null = span.kernel
         h = next((c for c in map(null.col, range(null.cols)) if any(c._nums[1:])), None)
         if h is None:
             raise SectionIsRich("the plan already pins down the input-to-state map")
         sys_with = SystemPair.from_ab(h.T)
-        return _verified_pair(section, sys_with, SystemPair(Mat.zeros(1, 1), Mat.zeros(1, m)), holds)
+        return _verified_pair(section, sys_with, SystemPair(Mat.zeros(1, 1), Mat.zeros(1, m)), problem.holds)
 
-    ann = find_annihilator(section, span)
+    ann = _annihilator(span)
     if ann is None:
         raise SectionIsRich("the plan is persistently exciting; controllability is decidable")
     den, hs, hu = ann._den, list(ann._nums[:n]), list(ann._nums[n:])
@@ -164,7 +166,7 @@ def counterexample_controllability(
     b_with = perm.T @ b_with
     a_without = perm.T @ base_a @ perm
     b_without = perm.T @ b_without
-    return _verified_pair(section, SystemPair(a_with, b_with), SystemPair(a_without, b_without), holds)
+    return _verified_pair(section, SystemPair(a_with, b_with), SystemPair(a_without, b_without), problem.holds)
 
 
 # -- sign selection for combined structures ---------------------------------
@@ -239,31 +241,19 @@ def algorithm2_signs(expr: SetExpr, c1: frozenset) -> tuple:
     return tuple(signs[i] for i in range(1, total + 1))
 
 
-def counterexample_sparsity(
-    section: InputSection, p: Sparsity, seed: int = 0, problem: Optional[Problem] = None, span: Optional[Span] = None
-) -> CounterexamplePair:
-    """Property-split pair for a zero pattern, built on its equivalent
-    structure and checked with the zero-pattern oracle."""
-    problem = problem or Problem.of(p, section.dims)
-    structure = as_structure_problem(problem)
-    return _verified_pair(section, *_structure_systems(section, structure, seed, span), problem.holds)
+def counterexample_sparsity(section: InputSection, problem: Problem, seed: int, span: Span) -> CounterexamplePair:
+    """Property-split pair for a zero pattern: the systems of its equivalent
+    structure, checked with the zero-pattern oracle."""
+    systems = _structure_systems(section, as_structure_problem(problem), seed, span)
+    return _verified_pair(section, *systems, problem.holds)
 
 
-def counterexample_structure(
-    section: InputSection,
-    p: LinearStructure,
-    seed: int = 0,
-    problem: Optional[Problem] = None,
-    span: Optional[Span] = None,
-) -> CounterexamplePair:
+def counterexample_structure(section: InputSection, problem: Problem, seed: int, span: Span) -> CounterexamplePair:
     """Property-split pair for a combined linear structure (see `_structure_systems`)."""
-    problem = problem or Problem.of(p, section.dims)
     return _verified_pair(section, *_structure_systems(section, problem, seed, span), problem.holds)
 
 
-def _structure_systems(
-    section: InputSection, problem: Problem, seed: int, span: Optional[Span]
-) -> Tuple[SystemPair, SystemPair]:
+def _structure_systems(section: InputSection, problem: Problem, seed: int, span: Span) -> Tuple[SystemPair, SystemPair]:
     """The unchecked systems with and without the structure `problem.prop`.
 
     Picks a constraint-matrix column the plan misses, strips its component
@@ -272,13 +262,12 @@ def _structure_systems(
     along the invisible direction far enough to break every touched
     constraint.  The perturbation scale for bracketed combinations uses a
     seeded generator so results are replayable.  The missed columns and the
-    span's basis come from `span`, the caller's read of the plan, or from
-    one read here; the constraint rows and the reference system are read
-    off the integers of the target and of the signed solve.
+    span's basis come from `span`, the read of the plan; the constraint rows
+    and the reference system are read off the integers of the target and of
+    the signed solve.
     """
     p, dims, m_mat = problem.prop, problem.dims, problem.target
     n, total, count = dims.n, dims.total, len(p.constraints)
-    span = span or read_span(section.stacked())
     missed = span.unspanned(m_mat)
     if not missed:
         raise SectionIsRich("the plan spans the constraint directions; the structure is decidable")
@@ -342,7 +331,7 @@ def distinct_consistent_pair(d: Dataset, span: Optional[Span] = None) -> Tuple[S
     read when model recovery has already made it.
     """
     span = span or read_span(d.section.stacked(), d.x_plus)
-    ann = find_annihilator(d.section, span)
+    ann = _annihilator(span)
     if ann is None:
         raise SectionIsRich("the plan is persistently exciting; the model is unique")
     if span.solution is None:

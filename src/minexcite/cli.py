@@ -29,7 +29,7 @@ from .errors import (
 )
 from .harness import efficiency_csv, efficiency_text, report_efficiency, run
 from .identify import counterexample_report, gain_from_data, identify_property, system_rows
-from .properties import Identifiability
+from .properties import Identifiability, Problem
 from .ratmat import format_matrix, read_span
 from .richness import design_minimum_input, missing_directions
 
@@ -87,13 +87,13 @@ def _cmd_identify(args) -> int:
     data = specio.load_dataset(args.data)
     if data.section.dims != problem.dims:
         raise SpecValidationError("dataset dimensions disagree with the property document")
-    res = identify_property(data, problem.prop, problem)
+    res = identify_property(data, problem)
     return _emit_identification([("property", problem.prop.label())], res, args)
 
 
 def _cmd_recover(args) -> int:
     data = specio.load_dataset(args.data)
-    return _emit_identification([], identify_property(data, Identifiability()), args)
+    return _emit_identification([], identify_property(data, Problem.of(Identifiability(), data.section.dims)), args)
 
 
 def _emit_identification(rows: list, res, args) -> int:
@@ -122,7 +122,7 @@ def _cmd_gain(args) -> int:
 def _cmd_counterexample(args) -> int:
     problem, section = _problem_and_plan(args)
     try:
-        res = counterexample_report(section, problem.prop, args.seed, problem)
+        res = counterexample_report(section, problem, args.seed)
     except SectionIsRich as exc:
         _emit([("verdict", "section_is_rich"), ("detail", exc)], args.format)
         return EXIT_OK

@@ -12,9 +12,9 @@ class SpecValidationError(ValueError):
 class NotSufficientlyRich(Exception):
     """An excitation plan cannot settle the requested property.
 
-    Carries the unit directions of the minimum subspace that the plan
-    fails to span, as a list of column vectors, and `span`, the identifier's
-    read of the plan (a `ratmat.Span`), which the counterexample recipe reuses.
+    Carries the unit directions of the minimum subspace that the plan fails to
+    span, as column vectors, and `span`, the identifier's read of the plan (a
+    `ratmat.Span`), which `identify.counterexample_report` hands to the recipe.
     """
 
     def __init__(self, message, missing=(), span=None):

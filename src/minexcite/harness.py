@@ -93,9 +93,9 @@ def run(sc: Scenario) -> RunReport:
         return RunReport(dataset, outcome, k_used, k_full, gain=gain, **extra)
 
     try:
-        res = identify_property(dataset, sc.prop, sc.problem)
+        res = identify_property(dataset, sc.problem)
     except NotSufficientlyRich as exc:
-        pair = counterexample_report(section, sc.prop, sc.seed, sc.problem, exc.span).pair
+        pair = counterexample_report(section, sc.problem, sc.seed, exc.span).pair
         return report("not_sufficiently_rich", counterexample=pair, missing=exc.missing)
     if res.outcome == "not_identifiable":
         return report(res.outcome, model_pair=distinct_consistent_pair(dataset, res.span))

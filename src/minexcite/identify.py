@@ -14,13 +14,13 @@ shows that no system reproduces the data.  A deficient plan raises
 left kernel, and the span itself, from which the counterexample recipe
 reads its certificate; `NotIdentifiable` carries it the same way.
 Zero tests are exact; floats appear only in the spectral radius of a
-synthesized closed loop, computed when first read.  That radius is
-Newton-polished on the square-free part of the closed loop's exact
-characteristic polynomial, so repeated eigenvalues keep full accuracy.
+synthesized closed loop, computed when first read.  That radius and the
+exact stability verdict share one characteristic polynomial of the loop.
 
 One table maps each property class to its identifier and its
-counterexample recipe; `identify_property`, `counterexample_report` and
-`counterexample_for` look the class up there.
+counterexample recipe, every recipe taking (section, problem, seed, span);
+`identify_property` and `counterexample_report` take a validated `Problem`
+and look its class up there, as `counterexample_for` does for a property.
 """
 
 from __future__ import annotations
@@ -59,13 +59,14 @@ from .ratmat import (
     Mat,
     SpectralInfo,
     Span,
+    characteristic_polynomial,
     format_matrix,
     format_rational,
     invert,
     read_span,
+    root_radius_info,
+    schur_stable,
     solve_right,
-    spectral_radius_info,
-    stabilizable,
 )
 from .richness import Dataset, InputSection, consistent_set_contains, missing_directions
 
@@ -117,21 +118,25 @@ class NotIdentifiable:
 class GainResult:
     """Feedback gain read off square invertible state data.
 
-    Each is computed on first read.  `stabilizing`, exact, says every closed-loop eigenvalue
-    lies strictly inside the unit disc.  For display only, one `spectral_radius_info` call gives
-    `radius`, Newton-polished on the square-free exact characteristic polynomial, and
-    `marginal`, set when it lies within EIG_MARGIN of 1."""
+    Each is computed on first read, from one exact characteristic polynomial of the closed
+    loop.  `stabilizing`, exact, says every root lies strictly inside the unit disc.  For
+    display only, `radius` is Newton-polished on the polynomial's square-free part, and
+    `marginal` is set when it lies within EIG_MARGIN of 1."""
 
     gain: Mat
     closed_loop: Mat
 
     @cached_property
+    def _polynomial(self) -> list:
+        return characteristic_polynomial(self.closed_loop)
+
+    @cached_property
     def _spectrum(self) -> SpectralInfo:
-        return spectral_radius_info(self.closed_loop)
+        return root_radius_info(self._polynomial)
 
     @cached_property
     def stabilizing(self) -> bool:
-        return stabilizable(self.closed_loop, Mat.zeros(self.closed_loop.rows, 0))
+        return schur_stable(self._polynomial)
 
     @property
     def radius(self) -> float:
@@ -347,22 +352,47 @@ def _identify_structure(d: Dataset, problem: Problem) -> Identification:
     )
 
 
-def _model_pair(section: InputSection, problem: Problem, seed: int, span: Optional[Span]) -> Identification:
-    """Two distinct systems sharing the feedback of the zero system."""
-    shared = Dataset(section, Mat.zeros(section.n, section.k))
-    first, second = distinct_consistent_pair(shared)
-    return Identification(
-        "not_identifiable",
-        facts=lambda: [
-            *system_rows("system_1_", first),
-            *system_rows("system_2_", second),
-            ("shared_Xp", format_matrix(shared.x_plus)),
-        ],
-    )
+class _Entry(NamedTuple):
+    identify: Callable[[Dataset, Problem], Identification]
+    # the property-split recipe; None for identifiability, a question about data, not one system
+    counterexample: Optional[Callable[[InputSection, Problem, int, Span], CounterexamplePair]]
 
 
-def _split(pair: CounterexamplePair, problem: Problem, seed: int) -> Identification:
-    """The report of a pair that shares one dataset and of which exactly one system has the property."""
+_PROPERTIES = {
+    Identifiability: _Entry(_identify_model, None),
+    Stabilizability: _Entry(lambda d, pb: _of_verdict(identify_stabilizability(d, pb)), counterexample_stabilizability),
+    Controllability: _Entry(lambda d, pb: _of_verdict(identify_controllability(d, pb)), counterexample_controllability),
+    Sparsity: _Entry(_identify_pattern, counterexample_sparsity),
+    LinearStructure: _Entry(_identify_structure, counterexample_structure),
+}
+
+
+def identify_property(d: Dataset, problem: Problem) -> Identification:
+    """Apply the identifier that matches the class of the validated problem's property."""
+    return _PROPERTIES[type(problem.prop)].identify(d, problem)
+
+
+def counterexample_report(
+    section: InputSection, problem: Problem, seed: int = 0, span: Optional[Span] = None
+) -> Identification:
+    """Proof that `section` cannot decide the problem's property: a property-split
+    pair, or for identifiability two models sharing zero feedback; SectionIsRich if
+    it can.  `span` is the plan's read that `NotSufficientlyRich` carries, when the
+    identifier has made one; otherwise the recipe gets one read made here.  The
+    pair of models reads its zero feedback itself."""
+    recipe = _PROPERTIES[type(problem.prop)].counterexample
+    if recipe is None:
+        zero = Dataset(section, Mat.zeros(section.n, section.k))
+        first, second = distinct_consistent_pair(zero)
+        return Identification(
+            "not_identifiable",
+            facts=lambda: [
+                *system_rows("system_1_", first),
+                *system_rows("system_2_", second),
+                ("shared_Xp", format_matrix(zero.x_plus)),
+            ],
+        )
+    pair = recipe(section, problem, seed, span or read_span(section.stacked()))
     shared = Dataset(pair.section, pair.shared_feedback)
     return Identification(
         "counterexample",
@@ -382,55 +412,9 @@ def _split(pair: CounterexamplePair, problem: Problem, seed: int) -> Identificat
     )
 
 
-class _Entry(NamedTuple):
-    identify: Callable[[Dataset, Problem], Identification]
-    counterexample: Callable[[InputSection, Problem, int, Optional[Span]], Identification]
-
-
-_PROPERTIES = {
-    Identifiability: _Entry(_identify_model, _model_pair),
-    Stabilizability: _Entry(
-        lambda d, pb: _of_verdict(identify_stabilizability(d, pb)),
-        lambda s, pb, seed, span: _split(counterexample_stabilizability(s, span), pb, seed),
-    ),
-    Controllability: _Entry(
-        lambda d, pb: _of_verdict(identify_controllability(d, pb)),
-        lambda s, pb, seed, span: _split(counterexample_controllability(s, pb, span), pb, seed),
-    ),
-    Sparsity: _Entry(
-        _identify_pattern,
-        lambda s, pb, seed, span: _split(counterexample_sparsity(s, pb.prop, seed, pb, span), pb, seed),
-    ),
-    LinearStructure: _Entry(
-        _identify_structure,
-        lambda s, pb, seed, span: _split(counterexample_structure(s, pb.prop, seed, pb, span), pb, seed),
-    ),
-}
-
-
-def identify_property(d: Dataset, p: PropertySpec, problem: Optional[Problem] = None) -> Identification:
-    """Apply the identifier that matches the class of `p`, on `problem` when
-    the caller has already validated `p` for the data's dimensions."""
-    return _PROPERTIES[type(p)].identify(d, problem or Problem.of(p, d.section.dims))
-
-
-def counterexample_report(
-    section: InputSection,
-    p: PropertySpec,
-    seed: int = 0,
-    problem: Optional[Problem] = None,
-    span: Optional[Span] = None,
-) -> Identification:
-    """Proof that `section` cannot decide `p`: a property-split pair, or for
-    identifiability two models sharing zero feedback; SectionIsRich if it can.
-    `span` is the plan's read that `NotSufficientlyRich` carries, when the
-    identifier has made one; the recipe reads the plan itself otherwise."""
-    return _PROPERTIES[type(p)].counterexample(section, problem or Problem.of(p, section.dims), seed, span)
-
-
 def counterexample_for(section: InputSection, p: PropertySpec, seed: int = 0) -> CounterexamplePair:
-    """The property-split pair the table's recipe builds for `p`."""
-    pair = counterexample_report(section, p, seed).pair
-    if pair is None:
+    """The property-split pair the table's recipe builds for `p`; ValueError for a
+    property with no recipe, identifiability, whatever the plan."""
+    if _PROPERTIES[type(p)].counterexample is None:
         raise ValueError("identifiability admits no property-split pair; use distinct_consistent_pair")
-    return pair
+    return counterexample_report(section, Problem.of(p, section.dims), seed).pair

@@ -30,8 +30,8 @@ from .errors import DimensionMismatch, SpecValidationError
 from .ratmat import (
     Mat,
     Subspace,
-    _augmented_rref,
     as_rational,
+    eliminate,
     format_rational,
     image,
     nonnegative_solve,
@@ -572,7 +572,7 @@ def intersection_point(constraints: Sequence[LinearConstraint]) -> Optional[list
     None when {theta : h_i . theta in S_i for all i} is empty; decided exactly.
 
     Values v are some H theta exactly when y . v = 0 for each row y of a
-    basis Y of the left kernel of H, read off one elimination of [H | I];
+    basis Y of the left kernel of H, the dependent rows of one elimination of [H | I];
     with no such y the constraints are independent, every v is achieved, and
     the empty list stands for that with no point computed.  Otherwise each box
     of one interval [lo_i, hi_i] per set asks for some x = v - lo and slack s,
@@ -581,9 +581,7 @@ def intersection_point(constraints: Sequence[LinearConstraint]) -> Optional[list
     Bland, Math. Oper. Res. 2(2), 1977); the first feasible box gives v = lo + x.
     """
     k = len(constraints)
-    hmat = Mat([list(c.h) for c in constraints])
-    rows, pivots = _augmented_rref(hmat, Mat.identity(k))
-    relations = [row[hmat.cols :] for row in rows[len(pivots) :]]
+    relations = eliminate(Mat([list(c.h) for c in constraints]), Mat.identity(k)).dependent.to_lists()
     if not relations:
         return []
     if math.prod(len(c.values.pieces) for c in constraints) > 4096:

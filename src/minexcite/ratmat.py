@@ -18,9 +18,9 @@ runs fraction-free Gauss-Jordan on primitive integer rows, as does the
 phase-1 simplex of `nonnegative_solve`, and one gcd makes each result
 canonical.  So an identity right factor costs nothing: `M @ I` is M itself.
 
-`read_span` is the one reader of a plan's column span: one elimination of
-its transpose gives the left kernel Y, and a column lies outside the span
-exactly when its product with Y^T is nonzero, read off the reduced rows.
+`eliminate` is the one entry point of elimination; `rank`, `kernel`, `read_span`
+and the like read the `Span` it returns.  A column lies outside a plan's span
+exactly when its product with the plan's left kernel Y^T is nonzero.
 `_staircase` is the one reader of a pair (A, B): one Krylov elimination gives
 its reachable subspace and the modes outside it, each set decided exactly.
 """
@@ -452,114 +452,74 @@ def nonnegative_solve(a: Mat, b: Mat) -> Optional[Mat]:
     return Mat.column([value.get(j, 0) for j in range(p)])
 
 
-def rank(m: Mat) -> int:
-    """Exact rank over the rationals."""
-    return len(_rref(m._int_rows(), m.cols))
-
-
-def pivot_columns(m: Mat) -> list:
-    return _rref(m._int_rows(), m.cols)
-
-
-def _reduced_read(rows: list, pivots: list, p: int, rhs: Optional[range] = None) -> Mat:
-    """A matrix of p rows read off an elimination whose pivots lie in the first p columns.
-
-    With `rhs`, the columns of a right-hand side, it is the solution whose free
-    variables are 0: row pc, for the pivot pc of row r, is rows[r][rhs] / rows[r][pc].
-    Without, it is the kernel basis, one vector per free variable set to 1,
-    leftmost first: row pc is -rows[r][free] / rows[r][pc] and row free[j] is e_j.
-    """
-    pivot_set = set(pivots)
-    cols = rhs if rhs is not None else [c for c in range(p) if c not in pivot_set]
-    den, sign = math.lcm(*(rows[r][pc] for r, pc in enumerate(pivots))), 1 if rhs is not None else -1
-    nums = [[0] * len(cols) for _ in range(p)]
-    for r, pc in enumerate(pivots):
-        scale = sign * (den // rows[r][pc])
-        nums[pc] = [rows[r][j] * scale for j in cols]
-    if rhs is None:
-        for j, f in enumerate(cols):
-            nums[f][j] = den
-    return Mat._make(p, len(cols), [x for row in nums for x in row], den)
-
-
-def kernel(m: Mat) -> Mat:
-    """Basis of the right kernel as columns, leftmost-free-variable first.
-
-    Each basis vector sets one free variable to 1 and the others to 0, so
-    the output is deterministic and reproducible.
-    """
-    rows = m._int_rows()
-    return _reduced_read(rows, _rref(rows, m.cols), m.cols)
-
-
-def _augmented_rref(a: Mat, b: Mat) -> tuple:
-    """(rows, pivots) of one elimination of [a | b] with pivots in a's columns.
-
-    The rows past the pivots are zero in a's columns; column j of b lies in
-    im(a) exactly when it is zero there too.
-    """
-    if a.rows != b.rows:
-        raise DimensionMismatch(f"row counts differ: {a.rows} vs {b.rows}")
-    common = math.lcm(a._den, b._den)
-    an, bn = a._scaled_nums(common), b._scaled_nums(common)
-    p, q = a.cols, b.cols
-    rows = [list(an[i * p : (i + 1) * p] + bn[i * q : (i + 1) * q]) for i in range(a.rows)]
-    return rows, _rref(rows, p)
-
-
-def solve_right(a: Mat, b: Mat) -> Optional[Mat]:
-    """Exact Q with a @ Q = b, or None when some column of b is outside im(a).
-
-    Deterministic choice among solutions: pivoted elimination with every
-    free variable set to 0, which yields the minimal-support solution.
-    """
-    rows, pivots = _augmented_rref(a, b)
-    if any(any(row[a.cols :]) for row in rows[len(pivots) :]):
-        return None
-    return _reduced_read(rows, pivots, a.cols, range(a.cols, a.cols + b.cols))
-
-
-def pivot_basis(m: Mat) -> tuple:
-    """(basis, q) from one elimination of m: its leftmost pivot columns and the
-    nonzero rows of its reduced form, the only q with basis @ q == m."""
-    rows = m._int_rows()
-    pivots = _rref(rows, m.cols)
-    den = math.lcm(*(rows[r][pc] for r, pc in enumerate(pivots)))
-    nums = [x * (den // rows[r][pc]) for r, pc in enumerate(pivots) for x in rows[r]]
-    return m.take_cols(pivots), Mat._make(len(pivots), m.cols, nums, den)
-
-
 @dataclass(frozen=True, eq=False)
 class Span:
-    """What one elimination of [a^T | b^T] tells of the column span of a (see `read_span`):
-    its rank, Y = kernel(a.T) and a basis of im a, both read off the kept reduced
-    rows when first asked for, and solve_right(a.T, b.T) or None."""
+    """What one elimination of [a | b] (see `eliminate`) tells of the row span of a
+    and of b, each read off the kept integer rows when first asked for: the rank
+    and pivot columns of a, its right kernel, a basis of its row space, the
+    columns of a matrix outside that space, the b part of the rows past the rank,
+    and the solution of a Q = b."""
 
     rank: int
-    solution: Optional[Mat]
-    _width: int = field(repr=False)  # the rows of a
-    _rows: list = field(repr=False)  # the nonzero reduced rows of [a^T | b^T]
-    _pivots: list = field(repr=False)
+    pivots: list
+    _rows: list = field(repr=False)  # every row of the reduced [a | b]
+    _width: int = field(repr=False)  # the columns of a
+    _rhs: Optional[int] = field(repr=False)  # the columns of b, None without b
+
+    @property
+    def _free(self) -> list:  # the columns of a without a pivot, ascending
+        return sorted(set(range(self._width)).difference(self.pivots))
+
+    def _reduced(self, cols: Sequence[int]) -> tuple:
+        """(den, rows): den is the lcm of the pivots, and rows maps each pivot to the
+        row of the reduced form that it leads, at `cols`, over den."""
+        led = list(zip(self._rows, self.pivots))
+        den = math.lcm(*[row[pc] for row, pc in led])
+        return den, {pc: [row[j] * s for j in cols] for row, pc in led for s in [den // row[pc]]}
 
     @cached_property
     def kernel(self) -> Mat:
-        return _reduced_read(self._rows, self._pivots, self._width)
+        """Basis of the right kernel of a, one column per free variable set to 1, leftmost first."""
+        p, free = self._width, self._free
+        den, reduced = self._reduced(free)
+        rows = {f: [den * (f == g) for g in free] for f in free}
+        rows.update((pc, [-x for x in row]) for pc, row in reduced.items())
+        return Mat._make(p, len(free), [x for i in range(p) for x in rows[i]], den)
 
     @cached_property
-    def basis(self) -> Mat:  # the nonzero rows of the reduced a^T, as columns
-        return Mat._make(self._width, self.rank, [row[i] for i in range(self._width) for row in self._rows])
+    def basis(self) -> Mat:
+        """The nonzero rows of the reduced a, as columns: a basis of its row space."""
+        den, reduced = self._reduced(range(self._width))
+        return Mat._make(self._width, self.rank, [row[i] for i in range(self._width) for row in reduced.values()], den)
+
+    @property
+    def dependent(self) -> Mat:
+        """The b part of the rows past the rank, which are zero in a: with b = I,
+        a basis of the left kernel of a, as rows; b lies in im a exactly when it is 0."""
+        rows = [row[self._width :] for row in self._rows[self.rank :]]
+        return Mat._make(len(rows), self._rhs or 0, [x for row in rows for x in row])
+
+    @cached_property
+    def solution(self) -> Optional[Mat]:
+        """The Q with a Q = b whose free variables are 0, the minimal-support
+        solution, or None when b is absent or some column lies outside im a."""
+        if self._rhs is None or not self.dependent.is_zero():
+            return None
+        p, q = self._width, self._rhs
+        (den, rows), zero = self._reduced(range(p, p + q)), [0] * q
+        return Mat._make(p, q, [x for i in range(p) for x in rows.get(i, zero)], den)
 
     def unspanned(self, b: Mat) -> list:
-        """Indices of the columns of b outside im a, ascending: the nonzero columns of
-        Y^T b, read off the reduced rows without forming Y.  Row f of Y^T b, for a free
-        column f, is b_f - sum_r (rows[r][f] / rows[r][pc]) b_pc, with b_i the rows of b."""
+        """Indices of the columns of b outside the row space of a, ascending: the nonzero
+        columns of the kernel's transpose times b, read off the reduced rows without
+        forming it.  Row f of that product, for a free column f, is b_f minus the sum over
+        pivots pc of (reduced entry at f) * b_pc, with b_i the rows of b."""
         if b.rows != self._width:
             raise DimensionMismatch(f"need columns of {self._width} entries, got {b.rows}")
-        pivots, b_rows = self._pivots, [b._nums[i * b.cols : (i + 1) * b.cols] for i in range(b.rows)]
-        den = math.lcm(*(row[pc] for row, pc in zip(self._rows, pivots)))
-        missed = set()
-        for f in set(range(b.rows)).difference(pivots):
-            terms = [(row[f] * (den // row[pc]), b_rows[pc]) for row, pc in zip(self._rows, pivots) if row[f]]
+        free = self._free
+        b_rows, (den, reduced), missed = b._int_rows(), self._reduced(free), set()
+        for i, f in enumerate(free):
+            terms = [(row[i], b_rows[pc]) for pc, row in reduced.items() if row[i]]
             seen = [x * den for x in b_rows[f]] if terms else b_rows[f]
             for c, b_pc in terms:
                 seen = [x - c * y for x, y in zip(seen, b_pc)]
@@ -567,18 +527,47 @@ class Span:
         return sorted(missed)
 
 
-def read_span(a: Mat, b: Optional[Mat] = None) -> Span:
-    """The `Span` of a from one elimination of [a^T | b^T], or of a^T alone when b is None.
+def eliminate(a: Mat, b: Optional[Mat] = None) -> Span:
+    """The one elimination: [a | b], or a alone, reduced with pivots in a's columns."""
+    rhs = Mat.zeros(a.rows, 0) if b is None else b
+    if a.rows != rhs.rows:
+        raise DimensionMismatch(f"row counts differ: {a.rows} vs {rhs.rows}")
+    common, p, q = math.lcm(a._den, rhs._den), a.cols, rhs.cols
+    an, bn = a._scaled_nums(common), rhs._scaled_nums(common)
+    rows = [list(an[i * p : (i + 1) * p] + bn[i * q : (i + 1) * q]) for i in range(a.rows)]
+    pivots = _rref(rows, p)
+    return Span(len(pivots), pivots, rows, p, None if b is None else q)
 
-    Its rows are nonzero multiples of the rows the separate calls reduce, so the
-    kernel and the solution equal theirs cell for cell.
-    """
-    rows, pivots = _augmented_rref(a.T, b.T if b is not None else Mat.zeros(a.cols, 0))
-    p, r = a.rows, len(pivots)
-    solution = None
-    if b is not None and not any(any(row[p:]) for row in rows[r:]):
-        solution = _reduced_read(rows, pivots, p, range(p, p + b.rows))
-    return Span(r, solution, p, rows[:r], pivots)
+
+def rank(m: Mat) -> int:
+    """Exact rank over the rationals."""
+    return eliminate(m).rank
+
+
+def pivot_columns(m: Mat) -> list:
+    return eliminate(m).pivots
+
+
+def kernel(m: Mat) -> Mat:
+    """Basis of the right kernel as columns, leftmost-free-variable first (see `Span.kernel`)."""
+    return eliminate(m).kernel
+
+
+def solve_right(a: Mat, b: Mat) -> Optional[Mat]:
+    """Exact Q with a @ Q = b, or None when some column of b is outside im(a) (see `Span.solution`)."""
+    return eliminate(a, b).solution
+
+
+def pivot_basis(m: Mat) -> tuple:
+    """(basis, q) from one elimination of m: its leftmost pivot columns and the
+    nonzero rows of its reduced form, the only q with basis @ q == m."""
+    span = eliminate(m)
+    return m.take_cols(span.pivots), span.basis.T
+
+
+def read_span(a: Mat, b: Optional[Mat] = None) -> Span:
+    """The column span of a plan a, and the transposed solve a^T Z = b^T: `eliminate(a^T, b^T)`."""
+    return eliminate(a.T, None if b is None else b.T)
 
 
 def invert(m: Mat) -> Optional[Mat]:
@@ -661,14 +650,16 @@ def contains(outer: Subspace, inner: Subspace) -> bool:
 
 # -- the Krylov staircase ----------------------------------------------------
 
-def _schur_stable(poly: list) -> bool:
-    """Whether an integer polynomial, lowest degree first, has every root strictly inside the unit
-    disc: z = (1+s)/(1-s) maps it onto the left half-plane, so g(s) = (1-s)^d p(z) keeps degree d
-    and the first column of its Routh array, rows made primitive, is positive (Routh-Hurwitz)."""
-    while not poly[0]:  # a root at 0 lies inside
-        poly = poly[1:]
-    g, power = [poly[-1]], [1]  # power is (1-s)^k
-    for c in reversed(poly[:-1]):
+def schur_stable(coeffs: list) -> bool:
+    """Whether a rational polynomial, highest degree first as `characteristic_polynomial` gives it,
+    has every root strictly inside the unit disc: z = (1+s)/(1-s) maps it onto the left half-plane,
+    so g(s) = (1-s)^d p(z) keeps degree d and the first column of its Routh array, rows made
+    primitive, is positive (Routh-Hurwitz)."""
+    poly = list(_over_lcm(coeffs)[0])
+    while not poly[-1]:  # a root at 0 lies inside
+        poly.pop()
+    g, power = [poly[0]], [1]  # power is (1-s)^k
+    for c in poly[1:]:
         power = [x - y for x, y in zip(power + [0], [0] + power)]
         g = [x + y + c * z for x, y, z in zip(g + [0], [0] + g, power)]
     g = [x if g[-1] > 0 else -x for x in reversed(g)]  # highest degree first, g[0] >= 0
@@ -727,7 +718,7 @@ def _staircase(a: Mat, b: Mat, stages: bool) -> tuple:
         v[min(set(range(n)).difference(p for p, _ in basis))] = v[n] = 1
         while any((v := add(v))[:n]):
             v = times_a(v) + [0] + v[n:-1]
-        if not _schur_stable([t * den**i for i, t in enumerate(v[n : n + len(basis) - done + 1])]):
+        if not schur_stable([t * den**i for i, t in enumerate(v[n : n + len(basis) - done + 1])][::-1]):
             return r, False
     return r, True
 
@@ -752,7 +743,7 @@ class SpectralInfo:
     characteristic polynomial at every size, and `residual` is the size of
     the last Newton step.  `marginal` is set when the radius lies
     within EIG_MARGIN of the unit circle.  Both are for display: stability
-    is decided exactly by `stabilizable`.
+    is decided exactly, by `stabilizable` or `schur_stable`.
     """
 
     radius: float
@@ -850,13 +841,18 @@ def _polished_radius(poly: list) -> Optional[tuple]:
 
 
 def spectral_radius_info(m: Mat) -> SpectralInfo:
-    if m.rows != m.cols:
-        raise DimensionMismatch("spectral radius of a non-square matrix")
-    if m.rows == 0:
+    """The `root_radius_info` of the characteristic polynomial of a square matrix."""
+    return root_radius_info(characteristic_polynomial(m))
+
+
+def root_radius_info(coeffs: list) -> SpectralInfo:
+    """Largest root modulus of a monic rational polynomial, highest degree first,
+    Newton-polished on its square-free part; a constant has radius 0."""
+    if len(coeffs) == 1:
         return SpectralInfo(0.0, 0.0, False)
     import mpmath
 
-    poly = _square_free_part(characteristic_polynomial(m))
+    poly = _square_free_part(coeffs)
     # poly(2^s y) has poly's roots over 2^s, the largest near 1 for s from the
     # coefficient sizes, so no float overflows or underflows; mpmath scales back
     lead, d = abs(poly[0]).bit_length(), len(poly) - 1

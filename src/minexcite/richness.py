@@ -89,9 +89,9 @@ def consistent_set_contains(d: Dataset, sys: SystemPair) -> bool:
     return feedback(sys, d.section) == d.x_plus
 
 
-def is_sufficiently_rich(section: InputSection, p: PropertySpec, problem: Optional[Problem] = None) -> bool:
+def is_sufficiently_rich(section: InputSection, p: PropertySpec) -> bool:
     """True when the plan decides `p` no matter what responses come back."""
-    return not read_span(section.stacked()).unspanned((problem or Problem.of(p, section.dims)).target)
+    return not read_span(section.stacked()).unspanned(Problem.of(p, section.dims).target)
 
 
 def missing_directions(

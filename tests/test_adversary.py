@@ -14,6 +14,7 @@ from minexcite import (
     CounterexamplePair,
     Dataset,
     Dims,
+    Identifiability,
     InputSection,
     LinearConstraint,
     LinearStructure,
@@ -26,10 +27,7 @@ from minexcite import (
     algorithm1_signs,
     algorithm2_signs,
     consistent_set_contains,
-    counterexample_controllability,
     counterexample_for,
-    counterexample_stabilizability,
-    counterexample_structure,
     design_minimum_input,
     distinct_consistent_pair,
     excite,
@@ -37,6 +35,7 @@ from minexcite import (
     has_property,
     minimum_subspace,
     parse_matrix,
+    split_stacked,
 )
 from minexcite import adversary, properties
 from minexcite.adversary import COMPLEMENT, KEEP
@@ -81,7 +80,7 @@ def test_annihilator_of_zero_section():
 # -- stabilizability pairs --------------------------------------------------------
 
 def test_stabilizability_pair_input_weight_case():
-    pair = counterexample_stabilizability(STATES_ONLY_21)
+    pair = counterexample_for(STATES_ONLY_21, Stabilizability())
     assert pair.sys_with.a == parse_matrix("1, 0; 0, 0")
     assert pair.sys_with.b == parse_matrix("1; 0")
     assert_valid_pair(pair, Stabilizability())
@@ -89,26 +88,26 @@ def test_stabilizability_pair_input_weight_case():
 
 def test_stabilizability_pair_state_weight_case():
     # corner plan annihilates [0, 1, 0]: the construction lives in row 2
-    pair = counterexample_stabilizability(CORNER_PLAN)
+    pair = counterexample_for(CORNER_PLAN, Stabilizability())
     assert_valid_pair(pair, Stabilizability())
     assert pair.sys_without.a == parse_matrix("0, 0; 0, 1")
 
 
 def test_stabilizability_pair_from_two_column_plan():
-    pair = counterexample_stabilizability(TWO_COLUMN_PLAN)
+    pair = counterexample_for(TWO_COLUMN_PLAN, Stabilizability())
     assert_valid_pair(pair, Stabilizability())
 
 
 def test_stabilizability_rich_plan_refused():
     with pytest.raises(SectionIsRich):
-        counterexample_stabilizability(FULL_PLAN_21)
+        counterexample_for(FULL_PLAN_21, Stabilizability())
 
 
 # -- controllability pairs ----------------------------------------------------------
 
 def test_controllability_pair_scalar_state():
     sec = InputSection(Mat.zeros(1, 1), parse_matrix("0; 1"))  # misses input e2
-    pair = counterexample_controllability(sec)
+    pair = counterexample_for(sec, Controllability())
     assert pair.sys_with.b != Mat.zeros(1, 2)
     assert pair.sys_without == SystemPair(Mat.zeros(1, 1), Mat.zeros(1, 2))
     assert_valid_pair(pair, Controllability())
@@ -116,13 +115,13 @@ def test_controllability_pair_scalar_state():
 
 def test_controllability_pair_zero_input_scalar():
     sec = InputSection(parse_matrix("1"), parse_matrix("0"))
-    pair = counterexample_controllability(sec)
+    pair = counterexample_for(sec, Controllability())
     assert_valid_pair(pair, Controllability())
     assert pair.shared_feedback == Mat.zeros(1, 1)
 
 
 def test_controllability_pair_diagonal_skeleton():
-    pair = counterexample_controllability(STATES_ONLY_21)
+    pair = counterexample_for(STATES_ONLY_21, Controllability())
     assert pair.sys_with.a == parse_matrix("1, 0; 0, 2")
     assert pair.sys_with.b == parse_matrix("1; 1")
     assert_valid_pair(pair, Controllability())
@@ -130,20 +129,20 @@ def test_controllability_pair_diagonal_skeleton():
 
 def test_controllability_pair_state_weight_cases():
     # plan spanning e1, e3 annihilates [0, 1, 0]: second coordinate carries weight
-    pair = counterexample_controllability(CORNER_PLAN)
+    pair = counterexample_for(CORNER_PLAN, Controllability())
     assert_valid_pair(pair, Controllability())
     # plan spanning e2, e3 annihilates e1: permutation moves the weight
     sec = InputSection(parse_matrix("0, 0; 1, 0"), parse_matrix("0, 1"))
-    pair2 = counterexample_controllability(sec)
+    pair2 = counterexample_for(sec, Controllability())
     assert_valid_pair(pair2, Controllability())
 
 
 def test_controllability_rich_plan_refused():
     with pytest.raises(SectionIsRich):
-        counterexample_controllability(FULL_PLAN_21)
+        counterexample_for(FULL_PLAN_21, Controllability())
     scalar_rich = InputSection(Mat.zeros(1, 2), Mat.identity(2))
     with pytest.raises(SectionIsRich):
-        counterexample_controllability(scalar_rich)
+        counterexample_for(scalar_rich, Controllability())
 
 
 # -- sign selection --------------------------------------------------------------------
@@ -202,7 +201,7 @@ def row_sum_structure() -> LinearStructure:
 
 def test_structure_pair_single_constraint():
     sec = InputSection(parse_matrix("1; 0"), Mat.zeros(0, 1))
-    pair = counterexample_structure(sec, row_sum_structure())
+    pair = counterexample_for(sec, row_sum_structure())
     assert_valid_pair(pair, row_sum_structure())
     # the shared data pins down only the first column of A
     assert pair.sys_with.a.col(0) == pair.sys_without.a.col(0)
@@ -220,15 +219,15 @@ def test_structure_pair_sparsity_scalar():
 def test_structure_pair_expression_union():
     p = two_constraints(Or(Leaf(1), Leaf(2)))
     sec = InputSection(Mat.identity(1), Mat.zeros(1, 1))  # spans e1 only
-    pair = counterexample_structure(sec, p, seed=11)
+    pair = counterexample_for(sec, p, seed=11)
     assert_valid_pair(pair, p)
 
 
 def test_structure_pair_replayable():
     p = two_constraints(Or(Leaf(1), Leaf(2)))
     sec = InputSection(Mat.identity(1), Mat.zeros(1, 1))
-    first = counterexample_structure(sec, p, seed=9)
-    second = counterexample_structure(sec, p, seed=9)
+    first = counterexample_for(sec, p, seed=9)
+    second = counterexample_for(sec, p, seed=9)
     assert first == second
 
 
@@ -266,7 +265,7 @@ def dependent_intersections(draw):
 @given(dependent_intersections())
 def test_dependent_intersection_pairs_valid(case):
     p, plan, seed = case
-    assert_valid_pair(counterexample_structure(plan, p, seed), p)
+    assert_valid_pair(counterexample_for(plan, p, seed), p)
 
 
 def test_dependent_intersection_is_searched_once(monkeypatch):
@@ -278,7 +277,7 @@ def test_dependent_intersection_is_searched_once(monkeypatch):
     p = LinearStructure.intersection(
         [LinearConstraint((1, 0, 0, 0, 0, 0), BoundedSet.from_pairs([piece])) for piece in [(0, 2), (1, 3)]]
     )
-    pair = counterexample_structure(InputSection(parse_matrix("0, 0; 1, 0"), parse_matrix("0, 1")), p)
+    pair = counterexample_for(InputSection(parse_matrix("0, 0; 1, 0"), parse_matrix("0, 1")), p)
     assert len(calls) == 1
     assert_valid_pair(pair, p)
 
@@ -306,7 +305,7 @@ def test_each_recipe_checks_its_pair_once(monkeypatch):
 def test_structure_rich_plan_refused():
     sec = design_minimum_input(row_sum_structure(), Dims(2, 0))
     with pytest.raises(SectionIsRich):
-        counterexample_structure(sec, row_sum_structure())
+        counterexample_for(sec, row_sum_structure())
 
 
 # -- identifiability certificates ------------------------------------------------------------
@@ -318,6 +317,16 @@ def test_distinct_consistent_pair():
     assert first != second
     assert consistent_set_contains(d, first)
     assert consistent_set_contains(d, second)
+
+
+@pytest.mark.parametrize("plan", [split_stacked(Mat.identity(3), Dims(2, 1)), CORNER_PLAN], ids=["full", "deficient"])
+def test_identifiability_has_no_property_split_pair(eliminations, plan):
+    # decided from the table before any read of the plan, on a full plan as on a deficient one
+    def refused():
+        with pytest.raises(ValueError, match="identifiability"):
+            counterexample_for(plan, Identifiability())
+
+    assert eliminations(refused) == 0
 
 
 def test_distinct_pair_refused_on_full_data():

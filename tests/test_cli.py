@@ -9,7 +9,15 @@ import pytest
 
 import minexcite
 from minexcite import specio
-from minexcite import Dataset, InputSection, LinearStructure, SystemPair, consistent_set_contains, parse_matrix
+from minexcite import (
+    Dataset,
+    InputSection,
+    LinearStructure,
+    SystemPair,
+    consistent_set_contains,
+    counterexample_for,
+    parse_matrix,
+)
 from minexcite.properties import PropertySpec
 from minexcite.cli import EXIT_BAD_INPUT, EXIT_NOT_RICH, EXIT_OK, main
 
@@ -459,3 +467,38 @@ def test_verbose_check_reads_the_plan_once(tmp_path, eliminations, capsys, doc):
     argv = ["--verbose", "check", "--property", prop, "--input", str(tmp_path / "plan.yaml")]
     assert eliminations(main, argv) == eliminations(specio.load_problem, prop) + 2
     assert "missing_1" in capsys.readouterr().out
+
+
+KIND_DOCS = {
+    "identifiability": "type: identifiability\nn: 2\nm: 1\n",
+    "stabilizability": "type: stabilizability\nn: 2\nm: 1\n",
+    "controllability": "type: controllability\nn: 2\nm: 1\n",
+    "sparsity": "type: sparsity\nn: 2\nm: 1\nzeros_A: [[1, 1]]\n",
+    "intersection": DEPENDENT_PAIR_DOC,
+    "expression": UNION_DOC,
+}
+# eliminations of `counterexample` and of `counterexample_for` on UNSEEN_A11_PLAN,
+# validation and the staircases of the oracle included, as measured before the
+# recipes took one signature; identifiability has no property-split pair
+COUNTEREXAMPLE_ELIMINATIONS = {
+    "identifiability": (1, None),
+    "stabilizability": (3, 3),
+    "controllability": (3, 3),
+    "sparsity": (3, 3),
+    "intersection": (5, 5),
+    "expression": (4, 4),
+}
+
+
+@pytest.mark.parametrize("kind", KIND_DOCS)
+def test_counterexample_elimination_counts(tmp_path, eliminations, capsys, kind):
+    (tmp_path / "prop.yaml").write_text(KIND_DOCS[kind])
+    (tmp_path / "plan.yaml").write_text(UNSEEN_A11_PLAN)
+    argv = ["counterexample", "--property", str(tmp_path / "prop.yaml"), "--input", str(tmp_path / "plan.yaml")]
+    by_cli, by_call = COUNTEREXAMPLE_ELIMINATIONS[kind]
+    assert eliminations(main, argv) == by_cli
+    assert "verdict" in capsys.readouterr().out
+    if by_call is not None:
+        problem = specio.load_problem(str(tmp_path / "prop.yaml"))
+        section = specio.load_input_section(str(tmp_path / "plan.yaml"))
+        assert eliminations(counterexample_for, section, problem.prop) == by_call

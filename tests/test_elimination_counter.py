@@ -41,6 +41,10 @@ def test_only_ratmat_names_the_elimination_kernel():
 
 
 def test_the_walk_sees_the_kernel_in_ratmat():
-    # guards the walk itself: ratmat calls each kernel by name
-    assert len(references(PACKAGE / "ratmat.py", "_rref")) >= 5
-    assert len(references(PACKAGE / "ratmat.py", "_staircase")) >= 2
+    # guards the walk itself: ratmat calls each kernel by name, and `_rref`
+    # from one place, `eliminate`, the entry point of every elimination
+    path = PACKAGE / "ratmat.py"
+    (line,) = references(path, "_rref")
+    (entry,) = (f for f in ast.walk(ast.parse(path.read_text())) if getattr(f, "name", None) == "eliminate")
+    assert entry.lineno <= line <= entry.end_lineno
+    assert len(references(path, "_staircase")) >= 2

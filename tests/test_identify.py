@@ -5,6 +5,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from minexcite import (
     BoundedSet,
@@ -45,6 +47,7 @@ from minexcite import (
     validate_property,
 )
 from minexcite.adversary import _verified_pair
+from minexcite.ratmat import stabilizable
 
 from conftest import deficient_section, rand_invertible, rand_mat, rand_structure, rand_system
 
@@ -293,16 +296,63 @@ def test_gain_golden_not_stabilizing():
 def test_gain_radius_is_computed_once_when_first_read(monkeypatch):
     from minexcite import identify
 
+    # one exact characteristic polynomial serves both the verdict and the radius
     calls = []
-    real = identify.spectral_radius_info
-    monkeypatch.setattr(identify, "spectral_radius_info", lambda m: calls.append(m) or real(m))
+    real = identify.characteristic_polynomial
+    monkeypatch.setattr(identify, "characteristic_polynomial", lambda m: calls.append(m) or real(m))
     d = Dataset(TWO_COLUMN_PLAN, parse_matrix("0.5, 0; 1, 2"))
     res = gain_from_data(d)
     # a run keeps the gain of an explicit square plan and never reads its radius
     assert run(Scenario(Dims(2, 1), HIDDEN, Stabilizability(), TWO_COLUMN_PLAN)).gain is not None
     assert not calls
     assert res.marginal and abs(res.radius - 1.0) < 1e-9
+    assert res.stabilizing is False
     assert calls == [res.closed_loop]
+
+
+def loop_gain(closed_loop: Mat):
+    """The gain of square identity state data whose responses are `closed_loop`, with one zero input."""
+    n = closed_loop.rows
+    return gain_from_data(Dataset(InputSection(Mat.identity(n), Mat.zeros(1, n)), closed_loop))
+
+
+@st.composite
+def closed_loops(draw) -> Mat:
+    """Square matrices of small rationals; a triangular one has its drawn diagonal
+    as eigenvalues, so moduli of exactly 1 (such as 3/3 or -5/5) come up often."""
+    n = draw(st.integers(1, 5))
+    entry = st.builds(Fraction, st.integers(-3, 3), st.sampled_from([1, 2, 3, 5]))
+    cells = draw(st.lists(entry, min_size=n * n, max_size=n * n))
+    if draw(st.booleans()):
+        cells = [0 if k // n > k % n else c for k, c in enumerate(cells)]
+    return Mat.from_flat(n, n, cells)
+
+
+@settings(max_examples=200, deadline=None)
+@given(closed_loops())
+@example(parse_matrix("0.999999999999"))  # radius 1 - 1e-12
+@example(parse_matrix("3/5, -4/5; 4/5, 3/5"))  # a rotation: both eigenvalues on the unit circle
+def test_gain_stabilizing_is_the_exact_stability_of_the_closed_loop(closed_loop):
+    assert loop_gain(closed_loop).stabilizing == stabilizable(closed_loop, Mat.zeros(closed_loop.rows, 0))
+
+
+@pytest.mark.parametrize(
+    "closed_loop, stable",
+    [
+        ("0.999999999999", True),  # radius 1 - 1e-12
+        ("1", False),
+        ("3/5, -4/5; 4/5, 3/5", False),  # a rotation: both eigenvalues on the unit circle
+        ("3/10, -4/10; 4/10, 3/10", True),
+        ("1/2, 1; 0, 1/2", True),  # a repeated eigenvalue
+        ("-1, 0; 0, 1/2", False),
+    ],
+)
+def test_gain_stabilizing_at_the_unit_circle(eliminations, closed_loop, stable):
+    res = loop_gain(parse_matrix(closed_loop))
+    # the verdict and the radius read one characteristic polynomial; no staircase runs
+    assert eliminations(lambda r: (r.stabilizing, r.radius), res) == 0
+    assert res.stabilizing is stable
+    assert stabilizable(res.closed_loop, Mat.zeros(res.closed_loop.rows, 0)) is stable
 
 
 def test_gain_zero_input_returns_open_loop():
