@@ -31,7 +31,6 @@ from .ratmat import (
     parse_matrix,
     rank,
     solve_right,
-    spectral_radius_info,
 )
 from .properties import (
     And,

@@ -27,7 +27,7 @@ from .errors import (
     SectionIsRich,
     SpecValidationError,
 )
-from .harness import efficiency_csv, efficiency_text, report_efficiency, run
+from .harness import csv_text, efficiency_csv, efficiency_text, report_efficiency, run
 from .identify import counterexample_report, gain_from_data, identify_property, system_rows
 from .properties import Identifiability, Problem
 from .ratmat import format_matrix, read_span
@@ -41,8 +41,7 @@ EXIT_INTERNAL = 4
 
 def _emit(pairs, fmt: str) -> None:
     if fmt == "csv":
-        print(",".join(str(k) for k, _ in pairs))
-        print(",".join(str(v) for _, v in pairs))
+        print(csv_text(zip(*pairs)))
     else:
         width = max(len(str(k)) for k, _ in pairs)
         for k, v in pairs:

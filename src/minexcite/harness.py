@@ -17,9 +17,11 @@ model from it.  A square plan's gain leaves its spectral radius unread.
 
 from __future__ import annotations
 
+import csv
+import io
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import List, Optional, Sequence
+from typing import Iterable, List, Optional, Sequence
 
 from .adversary import CounterexamplePair, distinct_consistent_pair
 from .errors import DimensionMismatch, GainNotApplicable, NotSufficientlyRich
@@ -116,18 +118,8 @@ def report_efficiency(batch: Sequence[Scenario]) -> List[EfficiencyRow]:
     """Minimum excitation count against full-model excitation, per scenario."""
     rows = []
     for sc in batch:
-        k = sc.problem.minimum_basis().cols
-        total = sc.dims.total
-        rows.append(
-            EfficiencyRow(
-                sc.prop.label(),
-                sc.dims.n,
-                sc.dims.m,
-                k,
-                total,
-                Fraction(total - k, total),
-            )
-        )
+        k, total = sc.problem.minimum_basis().cols, sc.dims.total
+        rows.append(EfficiencyRow(sc.prop.label(), sc.dims.n, sc.dims.m, k, total, Fraction(total - k, total)))
     return rows
 
 
@@ -142,8 +134,13 @@ def efficiency_text(rows: Sequence[EfficiencyRow]) -> str:
     return "\n".join(lines)
 
 
+def csv_text(table: Iterable[Iterable]) -> str:
+    """Rows as CSV lines joined by newlines, each cell its str(), quoted where it holds a comma or quote."""
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows([str(cell) for cell in row] for row in table)
+    return out.getvalue()[:-1]
+
+
 def efficiency_csv(rows: Sequence[EfficiencyRow]) -> str:
-    lines = ["property,n,m,k_min,n_plus_m,savings"]
-    for r in rows:
-        lines.append(f"{r.label},{r.n},{r.m},{r.k_minimum},{r.k_model_based},{float(r.savings)}")
-    return "\n".join(lines)
+    header = ("property", "n", "m", "k_min", "n_plus_m", "savings")
+    return csv_text([header] + [(r.label, r.n, r.m, r.k_minimum, r.k_model_based, float(r.savings)) for r in rows])

@@ -27,6 +27,7 @@ its reachable subspace and the modes outside it, each set decided exactly.
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import math
 import operator
@@ -270,19 +271,17 @@ class Mat:
     def __hash__(self) -> int:
         return hash((self.rows, self.cols, self._nums, self._den))
 
-    def __add__(self, other: "Mat") -> "Mat":
+    def _cellwise(self, other: "Mat", op, verb: str) -> "Mat":
         if self.shape != other.shape:
-            raise DimensionMismatch(f"cannot add {self.shape} and {other.shape}")
+            raise DimensionMismatch(f"cannot {verb} {self.shape} and {other.shape}")
         den = math.lcm(self._den, other._den)
-        nums = map(operator.add, self._scaled_nums(den), other._scaled_nums(den))
-        return Mat._make(self.rows, self.cols, nums, den)
+        return Mat._make(self.rows, self.cols, map(op, self._scaled_nums(den), other._scaled_nums(den)), den)
+
+    def __add__(self, other: "Mat") -> "Mat":
+        return self._cellwise(other, operator.add, "add")
 
     def __sub__(self, other: "Mat") -> "Mat":
-        if self.shape != other.shape:
-            raise DimensionMismatch(f"cannot subtract {self.shape} and {other.shape}")
-        den = math.lcm(self._den, other._den)
-        nums = map(operator.sub, self._scaled_nums(den), other._scaled_nums(den))
-        return Mat._make(self.rows, self.cols, nums, den)
+        return self._cellwise(other, operator.sub, "subtract")
 
     def __neg__(self) -> "Mat":
         return Mat._make(self.rows, self.cols, (-x for x in self._nums), self._den)
@@ -755,9 +754,7 @@ def characteristic_polynomial(m: Mat) -> list:
     """Exact monic characteristic polynomial, highest degree first."""
     if m.rows != m.cols:
         raise DimensionMismatch("characteristic polynomial of a non-square matrix")
-    n = m.rows
-    coeffs = [Fraction(1)]
-    work = Mat.zeros(n, n)
+    n, coeffs, work = m.rows, [Fraction(1)], m
     for k in range(1, n + 1):
         work = m @ (work + coeffs[-1] * Mat.identity(n)) if k > 1 else m
         coeffs.append(-work.trace() / k)
@@ -793,36 +790,58 @@ def _square_free_part(coeffs: list) -> list:
 
 # The radius is Newton-polished at _NEWTON_DPS digits on the square-free
 # characteristic polynomial.  Its roots are all simple, so Newton converges
-# quadratically from float64 starting points and keeps full accuracy on
-# repeated eigenvalues, where a float64 eigensolver loses half its digits or
-# more.  Float64 roots within _CANDIDATE_BAND of the largest
+# quadratically from the double-precision Aberth-Ehrlich starts and keeps full
+# accuracy on repeated eigenvalues, where a float64 eigensolver loses half its
+# digits or more.  Starts within _CANDIDATE_BAND of the largest
 # modulus are polished until the step is below _NEWTON_TOL, both relative.
 _NEWTON_DPS = 40
 _NEWTON_TOL = 1e-30
 _CANDIDATE_BAND = 1e-6
 
 
+def _aberth(poly: list) -> Optional[list]:
+    """Every root of a square-free integer polynomial, highest degree first, as a
+    Python complex, by the Aberth-Ehrlich iteration (Aberth 1973, Ehrlich 1967);
+    None when it does not settle or a value overflows.  It has settled when the
+    polynomial's value at every root is down to its rounding error."""
+    d = len(poly) - 1
+    try:
+        p = [c / poly[0] for c in poly]
+        radius = max(abs(p[k]) ** (1 / k) for k in range(1, d + 1))  # every root within twice this (Fujiwara)
+        # starts on a circle, turned so that none is real or the conjugate of another
+        z = [radius * cmath.exp(1j * (2 * math.pi * k / d + 0.4)) for k in range(d)]
+        for _ in range(100):  # cubic near simple roots: dense loops to n = 32 settle in 4 to 15
+            settled = True
+            for i, zi in enumerate(z):
+                f, df, bound = 0j, 0j, 0.0
+                for c in p:
+                    f, df, bound = f * zi + c, df * zi + f, bound * abs(zi) + abs(c)
+                if abs(f) > 4 * d * math.ulp(1.0) * bound:
+                    ratio, settled = f / df, False
+                    z[i] = zi - ratio / (1 - ratio * sum(1 / (zi - zj) for j, zj in enumerate(z) if j != i))
+            if settled:
+                return z if all(map(cmath.isfinite, z)) else None
+    except (OverflowError, ZeroDivisionError):
+        pass
+    return None
+
+
 def _polished_radius(poly: list) -> Optional[tuple]:
     """(radius, last Newton step) of a square-free integer polynomial, as mpmath
-    numbers, or None when a Newton run fails, leaves the candidate band or
-    repeats a root."""
+    numbers, or None when the starts or a Newton run fail, a run leaves the
+    candidate band or repeats a root."""
     import mpmath
-    import numpy as np
 
-    try:
-        starts = np.roots([c / poly[0] for c in poly])  # monic, so the companion matrix is finite
-    except OverflowError:
+    if (starts := _aberth(poly)) is None:
         return None
-    top = float(np.max(np.abs(starts)))
-    if not math.isfinite(top):
-        return None
+    top = max(map(abs, starts))
     found = []
     with mpmath.workdps(_NEWTON_DPS):
         mp_poly = [mpmath.mpf(c) for c in poly]
         for s in starts:
-            if s.imag < 0 or abs(s) < top * (1 - _CANDIDATE_BAND):
-                continue  # a conjugate root has the same modulus
-            z = mpmath.mpf(s.real) if s.imag == 0 else mpmath.mpc(s)
+            if abs(s) < top * (1 - _CANDIDATE_BAND):
+                continue
+            z = mpmath.mpc(s)
             for _ in range(30):
                 f, df = mpmath.polyval(mp_poly, z, derivative=True)
                 if not df:
@@ -838,11 +857,6 @@ def _polished_radius(poly: list) -> Optional[tuple]:
             found.append((z, abs(step)))
         root, step = max(found, key=lambda rs: abs(rs[0]))
         return abs(root), step
-
-
-def spectral_radius_info(m: Mat) -> SpectralInfo:
-    """The `root_radius_info` of the characteristic polynomial of a square matrix."""
-    return root_radius_info(characteristic_polynomial(m))
 
 
 def root_radius_info(coeffs: list) -> SpectralInfo:

@@ -229,15 +229,13 @@ def load_input_section(source: Union[str, Path, dict]) -> InputSection:
     return InputSection(x, u)
 
 
+def _section_doc(section: InputSection) -> dict:
+    x, u = format_matrix(section.x_minus), format_matrix(section.u_minus)
+    return {"n": section.n, "m": section.m, "k": section.k, "X": x, "U": u}
+
+
 def dump_input_section(section: InputSection) -> str:
-    doc = {
-        "n": section.n,
-        "m": section.m,
-        "k": section.k,
-        "X": format_matrix(section.x_minus),
-        "U": format_matrix(section.u_minus),
-    }
-    return yaml.safe_dump(doc, sort_keys=False, default_flow_style=None)
+    return yaml.safe_dump(_section_doc(section), sort_keys=False, default_flow_style=None)
 
 
 def load_dataset(source: Union[str, Path, dict]) -> Dataset:
@@ -250,14 +248,7 @@ def load_dataset(source: Union[str, Path, dict]) -> Dataset:
 
 
 def dump_dataset(d: Dataset) -> str:
-    doc = {
-        "n": d.section.n,
-        "m": d.section.m,
-        "k": d.section.k,
-        "X": format_matrix(d.section.x_minus),
-        "U": format_matrix(d.section.u_minus),
-        "Xp": format_matrix(d.x_plus),
-    }
+    doc = {**_section_doc(d.section), "Xp": format_matrix(d.x_plus)}
     return yaml.safe_dump(doc, sort_keys=False, default_flow_style=None)
 
 

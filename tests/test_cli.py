@@ -1,5 +1,6 @@
 """Command line behavior and exit statuses."""
 
+import csv
 import os
 import subprocess
 import sys
@@ -196,14 +197,31 @@ def test_gain_decides_stabilizing_exactly(tmp_path, capsys):
     assert rows["marginal"] == "True"
 
 
-def test_cli_import_loads_no_numpy():
-    # numpy serves only the displayed spectral radius, so it loads when one is computed
+def test_cli_import_loads_no_numpy(tmp_path):
+    # numpy is not a dependency: neither the import nor a computed radius loads it
+    data = tmp_path / "gain.yaml"
+    data.write_text('n: 2\nm: 1\nk: 2\nX: "1, 0.5; 0, 1"\nU: "-1, -1"\nXp: "0.5, -0.25; 1, 1"\n')
     src = str(Path(minexcite.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    code = "import sys, minexcite.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))"
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    code = (
+        "import sys\nfrom minexcite.cli import main\nassert main(['gain', '--data', sys.argv[1]]) == 0\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code, str(data)], capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    *rows, loaded = proc.stdout.splitlines()
+    assert any(row.startswith("radius") for row in rows)
+    assert loaded == "[]"
+
+
+def test_csv_cells_with_commas_are_quoted(tmp_path, capsys):
+    data = tmp_path / "data.yaml"
+    data.write_text('n: 2\nm: 1\nk: 3\nX: "1, 0, 0; 0, 1, 0"\nU: "0, 0, 1"\nXp: "1, 2, 3; 4, 5, 6"\n')
+    assert main(["--format", "csv", "recover", "--data", str(data)]) == EXIT_OK
+    header, row = csv.reader(capsys.readouterr().out.splitlines())
+    assert len(header) == len(row) == 3
+    cells = dict(zip(header, row))
+    assert parse_matrix(cells["A"]) == parse_matrix("1, 2; 4, 5")
 
 
 @pytest.mark.parametrize(

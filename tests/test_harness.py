@@ -1,5 +1,6 @@
 """Scenario running, excitation protocol, efficiency reporting."""
 
+import csv
 import random
 from fractions import Fraction
 
@@ -175,6 +176,15 @@ def test_efficiency_renderings():
     rows = report_efficiency([sc])
     text = efficiency_text(rows)
     assert "savings" in text and "sparsity" in text
-    csv = efficiency_csv(rows)
-    assert csv.splitlines()[0] == "property,n,m,k_min,n_plus_m,savings"
-    assert len(csv.splitlines()) == 2
+    table = efficiency_csv(rows)
+    assert table.splitlines()[0] == "property,n,m,k_min,n_plus_m,savings"
+    assert len(table.splitlines()) == 2
+
+
+def test_efficiency_csv_quotes_labels_with_commas():
+    structure = rand_structure(random.Random(3), Dims(2, 1), Mode.INTERSECTION)
+    sc = Scenario(Dims(2, 1), HIDDEN, structure)
+    assert "," in structure.label()
+    header, row = csv.reader(efficiency_csv(report_efficiency([sc])).splitlines())
+    assert len(header) == len(row) == 6
+    assert row[0] == structure.label()

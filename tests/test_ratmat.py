@@ -21,9 +21,8 @@ from minexcite import (
     parse_matrix,
     rank,
     solve_right,
-    spectral_radius_info,
 )
-from minexcite.ratmat import characteristic_polynomial, pivot_basis, pivot_columns, read_span
+from minexcite.ratmat import characteristic_polynomial, pivot_basis, pivot_columns, read_span, root_radius_info
 
 fractions_st = st.fractions(min_value=-5, max_value=5, max_denominator=3)
 
@@ -500,19 +499,19 @@ def quadratic_root_modulus(m: Mat) -> float:
 
 
 def test_spectral_radius_identity():
-    assert spectral_radius_info(Mat.identity(2)).radius == pytest.approx(1.0, abs=1e-12)
+    assert root_radius_info(characteristic_polynomial(Mat.identity(2))).radius == pytest.approx(1.0, abs=1e-12)
 
 
 def test_spectral_radius_conjugate_pair():
     m = parse_matrix("0.5, -0.5; 1, 0.5")
-    assert abs(spectral_radius_info(m).radius - quadratic_root_modulus(m)) < 1e-9
-    assert abs(spectral_radius_info(m).radius - math.sqrt(0.75)) < 1e-9
+    assert abs(root_radius_info(characteristic_polynomial(m)).radius - quadratic_root_modulus(m)) < 1e-9
+    assert abs(root_radius_info(characteristic_polynomial(m)).radius - math.sqrt(0.75)) < 1e-9
 
 
 def test_spectral_radius_defective_double_root():
     m = parse_matrix("0.5, -0.25; 1, 1.5")
     assert characteristic_polynomial(m) == [Fraction(1), Fraction(-2), Fraction(1)]
-    info = spectral_radius_info(m)
+    info = root_radius_info(characteristic_polynomial(m))
     assert abs(info.radius - 1.0) < 1e-9
     assert info.marginal
     assert info.residual < 1e-9
@@ -522,32 +521,32 @@ def test_spectral_radius_random_2x2_against_char_poly():
     rng = random.Random(19)
     for _ in range(40):
         m = Mat.from_flat(2, 2, [Fraction(rng.randint(-4, 4), rng.choice([1, 2])) for _ in range(4)])
-        assert abs(spectral_radius_info(m).radius - quadratic_root_modulus(m)) < 1e-9
+        assert abs(root_radius_info(characteristic_polynomial(m)).radius - quadratic_root_modulus(m)) < 1e-9
 
 
 def test_spectral_radius_triple_jordan_block_exact():
     # a multiplicity-3 eigenvalue once made the polynomial root finder fail
-    info = spectral_radius_info(parse_matrix("2, 1, 0; 0, 2, 1; 0, 0, 2"))
+    info = root_radius_info(characteristic_polynomial(parse_matrix("2, 1, 0; 0, 2, 1; 0, 0, 2")))
     assert info.radius == 2.0
     assert not info.marginal
 
 
 def test_spectral_radius_identity_3_marginal():
-    info = spectral_radius_info(Mat.identity(3))
+    info = root_radius_info(characteristic_polynomial(Mat.identity(3)))
     assert info.radius == 1.0
     assert info.marginal
 
 
 def test_spectral_radius_falls_back_when_newton_repeats_a_root(monkeypatch):
-    # eigenvalues 1 +- 1e-30 are distinct but share the float64 start 1.0, so
-    # both Newton runs land on one root and polyroots on the square-free
-    # polynomial answers instead
+    # eigenvalues 1 +- 1e-30 are distinct, but rounded to the 40 digits of the
+    # Newton polish the square-free polynomial has a double root at 1, so
+    # Newton does not settle and polyroots on that polynomial answers instead
     import mpmath
 
     calls = []
     polyroots = mpmath.polyroots
     monkeypatch.setattr(mpmath, "polyroots", lambda *a, **k: calls.append(a) or polyroots(*a, **k))
-    info = spectral_radius_info(parse_matrix("1, 1e-30; 1e-30, 1"))
+    info = root_radius_info(characteristic_polynomial(parse_matrix("1, 1e-30; 1e-30, 1")))
     assert len(calls) == 1 and len(calls[0][0]) == 3
     assert info.radius == 1.0
     assert info.marginal
@@ -578,7 +577,7 @@ def test_spectral_radius_agrees_with_polyroots(m):
         reference = polyroots_radius(m)
     except mpmath.libmp.NoConvergence:
         return  # the reference fails on some repeated roots; nothing to compare
-    assert math.isclose(spectral_radius_info(m).radius, reference, rel_tol=1e-13, abs_tol=1e-20)
+    assert math.isclose(root_radius_info(characteristic_polynomial(m)).radius, reference, rel_tol=1e-13, abs_tol=1e-20)
 
 
 def _similar_jordan(blocks, off_diagonal):
@@ -626,12 +625,12 @@ def _seeded_jordan(blocks):
 @example(_seeded_jordan([(5, 4), (-3, 4), (5, 4), (2, 4), ("-9/2", 4), (1, 4)]))
 def test_spectral_radius_exact_on_jordan_forms(case):
     m, largest = case
-    assert spectral_radius_info(m).radius == float(largest)
+    assert root_radius_info(characteristic_polynomial(m)).radius == float(largest)
 
 
 def test_spectral_radius_requires_square():
     with pytest.raises(DimensionMismatch):
-        spectral_radius_info(Mat.zeros(2, 3))
+        characteristic_polynomial(Mat.zeros(2, 3))
 
 
 def test_spectral_radius_large_matrix_fallback():
@@ -639,19 +638,38 @@ def test_spectral_radius_large_matrix_fallback():
     m = Mat.from_flat(
         n, n, [Fraction(i + 1) if i == j else Fraction(0) for i in range(n) for j in range(n)]
     )
-    assert spectral_radius_info(m).radius == pytest.approx(float(n), abs=1e-9)
+    assert root_radius_info(characteristic_polynomial(m)).radius == pytest.approx(float(n), abs=1e-9)
+
+
+@pytest.mark.parametrize("n", [16, 24, 32])
+def test_spectral_radius_of_large_dense_loops_needs_no_fallback(n, monkeypatch):
+    # past the Hypothesis sizes: the Aberth-Ehrlich starts and the Newton polish
+    # resolve every loop on their own, so polyroots must not be reached
+    import mpmath
+    import numpy as np
+
+    def no_fallback(*args, **kwargs):
+        raise AssertionError("polyroots fallback reached")
+
+    monkeypatch.setattr(mpmath, "polyroots", no_fallback)
+    rng = random.Random(11 + n)
+    for scale in (1, n):
+        cells = [Fraction(rng.randint(-9, 9), rng.randint(1, 5) * scale) for _ in range(n * n)]
+        reference = max(abs(np.linalg.eigvals(np.array([float(c) for c in cells]).reshape(n, n))))
+        info = root_radius_info(characteristic_polynomial(Mat.from_flat(n, n, cells)))
+        assert math.isclose(info.radius, reference, rel_tol=1e-9)
 
 
 def test_spectral_radius_of_tiny_eigenvalues():
     # the float coefficients of (x - 1e-300)(x - 2e-300) underflow unless the variable is scaled
-    info = spectral_radius_info(parse_matrix("1e-300, 1; 0, 2e-300"))
+    info = root_radius_info(characteristic_polynomial(parse_matrix("1e-300, 1; 0, 2e-300")))
     assert math.isclose(info.radius, 2e-300, rel_tol=1e-12)
     assert not info.marginal
 
 
 def test_spectral_radius_past_the_float_range():
-    info = spectral_radius_info(parse_matrix("1e400, 0; 0, 1"))
+    info = root_radius_info(characteristic_polynomial(parse_matrix("1e400, 0; 0, 1")))
     assert info.radius == math.inf
     assert not info.marginal
-    big = spectral_radius_info(parse_matrix("1e300, 1; 0, 3e300"))
+    big = root_radius_info(characteristic_polynomial(parse_matrix("1e300, 1; 0, 3e300")))
     assert math.isclose(big.radius, 3e300, rel_tol=1e-12)
