@@ -9,11 +9,11 @@ before returning it.  Every recipe takes (section, problem, seed, span),
 and the property table in `identify` holds them as they are.  The table
 hands each recipe the plan's read (`ratmat.read_span`): the one the
 identifier made when it found the plan deficient, or one made for the
-recipe.  Its left kernel gives the annihilated directions, its basis the
-projection of a structure's missed column, and, for a pair of models, its
-transposed solve the consistent model.  The pairs are built on the
-integers of those matrices and of the problem's target, and each is checked
-once, with the oracle of the validated problem.
+recipe.  Its left kernel gives the annihilated directions, it or its basis
+(the smaller) the projection of a structure's missed column, and, for a
+pair of models, its transposed solve the consistent model.  The pairs are
+built on the integers of those matrices and of the problem's target, and
+each is checked once, with the oracle of the validated problem.
 """
 
 from __future__ import annotations
@@ -262,7 +262,8 @@ def _structure_systems(section: InputSection, problem: Problem, seed: int, span:
     along the invisible direction far enough to break every touched
     constraint.  The perturbation scale for bracketed combinations uses a
     seeded generator so results are replayable.  The missed columns and the
-    span's basis come from `span`, the read of the plan; the constraint rows
+    span's basis or left kernel, orthogonal complements of which the smaller
+    projects, come from `span`, the read of the plan; the constraint rows
     and the reference system are read off the integers of the target and of
     the signed solve.
     """
@@ -274,7 +275,8 @@ def _structure_systems(section: InputSection, problem: Problem, seed: int, span:
     col_idx = missed[0]
     l, j = col_idx // n, col_idx % n
     w = m_mat.col(col_idx)
-    h = w - Subspace._of_independent(span.basis).project(w)
+    h = (w - Subspace._of_independent(span.basis).project(w) if 2 * span.rank <= total
+         else Subspace._of_independent(span.kernel).project(w))
     if h.is_zero():
         raise InternalFault("a missed column must leave a nonzero residual")
 

@@ -22,7 +22,8 @@ canonical.  So an identity right factor costs nothing: `M @ I` is M itself.
 and the like read the `Span` it returns.  A column lies outside a plan's span
 exactly when its product with the plan's left kernel Y^T is nonzero.
 `_staircase` is the one reader of a pair (A, B): one Krylov elimination gives
-its reachable subspace and the modes outside it, each set decided exactly.
+its reachable subspace, whose annihilator proves invariance and, when smaller,
+holds the modes outside it on the quotient, each set decided exactly.
 """
 
 from __future__ import annotations
@@ -55,6 +56,7 @@ MAX_LITERAL_LENGTH = 4000
 _LITERAL_INT_BOUND = 10**MAX_LITERAL_LENGTH  # the least int of more than MAX_LITERAL_LENGTH digits
 
 _EXPONENT = re.compile(r"[eE][-+]?([\d_]+)\Z")
+_PRIME = 2**61 - 1  # a word-size prime, for the gcd(p, p') of `_square_free_part` modulo it
 
 
 def as_rational(value) -> Fraction:
@@ -248,10 +250,7 @@ class Mat:
         return Mat._make(self.rows, 1, self._col_nums(j), self._den)
 
     def take_cols(self, indices: Sequence[int]) -> "Mat":
-        nums = []
-        for i in range(self.rows):
-            row = self._nums[i * self.cols : (i + 1) * self.cols]
-            nums.extend(row[j] for j in indices)
+        nums = [x for row in zip(*map(self._col_nums, indices)) for x in row]  # a column outside raises IndexError
         return Mat._make(self.rows, len(indices), nums, self._den)
 
     def drop_col(self, j: int) -> "Mat":
@@ -674,15 +673,30 @@ def _staircase(a: Mat, b: Mat, stages: bool) -> tuple:
 
     Integer rows in semi-echelon form, each zero at the pivots before it.  a' = den * a, the cells
     of a, is applied by its nonzero rows to the directions each level adds, from b's columns on,
-    until the span is a-invariant.  Then a unit vector at no pivot whose column of a' is zero adds
-    itself, a stage of polynomial x, and cyclic stages grow from the first other one, e.  Past its
-    n entries a stage's vector carries a tag weighing a'^i e, kept primitive at every step, and
-    earlier rows zeros, as their span is a-invariant.  A dependent vector's tag is a polynomial q,
-    and q(den * z) the characteristic polynomial of a on the stage's quotient.
+    until the span is a-invariant.  While its k = n - r missing dimensions are fewer than r and
+    than the directions just added, a direction v goes on only when Y a' v != 0, Y being k rows
+    that annihilate the span, one per column f at no pivot.  Then a unit vector at no pivot whose
+    column of a' is zero adds itself, a stage of polynomial x, and cyclic stages grow from the
+    first other one, e.  Past its n entries a stage's vector carries a tag weighing a'^i e, kept
+    primitive, and earlier rows zeros, as their span is a-invariant.  A dependent vector's tag is
+    a polynomial q, and q(den * z) the characteristic polynomial of a on the stage's quotient.  For
+    0 < k < r the stages run on the k x k map a induces on R^n / span (Kalman), no input; at k >= r it is slower.
     """
-    n, m, den = a.rows, b.cols, a._den
-    rows_a = [(i, row) for i in range(n) if any(row := a._nums[i * n : (i + 1) * n])]
-    basis = []  # (pivot, row)
+    n, m, den, nums = a.rows, b.cols, a._den, a._nums
+    rows_a = [(i, row) for i in range(n) if any(row := nums[i * n : (i + 1) * n])]
+    basis, y_rank = [], None  # (pivot, row); the span's dimension when Y was last built
+
+    def annihilator() -> tuple:  # Y as [(f, y)], y zero at the other free columns, by back-substitution; Y a'
+        ys = []
+        for f in sorted(set(range(n)).difference(p for p, _ in basis)):
+            y = [int(i == f) for i in range(n)]
+            for p, row in reversed(basis):  # later rows are zero at p: setting y[p] keeps them annihilated
+                if s := sum(map(operator.mul, y, row)):
+                    g = math.gcd(s, row[p])
+                    y = [x * (row[p] // g) for x in y]
+                    y[p] = -s // g
+            ys.append((f, y))
+        return ys, [[sum(map(operator.mul, y, a._nums[c::n])) for c in range(n)] for _, y in ys]
 
     def times_a(v: list) -> list:  # a zero row of a' costs nothing
         out = [0] * n
@@ -705,12 +719,20 @@ def _staircase(a: Mat, b: Mat, stages: bool) -> tuple:
     level = [list(b._nums[j::m]) for j in range(m)]
     while level:  # stops at once when the span is R^n
         added = [v for v in (add(v) for v in level if len(basis) < n) if any(v)]
+        if len(added) > (k := n - len(basis)) > 0 and len(basis) > k:
+            (ys, zs), y_rank = annihilator(), len(basis)
+            added = [v for v in added if any(sum(map(operator.mul, z, v)) for z in zs)]
         level = [times_a(v) for v in added] if len(basis) < n else []
     r, done = len(basis), 0
     if not stages:
         return r, None
+    if 0 < n - r < r:  # the quotient map: y_i . a'[:, f_j] / y_i[f_i] over den * lcm(y_i[f_i])
+        ys, zs = annihilator() if y_rank != r else (ys, zs)
+        n, den, basis = n - r, den * (lcm := math.lcm(*(y[f] for f, y in ys))), []
+        nums = [z[g] * (lcm // y[f]) for (f, y), z in zip(ys, zs) for g, _ in ys]
+        rows_a = [(i, row) for i in range(n) if any(row := nums[i * n : (i + 1) * n])]
     pivots = {p for p, _ in basis}
-    basis += [(f, [int(i == f) for i in range(n)]) for f in range(n) if f not in pivots and not any(a._nums[f::n])]
+    basis += [(f, [int(i == f) for i in range(n)]) for f in range(n) if f not in pivots and not any(nums[f::n])]
     while len(basis) < n:
         basis[done:] = [(p, row[:n] + [0] * (n + 1)) for p, row in basis[done:]]
         done, v = len(basis), [0] * (2 * n + 1)
@@ -778,14 +800,25 @@ def _pseudo_divmod(a: list, b: list) -> tuple:
     return q, a
 
 
-def _square_free_part(coeffs: list) -> list:
-    """Primitive integer polynomial with the roots of `coeffs`, each simple: `coeffs`
-    divided exactly by its gcd with its derivative (primitive remainder sequence)."""
-    p = list(_over_lcm(coeffs)[0])
+def _sequence_square_free(p: list) -> list:
+    """Integer p divided exactly by gcd(p, p'), from the primitive remainder sequence, made primitive."""
     a, b = p, [c * (len(p) - 1 - i) for i, c in enumerate(p[:-1])]
     while b:
         a, b = b, _primitive(_pseudo_divmod(a, b)[1])
     return _primitive(_pseudo_divmod(p, a)[0])
+
+
+def _square_free_part(coeffs: list) -> list:
+    """Primitive polynomial with the roots of `coeffs`, each simple: `_sequence_square_free` of p, `coeffs` over
+    their lcm, or at even degree p made primitive when gcd(p, p') modulo _PRIME, not dividing lc(p), is constant."""
+    p = list(_over_lcm(coeffs)[0])
+    if len(p) % 2 and p[0] % _PRIME:
+        x, y = [c % _PRIME for c in p], [c * (len(p) - 1 - i) % _PRIME for i, c in enumerate(p[:-1])]
+        while y:
+            x, y = y, list(itertools.dropwhile(operator.not_, (c % _PRIME for c in _pseudo_divmod(x, y)[1])))
+        if len(x) == 1:
+            return _primitive(p)
+    return _sequence_square_free(p)
 
 
 # The radius is Newton-polished at _NEWTON_DPS digits on the square-free

@@ -25,6 +25,9 @@ from minexcite.properties import And, Leaf, Or
 # HYPOTHESIS_PROFILE=ci runs the same examples on every run and prints the blob of a
 # failing one, so a CI failure replays locally with @reproduce_failure
 settings.register_profile("ci", derandomize=True, print_blob=True)
+# HYPOTHESIS_PROFILE=thorough draws fresh examples on every run, and more of them in the tests
+# that ask for max(their own count, the profile's)
+settings.register_profile("thorough", max_examples=1000, print_blob=True)
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 

@@ -30,6 +30,7 @@ from minexcite import (
     format_expr,
     has_property,
     image,
+    invert,
     is_controllable,
     is_stabilizable,
     minimum_subspace,
@@ -284,7 +285,7 @@ def control_systems(draw):
     return a, b
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=max(300, settings.default.max_examples), deadline=None)
 @given(control_systems())
 def test_krylov_controllability_matches_full_kalman_rank(case):
     a, b = case
@@ -310,12 +311,14 @@ def stability_systems(draw):
     return a, b
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=max(300, settings.default.max_examples), deadline=None)
 @given(stability_systems())
 @example(([[Fraction(1, 2)]], [[]]))  # n = 1, m = 0
 @example(([[Fraction(3)]], [[Fraction(0)]]))  # n = 1, an unstable mode out of reach
 @example(([[Fraction(2), Fraction(1)], [Fraction(0), Fraction(1, 2)]], [[Fraction(1)], [Fraction(0)]]))
 @example(([[Fraction(1, 2), Fraction(1)], [Fraction(0), Fraction(2)]], [[Fraction(1)], [Fraction(0)]]))
+# the mode at 2 is out of reach behind a zero column of A at the reachable pivot
+@example(([[Fraction(0), Fraction(0)], [Fraction(0), Fraction(2)]], [[Fraction(1)], [Fraction(0)]]))
 def test_exact_oracles_match_float_pbh_and_kalman_rank(case):
     a, b = case
     n, m = len(a), len(b[0])
@@ -325,6 +328,56 @@ def test_exact_oracles_match_float_pbh_and_kalman_rank(case):
     if np.any(np.abs(moduli - 1) <= 1e-6):
         return  # the float reference cannot tell these apart
     assert is_stabilizable(sys) == numeric_pbh_controllable(sys, least_modulus=1.0)
+
+
+# diagonal entries of A22 inside, on and outside the unit circle
+UNREACHABLE_MODES = [Fraction(x) for x in (0, "1/2", "-2/3", 1, -1, "3/2", "-5/4")]
+
+
+@st.composite
+def kalman_forms(draw):
+    """(r, m, modes, seed) of a pair in Kalman form: n up to 16, k = len(modes) unreachable
+    dimensions from 1 to n - 1, r = n - k, m inputs, and its other cells from the seed."""
+    n = draw(st.integers(2, 16))
+    modes = draw(st.lists(st.sampled_from(UNREACHABLE_MODES), min_size=1, max_size=n - 1))
+    return n - len(modes), draw(st.integers(1, 3)), modes, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=max(100, settings.default.max_examples), deadline=None)
+@given(kalman_forms())
+@example((6, 2, [Fraction(1, 2), Fraction(-5, 4)], 1))  # k < r: the quotient stage
+@example((6, 1, [Fraction(1, 2), Fraction(0)], 2))
+@example((3, 2, [Fraction(-2, 3), Fraction(1, 2), Fraction(0), Fraction(1), Fraction(0)], 3))  # k >= r: stages in R^n
+@example((2, 1, [Fraction(1, 2), Fraction(0)], 4))
+def test_staircase_finds_the_planted_unreachable_modes(case):
+    """A = T [A11, A12; 0, A22] T^-1 and B = T [B1; 0] for a unimodular T: (A11, B1) is a
+    companion pair driven at its first state, so controllable, and A22 is upper triangular
+    with the planted modes on its diagonal, so the reachable dimension is r and the pair is
+    stabilizable exactly when every planted mode lies strictly inside the unit circle."""
+    r, m, modes, seed = case
+    rng, n = random.Random(seed), r + len(modes)
+
+    def small():
+        return Fraction(rng.randint(-3, 3), rng.choice([1, 2, 3]))
+
+    form = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1 if i >= r else r - 1, n):
+            form[i][j] = small()  # the last column of A11, A12 and the strict upper part of A22
+        if 0 < i < r:
+            form[i][i - 1] = Fraction(1)
+        if i >= r:
+            form[i][i] = modes[i - r]
+    inputs = [[Fraction(int(i == 0) if j == 0 else small() if i < r else 0) for j in range(m)] for i in range(n)]
+    unit = [[rng.randint(-1, 1) if i > j else int(i == j) for j in range(n)] for i in range(n)]
+    order = rng.sample(range(n), n)
+    t = Mat([unit[i] for i in order]) @ Mat(unit).T  # a permuted unit lower times a unit upper
+    a, b = t @ Mat(form) @ invert(t), t @ Mat(inputs)
+    a_rows, b_rows = a.to_lists(), b.to_lists()
+    assert kalman_rank_reference(a_rows, b_rows) == r
+    sys = SystemPair(a, b)
+    assert not is_controllable(sys)
+    assert is_stabilizable(sys) == all(abs(x) < 1 for x in modes)
 
 
 def test_stabilizability_is_exact_at_the_unit_circle():

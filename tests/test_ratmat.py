@@ -22,6 +22,7 @@ from minexcite import (
     rank,
     solve_right,
 )
+from minexcite import ratmat
 from minexcite.ratmat import characteristic_polynomial, pivot_basis, pivot_columns, read_span, root_radius_info
 
 fractions_st = st.fractions(min_value=-5, max_value=5, max_denominator=3)
@@ -449,6 +450,22 @@ def test_integer_storage_matches_fraction_reference(inputs):
     assert all(a.row_list(i) == ca[i] for i in range(r))
 
 
+def test_take_cols_reads_ranges_and_lists_alike_at_every_edge():
+    m = Mat.from_flat(3, 4, [Fraction(i, 2) for i in range(12)])
+    for indices in ([1, 2], range(1, 3), [3, 0, 3], range(4), range(0, 4, 2), range(2, 2), [], range(1, 2)):
+        taken = m.take_cols(indices)
+        _assert_canonical(taken)
+        assert taken.to_lists() == [[m[i, j] for j in indices] for i in range(3)]
+    # no columns, no rows, or neither
+    for rows, cols, indices in ((3, 0, range(0)), (3, 0, []), (0, 4, range(1, 3)), (0, 4, [3, 0]), (0, 0, range(0))):
+        taken = Mat.zeros(rows, cols).take_cols(indices)
+        assert taken.shape == (rows, len(indices)) and taken.is_zero()
+    for source in (m, Mat.zeros(0, 4)):
+        for indices in ([4], [-1], [0, 5], range(2, 5), range(-1, 2)):
+            with pytest.raises(IndexError):
+                source.take_cols(indices)
+
+
 def test_equal_matrices_built_differently_compare_and_hash_equal():
     half = [
         parse_matrix("1/2; 1"),
@@ -673,3 +690,26 @@ def test_spectral_radius_past_the_float_range():
     assert not info.marginal
     big = root_radius_info(characteristic_polynomial(parse_matrix("1e300, 1; 0, 3e300")))
     assert math.isclose(big.radius, 3e300, rel_tol=1e-12)
+
+
+@pytest.mark.parametrize("n", [16, 17, 24, 32, 48])
+def test_square_free_part_modulo_a_prime_returns_what_the_sequence_returns(n, monkeypatch):
+    # seed-11 dense loops: at even degree a constant gcd(p, p') modulo the prime skips the
+    # remainder sequence, which odd degrees still run
+    rng = random.Random(11)
+    cells = [Fraction(rng.randint(-9, 9), rng.randint(1, 5) * n) for _ in range(n * n)]
+    coeffs = characteristic_polynomial(Mat.from_flat(n, n, cells))
+
+    def sequence(c):
+        return ratmat._sequence_square_free(list(ratmat._over_lcm(c)[0]))
+
+    assert ratmat._square_free_part(coeffs) == sequence(coeffs)
+    radius = f"{root_radius_info(coeffs).radius:.12g}"  # as `minexcite gain` prints it
+    monkeypatch.setattr(ratmat, "_square_free_part", sequence)
+    assert f"{root_radius_info(coeffs).radius:.12g}" == radius
+
+
+def test_square_free_part_modulo_a_prime_keeps_repeated_roots_to_the_sequence():
+    # (x - 1)^2 (x + 2)^2 and (x - 1)^2 (x + 2): gcd(p, p') is not constant modulo any prime
+    for coeffs, part in (([1, 2, -3, -4, 4], [1, 1, -2]), ([1, 0, -3, 2], [1, 1, -2])):
+        assert ratmat._square_free_part([Fraction(c) for c in coeffs]) == ratmat._sequence_square_free(coeffs) == part
