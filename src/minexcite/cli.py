@@ -31,7 +31,7 @@ from .harness import csv_text, efficiency_csv, efficiency_text, report_efficienc
 from .identify import counterexample_report, gain_from_data, identify_property, system_rows
 from .properties import Identifiability, Problem
 from .ratmat import format_matrix, read_span
-from .richness import design_minimum_input, missing_directions
+from .richness import design_minimum_input, missing_directions, spans_target
 
 EXIT_OK = 0
 EXIT_NOT_RICH = 2
@@ -72,7 +72,7 @@ def _problem_and_plan(args) -> tuple:
 def _cmd_check(args) -> int:
     problem, section = _problem_and_plan(args)
     prop, span = problem.prop, read_span(section.stacked())
-    rich = not span.unspanned(problem.target)
+    rich = spans_target(span, problem)
     rows = [("property", prop.label()), ("k", section.k), ("sufficiently_rich", rich)]
     if not rich and args.verbose:
         for i, col in enumerate(missing_directions(section, prop, problem, span)):

@@ -101,7 +101,7 @@ def run(sc: Scenario) -> RunReport:
         return report("not_sufficiently_rich", counterexample=pair, missing=exc.missing)
     if res.outcome == "not_identifiable":
         return report(res.outcome, model_pair=distinct_consistent_pair(dataset, res.span))
-    return report(res.outcome, verdict=res.verdict, q=res.q, recovered=res.recovered)
+    return report(res.outcome, verdict=res.verdict, q=res.q(), recovered=res.recovered)
 
 
 @dataclass(frozen=True)

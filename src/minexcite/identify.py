@@ -2,20 +2,21 @@
 
 All verdicts here are guaranteed.  The target and the design come from a
 validated `Problem`, and a plan equal to the design reuses the design's Q.
-On any other plan, a zero pattern, a structure or a scalar state's
-controllability solves [X-; U-] Q = target once, and that solve is the
-richness test; with rich data the property is decided without recovering
-the model, by checking entries or traces of X+ Q.  A target of the whole
-space (identifiability, stabilizability, controllability) takes one
-elimination of [X-; U-]^T beside X+^T instead (`ratmat.read_span`): its
-rank decides richness and its transposed solve is the model [A, B], or
-shows that no system reproduces the data.  A deficient plan raises
-`NotSufficientlyRich` with the missing directions, read off that span's
-left kernel, and the span itself, from which the counterexample recipe
-reads its certificate; `NotIdentifiable` carries it the same way.
-Zero tests are exact; floats appear only in the spectral radius of a
-synthesized closed loop, computed when first read.  That radius and the
-exact stability verdict share one characteristic polynomial of the loop.
+Any other plan takes one elimination of [X-; U-]^T beside X+^T
+(`ratmat.read_span`), and that one read decides every property: its rank
+(for the target I) or its product with the target decides richness, its
+transposed solve Z exists exactly when some linear system reproduces the
+data, and Z^T target is the [A, B] target that every such system shares.
+So a zero pattern checks entries, a structure checks traces, a scalar
+state's controllability reads B and a whole-space target reads the model
+[A, B] off that one read, without solving for Q; the Q a report shows is
+solved when first read.  A deficient plan raises `NotSufficientlyRich` with
+the missing directions, read off that span's left kernel, and the span
+itself, from which the counterexample recipe reads its certificate;
+`NotIdentifiable` carries it the same way.  Zero tests are exact; floats
+appear only in the spectral radius of a synthesized closed loop, computed
+when first read.  That radius and the exact stability verdict share one
+characteristic polynomial of the loop.
 
 One table maps each property class to its identifier and its
 counterexample recipe, every recipe taking (section, problem, seed, span);
@@ -28,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Callable, NamedTuple, NoReturn, Optional, Union
 
 from .adversary import (
@@ -68,7 +69,7 @@ from .ratmat import (
     schur_stable,
     solve_right,
 )
-from .richness import Dataset, InputSection, consistent_set_contains, missing_directions
+from .richness import Dataset, InputSection, consistent_set_contains, missing_directions, spans_target
 
 
 class Verdict(Enum):
@@ -91,17 +92,25 @@ class CheckedEntry:
 
 @dataclass(frozen=True)
 class SparsityReport:
+    """The verdict and the checked entries; `q`, with [X-; U-] Q = target, is read through `_q`."""
+
     verdict: Verdict
-    q: Mat
     checked: tuple
+    _q: Callable[[], Mat] = field(repr=False, compare=False)
+
+    q = property(lambda self: self._q())
 
 
 @dataclass(frozen=True)
 class StructureReport:
+    """The verdict, the constraint values and their memberships; `q` as in `SparsityReport`."""
+
     verdict: Verdict
-    q: Mat
     values: tuple
     satisfied: tuple
+    _q: Callable[[], Mat] = field(repr=False, compare=False)
+
+    q = property(lambda self: self._q())
 
 
 @dataclass(frozen=True)
@@ -157,37 +166,39 @@ def _not_rich(section: InputSection, problem: Problem, span: Span) -> NoReturn:
     )
 
 
-def _solve_onto(d: Dataset, problem: Problem) -> Mat:
-    """Q with [X-; U-] Q = target, the problem's spanning set of the minimum subspace.
+class _Read(NamedTuple):
+    values: Mat  # [A, B] target, the same for every system consistent with the data
+    q: Callable[[], Mat]  # the Q with [X-; U-] Q = target: the design's, or one solve made on first call
 
-    A plan equal to the design's basis takes the design's q, the only
-    solution.  Any other plan takes one solve, which is the richness test:
-    no solution means the plan misses a direction of the minimum subspace,
-    and one read of the plan's span names them.
-    """
+
+def _read(d: Dataset, problem: Problem, deficient: Callable = _not_rich):
+    """The values and Q of a rich plan, from the design's q or one read of the plan
+    beside its data (see the module docstring); InconsistentDataset when no system
+    reproduces the data.  A deficient plan returns `deficient(section, problem, span)`."""
     stacked = d.section.stacked()
     if stacked == problem.basis:
-        return problem.q
-    q = solve_right(stacked, problem.target)
-    if q is None:
-        _not_rich(d.section, problem, read_span(stacked))
-    return q
+        return _Read(d.x_plus @ problem.q, lambda: problem.q)
+    span = read_span(stacked, d.x_plus)
+    if not spans_target(span, problem):
+        return deficient(d.section, problem, span)
+    if span.solution is None:
+        raise InconsistentDataset("no linear system reproduces this dataset")
+    return _Read(span.solution.T @ problem.target, cache(lambda: solve_right(stacked, problem.target)))
 
 
 def identify_sparsity(d: Dataset, p: Sparsity, problem: Optional[Problem] = None) -> SparsityReport:
     """Decide a zero pattern directly from data.
 
-    Q solves [X-; U-] Q = [e_i for affected columns i]; the pattern holds
-    exactly when every queried entry of X+ Q vanishes.  Every identifier
-    takes `problem` when the caller has already validated `p` for the data.
+    The target is [e_i for affected columns i]; the pattern holds exactly
+    when every queried entry of [A, B] target, which is X+ Q, vanishes.  Every
+    identifier takes `problem` when the caller has already validated `p` for
+    the data.
     """
     problem = problem or Problem.of(p, d.section.dims)
-    q = _solve_onto(d, problem)
-    product = d.x_plus @ q
+    read = _read(d, problem)
     position = {c: l for l, c in enumerate(sparsity_columns(p, problem.dims))}
-    checked = [CheckedEntry(r, c, product[r - 1, position[c - 1]]) for r, c in p.positions(problem.dims.n)]
-    verdict = Verdict.of(all(e.value == 0 for e in checked))
-    return SparsityReport(verdict, q, tuple(checked))
+    checked = [CheckedEntry(r, c, read.values[r - 1, position[c - 1]]) for r, c in p.positions(problem.dims.n)]
+    return SparsityReport(Verdict.of(all(e.value == 0 for e in checked)), tuple(checked), read.q)
 
 
 def identify_linear_structure(
@@ -195,16 +206,15 @@ def identify_linear_structure(
 ) -> StructureReport:
     """Decide an and/or combination of linear constraints from data.
 
-    With [X-; U-] Q equal to the constraint matrix, the trace of the i-th
-    n-column block of X+ Q is exactly the i-th constraint value of the
-    unknown system; each value is tested for set membership and the
-    results are folded through the expression.
+    With the constraint matrix as the target, the trace of the i-th n-column
+    block of [A, B] target is exactly the i-th constraint value of the
+    unknown system; each value is tested for set membership and the results
+    are folded through the expression.
     """
-    q = _solve_onto(d, problem or Problem.of(p, d.section.dims))
-    values = block_traces(d.x_plus @ q, d.section.n)
+    read = _read(d, problem or Problem.of(p, d.section.dims))
+    values = block_traces(read.values, d.section.n)
     satisfied = tuple(c.values.contains(v) for c, v in zip(p.constraints, values))
-    verdict = Verdict.of(evaluate_expr(p.expr, satisfied))
-    return StructureReport(verdict, q, values, satisfied)
+    return StructureReport(Verdict.of(evaluate_expr(p.expr, satisfied)), values, satisfied, read.q)
 
 
 def recover_model(d: Dataset, problem: Optional[Problem] = None) -> Union[SystemPair, NotIdentifiable]:
@@ -213,62 +223,28 @@ def recover_model(d: Dataset, problem: Optional[Problem] = None) -> Union[System
     Raises InconsistentDataset when no linear system reproduces the data,
     which can only happen on corrupted input.
     """
-    model = _model_or_span(d, problem or Problem.of(Identifiability(), d.section.dims))
-    if isinstance(model, Span):
-        return NotIdentifiable(model.rank, d.section.dims.total - model.rank, model)
-    return model
-
-
-def _model_or_span(d: Dataset, problem: Problem) -> Union[SystemPair, Span]:
-    """The one consistent model for a target of I, or the plan's span when it is deficient.
-
-    The designed plan I gives [A, B] = X+ Q.  Any other plan takes one
-    elimination of [X-; U-]^T beside X+^T: a rank short of n+m is returned as
-    the span read, else [A, B] is the transposed solve Z^T, which exists
-    exactly when some linear system reproduces the data.
-    """
-    stacked = d.section.stacked()
-    if stacked == problem.basis:
-        return SystemPair.from_ab(d.x_plus @ problem.q)
-    span = read_span(stacked, d.x_plus)
-    if span.rank < stacked.rows:
-        return span
-    if span.solution is None:
-        raise InconsistentDataset("no linear system reproduces this dataset")
-    return SystemPair.from_ab(span.solution.T)
-
-
-def _full_model(d: Dataset, problem: Problem) -> SystemPair:
-    """The one consistent model; NotSufficientlyRich when the plan is deficient."""
-    model = _model_or_span(d, problem)
-    if isinstance(model, Span):
-        _not_rich(d.section, problem, model)
-    return model
+    problem = problem or Problem.of(Identifiability(), d.section.dims)
+    read = _read(d, problem, lambda sec, _, span: NotIdentifiable(span.rank, sec.dims.total - span.rank, span))
+    return read if isinstance(read, NotIdentifiable) else SystemPair.from_ab(read.values)
 
 
 def identify_stabilizability(d: Dataset, problem: Optional[Problem] = None) -> Verdict:
     """Stabilizability needs full excitation, so recover and test the model."""
-    problem = problem or Problem.of(Stabilizability(), d.section.dims)
-    return Verdict.of(is_stabilizable(_full_model(d, problem)))
+    read = _read(d, problem or Problem.of(Stabilizability(), d.section.dims))
+    return Verdict.of(is_stabilizable(SystemPair.from_ab(read.values)))
 
 
 def identify_controllability(d: Dataset, problem: Optional[Problem] = None) -> Verdict:
     """Controllability test; for a scalar state only the input block matters.
 
-    With one state the plan need not be persistently exciting: X+ Q =
-    [A, B] [e_2, ..., e_(m+1)] is the B every consistent model shares, and
-    controllability is B != 0.  Some model is consistent exactly when
-    X+ - B U- is a multiple a X- of the state row, with A = a.
+    With one state the target is [e_2, ..., e_(m+1)], so the plan need not
+    be persistently exciting: [A, B] target is the B every consistent model
+    shares, and controllability is B != 0.
     """
-    problem = problem or Problem.of(Controllability(), d.section.dims)
+    values = _read(d, problem or Problem.of(Controllability(), d.section.dims)).values
     if d.section.n > 1:
-        return Verdict.of(is_controllable(_full_model(d, problem)))
-    b = d.x_plus @ _solve_onto(d, problem)
-    x, rest = d.section.x_minus, d.x_plus - b @ d.section.u_minus
-    a = next((r / v for r, v in zip(rest.row_list(0), x.row_list(0)) if v), 0)
-    if rest != x * a:
-        raise InconsistentDataset("no linear system reproduces this dataset")
-    return Verdict.of(not b.is_zero())
+        return Verdict.of(is_controllable(SystemPair.from_ab(values)))
+    return Verdict.of(not values.is_zero())
 
 
 def gain_from_data(d: Dataset) -> GainResult:
@@ -295,14 +271,16 @@ class Identification:
     `outcome` is has_property, lacks_property, identified, not_identifiable
     or counterexample.  `facts()` gives the (name, value) rows that always
     go with the outcome and `certificate()` the rows that show how the
-    verdict was reached; both format only when called.  A not_identifiable
+    verdict was reached; both format only when called.  `q()` gives the Q of
+    a zero pattern or a structure, solved on the first call on a plan other
+    than the design, and None for the other properties.  A not_identifiable
     outcome of data carries the `span` read that found it, from which
     `distinct_consistent_pair` builds its pair.
     """
 
     outcome: str
     verdict: Optional[Verdict] = None
-    q: Optional[Mat] = None
+    q: Callable[[], Optional[Mat]] = lambda: None
     recovered: Optional[SystemPair] = None
     pair: Optional[CounterexamplePair] = None
     span: Optional[Span] = None
@@ -332,7 +310,7 @@ def _of_verdict(verdict: Verdict) -> Identification:
 
 def _of_report(res: Union[SparsityReport, StructureReport], checked: Callable[[], list]) -> Identification:
     return Identification(
-        res.verdict.value, res.verdict, res.q, certificate=lambda: [("Q", format_matrix(res.q)), *checked()]
+        res.verdict.value, res.verdict, lambda: res.q, certificate=lambda: [("Q", format_matrix(res.q)), *checked()]
     )
 
 

@@ -801,18 +801,21 @@ def _pseudo_divmod(a: list, b: list) -> tuple:
 
 
 def _sequence_square_free(p: list) -> list:
-    """Integer p divided exactly by gcd(p, p'), from the primitive remainder sequence, made primitive."""
+    """Integer p divided exactly by gcd(p, p'), from the primitive remainder sequence, made primitive
+    with a positive leading coefficient (the sequence's own sign is that of an unknown power)."""
     a, b = p, [c * (len(p) - 1 - i) for i, c in enumerate(p[:-1])]
     while b:
         a, b = b, _primitive(_pseudo_divmod(a, b)[1])
-    return _primitive(_pseudo_divmod(p, a)[0])
+    part = _primitive(_pseudo_divmod(p, a)[0])
+    return part if part[0] > 0 else [-c for c in part]
 
 
 def _square_free_part(coeffs: list) -> list:
-    """Primitive polynomial with the roots of `coeffs`, each simple: `_sequence_square_free` of p, `coeffs` over
-    their lcm, or at even degree p made primitive when gcd(p, p') modulo _PRIME, not dividing lc(p), is constant."""
+    """Primitive polynomial with the roots of `coeffs`, each simple, its leading coefficient positive when
+    that of `coeffs` is: `_sequence_square_free` of p, `coeffs` over their lcm, or p made primitive when
+    gcd(p, p') modulo _PRIME, not dividing lc(p), is constant."""
     p = list(_over_lcm(coeffs)[0])
-    if len(p) % 2 and p[0] % _PRIME:
+    if p[0] % _PRIME:
         x, y = [c % _PRIME for c in p], [c * (len(p) - 1 - i) % _PRIME for i, c in enumerate(p[:-1])]
         while y:
             x, y = y, list(itertools.dropwhile(operator.not_, (c % _PRIME for c in _pseudo_divmod(x, y)[1])))

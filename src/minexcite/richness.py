@@ -8,12 +8,13 @@ equal to the data.  A plan decides a property for every consistent system
 exactly when its span contains the property's minimum subspace, and any
 basis of that subspace is a minimum excitation.  So a plan is rich exactly
 when [X-; U-] Q = target is solvable, for a `Problem`'s target spanning
-that subspace; an identifier's solve decides it on the way.  Asked
-directly, richness is one read of the plan (`ratmat.read_span`): its left
-kernel Y annihilates every target column.  Design picks a basis, whose
-elimination also gives q with basis q = target, so a plan equal to the
-design reuses that q.  The missing directions of a deficient plan are the
-basis columns Y does not annihilate, on the caller's read or one made here.
+that subspace.  Richness is one read of the plan (`ratmat.read_span`), the
+one an identifier also makes beside its data, and `spans_target` is its one
+test: rank n+m for the target I, else a left kernel Y that annihilates every
+target column.  Design picks a basis, whose elimination also gives q with
+basis q = target, so a plan equal to the design reuses that q.  The missing
+directions of a deficient plan are the basis columns Y does not annihilate,
+on the caller's read or one made here.
 """
 
 from __future__ import annotations
@@ -89,9 +90,18 @@ def consistent_set_contains(d: Dataset, sys: SystemPair) -> bool:
     return feedback(sys, d.section) == d.x_plus
 
 
+def spans_target(span: Span, problem: Problem) -> bool:
+    """True when the plan read as `span` holds every column of the problem's target: for the
+    target I by the rank alone, else, even for n+m columns of lower rank, by the product of
+    its left kernel with the target."""
+    if problem.target == Mat.identity(problem.dims.total):
+        return span.rank == problem.dims.total
+    return not span.unspanned(problem.target)
+
+
 def is_sufficiently_rich(section: InputSection, p: PropertySpec) -> bool:
     """True when the plan decides `p` no matter what responses come back."""
-    return not read_span(section.stacked()).unspanned(Problem.of(p, section.dims).target)
+    return spans_target(read_span(section.stacked()), Problem.of(p, section.dims))
 
 
 def missing_directions(

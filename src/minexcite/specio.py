@@ -213,11 +213,15 @@ def load_property(source: Union[str, Path, dict]) -> Tuple[PropertySpec, Dims]:
     return problem.prop, problem.dims
 
 
-def dump_property(prop: PropertySpec, dims: Dims) -> str:
+def _property_doc(prop: PropertySpec, dims: Dims) -> dict:
     doc: dict = {"n": dims.n, "m": dims.m, "type": prop.type_name}
     if type(prop) in _FIELDS:
         doc.update(_FIELDS[type(prop)][1](prop))
-    return yaml.safe_dump(doc, sort_keys=False, default_flow_style=None)
+    return doc
+
+
+def dump_property(prop: PropertySpec, dims: Dims) -> str:
+    return yaml.safe_dump(_property_doc(prop, dims), sort_keys=False, default_flow_style=None)
 
 
 def load_input_section(source: Union[str, Path, dict]) -> InputSection:
@@ -298,7 +302,7 @@ def dump_scenario(sc: Scenario) -> str:
         "n": sc.dims.n,
         "m": sc.dims.m,
         "hidden": {"A": format_matrix(sc.hidden.a), "B": format_matrix(sc.hidden.b)},
-        "property": yaml.safe_load(dump_property(sc.prop, sc.dims)),
+        "property": _property_doc(sc.prop, sc.dims),
         "plan": "designed"
         if sc.plan is None
         else {"X": format_matrix(sc.plan.x_minus), "U": format_matrix(sc.plan.u_minus)},

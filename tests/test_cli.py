@@ -79,6 +79,26 @@ def test_recover_deficit(corner_dataset, capsys):
     assert "not_identifiable" in out and "deficit" in out
 
 
+def test_identify_corrupted_rich_dataset_exits_bad_input(tmp_path, sparsity_prop):
+    # a rich, overdetermined plan whose responses no linear system reproduces (its
+    # last column should read 2; 3): the one read of the plan beside its data refuses
+    # it, in a whole process so that an uncaught exception would show as a traceback
+    data = tmp_path / "data.yaml"
+    data.write_text('n: 2\nm: 1\nk: 4\nX: "1, 0, 0, 1; 0, 1, 0, 1"\nU: "0, 0, 1, 1"\nXp: "0, 1, 1, 3; 2, 1, 0, 3"\n')
+    src = str(Path(minexcite.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "minexcite.cli", "identify", "--property", sparsity_prop, "--data", str(data)],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=30,
+    )
+    assert proc.returncode == EXIT_BAD_INPUT
+    assert "Traceback" not in proc.stderr
+    assert "no linear system reproduces this dataset" in proc.stderr
+
+
 def test_gain_report(tmp_path, capsys):
     f = tmp_path / "gain.yaml"
     f.write_text(

@@ -22,6 +22,7 @@ from minexcite import (
     Mode,
     NotIdentifiable,
     NotSufficientlyRich,
+    Problem,
     Scenario,
     Sparsity,
     Stabilizability,
@@ -31,6 +32,7 @@ from minexcite import (
     design_minimum_input,
     excite,
     gain_from_data,
+    has_property,
     identify_controllability,
     identify_linear_structure,
     identify_sparsity,
@@ -44,12 +46,15 @@ from minexcite import (
     recover_model,
     run,
     solve_right,
+    sparsity_columns,
     validate_property,
 )
 from minexcite.adversary import _verified_pair
+from minexcite.identify import identify_property
+from minexcite.properties import block_traces
 from minexcite.ratmat import stabilizable
 
-from conftest import deficient_section, rand_invertible, rand_mat, rand_structure, rand_system
+from conftest import deficient_section, rand_invertible, rand_mat, rand_sparsity, rand_structure, rand_system
 
 EXAMPLE_SPARSITY = Sparsity(frozenset({(1, 1)}), frozenset({(2, 1)}))
 CORNER_PLAN = InputSection(parse_matrix("1, 0; 0, 0"), parse_matrix("0, 1"))
@@ -184,18 +189,38 @@ def test_recovery_of_two_column_plan_fails():
     assert isinstance(recover_model(d), NotIdentifiable)
 
 
-def test_corrupted_dataset_detected():
-    from minexcite import InconsistentDataset
-
-    # overdetermined plan: four excitations in R^3, responses off by one entry
+def corrupted_dataset() -> Dataset:
+    """An overdetermined plan, four excitations in R^3, with responses off by one entry."""
     sec = InputSection(
         parse_matrix("1, 0, 0, 1; 0, 1, 0, 1"), parse_matrix("0, 0, 1, 1")
     )
     d = excite(HIDDEN, sec)
     cells = d.x_plus.to_lists()
     cells[0][3] += 1
+    return Dataset(sec, Mat(cells))
+
+
+def test_corrupted_dataset_detected():
+    from minexcite import InconsistentDataset
+
     with pytest.raises(InconsistentDataset):
-        recover_model(Dataset(sec, Mat(cells)))
+        recover_model(corrupted_dataset())
+
+
+def test_corrupted_dataset_detected_by_zero_patterns_and_structures():
+    """The one read of a rich plan beside its data also checks the data: a zero
+    pattern or a structure on responses that no system reproduces raises, rather
+    than giving a verdict that no system supports."""
+    from minexcite import InconsistentDataset
+
+    d = corrupted_dataset()
+    structure = LinearStructure.intersection(
+        [LinearConstraint((1, 0, 0, 1, 0, 0), BoundedSet.singleton(0))]
+    )
+    for identify, p in ((identify_sparsity, EXAMPLE_SPARSITY), (identify_linear_structure, structure)):
+        assert is_sufficiently_rich(d.section, p)
+        with pytest.raises(InconsistentDataset):
+            identify(d, p)
 
 
 @pytest.mark.parametrize(
@@ -385,6 +410,64 @@ def test_verdicts_survive_right_multiplication():
         assert identify_sparsity(twisted, EXAMPLE_SPARSITY).verdict == base
 
 
+# -- one read of the plan beside its data ---------------------------------------------
+
+def test_rank_shortcut_only_for_the_identity_target():
+    """A structure whose constraint matrix has n+m columns but rank 2 < n+m: a plan
+    of rank 2 that spans it is rich, and its verdict is the oracle's.  Reading
+    richness off the rank is right only for the target I."""
+    dims = Dims(1, 2)
+    p = LinearStructure.intersection(
+        [
+            LinearConstraint((1, 0, 0), BoundedSet.from_pairs([(0, 1)])),
+            LinearConstraint((0, 1, 0), BoundedSet.from_pairs([(-1, 1)])),
+            LinearConstraint((1, 1, 0), BoundedSet.from_pairs([(0, 2)])),
+        ]
+    )
+    plan = InputSection(parse_matrix("1, 1, 2"), parse_matrix("1, -1, 2; 0, 0, 0"))
+    assert plan.stacked().cols == 3 and Problem.of(p, dims).target.cols == dims.total
+    assert is_sufficiently_rich(plan, p)
+    assert missing_directions(plan, p) == []
+    inside = SystemPair(parse_matrix("1/2"), parse_matrix("1/2, 7"))
+    outside = SystemPair(parse_matrix("2"), parse_matrix("1/2, 7"))
+    for sys in (inside, outside):
+        expected = Verdict.of(has_property(sys, p))
+        assert identify_linear_structure(excite(sys, plan), p).verdict is expected
+        report = run(Scenario(dims, sys, p, plan))
+        assert report.outcome == expected.value
+    assert has_property(inside, p) and not has_property(outside, p)
+
+
+def test_lazy_q_is_the_solve_and_reproduces_the_verdict(eliminations):
+    """On a recombined rich plan the verdict comes from the read, and Q, solved on
+    its first read only, is solve_right(S, target): X+ Q gives the same entries or
+    traces as the verdict."""
+    rng = random.Random(71)
+    for _ in range(12):
+        dims = Dims(rng.randint(1, 3), rng.randint(1, 2))
+        hidden = rand_system(rng, dims.n, dims.m)
+        for p in (rand_sparsity(rng, dims), *(rand_structure(rng, dims, mode) for mode in Mode)):
+            problem = Problem.of(p, dims)
+            design = design_minimum_input(p, dims)
+            t = rand_invertible(rng, design.k)
+            plan = InputSection(design.x_minus @ t, design.u_minus @ t)
+            data = excite(hidden, plan)
+            expected_q = solve_right(plan.stacked(), problem.target)
+            product = data.x_plus @ expected_q
+            if isinstance(p, Sparsity):
+                rep = identify_sparsity(data, p, problem)
+                position = {c: l for l, c in enumerate(sparsity_columns(p, dims))}
+                assert [e.value for e in rep.checked] == [product[r - 1, position[c - 1]] for r, c in p.positions(dims.n)]
+            else:
+                rep = identify_linear_structure(data, p, problem)
+                assert rep.values == block_traces(product, dims.n)
+            assert rep.verdict is Verdict.of(has_property(hidden, p))
+            assert eliminations(lambda: rep.q) == 1
+            assert eliminations(lambda: rep.q) == 0
+            assert rep.q == expected_q
+            assert identify_property(data, problem).q() == expected_q
+
+
 # -- elimination budget ------------------------------------------------------------
 
 def test_elimination_budget(eliminations, monkeypatch):
@@ -418,12 +501,13 @@ def test_elimination_budget(eliminations, monkeypatch):
         assert not validations
     assert eliminations(run, Scenario(scalar_dims, scalar, Controllability())) == 0
 
-    # a deficient run, with no validation.  A full-space target takes one read of the
-    # plan's span: its rank, missing directions and annihilators (stabilizability and
-    # controllability add the staircases of the pair's two oracle calls).  A zero
-    # pattern or a structure takes the failed solve, that read, the projection and the
-    # signed solve; a structure's missing directions also need the pivots of its target.
-    deficient = {Sparsity: 4, LinearStructure: 5, Identifiability: 1, Stabilizability: 3, Controllability: 3}
+    # a deficient run, with no validation.  Every explicit plan takes one read of its
+    # span beside its data: its rank or its product with the target decides richness,
+    # and the same read gives the missing directions and annihilators (stabilizability
+    # and controllability add the staircases of the pair's two oracle calls).  A zero
+    # pattern or a structure adds the projection and the signed solve; a structure's
+    # missing directions also need the pivots of its target.
+    deficient = {Sparsity: 3, LinearStructure: 4, Identifiability: 1, Stabilizability: 3, Controllability: 3}
     drng = random.Random(61)
     for p in props:
         sc = Scenario(dims, hidden, p, deficient_section(drng, dims, minimum_subspace(p, dims).basis, 4))
@@ -441,9 +525,13 @@ def test_elimination_budget(eliminations, monkeypatch):
         return excite(sys, InputSection(plan.x_minus @ t, plan.u_minus @ t))
 
     # the public identifiers build their own problem: on the designed plan the
-    # design's Q is reused, on any other rich plan one solve decides
+    # design's Q is reused, on any other rich plan one read decides, and Q is
+    # solved only when read
     assert eliminations(identify_sparsity, rich(sparsity), sparsity) == 0
     assert eliminations(identify_sparsity, twisted(sparsity), sparsity) == 1
+    for p in (sparsity, *structures):
+        problem = Problem.of(p, dims, design=True)
+        assert eliminations(identify_property, twisted(p), problem) == 1
     for p in structures:
         for data in (rich(p), twisted(p)):
             assert eliminations(identify_linear_structure, data, p) == 1 + eliminations(validate_property, p, dims)
@@ -453,7 +541,8 @@ def test_elimination_budget(eliminations, monkeypatch):
     assert eliminations(identify_controllability, rich(Controllability())) == own_test
     assert eliminations(identify_controllability, twisted(Controllability())) == 1 + own_test
     assert eliminations(identify_controllability, rich(Controllability(), scalar_dims, scalar)) == 0
-    # every consistent scalar model has B = X+ Q, so a product checks the data
+    # one read of an explicit scalar plan decides richness, consistency and the B
+    # that every consistent model shares
     assert eliminations(identify_controllability, twisted(Controllability(), scalar_dims, scalar)) == 1
 
     cases = [(design_minimum_input(p, dims), p) for p in [sparsity, *structures, Stabilizability(), Controllability()]]

@@ -692,10 +692,10 @@ def test_spectral_radius_past_the_float_range():
     assert math.isclose(big.radius, 3e300, rel_tol=1e-12)
 
 
-@pytest.mark.parametrize("n", [16, 17, 24, 32, 48])
+@pytest.mark.parametrize("n", [16, 17, 24, 32, 33, 48])
 def test_square_free_part_modulo_a_prime_returns_what_the_sequence_returns(n, monkeypatch):
-    # seed-11 dense loops: at even degree a constant gcd(p, p') modulo the prime skips the
-    # remainder sequence, which odd degrees still run
+    # seed-11 dense loops of even and odd degree: a constant gcd(p, p') modulo the prime
+    # skips the remainder sequence, and both return a positive leading coefficient
     rng = random.Random(11)
     cells = [Fraction(rng.randint(-9, 9), rng.randint(1, 5) * n) for _ in range(n * n)]
     coeffs = characteristic_polynomial(Mat.from_flat(n, n, cells))
