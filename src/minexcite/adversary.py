@@ -10,8 +10,10 @@ and the property table in `identify` holds them as they are.  The table
 hands each recipe the plan's read (`ratmat.read_span`): the one the
 identifier made when it found the plan deficient, or one made for the
 recipe.  Its left kernel gives the annihilated directions, it or its basis
-(the smaller) the projection of a structure's missed column, and, for a
-pair of models, its transposed solve the consistent model.  The pairs are
+(the smaller) the residual of a missed column of the target, and, for a
+pair of models, its transposed solve the consistent model.  A zero
+pattern's pair is the zero system and one row along that residual; a
+structure's seats its reference system by a signed solve.  The pairs are
 built on the integers of those matrices and of the problem's target, and
 each is checked once, with the oracle of the validated problem.
 """
@@ -33,9 +35,9 @@ from .properties import (
     Problem,
     SetExpr,
     SystemPair,
-    as_structure_problem,
     expr_leaves,
     flat_chain_ops,
+    sparsity_columns,
 )
 from .ratmat import Mat, Span, Subspace, read_span, solve_right
 from .richness import Dataset, InputSection, consistent_set_contains, feedback
@@ -242,19 +244,34 @@ def algorithm2_signs(expr: SetExpr, c1: frozenset) -> tuple:
 
 
 def counterexample_sparsity(section: InputSection, problem: Problem, seed: int, span: Span) -> CounterexamplePair:
-    """Property-split pair for a zero pattern: the systems of its equivalent
-    structure, checked with the zero-pattern oracle."""
-    systems = _structure_systems(section, as_structure_problem(problem), seed, span)
-    return _verified_pair(section, *systems, problem.holds)
+    """Property-split pair for a zero pattern: the zero system, and the partner whose
+    row r is h / h_c for the first zero (r, c), in `Sparsity.positions` order, whose
+    e_c the plan misses, with h the residual of e_c, which the data cannot see."""
+    n, total = problem.dims.n, problem.dims.total
+    columns = sparsity_columns(problem.prop, problem.dims)
+    missed = {columns[i]: i for i in span.unspanned(problem.target)}
+    zero = next(((r - 1, c - 1) for r, c in problem.prop.positions(n) if c - 1 in missed), None)
+    if zero is None:
+        raise SectionIsRich("the plan spans the constraint directions; the structure is decidable")
+    row, col = zero
+    h = _residual(span, problem.target.col(missed[col]))
+    partner = SystemPair.from_ab(_single_row(n, total, row, h._nums, h._nums[col]))
+    return _verified_pair(section, SystemPair.from_ab(Mat.zeros(n, total)), partner, problem.holds)
+
+
+def _residual(span: Span, w: Mat) -> Mat:
+    """The residual of the column w off the plan's span, nonzero for a column the
+    plan misses: w minus its projection onto the span's basis when 2 rank <= n+m,
+    else its projection onto the left kernel, so the Gram solve is the smaller."""
+    h = (w - Subspace._of_independent(span.basis).project(w) if 2 * span.rank <= w.rows
+         else Subspace._of_independent(span.kernel).project(w))
+    if h.is_zero():
+        raise InternalFault("a missed column must leave a nonzero residual")
+    return h
 
 
 def counterexample_structure(section: InputSection, problem: Problem, seed: int, span: Span) -> CounterexamplePair:
-    """Property-split pair for a combined linear structure (see `_structure_systems`)."""
-    return _verified_pair(section, *_structure_systems(section, problem, seed, span), problem.holds)
-
-
-def _structure_systems(section: InputSection, problem: Problem, seed: int, span: Span) -> Tuple[SystemPair, SystemPair]:
-    """The unchecked systems with and without the structure `problem.prop`.
+    """Property-split pair for a combined linear structure.
 
     Picks a constraint-matrix column the plan misses, strips its component
     inside the plan's span to get a direction invisible to the data, seats
@@ -262,10 +279,9 @@ def _structure_systems(section: InputSection, problem: Problem, seed: int, span:
     along the invisible direction far enough to break every touched
     constraint.  The perturbation scale for bracketed combinations uses a
     seeded generator so results are replayable.  The missed columns and the
-    span's basis or left kernel, orthogonal complements of which the smaller
-    projects, come from `span`, the read of the plan; the constraint rows
-    and the reference system are read off the integers of the target and of
-    the signed solve.
+    residual (`_residual`) come from `span`, the read of the plan; the
+    constraint rows and the reference system are read off the integers of
+    the target and of the signed solve.
     """
     p, dims, m_mat = problem.prop, problem.dims, problem.target
     n, total, count = dims.n, dims.total, len(p.constraints)
@@ -274,11 +290,7 @@ def _structure_systems(section: InputSection, problem: Problem, seed: int, span:
         raise SectionIsRich("the plan spans the constraint directions; the structure is decidable")
     col_idx = missed[0]
     l, j = col_idx // n, col_idx % n
-    w = m_mat.col(col_idx)
-    h = (w - Subspace._of_independent(span.basis).project(w) if 2 * span.rank <= total
-         else Subspace._of_independent(span.kernel).project(w))
-    if h.is_zero():
-        raise InternalFault("a missed column must leave a nonzero residual")
+    h = _residual(span, m_mat.col(col_idx))
 
     # entry i*n + r of h^T M is row r of vec_inv(h_i) @ h, M's block i being vec_inv(h_i)^T
     touched = (h.T @ m_mat).row_list(0)
@@ -320,7 +332,7 @@ def _structure_systems(section: InputSection, problem: Problem, seed: int, span:
         alpha = max([Fraction(1)] + [1 + v for v in needed])
         perturbation = Mat.column([alpha * v for v in g]) @ h.T
 
-    return SystemPair.from_ab(ab0), SystemPair.from_ab(ab0 + perturbation)
+    return _verified_pair(section, SystemPair.from_ab(ab0), SystemPair.from_ab(ab0 + perturbation), problem.holds)
 
 
 def distinct_consistent_pair(d: Dataset, span: Optional[Span] = None) -> Tuple[SystemPair, SystemPair]:

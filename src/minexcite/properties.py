@@ -539,19 +539,6 @@ def sparsity_columns(p: Sparsity, dims: Dims) -> list:
     return sorted({c - 1 for _, c in p.positions(dims.n)})
 
 
-def as_structure_problem(problem: "Problem") -> "Problem":
-    """A zero pattern's problem as its equivalent structure's: one {0}
-    singleton per zero position, valid as the pattern is."""
-    n, total = problem.dims.n, problem.dims.total
-    constraints = []
-    for r, c in problem.prop.positions(n):
-        h = [Fraction(0)] * (n * total)
-        h[(c - 1) * n + (r - 1)] = Fraction(1)
-        constraints.append(LinearConstraint(tuple(h), BoundedSet.singleton(0)))
-    structure = LinearStructure.intersection(constraints)
-    return Problem(structure, problem.dims, structure._target(problem.dims))
-
-
 # -- validation -------------------------------------------------------------
 
 def validate_property(p: PropertySpec, dims: Dims) -> None:

@@ -15,6 +15,7 @@ from minexcite import (
     LinearStructure,
     Mat,
     Mode,
+    Problem,
     Sparsity,
     SystemPair,
     rank,
@@ -100,6 +101,19 @@ def rand_structure(rng: random.Random, dims: Dims, mode: Mode) -> LinearStructur
         return LinearStructure.intersection(constraints)
     expr = rand_expr(rng, len(constraints))
     return LinearStructure(constraints, expr, Mode.EXPRESSION)
+
+
+def singleton_structure(problem: Problem) -> Problem:
+    """A zero pattern's problem as its equivalent structure's: one {0}
+    singleton per zero position, in `Sparsity.positions` order."""
+    n, total = problem.dims.n, problem.dims.total
+    constraints = []
+    for r, c in problem.prop.positions(n):
+        h = [Fraction(0)] * (n * total)
+        h[(c - 1) * n + (r - 1)] = Fraction(1)
+        constraints.append(LinearConstraint(tuple(h), BoundedSet.singleton(0)))
+    structure = LinearStructure.intersection(constraints)
+    return Problem(structure, problem.dims, structure._target(problem.dims))
 
 
 def reference_values(sys: SystemPair, constraints) -> list:

@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from minexcite import (
@@ -20,6 +20,7 @@ from minexcite import (
     LinearStructure,
     Mat,
     Mode,
+    Problem,
     SectionIsRich,
     Sparsity,
     Stabilizability,
@@ -35,13 +36,15 @@ from minexcite import (
     has_property,
     minimum_subspace,
     parse_matrix,
+    sparsity_columns,
     split_stacked,
 )
 from minexcite import adversary, properties
 from minexcite.adversary import COMPLEMENT, KEEP
 from minexcite.properties import And, Leaf, Or, parse_expr
+from minexcite.ratmat import read_span
 
-from conftest import deficient_section
+from conftest import deficient_section, singleton_structure
 
 TWO_COLUMN_PLAN = InputSection(parse_matrix("1, 0.5; 0, 1"), parse_matrix("-1, -1"))
 CORNER_PLAN = InputSection(parse_matrix("1, 0; 0, 0"), parse_matrix("0, 1"))
@@ -282,9 +285,47 @@ def test_dependent_intersection_is_searched_once(monkeypatch):
     assert_valid_pair(pair, p)
 
 
+@st.composite
+def deficient_zero_patterns(draw):
+    """(pattern, plan, seed): one to three zeros of [A, B] for n from 1 to 4 and m
+    from 0 to 3, and a plan of k from 1 to n+m excitations orthogonal to a drawn g
+    that is nonzero on some zero's column, so the plan misses that unit column.
+    Its residual is rarely the unit column itself, and it comes from the basis
+    side at small rank and from the left-kernel side at large rank."""
+    dims = Dims(draw(st.integers(1, 4)), draw(st.integers(0, 3)))
+    pool = [(0, r, c) for r in range(1, dims.n + 1) for c in range(1, dims.n + 1)]
+    pool += [(1, r, c) for r in range(1, dims.n + 1) for c in range(1, dims.m + 1)]
+    zeros = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=3, unique=True))
+    p = Sparsity(*(frozenset((r, c) for block, r, c in zeros if block == b) for b in (0, 1)))
+    vector = st.lists(st.integers(-2, 2), min_size=dims.total, max_size=dims.total)
+    g, c = draw(vector), draw(st.sampled_from(sparsity_columns(p, dims)))
+    g[c] = g[c] or 1
+    gg = sum(x * x for x in g)
+    drawn = draw(st.lists(vector, min_size=1, max_size=dims.total))
+    columns = [[gg * x - sum(map(operator.mul, g, v)) * y for x, y in zip(v, g)] for v in drawn]
+    return p, split_stacked(Mat(columns).T, dims), draw(st.integers(0, 99))
+
+
+@settings(max_examples=max(200, settings.default.max_examples), deadline=None)
+@given(deficient_zero_patterns())
+# a zero of B; the residual of e3 off (1, 0, 1) is (-1/2, 0, 1/2), so the partner's
+# row carries a negative entry beside h_c = 1/2
+@example((Sparsity(frozenset(), frozenset({(1, 1)})), InputSection(parse_matrix("1; 0"), parse_matrix("1")), 0))
+# two missed zeros, A(1, 1) before A(2, 2); rank 2 of 3 takes the left-kernel side,
+# where the residual of e1 is (1, -1, 1) / 3
+@example((Sparsity(frozenset({(2, 2), (1, 1)}), frozenset()), InputSection(parse_matrix("1, 0; 1, 1"), parse_matrix("0, 1")), 0))
+def test_zero_pattern_pair_equals_its_singleton_structure_pair(case):
+    # the pair is the one the equivalent intersection of {0} singletons gets, with
+    # the zero system seated by the signed solve and the partner broken along h
+    p, plan, seed = case
+    singleton = singleton_structure(Problem.of(p, plan.dims))
+    expected = adversary.counterexample_structure(plan, singleton, seed, read_span(plan.stacked()))
+    assert counterexample_for(plan, p, seed) == expected
+
+
 def test_each_recipe_checks_its_pair_once(monkeypatch):
-    # the zero pattern's pair is built as its structure's and checked once, with
-    # the zero-pattern oracle
+    # the zero pattern's pair is the zero system and one projected row, checked
+    # once with the zero-pattern oracle
     calls = []
     real = adversary._verified_pair
     monkeypatch.setattr(adversary, "_verified_pair", lambda *args: calls.append(args) or real(*args))

@@ -505,9 +505,10 @@ def test_elimination_budget(eliminations, monkeypatch):
     # span beside its data: its rank or its product with the target decides richness,
     # and the same read gives the missing directions and annihilators (stabilizability
     # and controllability add the staircases of the pair's two oracle calls).  A zero
-    # pattern or a structure adds the projection and the signed solve; a structure's
-    # missing directions also need the pivots of its target.
-    deficient = {Sparsity: 3, LinearStructure: 4, Identifiability: 1, Stabilizability: 3, Controllability: 3}
+    # pattern adds the projection of its missed unit column; a structure adds the
+    # projection and the signed solve, and its missing directions also need the
+    # pivots of its target.
+    deficient = {Sparsity: 2, LinearStructure: 4, Identifiability: 1, Stabilizability: 3, Controllability: 3}
     drng = random.Random(61)
     for p in props:
         sc = Scenario(dims, hidden, p, deficient_section(drng, dims, minimum_subspace(p, dims).basis, 4))

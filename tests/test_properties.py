@@ -44,14 +44,13 @@ from minexcite.properties import (
     And,
     Leaf,
     Or,
-    as_structure_problem,
     block_traces,
     build_constraint_matrix,
     flat_chain_ops,
 )
 from minexcite.ratmat import nonnegative_solve, solve_right
 
-from conftest import rand_expr, rand_independent_rows, rand_sparsity, rand_system, reference_values
+from conftest import rand_expr, rand_independent_rows, rand_sparsity, rand_system, reference_values, singleton_structure
 
 
 def single_constraint(h, values=None) -> LinearStructure:
@@ -168,7 +167,7 @@ def test_singleton_intersection_matches_sparsity():
     for _ in range(25):
         dims = Dims(rng.randint(1, 3), rng.randint(1, 3))
         p = rand_sparsity(rng, dims)
-        structure = as_structure_problem(Problem.of(p, dims)).prop
+        structure = singleton_structure(Problem.of(p, dims)).prop
         assert minimum_subspace(structure, dims) == minimum_subspace(p, dims)
 
 
