@@ -12,7 +12,8 @@ property's own test, and a whole-space one (S = I, Q = I) makes no
 product.  On an explicit plan the identifier's read of the plan's span
 travels with its failure, in `NotSufficientlyRich` or the not_identifiable
 result, to the certificate, which reads its annihilators and consistent
-model from it.  A square plan's gain leaves its spectral radius unread.
+model from it.  A square plan's gain leaves its spectral radius unread, and
+a rich explicit plan's report leaves its Q unsolved until `q` is read.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import csv
 import io
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, List, Optional, Sequence
+from typing import Callable, Iterable, List, Optional, Sequence
 
 from .adversary import CounterexamplePair, distinct_consistent_pair
 from .errors import DimensionMismatch, GainNotApplicable, NotSufficientlyRich
@@ -58,7 +59,8 @@ class RunReport:
     """Everything a scenario run produced.
 
     `outcome` is one of: has_property, lacks_property, identified,
-    not_identifiable, not_sufficiently_rich.
+    not_identifiable, not_sufficiently_rich.  `q` is the identification's Q,
+    read through `_q`: on an explicit rich plan it is solved on first read.
     """
 
     dataset: Dataset
@@ -66,12 +68,14 @@ class RunReport:
     k_used: int
     k_model_based: int
     verdict: Optional[Verdict] = None
-    q: Optional[Mat] = None
+    _q: Callable[[], Optional[Mat]] = field(default=lambda: None, repr=False, compare=False)
     recovered: Optional[SystemPair] = None
     gain: Optional[GainResult] = None
     counterexample: Optional[CounterexamplePair] = None
     model_pair: Optional[tuple] = None
     missing: tuple = ()
+
+    q = property(lambda self: self._q())
 
 
 def excite(hidden: SystemPair, section: InputSection) -> Dataset:
@@ -101,7 +105,7 @@ def run(sc: Scenario) -> RunReport:
         return report("not_sufficiently_rich", counterexample=pair, missing=exc.missing)
     if res.outcome == "not_identifiable":
         return report(res.outcome, model_pair=distinct_consistent_pair(dataset, res.span))
-    return report(res.outcome, verdict=res.verdict, q=res.q(), recovered=res.recovered)
+    return report(res.outcome, verdict=res.verdict, _q=res.q, recovered=res.recovered)
 
 
 @dataclass(frozen=True)

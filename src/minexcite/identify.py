@@ -7,16 +7,17 @@ Any other plan takes one elimination of [X-; U-]^T beside X+^T
 (for the target I) or its product with the target decides richness, its
 transposed solve Z exists exactly when some linear system reproduces the
 data, and Z^T target is the [A, B] target that every such system shares.
-So a zero pattern checks entries, a structure checks traces, a scalar
-state's controllability reads B and a whole-space target reads the model
-[A, B] off that one read, without solving for Q; the Q a report shows is
-solved when first read.  A deficient plan raises `NotSufficientlyRich` with
-the missing directions, read off that span's left kernel, and the span
-itself, from which the counterexample recipe reads its certificate;
-`NotIdentifiable` carries it the same way.  Zero tests are exact; floats
-appear only in the spectral radius of a synthesized closed loop, computed
-when first read.  That radius and the exact stability verdict share one
-characteristic polynomial of the loop.
+So a zero pattern checks entries, a scalar state's controllability reads B
+and a whole-space target reads the model [A, B] off that one read, without
+solving for Q, and a structure reads its traces from the two factors, X+
+and the design's q or Z^T and the target, without forming their product;
+the Q a report shows is solved when first read.  A deficient plan raises
+`NotSufficientlyRich` with the missing directions, read off that span's
+left kernel, and the span itself, from which the counterexample recipe
+reads its certificate; `NotIdentifiable` carries it the same way.  Zero
+tests are exact; floats appear only in the spectral radius of a
+synthesized closed loop, computed when first read.  That radius and the
+exact stability verdict share one characteristic polynomial of the loop.
 
 One table maps each property class to its identifier and its
 counterexample recipe, every recipe taking (section, problem, seed, span);
@@ -167,23 +168,30 @@ def _not_rich(section: InputSection, problem: Problem, span: Span) -> NoReturn:
 
 
 class _Read(NamedTuple):
-    values: Mat  # [A, B] target, the same for every system consistent with the data
+    left: Mat  # X+ on the design, else Z^T, the [A, B] of the transposed solve
+    right: Mat  # the design's q, else the target
     q: Callable[[], Mat]  # the Q with [X-; U-] Q = target: the design's, or one solve made on first call
+
+    def values(self) -> Mat:
+        """[A, B] target, the same for every system consistent with the data: the one
+        product of the factors, formed only by the readers of the whole matrix."""
+        return self.left @ self.right
 
 
 def _read(d: Dataset, problem: Problem, deficient: Callable = _not_rich):
-    """The values and Q of a rich plan, from the design's q or one read of the plan
-    beside its data (see the module docstring); InconsistentDataset when no system
-    reproduces the data.  A deficient plan returns `deficient(section, problem, span)`."""
+    """The factors of the values and the Q of a rich plan, from the design's q or one
+    read of the plan beside its data (see the module docstring); InconsistentDataset
+    when no system reproduces the data.  A deficient plan returns
+    `deficient(section, problem, span)`."""
     stacked = d.section.stacked()
     if stacked == problem.basis:
-        return _Read(d.x_plus @ problem.q, lambda: problem.q)
+        return _Read(d.x_plus, problem.q, lambda: problem.q)
     span = read_span(stacked, d.x_plus)
     if not spans_target(span, problem):
         return deficient(d.section, problem, span)
     if span.solution is None:
         raise InconsistentDataset("no linear system reproduces this dataset")
-    return _Read(span.solution.T @ problem.target, cache(lambda: solve_right(stacked, problem.target)))
+    return _Read(span.solution.T, problem.target, cache(lambda: solve_right(stacked, problem.target)))
 
 
 def identify_sparsity(d: Dataset, p: Sparsity, problem: Optional[Problem] = None) -> SparsityReport:
@@ -196,8 +204,8 @@ def identify_sparsity(d: Dataset, p: Sparsity, problem: Optional[Problem] = None
     """
     problem = problem or Problem.of(p, d.section.dims)
     read = _read(d, problem)
-    position = {c: l for l, c in enumerate(sparsity_columns(p, problem.dims))}
-    checked = [CheckedEntry(r, c, read.values[r - 1, position[c - 1]]) for r, c in p.positions(problem.dims.n)]
+    values, position = read.values(), {c: l for l, c in enumerate(sparsity_columns(p, problem.dims))}
+    checked = [CheckedEntry(r, c, values[r - 1, position[c - 1]]) for r, c in p.positions(problem.dims.n)]
     return SparsityReport(Verdict.of(all(e.value == 0 for e in checked)), tuple(checked), read.q)
 
 
@@ -208,11 +216,12 @@ def identify_linear_structure(
 
     With the constraint matrix as the target, the trace of the i-th n-column
     block of [A, B] target is exactly the i-th constraint value of the
-    unknown system; each value is tested for set membership and the results
-    are folded through the expression.
+    unknown system, read from the two factors without forming the product;
+    each value is tested for set membership and the results are folded
+    through the expression.
     """
     read = _read(d, problem or Problem.of(p, d.section.dims))
-    values = block_traces(read.values, d.section.n)
+    values = block_traces(read.left, read.right, d.section.n)
     satisfied = tuple(c.values.contains(v) for c, v in zip(p.constraints, values))
     return StructureReport(Verdict.of(evaluate_expr(p.expr, satisfied)), values, satisfied, read.q)
 
@@ -225,13 +234,13 @@ def recover_model(d: Dataset, problem: Optional[Problem] = None) -> Union[System
     """
     problem = problem or Problem.of(Identifiability(), d.section.dims)
     read = _read(d, problem, lambda sec, _, span: NotIdentifiable(span.rank, sec.dims.total - span.rank, span))
-    return read if isinstance(read, NotIdentifiable) else SystemPair.from_ab(read.values)
+    return read if isinstance(read, NotIdentifiable) else SystemPair.from_ab(read.values())
 
 
 def identify_stabilizability(d: Dataset, problem: Optional[Problem] = None) -> Verdict:
     """Stabilizability needs full excitation, so recover and test the model."""
     read = _read(d, problem or Problem.of(Stabilizability(), d.section.dims))
-    return Verdict.of(is_stabilizable(SystemPair.from_ab(read.values)))
+    return Verdict.of(is_stabilizable(SystemPair.from_ab(read.values())))
 
 
 def identify_controllability(d: Dataset, problem: Optional[Problem] = None) -> Verdict:
@@ -241,7 +250,7 @@ def identify_controllability(d: Dataset, problem: Optional[Problem] = None) -> V
     be persistently exciting: [A, B] target is the B every consistent model
     shares, and controllability is B != 0.
     """
-    values = _read(d, problem or Problem.of(Controllability(), d.section.dims)).values
+    values = _read(d, problem or Problem.of(Controllability(), d.section.dims)).values()
     if d.section.n > 1:
         return Verdict.of(is_controllable(SystemPair.from_ab(values)))
     return Verdict.of(not values.is_zero())

@@ -12,13 +12,15 @@ gives the target its identifier solves onto, a spanning set of that
 subspace, and on request the design: a basis of it with the target's
 coordinates in that basis.  `has_property` is the ground-truth membership
 oracle used by tests and by counterexample validation; a structure's values
-are the block traces of [A, B] times its target, the identifier's formula.
+are the block traces of [A, B] times its target, read as the identifier reads
+them from X+ and Q: from the two factors, without forming their product.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 import re
 from dataclasses import dataclass
 from enum import Enum
@@ -492,7 +494,7 @@ class LinearStructure(PropertySpec):
         return pivot_basis(target) if eliminate else (None, None)
 
     def _holds(self, sys: SystemPair, target: Mat) -> bool:
-        values = block_traces(sys.ab() @ target, sys.n)
+        values = block_traces(sys.ab(), target, sys.n)
         return evaluate_expr(self.expr, [c.values.contains(v) for c, v in zip(self.constraints, values)])
 
 
@@ -526,12 +528,21 @@ def build_constraint_matrix(constraints: Sequence[LinearConstraint], dims: Dims)
     return Mat._make(dims.total, len(constraints) * n, nums, den)
 
 
-def block_traces(product: Mat, n: int) -> tuple:
-    """Traces of the n-column blocks of an n-row product.  Block i of a
-    structure's target is vec_inv(h_i)^T, so with [A, B] @ target, or X+ Q
-    for [X-; U-] Q = target, trace i is the constraint value h_i . vec([A, B])."""
-    c = product.cols
-    return tuple(Fraction(sum(product._nums[s * c + b + s] for s in range(n)), product._den) for b in range(0, c, n))
+def block_traces(left: Mat, right: Mat, n: int) -> tuple:
+    """Traces of the n-column blocks of left @ right, for an n-row left, read from
+    the two factors without forming their product: trace i is the sum over s of
+    row s of left times column i*n + s of right, n dot products over
+    left._den * right._den.  Block i of a structure's target is vec_inv(h_i)^T, so
+    with [A, B] and the target, or X+ and Q for [X-; U-] Q = target, trace i is the
+    constraint value h_i . vec([A, B])."""
+    if left.cols != right.rows:
+        raise DimensionMismatch(f"cannot multiply {left.shape} by {right.shape}")
+    k, w, den = left.cols, right.cols, left._den * right._den
+    rows = [left._nums[s * k : (s + 1) * k] for s in range(n)]
+    return tuple(
+        Fraction(sum(sum(map(operator.mul, rows[s], right._nums[b + s :: w])) for s in range(n)), den)
+        for b in range(0, w, n)
+    )
 
 
 def sparsity_columns(p: Sparsity, dims: Dims) -> list:
@@ -612,9 +623,12 @@ class Problem:
         target = prop._target(dims)
         return cls(prop, dims, target, *prop._design(target, design), point)
 
+    _minimum_basis = cached_property(lambda self: self.basis if self.basis is not None else image(self.target).basis)
+
     def minimum_basis(self) -> Mat:
-        """The design's basis, or else the target's pivot columns."""
-        return self.basis if self.basis is not None else image(self.target).basis
+        """The design's basis, or else the target's pivot columns, found once and kept
+        outside equality, hash and repr."""
+        return self._minimum_basis
 
     def holds(self, sys: SystemPair) -> bool:
         """`has_property` for a system of these dimensions, without validating again."""

@@ -140,6 +140,33 @@ def test_controllability_pair_state_weight_cases():
     assert_valid_pair(pair2, Controllability())
 
 
+@st.composite
+def dense_annihilator_plans(draw):
+    """(property, plan, seed): stabilizability or controllability for n from 1 to 4
+    and m from 1 to 3, and a plan of k from 1 to n+m excitations orthogonal to a
+    drawn g with nonzero state and input weights, drawn as `deficient_zero_patterns`
+    draws its plans.  At rank n+m-1 the annihilator is g itself, rescaled, so its
+    state and input blocks are both nonzero, and its state block is sometimes zero
+    at the second coordinate, which the controllability recipe swaps away."""
+    dims = Dims(draw(st.integers(1, 4)), draw(st.integers(1, 3)))
+    vector = st.lists(st.integers(-2, 2), min_size=dims.total, max_size=dims.total)
+    g = draw(vector)
+    for i in (draw(st.integers(0, dims.n - 1)), draw(st.integers(dims.n, dims.total - 1))):
+        g[i] = g[i] or 1
+    gg = sum(x * x for x in g)
+    drawn = draw(st.lists(vector, min_size=1, max_size=dims.total))
+    columns = [[gg * x - sum(map(operator.mul, g, v)) * y for x, y in zip(v, g)] for v in drawn]
+    prop = draw(st.sampled_from([Stabilizability(), Controllability()]))
+    return prop, split_stacked(Mat(columns).T, dims), draw(st.integers(0, 99))
+
+
+@settings(max_examples=max(200, settings.default.max_examples), deadline=None)
+@given(dense_annihilator_plans())
+def test_stabilizability_and_controllability_pairs_on_dense_annihilators(case):
+    prop, plan, seed = case
+    assert_valid_pair(counterexample_for(plan, prop, seed), prop)
+
+
 def test_controllability_rich_plan_refused():
     with pytest.raises(SectionIsRich):
         counterexample_for(FULL_PLAN_21, Controllability())

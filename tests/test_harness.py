@@ -83,6 +83,23 @@ def test_designed_sparsity_scenario():
     assert rep.q is not None
 
 
+def test_explicit_rich_run_solves_q_on_first_read(eliminations):
+    # the run makes the one read of the plan beside its data; Q = solve_right(S, target)
+    # is solved when the report's q is first read, and kept
+    rng = random.Random(73)
+    dims = Dims(2, 1)
+    hidden = rand_system(rng, dims.n, dims.m)
+    plan = InputSection(parse_matrix("1, 1, 0; 0, 1, 1"), parse_matrix("1, 0, 1"))
+    for p in (EXAMPLE_SPARSITY, rand_structure(rng, dims, Mode.INTERSECTION)):
+        sc = Scenario(dims, hidden, p, plan)
+        assert eliminations(run, sc) == 1
+        rep = run(sc)
+        assert rep.outcome == Verdict.of(has_property(hidden, p)).value
+        assert eliminations(lambda: rep.q) == 1
+        assert eliminations(lambda: rep.q) == 0
+        assert rep.q == solve_right(plan.stacked(), sc.problem.target)
+
+
 def test_designed_stabilizability_scenario_matches_oracle():
     rng = random.Random(67)
     for _ in range(10):

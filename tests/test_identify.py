@@ -54,7 +54,15 @@ from minexcite.identify import identify_property
 from minexcite.properties import block_traces
 from minexcite.ratmat import stabilizable
 
-from conftest import deficient_section, rand_invertible, rand_mat, rand_sparsity, rand_structure, rand_system
+from conftest import (
+    deficient_section,
+    rand_independent_rows,
+    rand_invertible,
+    rand_mat,
+    rand_sparsity,
+    rand_structure,
+    rand_system,
+)
 
 EXAMPLE_SPARSITY = Sparsity(frozenset({(1, 1)}), frozenset({(2, 1)}))
 CORNER_PLAN = InputSection(parse_matrix("1, 0; 0, 0"), parse_matrix("0, 1"))
@@ -460,7 +468,7 @@ def test_lazy_q_is_the_solve_and_reproduces_the_verdict(eliminations):
                 assert [e.value for e in rep.checked] == [product[r - 1, position[c - 1]] for r, c in p.positions(dims.n)]
             else:
                 rep = identify_linear_structure(data, p, problem)
-                assert rep.values == block_traces(product, dims.n)
+                assert rep.values == block_traces(data.x_plus, expected_q, dims.n)
             assert rep.verdict is Verdict.of(has_property(hidden, p))
             assert eliminations(lambda: rep.q) == 1
             assert eliminations(lambda: rep.q) == 0
@@ -557,7 +565,8 @@ def test_product_budget(products):
     """A system on a plan is one product, [A, B] [X-; U-], and a product by the
     identity costs nothing.  A designed whole-space run has S = I and Q = I, so
     it makes no product; a designed zero pattern's plan is unit columns and its
-    Q is I, so it makes the one product of its excitation."""
+    Q is I, so it makes the one product of its excitation, and so does a designed
+    structure, whose Q is not I."""
     rng = random.Random(67)
     dims = Dims(3, 2)
     hidden = rand_system(rng, dims.n, dims.m)
@@ -565,6 +574,13 @@ def test_product_budget(products):
         assert products(run, Scenario(dims, hidden, p)) == 0
     sparsity = Sparsity(frozenset({(1, 2), (3, 3)}), frozenset({(2, 1)}))
     assert products(run, Scenario(dims, hidden, sparsity)) == 1
+    # a structure's values are traces read from two factors, never their product:
+    # X+ and the design's Q in a designed run, [A, B] and the target in the oracle
+    for count in (2, 3):
+        rows = rand_independent_rows(rng, count, dims.n * dims.total)
+        structure = LinearStructure.intersection([LinearConstraint(r, BoundedSet.singleton(0)) for r in rows])
+        assert products(run, Scenario(dims, hidden, structure)) == 1
+        assert products(Problem.of(structure, dims).holds, hidden) == 0
 
     # a plan of four columns in R^5 and a partner moved along its left kernel
     section = InputSection(rand_mat(rng, dims.n, 4), rand_mat(rng, dims.m, 4))

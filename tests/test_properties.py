@@ -171,6 +171,20 @@ def test_singleton_intersection_matches_sparsity():
         assert minimum_subspace(structure, dims) == minimum_subspace(p, dims)
 
 
+def test_minimum_basis_is_found_once_per_problem(eliminations):
+    # a structure validated without its design finds the pivots of its target on
+    # the first call only, and keeps them outside equality, hash and repr
+    dims = Dims(2, 1)
+    p = LinearStructure.intersection(
+        [LinearConstraint(h, BoundedSet.singleton(0)) for h in [(1, 0, 1, 0, 0, 0), (2, 0, 2, 0, 1, 0)]]
+    )
+    problem, fresh = Problem.of(p, dims), Problem.of(p, dims)
+    assert eliminations(problem.minimum_basis) == 1
+    assert eliminations(problem.minimum_basis) == 0
+    assert problem.minimum_basis() == image(problem.target).basis
+    assert problem == fresh and hash(problem) == hash(fresh) and repr(problem) == repr(fresh)
+
+
 # -- membership oracle ---------------------------------------------------------
 
 def test_sparsity_membership_split():
@@ -424,9 +438,42 @@ def test_structure_values_are_the_block_traces_of_the_target(n, m, seed):
     else:
         p = LinearStructure(constraints, rand_expr(rng, len(constraints)), Mode.EXPRESSION)
     problem = Problem.of(p, dims)
-    assert block_traces(sys.ab() @ problem.target, n) == tuple(reference)
+    assert block_traces(sys.ab(), problem.target, n) == tuple(reference)
     expected = evaluate_expr(p.expr, [c.values.contains(v) for c, v in zip(constraints, reference)])
     assert problem.holds(sys) == has_property(sys, p) == expected
+
+
+def parent_block_traces(product: Mat, n: int) -> tuple:
+    """The traces of the n-column blocks of a formed product, as they were read
+    before the factors were: the reference for `block_traces`."""
+    c = product.cols
+    return tuple(Fraction(sum(product._nums[s * c + b + s] for s in range(n)), product._den) for b in range(0, c, n))
+
+
+# small cells of either sign, and cells over denominators near 1e30
+trace_cells = st.builds(
+    Fraction,
+    st.integers(-5, 5) | st.integers(-(10**30), 10**30),
+    st.integers(1, 4) | st.integers(10**30 - 50, 10**30 + 50),
+)
+
+
+@st.composite
+def trace_factors(draw):
+    """(left, right, n): an n x (n+m) left, for n from 1 to 3 and m from 0 to 2, and
+    a right of one to three n-column blocks."""
+    n, m, blocks = draw(st.integers(1, 3)), draw(st.integers(0, 2)), draw(st.integers(1, 3))
+    left = Mat.from_flat(n, n + m, draw(st.lists(trace_cells, min_size=n * (n + m), max_size=n * (n + m))))
+    size = (n + m) * blocks * n
+    right = Mat.from_flat(n + m, blocks * n, draw(st.lists(trace_cells, min_size=size, max_size=size)))
+    return left, right, n
+
+
+@settings(max_examples=max(200, settings.default.max_examples), deadline=None)
+@given(trace_factors())
+def test_block_traces_from_the_factors_equal_the_traces_of_their_product(factors):
+    left, right, n = factors
+    assert block_traces(left, right, n) == parent_block_traces(left @ right, n)
 
 
 def test_expression_membership_or():
