@@ -13,9 +13,12 @@ recipe.  Its left kernel gives the annihilated directions, it or its basis
 (the smaller) the residual of a missed column of the target, and, for a
 pair of models, its transposed solve the consistent model.  A zero
 pattern's pair is the zero system and one row along that residual; a
-structure's seats its reference system by a signed solve.  The pairs are
-built on the integers of those matrices and of the problem's target, and
-each is checked once, with the oracle of the validated problem.
+controllability pair is a diagonal skeleton read in the plan's own state
+coordinates, with the annihilator in one row; a structure's seats its
+reference system by a signed solve, its signs chosen by reading each node's
+operator.  The pairs are built on the integers of those matrices and of the
+problem's target, and each is checked once, with the oracle of the validated
+problem.
 """
 
 from __future__ import annotations
@@ -31,7 +34,6 @@ from .properties import (
     Leaf,
     LinearStructure,
     Mode,
-    Or,
     Problem,
     SetExpr,
     SystemPair,
@@ -125,8 +127,8 @@ def counterexample_controllability(
 
     For a scalar state the pair is built from any annihilated direction
     with a nonzero input block against the zero system; otherwise a
-    diagonal skeleton carries the annihilated direction in its first row
-    and the partner simply drops that row's contribution.
+    diagonal skeleton carries the annihilated direction in one row and the
+    partner simply drops that row's contribution.
     """
     n, m = section.n, section.m
     if n == 1:
@@ -140,34 +142,23 @@ def counterexample_controllability(
     ann = _annihilator(span)
     if ann is None:
         raise SectionIsRich("the plan is persistently exciting; controllability is decidable")
-    den, hs, hu = ann._den, list(ann._nums[:n]), list(ann._nums[n:])
+    den, hs, hu = ann._den, ann._nums[:n], ann._nums[n:]
 
-    # arrange a nonzero second state coordinate by a symmetric swap
-    perm = Mat.identity(n)
+    # the skeleton reads the states in `order`, where h weighs state order[1] unless it
+    # weighs no state: the first weighted state trades places with state 1
+    order = list(range(n))
     if any(hs) and hs[1] == 0:
         first = next(i for i, v in enumerate(hs) if v)
-        order = list(range(n))
-        order[1], order[first], hs[1], hs[first] = first, 1, hs[first], hs[1]
-        perm = perm.take_cols(order)
+        order[1], order[first] = first, 1
+    r = order[0]
 
-    # the first row of [A, B] on the diagonal skeleton is h, or h / h_1 when h_1 is nonzero
-    if not any(hs):
-        diag, first = range(1, n + 1), [0] * n + hu
-    elif hs[0] == 0:
-        diag, first = [1, *range(1, n)], hs + hu
-    else:
-        diag, first, den = range(1, n + 1), hs + hu, hs[0]
-
-    base_a = Mat._make(n, n, [diag[i] if i == j else 0 for i in range(n) for j in range(n)])
-    b_without = Mat._make(n, m, [0] * m + [1] * (m * (n - 1)))
-    a_with = base_a + _single_row(n, n, 0, first[:n], den)
-    b_with = b_without + _single_row(n, m, 0, first[n:], den)
-
-    # undo the coordinate swap
-    a_with = perm.T @ a_with @ perm
-    b_with = perm.T @ b_with
-    a_without = perm.T @ base_a @ perm
-    b_without = perm.T @ b_without
+    # row r of [A, B] on the diagonal skeleton is h, or h / h_r when h_r is nonzero
+    diag = [1, *range(1, n)] if any(hs) and hs[r] == 0 else range(1, n + 1)
+    den = hs[r] or den
+    a_without = Mat._make(n, n, [diag[order[i]] if i == j else 0 for i in range(n) for j in range(n)])
+    b_without = Mat._make(n, m, [int(i != r) for i in range(n) for _ in range(m)])
+    a_with = a_without + _single_row(n, n, r, hs, den)
+    b_with = b_without + _single_row(n, m, r, hu, den)
     return _verified_pair(section, SystemPair(a_with, b_with), SystemPair(a_without, b_without), problem.holds)
 
 
@@ -228,7 +219,7 @@ def algorithm2_signs(expr: SetExpr, c1: frozenset) -> tuple:
                 raise InternalFault("descent ended on an untouched constraint")
             signs[node.index] = KEEP
             break
-        discard_sign = COMPLEMENT if isinstance(node, Or) else KEEP
+        discard_sign = COMPLEMENT if node.op == "|" else KEEP
         left_leaf_c1 = isinstance(node.left, Leaf) and node.left.index in c1
         right_leaf_c1 = isinstance(node.right, Leaf) and node.right.index in c1
         if left_leaf_c1 or right_leaf_c1:

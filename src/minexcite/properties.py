@@ -14,10 +14,17 @@ coordinates in that basis.  `has_property` is the ground-truth membership
 oracle used by tests and by counterexample validation; a structure's values
 are the block traces of [A, B] times its target, read as the identifier reads
 them from X+ and Q: from the two factors, without forming their product.
+
+A structure combines its constraints through a tree of `And` and `Or` nodes,
+each carrying its operator symbol.  Every reader of a tree (its leaves, its
+value, its text, the union check) is one pass over its post-order walk, and
+`parse_expr` keeps each open bracket's chain on a list, so no reader recurses
+and neither nesting depth nor chain length meets the interpreter's frame limit.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -197,44 +204,71 @@ class SetExpr:
 @dataclass(frozen=True)
 class Leaf(SetExpr):
     index: int
+    op = None  # a leaf joins no operands
 
 
 @dataclass(frozen=True)
 class And(SetExpr):
     left: SetExpr
     right: SetExpr
+    op = "&"
 
 
 @dataclass(frozen=True)
 class Or(SetExpr):
     left: SetExpr
     right: SetExpr
+    op = "|"
+
+
+# each operator symbol and the node class it builds
+_NODES = {cls.op: cls for cls in (And, Or)}
+
+
+def _postorder(expr: SetExpr) -> list:
+    """The nodes of the tree in post-order, each operator after its two operands,
+    walked with a list as the stack, so depth is bounded by memory, not by frames."""
+    stack, order = [expr], []
+    while stack:
+        node = stack.pop()
+        order.append(node)
+        if not isinstance(node, Leaf):
+            stack += (node.left, node.right)
+    return order[::-1]  # node, right, left read backwards is left, right, node
 
 
 def expr_leaves(expr: SetExpr) -> list:
     """Leaf indices in left-to-right order."""
-    if isinstance(expr, Leaf):
-        return [expr.index]
-    return expr_leaves(expr.left) + expr_leaves(expr.right)
+    return [node.index for node in _postorder(expr) if isinstance(node, Leaf)]
 
 
 def evaluate_expr(expr: SetExpr, truth: Sequence[bool]) -> bool:
     """Evaluate with truth[i-1] giving the i-th constraint's verdict."""
-    if isinstance(expr, Leaf):
-        return truth[expr.index - 1]
-    if isinstance(expr, And):
-        return evaluate_expr(expr.left, truth) and evaluate_expr(expr.right, truth)
-    return evaluate_expr(expr.left, truth) or evaluate_expr(expr.right, truth)
+    values = []
+    for node in _postorder(expr):
+        if isinstance(node, Leaf):
+            values.append(truth[node.index - 1])
+        else:
+            right = values.pop()
+            values[-1] = (values[-1] and right) if node.op == "&" else (values[-1] or right)
+    return values[0]
 
 
-def chain_expr(count: int, ops: Sequence[str]) -> SetExpr:
-    """Left-associated chain 1 op[0] 2 op[1] 3 ... over `count` leaves."""
-    if len(ops) != count - 1:
-        raise SpecValidationError("need one operator between consecutive constraints")
-    node: SetExpr = Leaf(1)
-    for i, op in enumerate(ops, start=2):
-        node = And(node, Leaf(i)) if op == "&" else Or(node, Leaf(i))
-    return node
+def format_expr(expr: SetExpr) -> str:
+    """The expression as `parse_expr` reads it back, with every operand that is not a leaf bracketed."""
+    texts = []
+    for node in _postorder(expr):
+        if isinstance(node, Leaf):
+            texts.append(str(node.index))
+        else:
+            right = texts.pop()
+            texts[-1] = f"({texts[-1]} {node.op} {right})"
+    return texts[0] if isinstance(expr, Leaf) else texts[0][1:-1]  # the whole needs no brackets
+
+
+def chain_expr(count: int) -> SetExpr:
+    """The conjunction 1 & 2 & ... & count, associated to the left."""
+    return functools.reduce(And, map(Leaf, range(2, count + 1)), Leaf(1))
 
 
 def flat_chain_ops(expr: SetExpr) -> Optional[list]:
@@ -244,24 +278,21 @@ def flat_chain_ops(expr: SetExpr) -> Optional[list]:
     constraint i+1 when the expression is read left to right without
     brackets.
     """
-    ops = []
-    node = expr
+    ops, node = [], expr
     while not isinstance(node, Leaf):
         if not isinstance(node.right, Leaf):
             return None
-        ops.append("&" if isinstance(node, And) else "|")
+        ops.append(node.op)
         node = node.left
-    ops.reverse()
-    if expr_leaves(expr) != list(range(1, len(ops) + 2)):
-        return None
-    return ops
+    return ops[::-1] if expr_leaves(expr) == list(range(1, len(ops) + 2)) else None
 
 
 def parse_expr(text: str) -> SetExpr:
     """Parse `1 & (2 | 3)` style expressions over 1-based constraint indices.
 
     `&` and `|` have equal precedence and associate to the left, matching
-    the unbracketed chain form; use parentheses to change the order.
+    the unbracketed chain form; use parentheses to change the order.  Each
+    open parenthesis keeps the chain before it on a list, not in a call.
     """
     tokens = []
     # an index has at most 9 digits; a longer run reads as adjacent indices and fails, not in int()
@@ -269,49 +300,29 @@ def parse_expr(text: str) -> SetExpr:
         if other:
             raise SpecValidationError(f"unexpected character {other!r} in expression")
         tokens.append(int(number) if number else op)
-    pos = 0
-
-    def atom() -> SetExpr:
-        nonlocal pos
-        if pos >= len(tokens):
-            raise SpecValidationError("expression ended unexpectedly")
-        tok = tokens[pos]
-        if tok == "(":
-            pos += 1
-            node = chain()
-            if pos >= len(tokens) or tokens[pos] != ")":
-                raise SpecValidationError("missing closing parenthesis")
-            pos += 1
-            return node
-        if isinstance(tok, int):
-            pos += 1
-            return Leaf(tok)
-        raise SpecValidationError(f"unexpected token {tok!r}")
-
-    def chain() -> SetExpr:
-        nonlocal pos
-        node = atom()
-        while pos < len(tokens) and tokens[pos] in ("&", "|"):
-            op = tokens[pos]
-            pos += 1
-            rhs = atom()
-            node = And(node, rhs) if op == "&" else Or(node, rhs)
-        return node
-
-    result = chain()
-    if pos != len(tokens):
-        raise SpecValidationError("trailing tokens after expression")
-    return result
-
-
-def format_expr(expr: SetExpr) -> str:
-    def fmt(node: SetExpr) -> str:
-        if isinstance(node, Leaf):
-            return str(node.index)
-        left, right = (fmt(c) if isinstance(c, Leaf) else f"({fmt(c)})" for c in (node.left, node.right))
-        return f"{left} {'&' if isinstance(node, And) else '|'} {right}"
-
-    return fmt(expr)
+    tokens.append(None)  # the end of the text
+    opened = []  # per open parenthesis: the chain before it, waiting for the bracket as its operand
+    take = first = lambda operand: operand  # the chain read so far, waiting for its next operand
+    node, operand_next = None, True
+    for tok in tokens:
+        if operand_next:
+            if tok == "(":
+                opened.append(take)
+                take = first
+            elif isinstance(tok, int):
+                node, operand_next = take(Leaf(tok)), False
+            else:
+                message = "expression ended unexpectedly" if tok is None else f"unexpected token {tok!r}"
+                raise SpecValidationError(message)
+        elif tok in _NODES:
+            take, operand_next = functools.partial(_NODES[tok], node), True
+        elif tok == ")" and opened:
+            node = opened.pop()(node)
+        elif opened:
+            raise SpecValidationError("missing closing parenthesis")
+        elif tok is not None:
+            raise SpecValidationError("trailing tokens after expression")
+    return node
 
 
 # -- the property catalog --------------------------------------------------
@@ -463,8 +474,7 @@ class LinearStructure(PropertySpec):
     @classmethod
     def intersection(cls, constraints: Sequence[LinearConstraint]) -> "LinearStructure":
         constraints = tuple(constraints)
-        expr = chain_expr(len(constraints), ["&"] * (len(constraints) - 1))
-        return cls(constraints, expr, Mode.INTERSECTION)
+        return cls(constraints, chain_expr(len(constraints)), Mode.INTERSECTION)
 
     def label(self) -> str:
         return f"structure({len(self.constraints)} constraints, {self.mode.value})"
@@ -479,7 +489,7 @@ class LinearStructure(PropertySpec):
             if rank(hmat) != len(self.constraints):
                 raise SpecValidationError("expression mode requires linearly independent constraint vectors")
         else:
-            if _contains_or(self.expr):
+            if any(node.op == "|" for node in _postorder(self.expr)):
                 raise SpecValidationError(
                     "intersection mode admits only conjunctions; use expression mode for unions"
                 )
@@ -555,14 +565,6 @@ def sparsity_columns(p: Sparsity, dims: Dims) -> list:
 def validate_property(p: PropertySpec, dims: Dims) -> None:
     """Raise SpecValidationError when `p` violates its invariants for `dims`."""
     p._validate(dims)
-
-
-def _contains_or(expr: SetExpr) -> bool:
-    if isinstance(expr, Leaf):
-        return False
-    if isinstance(expr, Or):
-        return True
-    return _contains_or(expr.left) or _contains_or(expr.right)
 
 
 def intersection_point(constraints: Sequence[LinearConstraint]) -> Optional[list]:

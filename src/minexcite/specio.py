@@ -159,7 +159,7 @@ def _read_structure(doc: dict) -> LinearStructure:
     )
     expr_text = doc.get("expr")
     if expr_text is None:
-        expr = chain_expr(len(constraints), ["&"] * (len(constraints) - 1))
+        expr = chain_expr(len(constraints))
         mode = _field(doc, "mode", Mode, where, Mode.INTERSECTION)
     else:
         expr = parse_expr(str(expr_text))

@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from minexcite import (
@@ -165,6 +165,77 @@ def dense_annihilator_plans(draw):
 def test_stabilizability_and_controllability_pairs_on_dense_annihilators(case):
     prop, plan, seed = case
     assert_valid_pair(counterexample_for(plan, prop, seed), prop)
+
+
+def permuted_controllability_pair(section: InputSection, span) -> tuple:
+    """The controllability pair as first built, kept as the reference: h's weight on
+    the second state is arranged by swapping states, the skeleton carries h in its
+    first row, and the swap is undone by conjugating with the permutation."""
+    n, m = section.n, section.m
+    ann = span.kernel.col(0)
+    den, hs, hu = ann._den, list(ann._nums[:n]), list(ann._nums[n:])
+    perm = Mat.identity(n)
+    if any(hs) and hs[1] == 0:
+        first = next(i for i, v in enumerate(hs) if v)
+        order = list(range(n))
+        order[1], order[first], hs[1], hs[first] = first, 1, hs[first], hs[1]
+        perm = perm.take_cols(order)
+    if not any(hs):
+        diag, first = range(1, n + 1), [0] * n + hu
+    elif hs[0] == 0:
+        diag, first = [1, *range(1, n)], hs + hu
+    else:
+        diag, first, den = range(1, n + 1), hs + hu, hs[0]
+    base_a = Mat._make(n, n, [diag[i] if i == j else 0 for i in range(n) for j in range(n)])
+    b_without = Mat._make(n, m, [0] * m + [1] * (m * (n - 1)))
+    a_with = base_a + adversary._single_row(n, n, 0, first[:n], den)
+    b_with = b_without + adversary._single_row(n, m, 0, first[n:], den)
+    return (
+        SystemPair(perm.T @ a_with @ perm, perm.T @ b_with),
+        SystemPair(perm.T @ base_a @ perm, perm.T @ b_without),
+    )
+
+
+@st.composite
+def controllability_annihilator_plans(draw):
+    """A plan of rank n+m-1, n from 2 to 5 and m from 1 to 3, spanning the complement
+    of a drawn g, so its annihilator is g rescaled.  The first state g weighs is drawn,
+    or none, and state 1 is sometimes left out after state 0, so g reaches every case
+    of the controllability recipe (`annihilator_case`)."""
+    dims = Dims(draw(st.integers(2, 5)), draw(st.integers(1, 3)))
+    g = draw(st.lists(st.integers(-3, 3), min_size=dims.total, max_size=dims.total))
+    nonzero = st.sampled_from([-2, -1, 1, 2])
+    first = draw(st.integers(-1, dims.n - 1))  # -1: g weighs the inputs alone
+    if first < 0:
+        g[: dims.n] = [0] * dims.n
+        g[draw(st.integers(dims.n, dims.total - 1))] = draw(nonzero)
+    else:
+        g[:first] = [0] * first
+        g[first] = draw(nonzero)
+        if first == 0 and draw(st.booleans()):
+            g[1] = 0
+    gg = sum(x * x for x in g)
+    columns = [[gg * (i == j) - g[j] * y for i, y in enumerate(g)] for j in range(dims.total)]
+    return split_stacked(Mat(columns).T, dims)
+
+
+def annihilator_case(hs) -> str:
+    if not any(hs):
+        return "no state weighted"
+    if hs[1]:
+        return "state 1 weighted"
+    return "state 0 weighted, state 1 not" if hs[0] else "first weighted state >= 2"
+
+
+@settings(max_examples=max(200, settings.default.max_examples), deadline=None)
+@given(controllability_annihilator_plans())
+def test_controllability_pair_equals_the_permuted_construction(plan):
+    # built in the plan's own coordinates, the pair equals the permuted reference
+    # entry for entry, in every case of where the annihilator weighs the states
+    span = read_span(plan.stacked())
+    event(annihilator_case(span.kernel.col(0)._nums[: plan.n]))
+    pair = adversary.counterexample_controllability(plan, Problem.of(Controllability(), plan.dims), 0, span)
+    assert (pair.sys_with, pair.sys_without) == permuted_controllability_pair(plan, span)
 
 
 def test_controllability_rich_plan_refused():

@@ -541,3 +541,27 @@ def test_counterexample_elimination_counts(tmp_path, eliminations, capsys, kind)
         problem = specio.load_problem(str(tmp_path / "prop.yaml"))
         section = specio.load_input_section(str(tmp_path / "plan.yaml"))
         assert eliminations(counterexample_for, section, problem.prop) == by_call
+
+
+def _one_state_structure(count: int, expr: str) -> str:
+    rows = "".join('  - {h: "1", set: [[0, 1]]}\n' for _ in range(count))
+    return f"type: linear_structure\nn: 1\nm: 0\nconstraints:\n{rows}expr: \"{expr}\"\n"
+
+
+@pytest.mark.parametrize(
+    "count, expr, status, printed",
+    [
+        (1, "(" * 3000 + "1" + ")" * 3000, EXIT_OK, "{n: 1, m: 0, k: 1, X: '1', U: ''}\n"),
+        (1500, " | ".join(map(str, range(1, 1501))), EXIT_BAD_INPUT,
+         "bad input: expression mode requires linearly independent constraint vectors\n"),
+    ],
+    ids=["3000-nested-parentheses", "1500-constraint-union"],
+)
+def test_deep_or_long_expression_exits_cleanly(tmp_path, capsys, count, expr, status, printed):
+    # past the interpreter's frame limit: every expression reader walks the tree on a list
+    doc = tmp_path / "prop.yaml"
+    doc.write_text(_one_state_structure(count, expr))
+    assert main(["design", "--property", str(doc)]) == status
+    out, err = capsys.readouterr()
+    assert (out if status == EXIT_OK else err) == printed
+    assert "Traceback" not in err

@@ -1,9 +1,10 @@
 """Malformed documents through every CLI verb: a clean exit, never a traceback.
 
 Each example takes valid documents for one verb, mutates them (drops or
-retypes fields, puts junk scalars, huge or non-integral counts and ragged
-matrix literals in their place), writes them as YAML and runs the verb in
-process through `cli.main`.  Whatever the mutation, the verb must answer
+retypes fields, puts junk scalars, huge or non-integral counts, ragged
+matrix literals and deeply bracketed or very long expressions in their
+place), writes them as YAML and runs the verb in process through
+`cli.main`.  Whatever the mutation, the verb must answer
 with a documented status (0, 2 or 3), print no traceback and finish within
 the deadline.
 """
@@ -54,6 +55,7 @@ PROPERTIES = [
         ],
     },
 ]
+EXPRESSION_PROPERTY = next(doc for doc in PROPERTIES if "expr" in doc)
 PLANS = [
     {"n": 2, "m": 1, "k": 3, "X": "1, 0, 0; 0, 1, 0", "U": "0, 0, 1"},
     {"n": 2, "m": 1, "k": 2, "X": "1, 0.5; 0, 1", "U": "-1, -1"},
@@ -118,8 +120,14 @@ def ragged(literal: str, draw) -> str:
 
 
 def mutate(doc, draw):
-    """The document with one position dropped, retyped or given a bad value."""
-    where = draw(st.sampled_from(list(paths(doc))))
+    """The document with one position dropped, retyped or given a bad value; an
+    expression may instead be wrapped in hundreds of parentheses or replaced by a
+    union of more than a thousand indices."""
+    return mutate_at(doc, draw(st.sampled_from(list(paths(doc)))), draw)
+
+
+def mutate_at(doc, where, draw):
+    """The document with the value at `where` mutated as `mutate` does."""
     if not where:
         return copy.deepcopy(draw(st.sampled_from(JUNK)))
     *parents, key = where
@@ -132,6 +140,8 @@ def mutate(doc, draw):
         kinds += ["huge", "non_integral"]
     if isinstance(value, str) and "," in value:
         kinds.append("ragged")
+    if key == "expr" and isinstance(value, str):
+        kinds += ["nested", "long"]
     kind = draw(st.sampled_from(kinds))
     if kind == "drop":
         del parent[key]
@@ -141,6 +151,11 @@ def mutate(doc, draw):
         parent[key] = draw(st.sampled_from(HUGE_COUNTS))
     elif kind == "non_integral":
         parent[key] = draw(st.sampled_from(NON_INTEGRAL_COUNTS))
+    elif kind == "nested":
+        depth = draw(st.integers(500, 3000))
+        parent[key] = "(" * depth + value + ")" * depth
+    elif kind == "long":
+        parent[key] = " | ".join(map(str, range(1, draw(st.integers(1001, 3000)) + 1)))
     else:
         parent[key] = ragged(value, draw)
     return doc
@@ -155,17 +170,33 @@ def workdir(tmp_path_factory):
 @given(data=st.data())
 def test_mutated_documents_exit_cleanly(workdir, data):
     verb = data.draw(st.sampled_from(sorted(VERBS)), label="verb")
-    roles, argv = VERBS[verb]
+    roles = VERBS[verb][0]
     docs = {role: copy.deepcopy(data.draw(st.sampled_from(SEEDS[role]), label=role)) for role in roles}
     for _ in range(data.draw(st.integers(1, 3), label="mutations")):
         role = data.draw(st.sampled_from(roles), label="target")
         docs[role] = mutate(docs[role], data.draw)
+    assert_exits_cleanly(workdir, verb, docs)
+
+
+@settings(max_examples=60, deadline=2000, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_mutated_expressions_exit_cleanly(workdir, data):
+    # the expression is one position of many above, so its mutations are drawn
+    # here for every verb that reads a property document
+    verb = data.draw(st.sampled_from([v for v in sorted(VERBS) if "property" in VERBS[v][0]]), label="verb")
+    docs = {role: copy.deepcopy(data.draw(st.sampled_from(SEEDS[role]), label=role)) for role in VERBS[verb][0]}
+    docs["property"] = mutate_at(copy.deepcopy(EXPRESSION_PROPERTY), ("expr",), data.draw)
+    assert_exits_cleanly(workdir, verb, docs)
+
+
+def assert_exits_cleanly(workdir, verb, docs):
+    """Write the documents, run the verb on them in process, and check its status and stderr."""
     files = {}
     for role, doc in docs.items():
         files[role] = workdir / f"{role}.yaml"
         files[role].write_text(yaml.safe_dump(doc, sort_keys=False))
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        status = main(argv({role: str(path) for role, path in files.items()}))
+        status = main(VERBS[verb][1]({role: str(path) for role, path in files.items()}))
     assert status in (EXIT_OK, EXIT_NOT_RICH, EXIT_BAD_INPUT), err.getvalue()
     assert "Traceback" not in err.getvalue()

@@ -49,10 +49,10 @@ from minexcite import (
     sparsity_columns,
     validate_property,
 )
-from minexcite.adversary import _verified_pair
+from minexcite.adversary import _verified_pair, counterexample_controllability
 from minexcite.identify import identify_property
 from minexcite.properties import block_traces
-from minexcite.ratmat import stabilizable
+from minexcite.ratmat import read_span, stabilizable
 
 from conftest import (
     deficient_section,
@@ -593,3 +593,9 @@ def test_product_budget(products):
     # oracle here makes no product, so the count is the data equation's alone
     holds = lambda sys: sys is hidden  # noqa: E731
     assert products(_verified_pair, section, hidden, partner, holds) == 2
+    # the controllability pair is built in the plan's own state coordinates: where the
+    # annihilator e1 weighs the first state but not the second, only the data check's
+    # two products remain
+    section = InputSection(parse_matrix("0, 0; 1, 0"), parse_matrix("0, 1"))
+    span = read_span(section.stacked())
+    assert products(counterexample_controllability, section, Problem.of(Controllability(), section.dims), 0, span) == 2

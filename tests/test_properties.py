@@ -1,5 +1,6 @@
 """Property catalog: vectorization, minimum subspaces, membership oracle."""
 
+import functools
 import itertools
 import random
 from fractions import Fraction
@@ -46,6 +47,7 @@ from minexcite.properties import (
     Or,
     block_traces,
     build_constraint_matrix,
+    expr_leaves,
     flat_chain_ops,
 )
 from minexcite.ratmat import nonnegative_solve, solve_right
@@ -533,6 +535,100 @@ def test_expr_format_round_trip():
     for text in ("1", "1 & 2", "(1 | 2) & (3 | 4)", "1 | 2 & 3"):
         expr = parse_expr(text)
         assert parse_expr(format_expr(expr)) == expr
+
+
+@st.composite
+def expr_trees(draw):
+    """A tree over leaves 1..k, k up to 12, in a drawn order, with arbitrary
+    bracketing: adjacent operands are merged by a drawn operator until one is left."""
+    nodes = [Leaf(i) for i in draw(st.permutations(range(1, draw(st.integers(1, 12)) + 1)))]
+    while len(nodes) > 1:
+        i = draw(st.integers(0, len(nodes) - 2))
+        nodes[i : i + 2] = [draw(st.sampled_from([And, Or]))(nodes[i], nodes[i + 1])]
+    return nodes[0]
+
+
+def reference_leaves(t) -> list:
+    return [t.index] if isinstance(t, Leaf) else reference_leaves(t.left) + reference_leaves(t.right)
+
+
+def reference_evaluate(t, truth) -> bool:
+    if isinstance(t, Leaf):
+        return truth[t.index - 1]
+    if isinstance(t, And):
+        return reference_evaluate(t.left, truth) and reference_evaluate(t.right, truth)
+    return reference_evaluate(t.left, truth) or reference_evaluate(t.right, truth)
+
+
+def reference_format(t) -> str:
+    if isinstance(t, Leaf):
+        return str(t.index)
+    left, right = (reference_format(c) if isinstance(c, Leaf) else f"({reference_format(c)})"
+                   for c in (t.left, t.right))
+    return f"{left} {'&' if isinstance(t, And) else '|'} {right}"
+
+
+def reference_chain_ops(t):
+    """The operators of a left chain 1 op 2 op ... k, by class, or None."""
+    if isinstance(t, Leaf):
+        return [] if t.index == 1 else None
+    ops = reference_chain_ops(t.left) if isinstance(t.right, Leaf) else None
+    if ops is None or t.right.index != len(ops) + 2:
+        return None
+    return ops + ["&" if isinstance(t, And) else "|"]
+
+
+@settings(max_examples=max(300, settings.default.max_examples), deadline=None)
+@given(expr_trees(), st.data())
+def test_expression_readers_match_recursive_references(t, data):
+    # each reader walks the tree once with a list as its stack; the references recurse
+    truth = data.draw(st.lists(st.booleans(), min_size=len(reference_leaves(t)), max_size=len(reference_leaves(t))))
+    assert format_expr(t) == reference_format(t)
+    assert parse_expr(format_expr(t)) == t
+    assert expr_leaves(t) == reference_leaves(t)
+    assert evaluate_expr(t, truth) is reference_evaluate(t, truth)
+    assert flat_chain_ops(t) == reference_chain_ops(t)
+
+
+def test_deep_and_long_expressions_are_read_without_recursion():
+    # depth and length 5000 are far past the interpreter's frame limit; trees are
+    # compared by their text and leaves, since dataclass == recurses
+    count = 5000
+    chain = functools.reduce(Or, map(Leaf, range(2, count + 1)), Leaf(1))
+    nested = functools.reduce(lambda right, i: And(Leaf(i), right), range(count - 1, 0, -1), Leaf(count))
+    for t, ops in ((chain, ["|"] * (count - 1)), (nested, None)):
+        text = format_expr(t)
+        assert expr_leaves(t) == list(range(1, count + 1))
+        assert flat_chain_ops(t) == ops
+        assert evaluate_expr(t, [False] * (count - 1) + [True]) is (t is chain)
+        back = parse_expr(text)
+        assert format_expr(back) == text and expr_leaves(back) == expr_leaves(t)
+    assert text == " & (".join(map(str, range(1, count))) + f" & {count}" + ")" * (count - 2)
+    assert format_expr(parse_expr("(" * count + "7" + ")" * count)) == "7"
+    assert format_expr(parse_expr("(" * count + "1 | 2" + ")" * count + " & 3")) == "(1 | 2) & 3"
+    structure = LinearStructure.intersection([LinearConstraint((1,), BoundedSet.singleton(0))] * count)
+    assert flat_chain_ops(structure.expr) == ["&"] * (count - 1)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("(1 2)", "missing closing parenthesis"),
+        ("(1", "missing closing parenthesis"),
+        ("((1 | 2) & 3", "missing closing parenthesis"),
+        ("1)", "trailing tokens after expression"),
+        ("1 2", "trailing tokens after expression"),
+        ("()", "unexpected token ')'"),
+        ("1 & &", "unexpected token '&'"),
+        ("1 &", "expression ended unexpectedly"),
+        ("", "expression ended unexpectedly"),
+        ("1 + 2", "unexpected character '+' in expression"),
+    ],
+)
+def test_parse_expr_error_messages(text, message):
+    with pytest.raises(SpecValidationError) as info:
+        parse_expr(text)
+    assert str(info.value) == message
 
 
 def test_expr_each_constraint_once():
