@@ -20,7 +20,6 @@ from .errors import (
 from .ratmat import (
     EIG_MARGIN,
     Mat,
-    SpectralInfo,
     Subspace,
     contains,
     format_matrix,

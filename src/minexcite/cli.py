@@ -3,10 +3,10 @@
 Verbs: design, check, identify, recover, gain, counterexample, simulate,
 bench.  Exit statuses: 0 when a verdict or artifact was produced, 2 when
 the excitation plan is not sufficiently rich, 3 for malformed or
-inapplicable input, 4 for an internal invariant failure.  A property
-document is validated once, by `specio.load_problem`, and the verbs pass
-that problem down; `check` reads the plan's span once, for the verdict
-and the missing directions.
+inapplicable input, a usage error included, 4 for an internal invariant
+failure.  A property document is validated once, by
+`specio.load_problem`, and the verbs pass that problem down; `check`
+reads the plan's span once, for the verdict and the missing directions.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
+from typing import NoReturn
 
 import yaml
 
@@ -156,8 +157,17 @@ def _cmd_bench(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser whose usage errors are bad input, status 3, not argparse's status 2,
+    which would read as a verdict; its subparsers inherit the class."""
+
+    def error(self, message: str) -> NoReturn:
+        self.print_usage(sys.stderr)
+        raise SpecValidationError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="minexcite",
         description="Minimum excitation design and direct property identification "
         "for unknown discrete linear systems.",
@@ -207,9 +217,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except NotSufficientlyRich as exc:
         print(f"not sufficiently rich: {exc}", file=sys.stderr)

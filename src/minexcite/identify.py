@@ -58,15 +58,15 @@ from .properties import (
     sparsity_columns,
 )
 from .ratmat import (
+    EIG_MARGIN,
     Mat,
-    SpectralInfo,
     Span,
     characteristic_polynomial,
     format_matrix,
     format_rational,
     invert,
     read_span,
-    root_radius_info,
+    root_radius,
     schur_stable,
     solve_right,
 )
@@ -128,10 +128,10 @@ class NotIdentifiable:
 class GainResult:
     """Feedback gain read off square invertible state data.
 
-    Each is computed on first read, from one exact characteristic polynomial of the closed
-    loop.  `stabilizing`, exact, says every root lies strictly inside the unit disc.  For
-    display only, `radius` is Newton-polished on the polynomial's square-free part, and
-    `marginal` is set when it lies within EIG_MARGIN of 1."""
+    Each figure is computed on first read, from one exact characteristic polynomial of
+    the closed loop.  `stabilizing`, exact, says every root lies strictly inside the unit
+    disc.  For display only, `radius` is the largest root modulus, Newton-polished on the
+    polynomial's square-free part, and `marginal` is set when it lies within EIG_MARGIN of 1."""
 
     gain: Mat
     closed_loop: Mat
@@ -141,20 +141,16 @@ class GainResult:
         return characteristic_polynomial(self.closed_loop)
 
     @cached_property
-    def _spectrum(self) -> SpectralInfo:
-        return root_radius_info(self._polynomial)
-
-    @cached_property
     def stabilizing(self) -> bool:
         return schur_stable(self._polynomial)
 
-    @property
+    @cached_property
     def radius(self) -> float:
-        return self._spectrum.radius
+        return root_radius(self._polynomial)
 
     @property
     def marginal(self) -> bool:
-        return self._spectrum.marginal
+        return abs(self.radius - 1.0) <= EIG_MARGIN
 
 
 def _not_rich(section: InputSection, problem: Problem, span: Span) -> NoReturn:

@@ -41,7 +41,6 @@ from .ratmat import (
     Subspace,
     as_rational,
     eliminate,
-    format_rational,
     image,
     nonnegative_solve,
     pivot_basis,
@@ -171,9 +170,6 @@ class BoundedSet:
         """A rational B with the set contained in [-B, B]."""
         return max(max(abs(lo), abs(hi)) for lo, hi in self.pieces)
 
-    def __str__(self) -> str:
-        return " u ".join(f"[{format_rational(lo)}, {format_rational(hi)}]" for lo, hi in self.pieces)
-
 
 @dataclass(frozen=True)
 class LinearConstraint:
@@ -196,25 +192,38 @@ class LinearConstraint:
 # -- and/or expression trees ----------------------------------------------
 
 class SetExpr:
-    """Node of an and/or combination over constraint indices (1-based)."""
+    """Node of an and/or combination over constraint indices (1-based).
+
+    Trees compare, hash and print through their `format_expr` text, which
+    brackets every inner operator and so tells any two trees apart; it is
+    built without recursion, so depth and length are bounded by memory."""
 
     __slots__ = ()
 
+    def __eq__(self, other):
+        return format_expr(self) == format_expr(other) if isinstance(other, SetExpr) else NotImplemented
 
-@dataclass(frozen=True)
+    def __hash__(self):
+        return hash(format_expr(self))
+
+    def __repr__(self):
+        return f"{type(self).__name__}({format_expr(self)!r})"
+
+
+@dataclass(frozen=True, eq=False, repr=False)
 class Leaf(SetExpr):
     index: int
     op = None  # a leaf joins no operands
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class And(SetExpr):
     left: SetExpr
     right: SetExpr
     op = "&"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Or(SetExpr):
     left: SetExpr
     right: SetExpr

@@ -40,7 +40,7 @@ from typing import Iterable, Optional, Sequence
 
 from .errors import DimensionMismatch, SpecValidationError
 
-# A spectral radius within EIG_MARGIN of 1 is flagged marginal.
+# A spectral radius within EIG_MARGIN of 1 is flagged marginal (`identify.GainResult.marginal`).
 EIG_MARGIN = 1e-9
 
 
@@ -756,22 +756,6 @@ def stabilizable(a: Mat, b: Mat) -> bool:
 
 # -- floating bridge -----------------------------------------------------
 
-@dataclass(frozen=True)
-class SpectralInfo:
-    """Largest eigenvalue modulus with a root-residual estimate.
-
-    The radius is Newton-polished on the square-free part of the exact
-    characteristic polynomial at every size, and `residual` is the size of
-    the last Newton step.  `marginal` is set when the radius lies
-    within EIG_MARGIN of the unit circle.  Both are for display: stability
-    is decided exactly, by `stabilizable` or `schur_stable`.
-    """
-
-    radius: float
-    residual: float
-    marginal: bool
-
-
 def characteristic_polynomial(m: Mat) -> list:
     """Exact monic characteristic polynomial, highest degree first."""
     if m.rows != m.cols:
@@ -862,9 +846,9 @@ def _aberth(poly: list) -> Optional[list]:
     return None
 
 
-def _polished_radius(poly: list) -> Optional[tuple]:
-    """(radius, last Newton step) of a square-free integer polynomial, as mpmath
-    numbers, or None when the starts or a Newton run fail, a run leaves the
+def _polished_radius(poly: list) -> Optional[object]:
+    """Largest root modulus of a square-free integer polynomial, as an mpmath
+    number, or None when the starts or a Newton run fail, a run leaves the
     candidate band or repeats a root."""
     import mpmath
 
@@ -888,18 +872,18 @@ def _polished_radius(poly: list) -> Optional[tuple]:
                     break
             else:
                 return None
-            if abs(z - s) > _CANDIDATE_BAND * top or any(abs(z - r) <= _NEWTON_TOL * top for r, _ in found):
+            if abs(z - s) > _CANDIDATE_BAND * top or any(abs(z - r) <= _NEWTON_TOL * top for r in found):
                 return None
-            found.append((z, abs(step)))
-        root, step = max(found, key=lambda rs: abs(rs[0]))
-        return abs(root), step
+            found.append(z)
+        return max(map(abs, found))
 
 
-def root_radius_info(coeffs: list) -> SpectralInfo:
+def root_radius(coeffs: list) -> float:
     """Largest root modulus of a monic rational polynomial, highest degree first,
-    Newton-polished on its square-free part; a constant has radius 0."""
+    Newton-polished on its square-free part; a constant has radius 0.  A figure
+    for display: stability is decided exactly, by `stabilizable` or `schur_stable`."""
     if len(coeffs) == 1:
-        return SpectralInfo(0.0, 0.0, False)
+        return 0.0
     import mpmath
 
     poly = _square_free_part(coeffs)
@@ -908,10 +892,8 @@ def root_radius_info(coeffs: list) -> SpectralInfo:
     lead, d = abs(poly[0]).bit_length(), len(poly) - 1
     s = max(((abs(c).bit_length() - lead) // i for i, c in enumerate(poly[1:], 1) if c), default=0)
     poly = [c << s * (d - i) if s > 0 else c << -s * i for i, c in enumerate(poly)]
-    polished = _polished_radius(poly)
-    if polished is None:  # safety net: polyroots on a polynomial whose roots are all simple
+    radius = _polished_radius(poly)
+    if radius is None:  # safety net: polyroots on a polynomial whose roots are all simple
         with mpmath.workdps(50):
-            roots, err = mpmath.polyroots([mpmath.mpf(c) for c in poly], maxsteps=200, extraprec=120, error=True)
-            polished = max(abs(r) for r in roots), mpmath.mpf(err)
-    radius, residual = (float(mpmath.ldexp(v, s)) for v in polished)  # past the float range: inf or 0
-    return SpectralInfo(radius, residual, abs(radius - 1.0) <= EIG_MARGIN)
+            radius = max(abs(r) for r in mpmath.polyroots([mpmath.mpf(c) for c in poly], maxsteps=200, extraprec=120))
+    return float(mpmath.ldexp(radius, s))  # past the float range: inf or 0

@@ -14,7 +14,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from pathlib import Path
-from typing import Optional, Tuple, Union
+from typing import Tuple, Union
 
 import yaml
 
@@ -256,10 +256,10 @@ def dump_dataset(d: Dataset) -> str:
     return yaml.safe_dump(doc, sort_keys=False, default_flow_style=None)
 
 
-def load_scenario(source: Union[str, Path], base_dir: Optional[Path] = None) -> Scenario:
+def load_scenario(source: Union[str, Path, dict]) -> Scenario:
+    """A scenario from a file or a mapping; a relative `property:` path is read
+    from the scenario file's directory, or from the working directory for a mapping."""
     doc = _load_doc(source)
-    if base_dir is None and not isinstance(source, dict):
-        base_dir = Path(source).parent
     dims = _dims(doc, "scenario")
     hidden_doc = doc.get("hidden")
     if not isinstance(hidden_doc, dict):
@@ -269,10 +269,7 @@ def load_scenario(source: Union[str, Path], base_dir: Optional[Path] = None) -> 
     hidden = SystemPair(a, b)
     prop_doc = doc.get("property")
     if isinstance(prop_doc, str):
-        path = Path(prop_doc)
-        if base_dir is not None and not path.is_absolute():
-            path = base_dir / path
-        prop, prop_dims = _read_property(path)
+        prop, prop_dims = _read_property((Path() if isinstance(source, dict) else Path(source).parent) / prop_doc)
     elif isinstance(prop_doc, dict):
         merged = dict(prop_doc)
         merged.setdefault("n", dims.n)

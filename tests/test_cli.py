@@ -46,6 +46,15 @@ def corner_dataset(tmp_path: Path) -> str:
     return str(f)
 
 
+def _cli_process(*argv, timeout=30) -> subprocess.CompletedProcess:
+    """`python -m minexcite.cli *argv` in a process of its own, so that a traceback shows."""
+    src = str(Path(minexcite.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run(
+        [sys.executable, "-m", "minexcite.cli", *argv], capture_output=True, text=True, env=env, timeout=timeout
+    )
+
+
 def test_design_then_check(tmp_path, sparsity_prop, capsys):
     plan = tmp_path / "plan.yaml"
     assert main(["design", "--property", sparsity_prop, "--out", str(plan)]) == EXIT_OK
@@ -85,15 +94,7 @@ def test_identify_corrupted_rich_dataset_exits_bad_input(tmp_path, sparsity_prop
     # it, in a whole process so that an uncaught exception would show as a traceback
     data = tmp_path / "data.yaml"
     data.write_text('n: 2\nm: 1\nk: 4\nX: "1, 0, 0, 1; 0, 1, 0, 1"\nU: "0, 0, 1, 1"\nXp: "0, 1, 1, 3; 2, 1, 0, 3"\n')
-    src = str(Path(minexcite.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run(
-        [sys.executable, "-m", "minexcite.cli", "identify", "--property", sparsity_prop, "--data", str(data)],
-        capture_output=True,
-        text=True,
-        env=env,
-        timeout=30,
-    )
+    proc = _cli_process("identify", "--property", sparsity_prop, "--data", str(data))
     assert proc.returncode == EXIT_BAD_INPUT
     assert "Traceback" not in proc.stderr
     assert "no linear system reproduces this dataset" in proc.stderr
@@ -185,20 +186,38 @@ def test_malformed_input_exit(tmp_path):
     assert main(["design", "--property", str(garbled)]) == EXIT_BAD_INPUT
 
 
+USAGE_ERRORS = {
+    "missing-flag": ["design"],
+    "unknown-verb": ["frobnicate"],
+    "seed-not-int": ["counterexample", "--property", "prop.yaml", "--input", "plan.yaml", "--seed", "abc"],
+    "unknown-format": ["--format", "json", "design", "--property", "prop.yaml"],
+}
+
+
+@pytest.mark.parametrize("argv", USAGE_ERRORS.values(), ids=USAGE_ERRORS)
+def test_usage_error_exits_bad_input(argv, capsys):
+    # argparse's own status 2 is the documented "not sufficiently rich"; a typo must not read as a verdict
+    proc = _cli_process(*argv)
+    assert proc.returncode == EXIT_BAD_INPUT
+    assert proc.stderr.startswith("usage: ") and "\nbad input: " in proc.stderr
+    assert "Traceback" not in proc.stderr and not proc.stdout
+    assert main(argv) == EXIT_BAD_INPUT
+    assert capsys.readouterr().err == proc.stderr
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["design", "--help"]])
+def test_help_exits_ok(argv):
+    proc = _cli_process(*argv)
+    assert proc.returncode == EXIT_OK
+    assert proc.stdout.startswith("usage: ") and not proc.stderr
+
+
 def test_gain_on_triple_eigenvalue_is_marginal(tmp_path):
     # the closed loop I3 has eigenvalue 1 three times; root finding on the
     # whole characteristic polynomial once failed there with a traceback
     data = tmp_path / "identity.yaml"
     data.write_text('n: 3\nm: 1\nk: 3\nX: "1, 0, 0; 0, 1, 0; 0, 0, 1"\nU: "0, 0, 0"\nXp: "1, 0, 0; 0, 1, 0; 0, 0, 1"\n')
-    src = str(Path(minexcite.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run(
-        [sys.executable, "-m", "minexcite.cli", "gain", "--data", str(data)],
-        capture_output=True,
-        text=True,
-        env=env,
-        timeout=60,
-    )
+    proc = _cli_process("gain", "--data", str(data), timeout=60)
     assert proc.returncode == EXIT_OK
     assert "Traceback" not in proc.stderr
     rows = dict(line.split(None, 1) for line in proc.stdout.splitlines() if " " in line)
@@ -256,15 +275,7 @@ def test_malformed_number_exits_bad_input(tmp_path, field, text):
     doc = {"n": 1, "m": 1, "k": 2, "X": "1, 0", "U": "0, 1", "Xp": "1, 1", field: text}
     data = tmp_path / "data.yaml"
     data.write_text("".join(f'{key}: "{value}"\n' for key, value in doc.items()))
-    src = str(Path(minexcite.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run(
-        [sys.executable, "-m", "minexcite.cli", "recover", "--data", str(data)],
-        capture_output=True,
-        text=True,
-        env=env,
-        timeout=30,
-    )
+    proc = _cli_process("recover", "--data", str(data))
     assert proc.returncode == EXIT_BAD_INPUT
     assert "Traceback" not in proc.stderr
     assert repr(text.split(",")[0]) in proc.stderr
@@ -285,15 +296,7 @@ def test_huge_yaml_integer_exits_bad_input(tmp_path, verb, flag, text, length):
     # exit 3 without a traceback and without echoing the digits
     doc = tmp_path / "doc.yaml"
     doc.write_text(text.format(digits="7" * length))
-    src = str(Path(minexcite.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run(
-        [sys.executable, "-m", "minexcite.cli", verb, flag, str(doc)],
-        capture_output=True,
-        text=True,
-        env=env,
-        timeout=30,
-    )
+    proc = _cli_process(verb, flag, str(doc))
     assert proc.returncode == EXIT_BAD_INPUT
     assert "Traceback" not in proc.stderr
     assert "7" * 40 not in proc.stderr
@@ -340,6 +343,50 @@ def test_malformed_document_exits_bad_input(tmp_path, stab_prop, capsys, verb, t
     assert field in err
 
 
+@pytest.mark.parametrize(
+    "argv, text, message",
+    [
+        (["check", "--property", None, "--input"], 'n: 1\nm: 1\nk: 2\nX: "1, 0"\nU: "0, 1"\n',
+         "plan dimensions disagree with the property document"),
+        (["counterexample", "--property", None, "--input"], 'n: 1\nm: 1\nk: 2\nX: "1, 0"\nU: "0, 1"\n',
+         "plan dimensions disagree with the property document"),
+        (["identify", "--property", None, "--data"], 'n: 1\nm: 1\nk: 2\nX: "1, 0"\nU: "0, 1"\nXp: "0, 1"\n',
+         "dataset dimensions disagree with the property document"),
+        (["simulate", "--scenario"],
+         "n: 2\nm: 1\nhidden: {A: '0, 1; 2, 1', B: '1; 0'}\nproperty: {type: stabilizability, n: 1}\n",
+         "property dimensions disagree with the scenario"),
+    ],
+    ids=["check-plan", "counterexample-plan", "identify-dataset", "simulate-inline-property"],
+)
+def test_documents_of_other_dimensions_exit_bad_input(tmp_path, stab_prop, capsys, argv, text, message):
+    # None stands for the two-state, one-input property document
+    doc = tmp_path / "doc.yaml"
+    doc.write_text(text)
+    assert main([stab_prop if arg is None else arg for arg in argv] + [str(doc)]) == EXIT_BAD_INPUT
+    assert capsys.readouterr().err == f"bad input: {message}\n"
+
+
+def test_verbose_design_names_the_file_it_wrote(tmp_path, sparsity_prop, capsys):
+    plan = tmp_path / "plan.yaml"
+    assert main(["--verbose", "design", "--property", sparsity_prop, "--out", str(plan)]) == EXIT_OK
+    assert capsys.readouterr().out == f"wrote {plan}\n"
+    assert main(["design", "--property", sparsity_prop]) == EXIT_OK
+    assert capsys.readouterr().out == plan.read_text()
+
+
+def test_constraint_vector_as_a_list_or_a_mapping(tmp_path, capsys):
+    # h written as a YAML list reads as its string form; a mapping is no vector
+    plans = {}
+    for name, h in (("string", '"1, 0, 2"'), ("list", "[1, 0, 2]"), ("mapping", "{a: 1}")):
+        doc = tmp_path / f"{name}.yaml"
+        doc.write_text(f"type: structure\nn: 1\nm: 2\nconstraints: [{{h: {h}, set: [[0, 1]]}}]\n")
+        plans[name] = main(["design", "--property", str(doc)]), capsys.readouterr()
+    assert plans["list"][0] == plans["string"][0] == EXIT_OK
+    assert plans["list"][1].out == plans["string"][1].out != ""
+    assert plans["mapping"][0] == EXIT_BAD_INPUT
+    assert plans["mapping"][1].err == "bad input: cannot read {'a': 1} as a vector\n"
+
+
 def test_integral_float_count_accepted(tmp_path, capsys):
     # a YAML float that is integral is the count it writes; 2.7 and true are not
     docs = {}
@@ -369,15 +416,7 @@ def test_dependent_intersection_finishes(tmp_path, hs):
     # hang fails the test
     doc = tmp_path / "prop.yaml"
     doc.write_text(_constraint_doc(hs))
-    src = str(Path(minexcite.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run(
-        [sys.executable, "-m", "minexcite.cli", "design", "--property", str(doc)],
-        capture_output=True,
-        text=True,
-        env=env,
-        timeout=10,
-    )
+    proc = _cli_process("design", "--property", str(doc), timeout=10)
     assert proc.returncode == EXIT_OK
     assert "Traceback" not in proc.stderr
 
@@ -387,15 +426,7 @@ def test_gain_past_the_float_range(tmp_path):
     # its radius reads inf, in a process of its own so that a traceback shows
     doc = tmp_path / "data.yaml"
     doc.write_text('n: 2\nm: 1\nk: 2\nX: "1, 0; 0, 1"\nU: "0, 0"\nXp: "1e400, 0; 0, 1"\n')
-    src = str(Path(minexcite.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run(
-        [sys.executable, "-m", "minexcite.cli", "gain", "--data", str(doc)],
-        capture_output=True,
-        text=True,
-        env=env,
-        timeout=30,
-    )
+    proc = _cli_process("gain", "--data", str(doc))
     assert proc.returncode == EXIT_OK, proc.stderr
     assert "Traceback" not in proc.stderr
     rows = dict(line.split(None, 1) for line in proc.stdout.splitlines())

@@ -6,7 +6,8 @@ matrix literals and deeply bracketed or very long expressions in their
 place), writes them as YAML and runs the verb in process through
 `cli.main`.  Whatever the mutation, the verb must answer
 with a documented status (0, 2 or 3), print no traceback and finish within
-the deadline.
+the deadline.  A mutated argument list (a required argument dropped, a junk
+verb, seed or format) is a usage error: status 3, never argparse's 2.
 """
 
 import contextlib
@@ -200,3 +201,36 @@ def assert_exits_cleanly(workdir, verb, docs):
         status = main(VERBS[verb][1]({role: str(path) for role, path in files.items()}))
     assert status in (EXIT_OK, EXIT_NOT_RICH, EXIT_BAD_INPUT), err.getvalue()
     assert "Traceback" not in err.getvalue()
+
+
+JUNK_ARGUMENTS = ["", "abc", "1.5", "1e3", "0x10", "\u00b2", "desgin", "DESIGN", "json"]
+
+
+@settings(max_examples=100, deadline=2000, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_mutated_arguments_are_usage_errors(workdir, data):
+    verb = data.draw(st.sampled_from(sorted(VERBS)), label="verb")
+    docs = {role: data.draw(st.sampled_from(SEEDS[role]), label=role) for role in VERBS[verb][0]}
+    files = {}
+    for role, doc in docs.items():
+        files[role] = workdir / f"{role}.yaml"
+        files[role].write_text(yaml.safe_dump(doc, sort_keys=False))
+    argv = VERBS[verb][1]({role: str(path) for role, path in files.items()})
+    junk = data.draw(st.sampled_from(JUNK_ARGUMENTS), label="junk")
+    kind = data.draw(st.sampled_from(["drop", "verb", "seed", "format"]), label="kind")
+    if kind == "drop":  # a required flag and its value, or bench's scenario list
+        flags = [i for i, arg in enumerate(argv) if arg.startswith("--")]
+        start = data.draw(st.sampled_from(flags), label="flag") if flags else 1
+        del argv[start : start + 2 if flags else None]
+    elif kind == "verb":
+        argv[0] = junk
+    elif kind == "seed":  # not an int, or no option of the verb
+        argv += ["--seed", junk]
+    else:
+        argv = ["--format", junk, *argv]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        status = main(argv)
+    assert status == EXIT_BAD_INPUT, err.getvalue()
+    assert err.getvalue().startswith("usage: ") and "\nbad input: " in err.getvalue()
+    assert "Traceback" not in err.getvalue() and not out.getvalue()

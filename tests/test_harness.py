@@ -4,9 +4,12 @@ import csv
 import random
 from fractions import Fraction
 
+import pytest
+
 from minexcite import (
     BoundedSet,
     Controllability,
+    DimensionMismatch,
     Dims,
     InputSection,
     LinearConstraint,
@@ -81,6 +84,19 @@ def test_designed_sparsity_scenario():
     assert rep.k_used == 2
     assert rep.k_model_based == 3
     assert rep.q is not None
+
+
+@pytest.mark.parametrize(
+    "hidden, plan, message",
+    [
+        (SystemPair(parse_matrix("0"), parse_matrix("1")), None, "hidden system"),
+        (HIDDEN, InputSection(parse_matrix("1, 0"), parse_matrix("0, 1")), "explicit plan"),
+    ],
+    ids=["hidden-system", "explicit-plan"],
+)
+def test_scenario_of_other_dimensions_rejected(hidden, plan, message):
+    with pytest.raises(DimensionMismatch, match=message):
+        Scenario(Dims(2, 1), hidden, Stabilizability(), plan)
 
 
 def test_explicit_rich_run_solves_q_on_first_read(eliminations):

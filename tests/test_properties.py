@@ -568,6 +568,14 @@ def reference_format(t) -> str:
     return f"{left} {'&' if isinstance(t, And) else '|'} {right}"
 
 
+def reference_equal(s, t) -> bool:
+    if type(s) is not type(t):
+        return False
+    if isinstance(s, Leaf):
+        return s.index == t.index
+    return reference_equal(s.left, t.left) and reference_equal(s.right, t.right)
+
+
 def reference_chain_ops(t):
     """The operators of a left chain 1 op 2 op ... k, by class, or None."""
     if isinstance(t, Leaf):
@@ -579,20 +587,23 @@ def reference_chain_ops(t):
 
 
 @settings(max_examples=max(300, settings.default.max_examples), deadline=None)
-@given(expr_trees(), st.data())
-def test_expression_readers_match_recursive_references(t, data):
+@given(expr_trees(), expr_trees(), st.data())
+def test_expression_readers_match_recursive_references(t, other, data):
     # each reader walks the tree once with a list as its stack; the references recurse
     truth = data.draw(st.lists(st.booleans(), min_size=len(reference_leaves(t)), max_size=len(reference_leaves(t))))
     assert format_expr(t) == reference_format(t)
-    assert parse_expr(format_expr(t)) == t
+    back = parse_expr(format_expr(t))
+    assert reference_equal(back, t) and back == t and hash(back) == hash(t)
+    assert (other == t) is reference_equal(other, t) and (other != t) is not reference_equal(other, t)
+    assert hash(other) == hash(t) or not reference_equal(other, t)
     assert expr_leaves(t) == reference_leaves(t)
     assert evaluate_expr(t, truth) is reference_evaluate(t, truth)
     assert flat_chain_ops(t) == reference_chain_ops(t)
 
 
 def test_deep_and_long_expressions_are_read_without_recursion():
-    # depth and length 5000 are far past the interpreter's frame limit; trees are
-    # compared by their text and leaves, since dataclass == recurses
+    # depth and length 5000 are far past the interpreter's frame limit, for the
+    # readers and for ==, hash and repr
     count = 5000
     chain = functools.reduce(Or, map(Leaf, range(2, count + 1)), Leaf(1))
     nested = functools.reduce(lambda right, i: And(Leaf(i), right), range(count - 1, 0, -1), Leaf(count))
@@ -603,11 +614,16 @@ def test_deep_and_long_expressions_are_read_without_recursion():
         assert evaluate_expr(t, [False] * (count - 1) + [True]) is (t is chain)
         back = parse_expr(text)
         assert format_expr(back) == text and expr_leaves(back) == expr_leaves(t)
+        assert back == t and hash(back) == hash(t) and repr(back) == f"{type(t).__name__}({text!r})"
+    assert chain != nested and chain != Leaf(1)
     assert text == " & (".join(map(str, range(1, count))) + f" & {count}" + ")" * (count - 2)
     assert format_expr(parse_expr("(" * count + "7" + ")" * count)) == "7"
     assert format_expr(parse_expr("(" * count + "1 | 2" + ")" * count + " & 3")) == "(1 | 2) & 3"
     structure = LinearStructure.intersection([LinearConstraint((1,), BoundedSet.singleton(0))] * count)
     assert flat_chain_ops(structure.expr) == ["&"] * (count - 1)
+    # a structure of 3000 constraints or more once failed ==, hash and repr
+    again = LinearStructure.intersection([LinearConstraint((1,), BoundedSet.singleton(0))] * count)
+    assert structure == again and hash(structure) == hash(again) and repr(structure) == repr(again)
 
 
 @pytest.mark.parametrize(
