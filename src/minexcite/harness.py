@@ -12,8 +12,9 @@ property's own test, and a whole-space one (S = I, Q = I) makes no
 product.  On an explicit plan the identifier's read of the plan's span
 travels with its failure, in `NotSufficientlyRich` or the not_identifiable
 result, to the certificate, which reads its annihilators and consistent
-model from it.  A square plan's gain leaves its spectral radius unread, and
-a rich explicit plan's report leaves its Q unsolved until `q` is read.
+model from it.  A report computes a square plan's gain, and a rich explicit
+plan's Q, only when `gain` or `q` is read, and the gain's spectral radius
+only when that is read.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import csv
 import io
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Iterable, List, Optional, Sequence
 
 from .adversary import CounterexamplePair, distinct_consistent_pair
@@ -61,6 +63,8 @@ class RunReport:
     `outcome` is one of: has_property, lacks_property, identified,
     not_identifiable, not_sufficiently_rich.  `q` is the identification's Q,
     read through `_q`: on an explicit rich plan it is solved on first read.
+    `gain`, read through `_gain`, is the feedback gain of a square explicit
+    plan, computed on first read and kept, and None where it does not apply.
     """
 
     dataset: Dataset
@@ -70,12 +74,13 @@ class RunReport:
     verdict: Optional[Verdict] = None
     _q: Callable[[], Optional[Mat]] = field(default=lambda: None, repr=False, compare=False)
     recovered: Optional[SystemPair] = None
-    gain: Optional[GainResult] = None
+    _gain: Callable[[], Optional[GainResult]] = field(default=lambda: None, repr=False, compare=False)
     counterexample: Optional[CounterexamplePair] = None
     model_pair: Optional[tuple] = None
     missing: tuple = ()
 
     q = property(lambda self: self._q())
+    gain = cached_property(lambda self: self._gain())
 
 
 def excite(hidden: SystemPair, section: InputSection) -> Dataset:
@@ -88,15 +93,15 @@ def run(sc: Scenario) -> RunReport:
     dataset = excite(sc.hidden, section)
     k_used = section.k
     k_full = sc.dims.total
-    gain: Optional[GainResult] = None
-    if sc.plan is not None:
+
+    def gain() -> Optional[GainResult]:
         try:
-            gain = gain_from_data(dataset)
+            return gain_from_data(dataset) if sc.plan is not None else None
         except GainNotApplicable:
-            pass
+            return None
 
     def report(outcome, **extra) -> RunReport:
-        return RunReport(dataset, outcome, k_used, k_full, gain=gain, **extra)
+        return RunReport(dataset, outcome, k_used, k_full, _gain=gain, **extra)
 
     try:
         res = identify_property(dataset, sc.problem)

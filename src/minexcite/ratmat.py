@@ -12,11 +12,24 @@ immutable, so every result, an operand handed back included, is safe to
 share across threads.
 
 Every operation works on the integers with no change to exactness: sums
-bring both operands to the lcm of their denominators, `*` and `@` (integer
-rows added up over nonzero cells) multiply the denominators, elimination
-runs fraction-free Gauss-Jordan on primitive integer rows, as does the
-phase-1 simplex of `nonnegative_solve`, and one gcd makes each result
-canonical.  So an identity right factor costs nothing: `M @ I` is M itself.
+bring both operands to the lcm of their denominators, `*` and `@` multiply
+the denominators, elimination runs fraction-free Gauss-Jordan on primitive
+integer rows, as does the phase-1 simplex of `nonnegative_solve`, and one
+gcd makes each result canonical.  So an identity right factor costs nothing:
+`M @ I` is M itself.
+
+`@` has two integer kernels, chosen from the nonzero counts of its factors.
+Its own loop adds up the nonzero cells of right rows over the nonzero left
+cells, so zeros cost nothing: products by unit-column plans and single rows
+take it.  `_packed_product` packs each right row into one int (Kronecker
+substitution) and makes one big multiply-add per nonzero left cell: dense
+products, a design basis exciting a system or a closed loop's powers, take
+it.  For a rows x n by n x w product the packed kernel runs when
+nnz(left) (nnz(right) - n) > n w (n + 2 rows), that is, when the loop's mean
+nnz(left) nnz(right) / n scalar multiply-adds outnumber the packing of every
+right cell, the nnz(left) big multiply-adds and twice the output cells, in
+units fitted to timings of both kernels on a grid of shapes, densities and
+entry sizes.
 
 `eliminate` is the one entry point of elimination; `rank`, `kernel`, `read_span`
 and the like read the `Span` it returns.  A column lies outside a plan's span
@@ -124,8 +137,8 @@ class Mat:
     Equivalently `gcd(_den, *_nums) == 1`, and an all-zero matrix has
     `_den == 1`.  The form is canonical, so equal matrices have equal
     fields, and `==` and `hash` compare `(rows, cols, _nums, _den)`.
-    `@` adds up the nonzero cells of right-hand rows over the nonzero cells
-    of the left operand, so zeros (unit-vector plans are mostly zeros) cost nothing.
+    `@` picks one of two integer kernels from the factors' nonzero counts
+    (see the module docstring); both give the same exact cells.
     """
 
     __slots__ = ("rows", "cols", "_nums", "_den")
@@ -298,16 +311,22 @@ class Mat:
         n, w = self.cols, other.cols
         if w == n and other._den == 1 and other._nums[:: n + 1].count(1) == n and other._nums.count(0) == n * n - n:
             return self  # other is I_n, n ones on its diagonal and zeros elsewhere: M I = M exactly
-        rhs = [[(j, y) for j, y in enumerate(other._nums[k * w : (k + 1) * w]) if y] for k in range(n)]
+        left, right, rows = self._nums, other._nums, self.rows
+        # pack when nnz_left * excess > n * cost (see the module docstring); that needs rows * excess > cost,
+        # so a single left row or a right factor of unit columns skips counting the left factor
+        excess, cost = len(right) - right.count(0) - n, w * (n + 2 * rows)
+        if rows * excess > cost and (len(left) - left.count(0)) * excess > n * cost:
+            return Mat._make(rows, w, _packed_product(left, right, rows, n, w), self._den * other._den)
+        rhs = [[(j, y) for j, y in enumerate(right[k * w : (k + 1) * w]) if y] for k in range(n)]
         nums = []
-        for i in range(self.rows):
+        for i in range(rows):
             acc = [0] * w
-            for x, row in zip(self._nums[i * n : (i + 1) * n], rhs):
+            for x, row in zip(left[i * n : (i + 1) * n], rhs):
                 if x:
                     for j, y in row:
                         acc[j] += x * y
             nums.extend(acc)
-        return Mat._make(self.rows, w, nums, self._den * other._den)
+        return Mat._make(rows, w, nums, self._den * other._den)
 
     @property
     def T(self) -> "Mat":
@@ -325,6 +344,35 @@ class Mat:
 
     def __repr__(self) -> str:
         return f"Mat({self.rows}x{self.cols}: {format_matrix(self)!r})"
+
+
+def _packed_product(left: tuple, right: tuple, rows: int, n: int, w: int) -> list:
+    """The integer cells of a rows x n by n x w product, row-major, by Kronecker
+    substitution (see the module docstring): right row k becomes one
+    int R_k = sum_j y_kj 2^(s j), and output row i is read off offset + sum_k x_ik R_k,
+    one big multiply-add per nonzero left cell.  No cell exceeds n max|x| max|y| in
+    magnitude, of s - 1 bits, so the offset's 2^(s-1) in every slot keeps each slot in
+    [0, 2^s) and no borrow or carry crosses slots.  Slots are read by masks and shifts:
+    packed rows can pass the digit limit of int to decimal text conversion."""
+    s = (n * max(map(abs, left)) * max(map(abs, right))).bit_length() + 1
+    packed = []
+    for k in range(n):
+        r = 0
+        for y in reversed(right[k * w : (k + 1) * w]):
+            r = (r << s) + y
+        packed.append(r)
+    half, mask = 1 << (s - 1), (1 << s) - 1
+    offset = half * (((1 << s * w) - 1) // mask)  # half in each of the w slots
+    nums = []
+    for i in range(rows):
+        acc = offset
+        for x, r in zip(left[i * n : (i + 1) * n], packed):
+            if x:
+                acc += x * r
+        for _ in range(w):
+            nums.append((acc & mask) - half)
+            acc >>= s
+    return nums
 
 
 # -- matrix literal format ---------------------------------------------

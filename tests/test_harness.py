@@ -116,6 +116,23 @@ def test_explicit_rich_run_solves_q_on_first_read(eliminations):
         assert rep.q == solve_right(plan.stacked(), sc.problem.target)
 
 
+def test_square_explicit_run_computes_its_gain_on_first_read(eliminations):
+    # the gain inverts X- in one elimination, made when the report's gain is first read, and kept;
+    # a plan of k != n or a singular X- reads None
+    plan = InputSection(parse_matrix("1, 0.5; 0, 1"), parse_matrix("-1, -1"))
+    sc = Scenario(Dims(2, 1), HIDDEN, Stabilizability(), plan=plan)
+    made = eliminations(run, sc)
+    assert eliminations(lambda: run(sc).gain) == made + 1
+    rep = run(sc)
+    assert eliminations(lambda: rep.gain) == 1
+    assert eliminations(lambda: rep.gain) == 0
+    assert rep.gain.gain == parse_matrix("-1, -1/2")
+    for other in (InputSection(parse_matrix("1, 0, 1; 0, 1, 1"), parse_matrix("0, 1, 1")),
+                  InputSection(parse_matrix("1, 1; 0, 0"), parse_matrix("1, 0"))):
+        assert run(Scenario(Dims(2, 1), HIDDEN, Stabilizability(), plan=other)).gain is None
+    assert run(Scenario(Dims(2, 1), HIDDEN, Stabilizability())).gain is None
+
+
 def test_designed_stabilizability_scenario_matches_oracle():
     rng = random.Random(67)
     for _ in range(10):

@@ -339,6 +339,69 @@ def test_product_by_the_identity_is_the_left_operand(inputs):
 
 
 @st.composite
+def product_inputs(draw):
+    """(a, b) of shapes up to 24x32 by 32x24, empty ones included, each factor of
+    density 0.1 to 1 with zero rows and columns, or a single-row a or a b of unit
+    columns; entries up to 2^bits in magnitude, of both signs, over denominators."""
+    rows, n, w = draw(st.integers(0, 24)), draw(st.integers(0, 32)), draw(st.integers(0, 24))
+    form = draw(st.sampled_from(["dense", "single row", "unit columns"]))
+    rows = 1 if form == "single row" else rows
+    bits = draw(st.sampled_from([2, 8, 64, 200]))
+    denominators = [draw(st.sampled_from([1, 1, 2, 3, 7, 2**61 - 1])) for _ in range(2)]
+    rng = random.Random(draw(st.integers(0, 2**32)))
+
+    def block(r, c, den):
+        density = draw(st.floats(0.1, 1.0))
+        zero_rows = set(rng.sample(range(r), rng.randint(0, r // 4)))
+        zero_cols = set(rng.sample(range(c), rng.randint(0, c // 4)))
+        return Mat.from_flat(r, c, [
+            Fraction(rng.randint(-(2**bits), 2**bits), den)
+            if i not in zero_rows and j not in zero_cols and rng.random() < density else 0
+            for i in range(r) for j in range(c)
+        ])
+
+    if form == "unit columns":
+        picks = [rng.randrange(n) for _ in range(w)] if n else []
+        b = Mat.from_flat(n, len(picks), [int(i == p) for i in range(n) for p in picks])
+    else:
+        b = block(n, w, denominators[1])
+    return block(rows, n, denominators[0]), b
+
+
+@settings(max_examples=max(100, settings.default.max_examples), deadline=None)
+@given(product_inputs())
+def test_products_match_fraction_reference(inputs):
+    """`@`, whichever kernel it picks, and the packed kernel on every pair of
+    nonempty factors, give the Fraction product."""
+    a, b = inputs
+    ref = _ref_matmul(a, b)
+    product = a @ b
+    assert product == ref
+    _assert_canonical(product)
+    if a.rows and a.cols and b.cols:
+        cells = ratmat._packed_product(a._nums, b._nums, a.rows, a.cols, b.cols)
+        assert Mat._make(a.rows, b.cols, cells, a._den * b._den) == ref
+
+
+@pytest.mark.parametrize("x, y, n, w", [(3, 5, 7, 8), (2**200 - 1, 3**120, 8, 48)], ids=["small", "past-the-digit-limit"])
+def test_packed_slots_hold_the_exact_bound(monkeypatch, x, y, n, w):
+    """Rows of x and of -x against columns of y and -y make cells of exactly
+    +-n x y, the bound the slot width is sized for, in slots next to slots of
+    either sign.  n x y is no power of two, so a slot one bit narrower fails
+    on either sign; the second case's packed rows run to over 14000 bits, past
+    the digit limit of int to decimal text conversion."""
+    rows, bound = 8, n * x * y
+    left = Mat.from_flat(rows, n, [x if i % 2 else -x for i in range(rows) for _ in range(n)])
+    right = Mat.from_flat(n, w, [y if j % 3 else -y for _ in range(n) for j in range(w)])
+    expected = [bound if (i % 2) == bool(j % 3) else -bound for i in range(rows) for j in range(w)]
+    assert ratmat._packed_product(left._nums, right._nums, rows, n, w) == expected
+    kernels = []
+    monkeypatch.setattr(ratmat, "_packed_product", lambda *args: kernels.append(args) or expected)
+    assert left @ right == Mat.from_flat(rows, w, expected)
+    assert len(kernels) == 1  # `@` packs these dense factors
+
+
+@st.composite
 def plan_inputs(draw):
     """(plan, x_plus, target, w) as a run meets them: an (n+m) x k plan, m = 0
     allowed and k up to past n+m, often of lower rank, mostly zeros or with zero
