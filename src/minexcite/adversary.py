@@ -88,40 +88,29 @@ def _single_row(n: int, cols: int, row: int, nums: Sequence[int], den: int = 1) 
     return Mat._make(n, cols, cells, abs(den))
 
 
-def _unit(n: int, i: int) -> list:
-    return [int(j == i) for j in range(n)]
-
-
 def counterexample_stabilizability(
-    section: InputSection, problem: Problem, seed: int, span: Span
+    section: InputSection, problem: Problem, seed: int, span: Span, gaps: Optional[list] = None
 ) -> CounterexamplePair:
     """Stabilizable system and a consistent partner with an uncontrollable
-    eigenvalue at 1, built along an annihilated direction.  Every row is read
-    off the integers of the annihilator h over its denominator d.
+    eigenvalue at 1, built along an annihilated direction.  Every row of [A, B]
+    is read off the integers of the annihilator h over its denominator.
 
     Raises SectionIsRich when the plan is persistently exciting.
     """
     ann = _annihilator(span)
     if ann is None:
         raise SectionIsRich("the plan is persistently exciting; stabilizability is decidable")
-    n, m = section.n, section.m
-    hs, hu = ann._nums[:n], ann._nums[n:]
-    if not any(hs):
-        # all annihilated weight sits on the input block
-        a_with = a_without = _single_row(n, n, 0, _unit(n, 0))
-        b_with = _single_row(n, m, 0, hu, ann._den)
-    else:
-        # row l of [A, B] is e_l - h / h_l, which h annihilates against the partner's e_l
-        l = next(i for i, v in enumerate(hs) if v)
-        a_with = _single_row(n, n, l, [0 if i == l else -v for i, v in enumerate(hs)], hs[l])
-        b_with = _single_row(n, m, l, [-v for v in hu], hs[l])
-        a_without = _single_row(n, n, l, _unit(n, l))
-    sys_with, sys_without = SystemPair(a_with, b_with), SystemPair(a_without, Mat.zeros(n, m))
-    return _verified_pair(section, sys_with, sys_without, problem.holds)
+    n, total, nums = section.n, section.dims.total, ann._nums
+    # row l of [A, B] is e_l - h / h_l, which h annihilates against the partner's e_l, for
+    # the first state l that h weighs; when it weighs none, row 0 is e_0 + h
+    l, d = next(((i, -v) for i, v in enumerate(nums[:n]) if v), (0, ann._den))
+    ab_with = _single_row(n, total, l, [d * (i == l) + v for i, v in enumerate(nums)], d)
+    ab_without = _single_row(n, total, l, [int(j == l) for j in range(total)])
+    return _verified_pair(section, SystemPair.from_ab(ab_with), SystemPair.from_ab(ab_without), problem.holds)
 
 
 def counterexample_controllability(
-    section: InputSection, problem: Problem, seed: int, span: Span
+    section: InputSection, problem: Problem, seed: int, span: Span, gaps: Optional[list] = None
 ) -> CounterexamplePair:
     """Controllable system and a consistent uncontrollable partner.
 
@@ -130,19 +119,18 @@ def counterexample_controllability(
     diagonal skeleton carries the annihilated direction in one row and the
     partner simply drops that row's contribution.
     """
-    n, m = section.n, section.m
+    n, total = section.n, section.dims.total
     if n == 1:
         null = span.kernel
         h = next((c for c in map(null.col, range(null.cols)) if any(c._nums[1:])), None)
         if h is None:
             raise SectionIsRich("the plan already pins down the input-to-state map")
-        sys_with = SystemPair.from_ab(h.T)
-        return _verified_pair(section, sys_with, SystemPair(Mat.zeros(1, 1), Mat.zeros(1, m)), problem.holds)
+        return _verified_pair(section, SystemPair.from_ab(h.T), SystemPair.from_ab(Mat.zeros(1, total)), problem.holds)
 
     ann = _annihilator(span)
     if ann is None:
         raise SectionIsRich("the plan is persistently exciting; controllability is decidable")
-    den, hs, hu = ann._den, ann._nums[:n], ann._nums[n:]
+    den, hs = ann._den, ann._nums[:n]
 
     # the skeleton reads the states in `order`, where h weighs state order[1] unless it
     # weighs no state: the first weighted state trades places with state 1
@@ -155,11 +143,10 @@ def counterexample_controllability(
     # row r of [A, B] on the diagonal skeleton is h, or h / h_r when h_r is nonzero
     diag = [1, *range(1, n)] if any(hs) and hs[r] == 0 else range(1, n + 1)
     den = hs[r] or den
-    a_without = Mat._make(n, n, [diag[order[i]] if i == j else 0 for i in range(n) for j in range(n)])
-    b_without = Mat._make(n, m, [int(i != r) for i in range(n) for _ in range(m)])
-    a_with = a_without + _single_row(n, n, r, hs, den)
-    b_with = b_without + _single_row(n, m, r, hu, den)
-    return _verified_pair(section, SystemPair(a_with, b_with), SystemPair(a_without, b_without), problem.holds)
+    cells = [diag[order[i]] if i == j else int(j >= n and i != r) for i in range(n) for j in range(total)]
+    ab_without = Mat._make(n, total, cells)
+    ab_with = ab_without + _single_row(n, total, r, ann._nums, den)
+    return _verified_pair(section, SystemPair.from_ab(ab_with), SystemPair.from_ab(ab_without), problem.holds)
 
 
 # -- sign selection for combined structures ---------------------------------
@@ -234,13 +221,15 @@ def algorithm2_signs(expr: SetExpr, c1: frozenset) -> tuple:
     return tuple(signs[i] for i in range(1, total + 1))
 
 
-def counterexample_sparsity(section: InputSection, problem: Problem, seed: int, span: Span) -> CounterexamplePair:
-    """Property-split pair for a zero pattern: the zero system, and the partner whose
-    row r is h / h_c for the first zero (r, c), in `Sparsity.positions` order, whose
-    e_c the plan misses, with h the residual of e_c, which the data cannot see."""
+def counterexample_sparsity(
+    section: InputSection, problem: Problem, seed: int, span: Span, gaps: Optional[list] = None
+) -> CounterexamplePair:
+    """Property-split pair for a zero pattern: the zero system, and the partner whose row r
+    is h / h_c for the first zero (r, c), in `Sparsity.positions` order, whose e_c the plan
+    misses (by `gaps`, else `span`), with h the residual of e_c, which the data cannot see."""
     n, total = problem.dims.n, problem.dims.total
     columns = sparsity_columns(problem.prop, problem.dims)
-    missed = {columns[i]: i for i in span.unspanned(problem.target)}
+    missed = {columns[i]: i for i in (span.unspanned(problem.target) if gaps is None else gaps)}
     zero = next(((r - 1, c - 1) for r, c in problem.prop.positions(n) if c - 1 in missed), None)
     if zero is None:
         raise SectionIsRich("the plan spans the constraint directions; the structure is decidable")
@@ -261,7 +250,9 @@ def _residual(span: Span, w: Mat) -> Mat:
     return h
 
 
-def counterexample_structure(section: InputSection, problem: Problem, seed: int, span: Span) -> CounterexamplePair:
+def counterexample_structure(
+    section: InputSection, problem: Problem, seed: int, span: Span, gaps: Optional[list] = None
+) -> CounterexamplePair:
     """Property-split pair for a combined linear structure.
 
     Picks a constraint-matrix column the plan misses, strips its component
@@ -269,14 +260,14 @@ def counterexample_structure(section: InputSection, problem: Problem, seed: int,
     a reference system according to the sign selection, and perturbs it
     along the invisible direction far enough to break every touched
     constraint.  The perturbation scale for bracketed combinations uses a
-    seeded generator so results are replayable.  The missed columns and the
-    residual (`_residual`) come from `span`, the read of the plan; the
-    constraint rows and the reference system are read off the integers of
-    the target and of the signed solve.
+    seeded generator so results are replayable.  The missed columns (`gaps`,
+    else read off `span`) and the residual (`_residual`) come from the read of
+    the plan; the constraint rows and the reference system are read off the
+    integers of the target and of the signed solve.
     """
     p, dims, m_mat = problem.prop, problem.dims, problem.target
     n, total, count = dims.n, dims.total, len(p.constraints)
-    missed = span.unspanned(m_mat)
+    missed = span.unspanned(m_mat) if gaps is None else gaps
     if not missed:
         raise SectionIsRich("the plan spans the constraint directions; the structure is decidable")
     col_idx = missed[0]

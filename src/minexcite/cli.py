@@ -32,7 +32,7 @@ from .harness import csv_text, efficiency_csv, efficiency_text, report_efficienc
 from .identify import counterexample_report, gain_from_data, identify_property, system_rows
 from .properties import Identifiability, Problem
 from .ratmat import format_matrix, read_span
-from .richness import design_minimum_input, missing_directions, spans_target
+from .richness import design_minimum_input, missing_directions, target_gaps
 
 EXIT_OK = 0
 EXIT_NOT_RICH = 2
@@ -73,10 +73,10 @@ def _problem_and_plan(args) -> tuple:
 def _cmd_check(args) -> int:
     problem, section = _problem_and_plan(args)
     prop, span = problem.prop, read_span(section.stacked())
-    rich = spans_target(span, problem)
+    rich = (gaps := target_gaps(span, problem)) == []
     rows = [("property", prop.label()), ("k", section.k), ("sufficiently_rich", rich)]
     if not rich and args.verbose:
-        for i, col in enumerate(missing_directions(section, prop, problem, span)):
+        for i, col in enumerate(missing_directions(section, prop, problem, span, gaps)):
             rows.append((f"missing_{i + 1}", format_matrix(col.T)))
     _emit(rows, args.format)
     return EXIT_OK if rich else EXIT_NOT_RICH

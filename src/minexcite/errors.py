@@ -13,14 +13,16 @@ class NotSufficientlyRich(Exception):
     """An excitation plan cannot settle the requested property.
 
     Carries the unit directions of the minimum subspace that the plan fails to
-    span, as column vectors, and `span`, the identifier's read of the plan (a
-    `ratmat.Span`), which `identify.counterexample_report` hands to the recipe.
+    span, as column vectors, `span`, the identifier's read of the plan (a
+    `ratmat.Span`), and `gaps`, the indices of the target's columns it misses,
+    which `identify.counterexample_report` hands to the recipe.
     """
 
-    def __init__(self, message, missing=(), span=None):
+    def __init__(self, message, missing=(), span=None, gaps=None):
         super().__init__(message)
         self.missing = tuple(missing)
         self.span = span
+        self.gaps = gaps
 
 
 class SectionIsRich(Exception):

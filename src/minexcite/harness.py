@@ -106,7 +106,7 @@ def run(sc: Scenario) -> RunReport:
     try:
         res = identify_property(dataset, sc.problem)
     except NotSufficientlyRich as exc:
-        pair = counterexample_report(section, sc.problem, sc.seed, exc.span).pair
+        pair = counterexample_report(section, sc.problem, sc.seed, exc.span, exc.gaps).pair
         return report("not_sufficiently_rich", counterexample=pair, missing=exc.missing)
     if res.outcome == "not_identifiable":
         return report(res.outcome, model_pair=distinct_consistent_pair(dataset, res.span))

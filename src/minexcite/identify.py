@@ -19,8 +19,8 @@ tests are exact; floats appear only in the spectral radius of a
 synthesized closed loop, computed when first read.  That radius and the
 exact stability verdict share one characteristic polynomial of the loop.
 
-One table maps each property class to its identifier and its
-counterexample recipe, every recipe taking (section, problem, seed, span);
+One table maps each property class to its identifier and its counterexample
+recipe, every recipe taking (section, problem, seed, span, gaps=None);
 `identify_property` and `counterexample_report` take a validated `Problem`
 and look its class up there, as `counterexample_for` does for a property.
 """
@@ -70,7 +70,7 @@ from .ratmat import (
     schur_stable,
     solve_right,
 )
-from .richness import Dataset, InputSection, consistent_set_contains, missing_directions, spans_target
+from .richness import Dataset, InputSection, consistent_set_contains, missing_directions, target_gaps
 
 
 class Verdict(Enum):
@@ -153,14 +153,12 @@ class GainResult:
         return abs(self.radius - 1.0) <= EIG_MARGIN
 
 
-def _not_rich(section: InputSection, problem: Problem, span: Span) -> NoReturn:
-    """Raise NotSufficientlyRich with the directions `span`, the plan's read, misses."""
-    missing = missing_directions(section, problem.prop, problem, span)
-    raise NotSufficientlyRich(
-        f"plan spans too little: {len(missing)} direction(s) of the minimum subspace missing",
-        missing=missing,
-        span=span,
-    )
+def _not_rich(section: InputSection, problem: Problem, span: Span, gaps: Optional[list]) -> NoReturn:
+    """Raise NotSufficientlyRich with the directions `span`, the plan's read, misses, picked from `gaps`."""
+    gaps = span.unspanned(problem.target) if gaps is None else gaps
+    missing = missing_directions(section, problem.prop, problem, span, gaps)
+    message = f"plan spans too little: {len(missing)} direction(s) of the minimum subspace missing"
+    raise NotSufficientlyRich(message, missing=missing, span=span, gaps=gaps)
 
 
 class _Read(NamedTuple):
@@ -178,13 +176,13 @@ def _read(d: Dataset, problem: Problem, deficient: Callable = _not_rich):
     """The factors of the values and the Q of a rich plan, from the design's q or one
     read of the plan beside its data (see the module docstring); InconsistentDataset
     when no system reproduces the data.  A deficient plan returns
-    `deficient(section, problem, span)`."""
+    `deficient(section, problem, span, gaps)`, with gaps as `target_gaps` finds them."""
     stacked = d.section.stacked()
     if stacked == problem.basis:
         return _Read(d.x_plus, problem.q, lambda: problem.q)
     span = read_span(stacked, d.x_plus)
-    if not spans_target(span, problem):
-        return deficient(d.section, problem, span)
+    if (gaps := target_gaps(span, problem)) != []:
+        return deficient(d.section, problem, span, gaps)
     if span.solution is None:
         raise InconsistentDataset("no linear system reproduces this dataset")
     return _Read(span.solution.T, problem.target, cache(lambda: solve_right(stacked, problem.target)))
@@ -229,7 +227,7 @@ def recover_model(d: Dataset, problem: Optional[Problem] = None) -> Union[System
     which can only happen on corrupted input.
     """
     problem = problem or Problem.of(Identifiability(), d.section.dims)
-    read = _read(d, problem, lambda sec, _, span: NotIdentifiable(span.rank, sec.dims.total - span.rank, span))
+    read = _read(d, problem, lambda sec, _, span, gaps: NotIdentifiable(span.rank, sec.dims.total - span.rank, span))
     return read if isinstance(read, NotIdentifiable) else SystemPair.from_ab(read.values())
 
 
@@ -338,7 +336,7 @@ def _identify_structure(d: Dataset, problem: Problem) -> Identification:
 class _Entry(NamedTuple):
     identify: Callable[[Dataset, Problem], Identification]
     # the property-split recipe; None for identifiability, a question about data, not one system
-    counterexample: Optional[Callable[[InputSection, Problem, int, Span], CounterexamplePair]]
+    counterexample: Optional[Callable[[InputSection, Problem, int, Span, Optional[list]], CounterexamplePair]]
 
 
 _PROPERTIES = {
@@ -356,13 +354,13 @@ def identify_property(d: Dataset, problem: Problem) -> Identification:
 
 
 def counterexample_report(
-    section: InputSection, problem: Problem, seed: int = 0, span: Optional[Span] = None
+    section: InputSection, problem: Problem, seed: int = 0, span: Optional[Span] = None, gaps: Optional[list] = None
 ) -> Identification:
     """Proof that `section` cannot decide the problem's property: a property-split
     pair, or for identifiability two models sharing zero feedback; SectionIsRich if
-    it can.  `span` is the plan's read that `NotSufficientlyRich` carries, when the
-    identifier has made one; otherwise the recipe gets one read made here.  The
-    pair of models reads its zero feedback itself."""
+    it can.  `span` and `gaps` are what `NotSufficientlyRich` carries, when the identifier
+    has read the plan; otherwise the recipe gets one read made here.  The pair of models
+    reads its zero feedback itself."""
     recipe = _PROPERTIES[type(problem.prop)].counterexample
     if recipe is None:
         zero = Dataset(section, Mat.zeros(section.n, section.k))
@@ -375,7 +373,7 @@ def counterexample_report(
                 ("shared_Xp", format_matrix(zero.x_plus)),
             ],
         )
-    pair = recipe(section, problem, seed, span or read_span(section.stacked()))
+    pair = recipe(section, problem, seed, span or read_span(section.stacked()), gaps)
     shared = Dataset(pair.section, pair.shared_feedback)
     return Identification(
         "counterexample",

@@ -41,12 +41,11 @@ from .ratmat import (
     Subspace,
     as_rational,
     eliminate,
-    image,
     nonnegative_solve,
     pivot_basis,
+    pivot_columns,
     rank,
-    reachable_rank,
-    stabilizable,
+    staircase,
 )
 
 
@@ -72,43 +71,55 @@ class Dims:
         return self.n + self.m
 
 
-@dataclass(frozen=True)
-class SystemPair:
-    """A concrete candidate model (A, B)."""
+class Whole:
+    """An immutable matrix kept whole, with `n` rows or columns in the first of the two
+    blocks named in `_blocks`, each cut from it when first read.  Equal when `n` and the
+    matrices are; hashed and printed by the blocks, as a dataclass of the two would be."""
 
-    a: Mat
-    b: Mat
+    dims = property(lambda self: Dims(self.n, self.m))
 
-    def __post_init__(self):
-        if self.a.rows != self.a.cols:
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot set {name!r}")
+
+    def __eq__(self, other) -> bool:
+        return (self.n, self._whole) == (other.n, other._whole) if type(other) is type(self) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(getattr(self, name) for name in self._blocks))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({', '.join(f'{name}={getattr(self, name)!r}' for name in self._blocks)})"
+
+
+class SystemPair(Whole):
+    """A concrete candidate model (A, B), kept as its one n x (n+m) block [A, B], so
+    `from_ab` copies nothing and a run reads [A, B] alone."""
+
+    _blocks = ("a", "b")
+
+    def __init__(self, a: Mat, b: Mat):
+        if a.rows != a.cols:
             raise DimensionMismatch("A must be square")
-        if self.b.rows != self.a.rows:
+        if b.rows != a.rows:
             raise DimensionMismatch("B must have as many rows as A")
-
-    @property
-    def n(self) -> int:
-        return self.a.rows
-
-    @property
-    def m(self) -> int:
-        return self.b.cols
-
-    @property
-    def dims(self) -> Dims:
-        return Dims(self.n, self.m)
-
-    _ab = cached_property(lambda self: Mat.hstack([self.a, self.b]))
-
-    def ab(self) -> Mat:
-        """The n x (n+m) block [A, B], built once and kept outside equality, hash and repr."""
-        return self._ab
+        self.__dict__.update(_whole=Mat.hstack([a, b]), n=a.rows, a=a, b=b)
 
     @classmethod
     def from_ab(cls, ab: Mat) -> "SystemPair":
         """The pair whose block [A, B] is `ab`, which it keeps."""
-        pair = cls(ab.take_cols(range(ab.rows)), ab.take_cols(range(ab.rows, ab.cols)))
-        pair.__dict__["_ab"] = ab
+        if ab.cols < ab.rows:
+            raise DimensionMismatch(f"[A, B] of {ab.rows} rows needs at least {ab.rows} columns, got {ab.cols}")
+        pair = cls.__new__(cls)
+        pair.__dict__.update(_whole=ab, n=ab.rows)
         return pair
+
+    a = cached_property(lambda self: self._whole.take_cols(range(self.n)))
+    b = cached_property(lambda self: self._whole.take_cols(range(self.n, self._whole.cols)))
+    m = property(lambda self: self._whole.cols - self.n)
+
+    def ab(self) -> Mat:
+        """The n x (n+m) block [A, B]."""
+        return self._whole
 
 
 # -- value sets ----------------------------------------------------------
@@ -452,9 +463,8 @@ class Sparsity(PropertySpec):
         return Mat.identity(dims.total).take_cols(sparsity_columns(self, dims))
 
     def _holds(self, sys: SystemPair, target: Mat) -> bool:
-        return all(sys.a[r - 1, c - 1] == 0 for r, c in self.zeros_a) and all(
-            sys.b[r - 1, c - 1] == 0 for r, c in self.zeros_b
-        )
+        ab = sys.ab()
+        return not any(ab._nums[(r - 1) * ab.cols + c - 1] for r, c in self.positions(sys.n))
 
 
 @dataclass(frozen=True)
@@ -634,12 +644,14 @@ class Problem:
         target = prop._target(dims)
         return cls(prop, dims, target, *prop._design(target, design), point)
 
-    _minimum_basis = cached_property(lambda self: self.basis if self.basis is not None else image(self.target).basis)
+    @cached_property
+    def basis_columns(self) -> Sequence[int]:
+        """The target's columns in the minimum basis, all or its pivot columns, kept outside equality, hash and repr."""
+        return range(self.target.cols) if self.basis is self.target else pivot_columns(self.target)
 
     def minimum_basis(self) -> Mat:
-        """The design's basis, or else the target's pivot columns, found once and kept
-        outside equality, hash and repr."""
-        return self._minimum_basis
+        """The design's basis, or else the target's columns at `basis_columns`."""
+        return self.basis or self.target.take_cols(self.basis_columns)
 
     def holds(self, sys: SystemPair) -> bool:
         """`has_property` for a system of these dimensions, without validating again."""
@@ -654,13 +666,13 @@ def minimum_subspace(p: PropertySpec, dims: Dims) -> Subspace:
 # -- ground-truth membership oracle ------------------------------------------
 
 def is_controllable(sys: SystemPair) -> bool:
-    """Exact: the reachable subspace of the Krylov staircase (`ratmat.reachable_rank`) is R^n."""
-    return reachable_rank(sys.a, sys.b) == sys.n
+    """Exact: the reachable subspace of the Krylov staircase of [A, B] (`ratmat.staircase`) is R^n."""
+    return staircase(sys.ab(), False)[0] == sys.n
 
 
 def is_stabilizable(sys: SystemPair) -> bool:
-    """Exact: every mode outside the reachable subspace lies strictly inside the unit disc (`ratmat.stabilizable`)."""
-    return stabilizable(sys.a, sys.b)
+    """Exact: every mode outside the reachable subspace lies strictly inside the unit disc (`ratmat.staircase`)."""
+    return staircase(sys.ab(), True)[1]
 
 
 def has_property(sys: SystemPair, p: PropertySpec) -> bool:

@@ -19,24 +19,25 @@ gcd makes each result canonical.  So an identity right factor costs nothing:
 `M @ I` is M itself.
 
 `@` has two integer kernels, chosen from the nonzero counts of its factors.
-Its own loop adds up the nonzero cells of right rows over the nonzero left
-cells, so zeros cost nothing: products by unit-column plans and single rows
-take it.  `_packed_product` packs each right row into one int (Kronecker
-substitution) and makes one big multiply-add per nonzero left cell: dense
-products, a design basis exciting a system or a closed loop's powers, take
-it.  For a rows x n by n x w product the packed kernel runs when
-nnz(left) (nnz(right) - n) > n w (n + 2 rows), that is, when the loop's mean
-nnz(left) nnz(right) / n scalar multiply-adds outnumber the packing of every
-right cell, the nnz(left) big multiply-adds and twice the output cells, in
-units fitted to timings of both kernels on a grid of shapes, densities and
-entry sizes.
+`_column_product` builds each output column from the left columns that the
+right column's nonzero cells pick (Gustavson), each a strided slice taken as
+it is for a unit cell, so right zeros cost nothing: sparse plans, unit
+columns above all, take it.  `_packed_product` packs each right row into one
+int (Kronecker substitution) and makes one big multiply-add per nonzero left
+cell: dense products, a design basis exciting a system or a closed loop's
+powers, take it.  For a rows x n by n x w product the packed kernel runs when
+0 < nnz(left) < nnz(right) (2 + rows) - n w - rows (n + w): when the column
+kernel's cost per right nonzero, a fixed part and a cell per left row,
+outweighs packing every right cell, the big multiply-adds and a pass over
+the left and output cells, in units fitted to timings of both on a grid.
 
 `eliminate` is the one entry point of elimination; `rank`, `kernel`, `read_span`
 and the like read the `Span` it returns.  A column lies outside a plan's span
 exactly when its product with the plan's left kernel Y^T is nonzero.
-`_staircase` is the one reader of a pair (A, B): one Krylov elimination gives
-its reachable subspace, whose annihilator proves invariance and, when smaller,
-holds the modes outside it on the quotient, each set decided exactly.
+`_staircase` is the one reader of a pair, on its block [A, B]: one Krylov
+elimination gives its reachable subspace, whose annihilator proves invariance
+and, when smaller, holds the modes outside it on the quotient, each set
+decided exactly.
 """
 
 from __future__ import annotations
@@ -207,10 +208,7 @@ class Mat:
             raise DimensionMismatch("hstack needs equal row counts")
         den = math.lcm(*(m._den for m in mats))
         scaled = [(m._scaled_nums(den), m.cols) for m in mats]
-        nums = []
-        for i in range(rows):
-            for block, w in scaled:
-                nums.extend(block[i * w : (i + 1) * w])
+        nums = [x for i in range(rows) for block, w in scaled for x in block[i * w : (i + 1) * w]]
         return cls._make(rows, sum(m.cols for m in mats), nums, den)
 
     @classmethod
@@ -219,10 +217,7 @@ class Mat:
         if any(m.cols != cols for m in mats):
             raise DimensionMismatch("vstack needs equal column counts")
         den = math.lcm(*(m._den for m in mats))
-        nums = []
-        for m in mats:
-            nums.extend(m._scaled_nums(den))
-        return cls._make(sum(m.rows for m in mats), cols, nums, den)
+        return cls._make(sum(m.rows for m in mats), cols, [x for m in mats for x in m._scaled_nums(den)], den)
 
     def _scaled_nums(self, den: int) -> tuple:
         """The cells as integers over `den`, a multiple of `_den`."""
@@ -312,21 +307,11 @@ class Mat:
         if w == n and other._den == 1 and other._nums[:: n + 1].count(1) == n and other._nums.count(0) == n * n - n:
             return self  # other is I_n, n ones on its diagonal and zeros elsewhere: M I = M exactly
         left, right, rows = self._nums, other._nums, self.rows
-        # pack when nnz_left * excess > n * cost (see the module docstring); that needs rows * excess > cost,
-        # so a single left row or a right factor of unit columns skips counting the left factor
-        excess, cost = len(right) - right.count(0) - n, w * (n + 2 * rows)
-        if rows * excess > cost and (len(left) - left.count(0)) * excess > n * cost:
-            return Mat._make(rows, w, _packed_product(left, right, rows, n, w), self._den * other._den)
-        rhs = [[(j, y) for j, y in enumerate(right[k * w : (k + 1) * w]) if y] for k in range(n)]
-        nums = []
-        for i in range(rows):
-            acc = [0] * w
-            for x, row in zip(left[i * n : (i + 1) * n], rhs):
-                if x:
-                    for j, y in row:
-                        acc[j] += x * y
-            nums.extend(acc)
-        return Mat._make(rows, w, nums, self._den * other._den)
+        # pack when 0 < nnz_left < nnz_right (2 + rows) - n w - rows (n + w) (see the module docstring); a product
+        # whose shape leaves no such room, as a right factor of unit columns mostly does, skips counting the left one
+        room = (len(right) - right.count(0)) * (2 + rows) - n * w - rows * (n + w)
+        kernel = _packed_product if room > 1 and 0 < len(left) - left.count(0) < room else _column_product
+        return Mat._make(rows, w, kernel(left, right, rows, n, w), self._den * other._den)
 
     @property
     def T(self) -> "Mat":
@@ -344,6 +329,23 @@ class Mat:
 
     def __repr__(self) -> str:
         return f"Mat({self.rows}x{self.cols}: {format_matrix(self)!r})"
+
+
+def _column_product(left: tuple, right: tuple, rows: int, n: int, w: int) -> list:
+    """The integer cells of a rows x n by n x w product, row-major, column by column (F. G.
+    Gustavson, ACM TOMS 4(3), 1978): output column j is the sum, over the nonzero y_kj, of
+    y_kj times left column k, a strided slice of `left`, taken as it is for a unit y_kj."""
+    nums = [0] * (rows * w)
+    if not any(left):
+        return nums
+    cols, terms = [left[k::n] for k in range(n)], [[] for _ in range(w)]
+    for p in itertools.compress(range(n * w), right):
+        k, j = divmod(p, w)
+        terms[j].append(cols[k] if right[p] == 1 else map(right[p].__mul__, cols[k]))
+    for j, column in enumerate(terms):
+        if column:
+            nums[j::w] = map(sum, zip(*column)) if len(column) > 1 else column[0]
+    return nums
 
 
 def _packed_product(left: tuple, right: tuple, rows: int, n: int, w: int) -> list:
@@ -573,14 +575,18 @@ class Span:
         return sorted(missed)
 
 
-def eliminate(a: Mat, b: Optional[Mat] = None) -> Span:
-    """The one elimination: [a | b], or a alone, reduced with pivots in a's columns."""
-    rhs = Mat.zeros(a.rows, 0) if b is None else b
-    if a.rows != rhs.rows:
-        raise DimensionMismatch(f"row counts differ: {a.rows} vs {rhs.rows}")
-    common, p, q = math.lcm(a._den, rhs._den), a.cols, rhs.cols
-    an, bn = a._scaled_nums(common), rhs._scaled_nums(common)
-    rows = [list(an[i * p : (i + 1) * p] + bn[i * q : (i + 1) * q]) for i in range(a.rows)]
+def eliminate(a: Mat, b: Optional[Mat] = None, transposed: bool = False) -> Span:
+    """The one elimination: [a | b], or a alone, reduced with pivots in a's columns; with
+    `transposed`, [a^T | b^T], or a^T alone, its rows read off the columns of a and b."""
+    rhs = (Mat.zeros(0, a.cols) if transposed else Mat.zeros(a.rows, 0)) if b is None else b
+    (count, p), (found, q) = (a.shape[::-1], rhs.shape[::-1]) if transposed else (a.shape, rhs.shape)
+    if found != count:
+        raise DimensionMismatch(f"row counts differ: {count} vs {found}")
+    an, bn = a._scaled_nums(common := math.lcm(a._den, rhs._den)), rhs._scaled_nums(common)
+    if transposed:  # row i is column i of a and of b, one strided slice of each
+        rows = [list(an[i::count] + bn[i::count]) for i in range(count)]
+    else:
+        rows = [list(an[i * p : (i + 1) * p] + bn[i * q : (i + 1) * q]) for i in range(count)]
     pivots = _rref(rows, p)
     return Span(len(pivots), pivots, rows, p, None if b is None else q)
 
@@ -612,8 +618,8 @@ def pivot_basis(m: Mat) -> tuple:
 
 
 def read_span(a: Mat, b: Optional[Mat] = None) -> Span:
-    """The column span of a plan a, and the transposed solve a^T Z = b^T: `eliminate(a^T, b^T)`."""
-    return eliminate(a.T, None if b is None else b.T)
+    """The column span of a plan a, and the transposed solve a^T Z = b^T: [a^T | b^T], read off columns."""
+    return eliminate(a, b, transposed=True)
 
 
 def invert(m: Mat) -> Optional[Mat]:
@@ -715,23 +721,23 @@ def schur_stable(coeffs: list) -> bool:
     return not lower and g[0] > 0
 
 
-def _staircase(a: Mat, b: Mat, stages: bool) -> tuple:
-    """(r, stable): r is the dimension of the reachable subspace of (a, b) and `stable`, None
-    without `stages`, whether every mode outside it lies strictly inside the unit disc.
+def _staircase(ab: Mat, stages: bool) -> tuple:
+    """(r, stable): r is the dimension of the reachable subspace of the pair whose block is [a, b] = ab
+    and `stable`, None without `stages`, whether every mode outside it lies strictly inside the unit disc.
 
-    Integer rows in semi-echelon form, each zero at the pivots before it.  a' = den * a, the cells
-    of a, is applied by its nonzero rows to the directions each level adds, from b's columns on,
-    until the span is a-invariant.  While its k = n - r missing dimensions are fewer than r and
-    than the directions just added, a direction v goes on only when Y a' v != 0, Y being k rows
-    that annihilate the span, one per column f at no pivot.  Then a unit vector at no pivot whose
-    column of a' is zero adds itself, a stage of polynomial x, and cyclic stages grow from the
-    first other one, e.  Past its n entries a stage's vector carries a tag weighing a'^i e, kept
-    primitive, and earlier rows zeros, as their span is a-invariant.  A dependent vector's tag is
-    a polynomial q, and q(den * z) the characteristic polynomial of a on the stage's quotient.  For
+    Integer rows in semi-echelon form, each zero at the pivots before it.  a' = den * a, ab's first n
+    columns over its denominator, is applied by its nonzero rows to the directions each level adds,
+    from b's columns on, until the span is a-invariant.  While its k = n - r missing dimensions are
+    fewer than r and than the directions just added, a direction v goes on only when Y a' v != 0, Y
+    being k rows that annihilate the span, one per column f at no pivot.  Then a unit vector at no
+    pivot whose column of a' is zero adds itself, a stage of polynomial x, and cyclic stages grow from
+    the first other one, e.  Past its n entries a stage's vector carries a tag weighing a'^i e, kept
+    primitive, and earlier rows zeros, as their span is a-invariant.  A dependent vector's tag is a
+    polynomial q, and q(den * z) the characteristic polynomial of a on the stage's quotient.  For
     0 < k < r the stages run on the k x k map a induces on R^n / span (Kalman), no input; at k >= r it is slower.
     """
-    n, m, den, nums = a.rows, b.cols, a._den, a._nums
-    rows_a = [(i, row) for i in range(n) if any(row := nums[i * n : (i + 1) * n])]
+    n, width, den, nums = ab.rows, ab.cols, ab._den, ab._nums  # width is the stride of a' in nums
+    rows_a = [(i, row) for i in range(n) if any(row := nums[i * width : i * width + n])]
     basis, y_rank = [], None  # (pivot, row); the span's dimension when Y was last built
 
     def annihilator() -> tuple:  # Y as [(f, y)], y zero at the other free columns, by back-substitution; Y a'
@@ -744,7 +750,7 @@ def _staircase(a: Mat, b: Mat, stages: bool) -> tuple:
                     y = [x * (row[p] // g) for x in y]
                     y[p] = -s // g
             ys.append((f, y))
-        return ys, [[sum(map(operator.mul, y, a._nums[c::n])) for c in range(n)] for _, y in ys]
+        return ys, [[sum(map(operator.mul, y, nums[c::width])) for c in range(n)] for _, y in ys]
 
     def times_a(v: list) -> list:  # a zero row of a' costs nothing
         out = [0] * n
@@ -764,7 +770,7 @@ def _staircase(a: Mat, b: Mat, stages: bool) -> tuple:
             basis.append((p, v))
         return v
 
-    level = [list(b._nums[j::m]) for j in range(m)]
+    level = [list(nums[j::width]) for j in range(n, width)]
     while level:  # stops at once when the span is R^n
         added = [v for v in (add(v) for v in level if len(basis) < n) if any(v)]
         if len(added) > (k := n - len(basis)) > 0 and len(basis) > k:
@@ -777,10 +783,10 @@ def _staircase(a: Mat, b: Mat, stages: bool) -> tuple:
     if 0 < n - r < r:  # the quotient map: y_i . a'[:, f_j] / y_i[f_i] over den * lcm(y_i[f_i])
         ys, zs = annihilator() if y_rank != r else (ys, zs)
         n, den, basis = n - r, den * (lcm := math.lcm(*(y[f] for f, y in ys))), []
-        nums = [z[g] * (lcm // y[f]) for (f, y), z in zip(ys, zs) for g, _ in ys]
+        nums, width = [z[g] * (lcm // y[f]) for (f, y), z in zip(ys, zs) for g, _ in ys], n
         rows_a = [(i, row) for i in range(n) if any(row := nums[i * n : (i + 1) * n])]
     pivots = {p for p, _ in basis}
-    basis += [(f, [int(i == f) for i in range(n)]) for f in range(n) if f not in pivots and not any(nums[f::n])]
+    basis += [(f, [int(i == f) for i in range(n)]) for f in range(n) if f not in pivots and not any(nums[f::width])]
     while len(basis) < n:
         basis[done:] = [(p, row[:n] + [0] * (n + 1)) for p, row in basis[done:]]
         done, v = len(basis), [0] * (2 * n + 1)
@@ -792,14 +798,19 @@ def _staircase(a: Mat, b: Mat, stages: bool) -> tuple:
     return r, True
 
 
+def staircase(ab: Mat, stages: bool) -> tuple:
+    """`_staircase` of a pair's block [A, B]: (reachable dimension, stability of the modes outside or None)."""
+    return _staircase(ab, stages)
+
+
 def reachable_rank(a: Mat, b: Mat) -> int:
-    """Dimension of im [b, ab, ..., a^(n-1) b], from `_staircase`."""
-    return _staircase(a, b, False)[0]
+    """Dimension of im [b, ab, ..., a^(n-1) b], from `_staircase` of [a, b]."""
+    return _staircase(Mat.hstack([a, b]), False)[0]
 
 
 def stabilizable(a: Mat, b: Mat) -> bool:
     """Whether every mode outside im [b, ab, ...] is inside the unit disc; for b = [], a's, from `_staircase`."""
-    return _staircase(a, b, True)[1]
+    return _staircase(Mat.hstack([a, b]), True)[1]
 
 
 # -- floating bridge -----------------------------------------------------

@@ -3,18 +3,18 @@
 An excitation plan is a set of k one-step experiments, each a pair of
 initial state and input; stacked, the columns span a subspace of R^(n+m).
 A system on a plan is one product, X+ = [A, B] [X-; U-] (`feedback`), of
-blocks the pair and the plan each build once; consistency is that product
-equal to the data.  A plan decides a property for every consistent system
+the matrices the pair and the plan each keep whole; consistency is that
+product equal to the data.  A plan decides a property for every consistent system
 exactly when its span contains the property's minimum subspace, and any
 basis of that subspace is a minimum excitation.  So a plan is rich exactly
 when [X-; U-] Q = target is solvable, for a `Problem`'s target spanning
 that subspace.  Richness is one read of the plan (`ratmat.read_span`), the
-one an identifier also makes beside its data, and `spans_target` is its one
-test: rank n+m for the target I, else a left kernel Y that annihilates every
-target column.  Design picks a basis, whose elimination also gives q with
-basis q = target, so a plan equal to the design reuses that q.  The missing
-directions of a deficient plan are the basis columns Y does not annihilate,
-on the caller's read or one made here.
+one an identifier also makes beside its data, and `target_gaps` its one
+test: rank n+m, else the target columns that a left kernel Y does not
+annihilate.  Design picks a basis, whose elimination also gives q with
+basis q = target, so a plan equal to the design reuses that q.  The basis is
+some of the target's columns, so the missing directions of a deficient plan
+are a selection from those gaps, on the caller's read or one made here.
 """
 
 from __future__ import annotations
@@ -24,44 +24,38 @@ from functools import cached_property
 from typing import Optional
 
 from .errors import DimensionMismatch
-from .properties import Dims, Problem, PropertySpec, SystemPair
+from .properties import Dims, Problem, PropertySpec, SystemPair, Whole
 from .ratmat import Mat, Span, read_span
 
 
-@dataclass(frozen=True)
-class InputSection:
-    """Excitation plan: column i holds the i-th experiment's state and input."""
+class InputSection(Whole):
+    """Excitation plan, kept as its one (n+m) x k matrix [X-; U-], column i the i-th experiment's
+    state and input, so `split_stacked` copies nothing and a run reads [X-; U-] alone."""
 
-    x_minus: Mat
-    u_minus: Mat
+    _blocks = ("x_minus", "u_minus")
 
-    def __post_init__(self):
-        if self.x_minus.cols != self.u_minus.cols:
+    def __init__(self, x_minus: Mat, u_minus: Mat):
+        if x_minus.cols != u_minus.cols:
             raise DimensionMismatch("state and input blocks need equal column counts")
-        if self.x_minus.cols < 1:
+        self._keep(Mat.vstack([x_minus, u_minus]), x_minus.rows)
+        self.__dict__.update(x_minus=x_minus, u_minus=u_minus)
+
+    def _keep(self, stacked: Mat, n: int) -> None:
+        if stacked.cols < 1:
             raise DimensionMismatch("an excitation plan needs at least one column")
+        self.__dict__.update(_whole=stacked, n=n)
 
-    @property
-    def n(self) -> int:
-        return self.x_minus.rows
+    def _cut(self, lo: int, hi: int) -> Mat:  # rows lo to hi of [X-; U-]
+        return Mat._make(hi - lo, self.k, self._whole._nums[lo * self.k : hi * self.k], self._whole._den)
 
-    @property
-    def m(self) -> int:
-        return self.u_minus.rows
-
-    @property
-    def k(self) -> int:
-        return self.x_minus.cols
-
-    @property
-    def dims(self) -> Dims:
-        return Dims(self.n, self.m)
-
-    _stacked = cached_property(lambda self: Mat.vstack([self.x_minus, self.u_minus]))
+    x_minus = cached_property(lambda self: self._cut(0, self.n))
+    u_minus = cached_property(lambda self: self._cut(self.n, self._whole.rows))
+    m = property(lambda self: self._whole.rows - self.n)
+    k = property(lambda self: self._whole.cols)
 
     def stacked(self) -> Mat:
-        """The (n+m) x k plan [X-; U-], built once and kept outside equality, hash and repr."""
-        return self._stacked
+        """The (n+m) x k plan [X-; U-]."""
+        return self._whole
 
 
 @dataclass(frozen=True)
@@ -90,36 +84,38 @@ def consistent_set_contains(d: Dataset, sys: SystemPair) -> bool:
     return feedback(sys, d.section) == d.x_plus
 
 
-def spans_target(span: Span, problem: Problem) -> bool:
-    """True when the plan read as `span` holds every column of the problem's target: for the
-    target I by the rank alone, else, even for n+m columns of lower rank, by the product of
-    its left kernel with the target."""
-    if problem.target == Mat.identity(problem.dims.total):
-        return span.rank == problem.dims.total
-    return not span.unspanned(problem.target)
+def target_gaps(span: Span, problem: Problem) -> Optional[list]:
+    """Indices of the target's columns outside the plan read as `span`, ascending: none at rank n+m, else
+    those its left kernel does not annihilate, or None for the target I, deficient by the rank alone."""
+    if span.rank == problem.dims.total:
+        return []
+    return None if problem.target == Mat.identity(problem.dims.total) else span.unspanned(problem.target)
 
 
 def is_sufficiently_rich(section: InputSection, p: PropertySpec) -> bool:
     """True when the plan decides `p` no matter what responses come back."""
-    return spans_target(read_span(section.stacked()), Problem.of(p, section.dims))
+    return target_gaps(read_span(section.stacked()), Problem.of(p, section.dims)) == []
 
 
 def missing_directions(
-    section: InputSection, p: PropertySpec, problem: Optional[Problem] = None, span: Optional[Span] = None
+    section: InputSection, p: PropertySpec, problem: Optional[Problem] = None, span: Optional[Span] = None, gaps=None
 ) -> list:
-    """Basis columns of the minimum subspace the plan fails to span: a product
-    with `span`, the caller's read of the plan, else with one read made here."""
-    basis = (problem or Problem.of(p, section.dims)).minimum_basis()
-    return [basis.col(j) for j in (span or read_span(section.stacked())).unspanned(basis)]
+    """Basis columns of the minimum subspace the plan fails to span: the target columns at
+    `Problem.basis_columns` among `gaps`, those the plan misses, else among those of one
+    product with `span`, the caller's read of the plan, or with one read made here."""
+    problem = problem or Problem.of(p, section.dims)
+    columns = problem.basis_columns
+    if gaps is None:
+        gaps = (span or read_span(section.stacked())).unspanned(problem.target)
+    return [problem.target.col(j) for j in gaps if j in columns]
 
 
 def split_stacked(stacked: Mat, dims: Dims) -> InputSection:
-    """Partition an (n+m) x k matrix into its state and input blocks."""
+    """The plan whose matrix [X-; U-] is `stacked`, which it keeps, with n = dims.n state rows."""
     if stacked.rows != dims.total:
         raise DimensionMismatch(f"expected {dims.total} rows, got {stacked.rows}")
-    k, cut, nums, den = stacked.cols, dims.n * stacked.cols, stacked._nums, stacked._den
-    section = InputSection(Mat._make(dims.n, k, nums[:cut], den), Mat._make(dims.m, k, nums[cut:], den))
-    section.__dict__["_stacked"] = stacked
+    section = InputSection.__new__(InputSection)
+    section._keep(stacked, dims.n)
     return section
 
 

@@ -52,7 +52,7 @@ from minexcite import (
 from minexcite.adversary import _verified_pair, counterexample_controllability
 from minexcite.identify import identify_property
 from minexcite.properties import block_traces
-from minexcite.ratmat import read_span, stabilizable
+from minexcite.ratmat import Span, read_span, stabilizable
 
 from conftest import (
     deficient_section,
@@ -599,3 +599,20 @@ def test_product_budget(products):
     section = InputSection(parse_matrix("0, 0; 1, 0"), parse_matrix("0, 1"))
     span = read_span(section.stacked())
     assert products(counterexample_controllability, section, Problem.of(Controllability(), section.dims), 0, span) == 2
+
+
+def test_a_deficient_run_reads_the_gaps_of_its_plan_once(monkeypatch):
+    """A deficient zero pattern or structure run finds the target columns its plan misses
+    with one product of the plan's left kernel and the target (`Span.unspanned`): the
+    richness test, the missing directions and the recipe's missed columns all read it."""
+    calls, real = [], Span.unspanned
+    monkeypatch.setattr(Span, "unspanned", lambda span, b: calls.append(b.shape) or real(span, b))
+    rng, dims = random.Random(71), Dims(3, 2)
+    hidden = rand_system(rng, dims.n, dims.m)
+    patterns = [Sparsity(frozenset({(1, 2), (3, 3)}), frozenset({(2, 1)})), rand_sparsity(rng, dims)]
+    for p in patterns + [rand_structure(rng, dims, mode) for mode in (Mode.INTERSECTION, Mode.EXPRESSION)]:
+        sc = Scenario(dims, hidden, p, deficient_section(rng, dims, minimum_subspace(p, dims).basis, 4))
+        calls.clear()
+        report = run(sc)
+        assert report.outcome == "not_sufficiently_rich" and report.missing and report.counterexample
+        assert len(calls) == 1

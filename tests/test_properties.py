@@ -270,7 +270,8 @@ def control_systems(draw):
     """(A, B) as Fraction lists, often uncontrollable: sparse cells, B with
     repeated, scaled or zero columns, single-input chains with a broken link,
     scalar A with fewer inputs than states, block-diagonal A driven in one
-    block, and no inputs at all."""
+    block, and no inputs at all.  In half the draws B is divided by 11 or 13,
+    so [A, B] holds A over a denominator that B does not share."""
     n, m = draw(st.integers(1, 6)), draw(st.integers(0, 3))
     dense = st.builds(Fraction, st.integers(-3, 3), st.sampled_from([1, 1, 2]))
     cell = draw(st.sampled_from([dense, st.one_of(st.just(Fraction(0)), st.just(Fraction(0)), dense)]))
@@ -297,6 +298,9 @@ def control_systems(draw):
         cut = draw(st.integers(1, n - 1))
         a = [[x if (i < cut) == (j < cut) else Fraction(0) for j, x in enumerate(row)] for i, row in enumerate(a)]
         b = [row if i < cut else [Fraction(0)] * m for i, row in enumerate(b)]
+    if draw(st.booleans()):  # scaling B keeps its span, and so the reachable subspace
+        d = draw(st.sampled_from([11, 13]))
+        b = [[x / d for x in row] for row in b]
     return a, b
 
 
@@ -368,7 +372,8 @@ def test_staircase_finds_the_planted_unreachable_modes(case):
     """A = T [A11, A12; 0, A22] T^-1 and B = T [B1; 0] for a unimodular T: (A11, B1) is a
     companion pair driven at its first state, so controllable, and A22 is upper triangular
     with the planted modes on its diagonal, so the reachable dimension is r and the pair is
-    stabilizable exactly when every planted mode lies strictly inside the unit circle."""
+    stabilizable exactly when every planted mode lies strictly inside the unit circle.  An odd
+    seed divides B by 11, a denominator A's cells do not share."""
     r, m, modes, seed = case
     rng, n = random.Random(seed), r + len(modes)
 
@@ -387,7 +392,7 @@ def test_staircase_finds_the_planted_unreachable_modes(case):
     unit = [[rng.randint(-1, 1) if i > j else int(i == j) for j in range(n)] for i in range(n)]
     order = rng.sample(range(n), n)
     t = Mat([unit[i] for i in order]) @ Mat(unit).T  # a permuted unit lower times a unit upper
-    a, b = t @ Mat(form) @ invert(t), t @ Mat(inputs)
+    a, b = t @ Mat(form) @ invert(t), t @ Mat(inputs) * Fraction(1, 11 if seed % 2 else 1)
     a_rows, b_rows = a.to_lists(), b.to_lists()
     assert kalman_rank_reference(a_rows, b_rows) == r
     sys = SystemPair(a, b)

@@ -341,18 +341,19 @@ def test_product_by_the_identity_is_the_left_operand(inputs):
 @st.composite
 def product_inputs(draw):
     """(a, b) of shapes up to 24x32 by 32x24, empty ones included, each factor of
-    density 0.1 to 1 with zero rows and columns, or a single-row a or a b of unit
-    columns; entries up to 2^bits in magnitude, of both signs, over denominators."""
+    density 0.1 to 1 with zero rows and columns, or a single-row a, an a with one
+    nonzero row or a b of unit columns; entries up to 2^bits in magnitude, of both
+    signs, over denominators."""
     rows, n, w = draw(st.integers(0, 24)), draw(st.integers(0, 32)), draw(st.integers(0, 24))
-    form = draw(st.sampled_from(["dense", "single row", "unit columns"]))
+    form = draw(st.sampled_from(["dense", "single row", "one nonzero row", "unit columns"]))
     rows = 1 if form == "single row" else rows
     bits = draw(st.sampled_from([2, 8, 64, 200]))
     denominators = [draw(st.sampled_from([1, 1, 2, 3, 7, 2**61 - 1])) for _ in range(2)]
     rng = random.Random(draw(st.integers(0, 2**32)))
 
-    def block(r, c, den):
+    def block(r, c, den, one_row=False):
         density = draw(st.floats(0.1, 1.0))
-        zero_rows = set(rng.sample(range(r), rng.randint(0, r // 4)))
+        zero_rows = set(rng.sample(range(r), max(r - 1, 0) if one_row else rng.randint(0, r // 4)))
         zero_cols = set(rng.sample(range(c), rng.randint(0, c // 4)))
         return Mat.from_flat(r, c, [
             Fraction(rng.randint(-(2**bits), 2**bits), den)
@@ -365,19 +366,21 @@ def product_inputs(draw):
         b = Mat.from_flat(n, len(picks), [int(i == p) for i in range(n) for p in picks])
     else:
         b = block(n, w, denominators[1])
-    return block(rows, n, denominators[0]), b
+    return block(rows, n, denominators[0], form == "one nonzero row"), b
 
 
 @settings(max_examples=max(100, settings.default.max_examples), deadline=None)
 @given(product_inputs())
 def test_products_match_fraction_reference(inputs):
-    """`@`, whichever kernel it picks, and the packed kernel on every pair of
-    nonempty factors, give the Fraction product."""
+    """`@`, whichever kernel it picks, the column kernel on every pair of factors and
+    the packed kernel on every pair of nonempty ones give the Fraction product."""
     a, b = inputs
     ref = _ref_matmul(a, b)
     product = a @ b
     assert product == ref
     _assert_canonical(product)
+    cells = ratmat._column_product(a._nums, b._nums, a.rows, a.cols, b.cols)
+    assert Mat._make(a.rows, b.cols, cells, a._den * b._den) == ref
     if a.rows and a.cols and b.cols:
         cells = ratmat._packed_product(a._nums, b._nums, a.rows, a.cols, b.cols)
         assert Mat._make(a.rows, b.cols, cells, a._den * b._den) == ref

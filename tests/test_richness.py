@@ -268,3 +268,53 @@ def test_kept_blocks_stay_out_of_equality_hash_and_repr(blocks):
             assert pair.ab() == ab and plan.stacked() == stacked
         assert kept_pair == pair and hash(kept_pair) == hash(pair) and repr(kept_pair) == repr(pair)
         assert kept_plan == plan and hash(kept_plan) == hash(plan) and repr(kept_plan) == repr(plan)
+
+
+@settings(max_examples=max(150, settings.default.max_examples), deadline=None)
+@given(systems_on_plans(), st.booleans())
+def test_pairs_and_plans_built_from_blocks_or_whole_agree(blocks, autonomous):
+    """A pair from (A, B) and one from [A, B], and a plan from (X-, U-) and one from
+    [X-; U-], keep one matrix each and cut the blocks from it: either way they compare,
+    hash and print alike and read the same blocks and sizes, m = 0 included.  No
+    attribute can be set, and malformed shapes raise DimensionMismatch on both routes,
+    before any block is cut."""
+    a, b, x, u = blocks
+    if autonomous:
+        b, u = Mat.zeros(a.rows, 0), Mat.zeros(0, x.cols)
+    n, m, k = a.rows, b.cols, x.cols
+    dims = Dims(n, m)
+    pairs = SystemPair(a, b), SystemPair.from_ab(Mat.hstack([a, b]))
+    plans = InputSection(x, u), split_stacked(Mat.vstack([x, u]), dims)
+    for first, second in (pairs, plans):
+        assert first == second and hash(first) == hash(second) and repr(first) == repr(second)
+    for pair in pairs:
+        assert (pair.a, pair.b, pair.ab(), pair.n, pair.m, pair.dims) == (a, b, Mat.hstack([a, b]), n, m, dims)
+        for name, value in (("a", a), ("b", b), ("n", n)):
+            with pytest.raises(AttributeError):
+                setattr(pair, name, value)
+    for plan in plans:
+        assert (plan.x_minus, plan.u_minus, plan.stacked()) == (x, u, Mat.vstack([x, u]))
+        assert (plan.n, plan.m, plan.k, plan.dims) == (n, m, k, dims)
+        for name, value in (("x_minus", x), ("u_minus", u), ("k", k)):
+            with pytest.raises(AttributeError):
+                setattr(plan, name, value)
+    malformed = [
+        lambda: SystemPair(Mat.zeros(n, n + 1), b),  # A not square
+        lambda: SystemPair(a, Mat.zeros(n + 1, m)),  # B of other rows than A
+        lambda: SystemPair.from_ab(Mat.zeros(n + 1, n)),  # [A, B] of fewer columns than rows
+        lambda: InputSection(x, Mat.zeros(m, k + 1)),  # blocks of other column counts
+        lambda: InputSection(Mat.zeros(n, 0), Mat.zeros(m, 0)),  # no column
+        lambda: split_stacked(Mat.zeros(n + m + 1, k), dims),  # rows other than n + m
+        lambda: split_stacked(Mat.zeros(n + m, 0), dims),  # no column
+    ]
+    for build in malformed:
+        with pytest.raises(DimensionMismatch):
+            build()
+
+
+def test_a_pair_from_too_few_columns_is_a_dimension_mismatch():
+    # [A, B] with 3 rows and 2 columns has no square A; the blocks used to be cut first
+    with pytest.raises(DimensionMismatch):
+        SystemPair.from_ab(Mat.zeros(3, 2))
+    with pytest.raises(DimensionMismatch, match="at least one column"):
+        split_stacked(Mat.zeros(3, 0), Dims(2, 1))
