@@ -9,9 +9,12 @@ before returning it.  Every recipe takes (section, problem, seed, span),
 and the property table in `identify` holds them as they are.  The table
 hands each recipe the plan's read (`ratmat.read_span`): the one the
 identifier made when it found the plan deficient, or one made for the
-recipe.  Its left kernel gives the annihilated directions, it or its basis
-(the smaller) the residual of a missed column of the target, and, for a
-pair of models, its transposed solve the consistent model.  A zero
+recipe.  Its first kernel column (`Span.annihilator`) gives the annihilated
+direction; the integer columns of its left kernel or its basis (the fewer)
+give the residual of a missed column of the target, one Gram solve and no
+matrix product; and, for a pair of models, its transposed solve (`Span.model`)
+gives the consistent model, and the second model is that one with the
+annihilator's integers added to its row 0.  A zero
 pattern's pair is the zero system and one row along that residual; a
 controllability pair is a diagonal skeleton read in the plan's own state
 coordinates, with the annihilator in one row; a structure's seats its
@@ -23,13 +26,14 @@ problem.
 
 from __future__ import annotations
 
+import math
 import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence, Tuple
 
-from .errors import InconsistentDataset, InternalFault, SectionIsRich
+from .errors import InternalFault, SectionIsRich
 from .properties import (
     Leaf,
     LinearStructure,
@@ -41,7 +45,7 @@ from .properties import (
     flat_chain_ops,
     sparsity_columns,
 )
-from .ratmat import Mat, Span, Subspace, read_span, solve_right
+from .ratmat import Mat, Span, read_span, solve_right
 from .richness import Dataset, InputSection, consistent_set_contains, feedback
 
 
@@ -58,12 +62,7 @@ class CounterexamplePair:
 def find_annihilator(section: InputSection) -> Optional[Mat]:
     """First kernel direction of the transposed plan, an (n+m) x 1 column
     orthogonal to every excitation, or None when the plan has full rank."""
-    return _annihilator(read_span(section.stacked()))
-
-
-def _annihilator(span: Span) -> Optional[Mat]:
-    """The first column of the left kernel of a plan's read, or None when it is empty."""
-    return span.kernel.col(0) if span.kernel.cols else None
+    return read_span(section.stacked()).annihilator
 
 
 def _verified_pair(
@@ -97,7 +96,7 @@ def counterexample_stabilizability(
 
     Raises SectionIsRich when the plan is persistently exciting.
     """
-    ann = _annihilator(span)
+    ann = span.annihilator
     if ann is None:
         raise SectionIsRich("the plan is persistently exciting; stabilizability is decidable")
     n, total, nums = section.n, section.dims.total, ann._nums
@@ -127,7 +126,7 @@ def counterexample_controllability(
             raise SectionIsRich("the plan already pins down the input-to-state map")
         return _verified_pair(section, SystemPair.from_ab(h.T), SystemPair.from_ab(Mat.zeros(1, total)), problem.holds)
 
-    ann = _annihilator(span)
+    ann = span.annihilator
     if ann is None:
         raise SectionIsRich("the plan is persistently exciting; controllability is decidable")
     den, hs = ann._den, ann._nums[:n]
@@ -242,12 +241,20 @@ def counterexample_sparsity(
 def _residual(span: Span, w: Mat) -> Mat:
     """The residual of the column w off the plan's span, nonzero for a column the
     plan misses: w minus its projection onto the span's basis when 2 rank <= n+m,
-    else its projection onto the left kernel, so the Gram solve is the smaller."""
-    h = (w - Subspace._of_independent(span.basis).project(w) if 2 * span.rank <= w.rows
-         else Subspace._of_independent(span.kernel).project(w))
-    if h.is_zero():
+    else its projection onto the left kernel, so the Gram solve is the smaller.
+    The projection C (C^T C)^-1 C^T w, the same for any scaling of C's columns, is
+    formed on the integer columns C of that basis or kernel and w's integers, with
+    one solve and no matrix product."""
+    on_basis = 2 * span.rank <= w.rows
+    c, wn = span.basis if on_basis else span.kernel, w._nums
+    cols = [c._nums[j :: c.cols] for j in range(c.cols)]
+    gram = Mat._make(c.cols, c.cols, [sum(map(operator.mul, x, y)) for x in cols for y in cols])
+    y = solve_right(gram, Mat._make(c.cols, 1, [sum(map(operator.mul, x, wn)) for x in cols]))
+    proj = [sum(map(operator.mul, row, y._nums)) for row in zip(*cols)] or [0] * w.rows  # C y over y's denominator
+    h = [x * y._den - v for x, v in zip(wn, proj)] if on_basis else proj
+    if not any(h):
         raise InternalFault("a missed column must leave a nonzero residual")
-    return h
+    return Mat._make(w.rows, 1, h, w._den * y._den)
 
 
 def counterexample_structure(
@@ -323,18 +330,19 @@ def distinct_consistent_pair(d: Dataset, span: Optional[Span] = None) -> Tuple[S
     This certifies that the model cannot be identified from the data; it
     carries no property split.  One read of the plan beside X+ gives both:
     the consistent model whose free directions are 0 (the transposed solve)
-    and a second one shifted along the first annihilator.  `span` is that
-    read when model recovery has already made it.
+    and a second one, its row 0 shifted along the first annihilator.  `span`
+    is that read when model recovery has already made it.  Raises
+    InconsistentDataset when no system reproduces the data.
     """
     span = span or read_span(d.section.stacked(), d.x_plus)
-    ann = _annihilator(span)
+    ann = span.annihilator
     if ann is None:
         raise SectionIsRich("the plan is persistently exciting; the model is unique")
-    if span.solution is None:
-        raise InconsistentDataset("no linear system reproduces this dataset")
-    base = SystemPair.from_ab(span.solution.T)
-    shift = _single_row(d.section.n, d.section.dims.total, 0, ann._nums, ann._den)
-    other = SystemPair.from_ab(base.ab() + shift)
+    model = span.model
+    den = math.lcm(model._den, ann._den)
+    cells, f = list(model._scaled_nums(den)), den // ann._den
+    cells[: ann.rows] = [x + f * v for x, v in zip(cells, ann._nums)]  # row 0 moves along the annihilator
+    base, other = SystemPair.from_ab(model), SystemPair.from_ab(Mat._make(model.rows, model.cols, cells, den))
     for sys in (base, other):
         if not consistent_set_contains(d, sys):
             raise InternalFault("constructed consistent system fails to reproduce the data")

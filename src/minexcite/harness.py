@@ -12,7 +12,9 @@ property's own test, and a whole-space one (S = I, Q = I) makes no
 product.  On an explicit plan the identifier's read of the plan's span
 travels with its failure, in `NotSufficientlyRich` or the not_identifiable
 result, to the certificate, which reads its annihilators and consistent
-model from it.  A report computes a square plan's gain, and a rich explicit
+model from it: a deficient run other than model recovery never reads X+
+beside its plan, and model recovery reads it once, for its consistency and
+the pair of models.  A report computes a square plan's gain, and a rich explicit
 plan's Q, only when `gain` or `q` is read, and the gain's spectral radius
 only when that is read.
 """

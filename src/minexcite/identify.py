@@ -11,10 +11,15 @@ So a zero pattern checks entries, a scalar state's controllability reads B
 and a whole-space target reads the model [A, B] off that one read, without
 solving for Q, and a structure reads its traces from the two factors, X+
 and the design's q or Z^T and the target, without forming their product;
-the Q a report shows is solved when first read.  A deficient plan raises
-`NotSufficientlyRich` with the missing directions, read off that span's
-left kernel, and the span itself, from which the counterexample recipe
-reads its certificate; `NotIdentifiable` carries it the same way.  Zero
+the Q a report shows is solved when first read.  The read reduces the plan
+alone and X+'s columns follow it only when the model is read (see
+`ratmat.eliminate`), so a deficient plan's verdict never touches X+: it
+raises `NotSufficientlyRich` with the missing directions, read off that
+span's left kernel (for the target I, the kernel's support), and the span
+itself, from which the counterexample recipe reads its certificate.  Model
+recovery alone reads X+ on a deficient plan, as no system may reproduce the
+data (`InconsistentDataset`); `NotIdentifiable` carries the span the same
+way, its model read once for the pair of models.  Zero
 tests are exact; floats appear only in the spectral radius of a
 synthesized closed loop, computed when first read.  That radius and the
 exact stability verdict share one characteristic polynomial of the loop.
@@ -41,7 +46,7 @@ from .adversary import (
     counterexample_structure,
     distinct_consistent_pair,
 )
-from .errors import GainNotApplicable, InconsistentDataset, NotSufficientlyRich
+from .errors import GainNotApplicable, NotSufficientlyRich
 from .properties import (
     Controllability,
     Identifiability,
@@ -154,8 +159,9 @@ class GainResult:
 
 
 def _not_rich(section: InputSection, problem: Problem, span: Span, gaps: Optional[list]) -> NoReturn:
-    """Raise NotSufficientlyRich with the directions `span`, the plan's read, misses, picked from `gaps`."""
-    gaps = span.unspanned(problem.target) if gaps is None else gaps
+    """Raise NotSufficientlyRich with the directions `span`, the plan's read, misses, picked from `gaps`,
+    which is None only for the target I, whose missed columns are the support of the left kernel."""
+    gaps = span.kernel_support if gaps is None else gaps
     missing = missing_directions(section, problem.prop, problem, span, gaps)
     message = f"plan spans too little: {len(missing)} direction(s) of the minimum subspace missing"
     raise NotSufficientlyRich(message, missing=missing, span=span, gaps=gaps)
@@ -183,9 +189,7 @@ def _read(d: Dataset, problem: Problem, deficient: Callable = _not_rich):
     span = read_span(stacked, d.x_plus)
     if (gaps := target_gaps(span, problem)) != []:
         return deficient(d.section, problem, span, gaps)
-    if span.solution is None:
-        raise InconsistentDataset("no linear system reproduces this dataset")
-    return _Read(span.solution.T, problem.target, cache(lambda: solve_right(stacked, problem.target)))
+    return _Read(span.model, problem.target, cache(lambda: solve_right(stacked, problem.target)))
 
 
 def identify_sparsity(d: Dataset, p: Sparsity, problem: Optional[Problem] = None) -> SparsityReport:
@@ -220,14 +224,21 @@ def identify_linear_structure(
     return StructureReport(Verdict.of(evaluate_expr(p.expr, satisfied)), values, satisfied, read.q)
 
 
+def _not_identifiable(section: InputSection, problem: Problem, span: Span, gaps: Optional[list]) -> NotIdentifiable:
+    """The deficient read of model recovery, once its model has found the data consistent."""
+    span.model  # raises InconsistentDataset when no system reproduces the data
+    return NotIdentifiable(span.rank, section.dims.total - span.rank, span)
+
+
 def recover_model(d: Dataset, problem: Optional[Problem] = None) -> Union[SystemPair, NotIdentifiable]:
-    """Unique exact model when the plan is persistently exciting.
+    """Unique exact model when the plan is persistently exciting, else NotIdentifiable.
 
     Raises InconsistentDataset when no linear system reproduces the data,
-    which can only happen on corrupted input.
+    which can only happen on corrupted input, on a deficient plan too: the
+    one read carries X+, so its transposed solve decides.
     """
     problem = problem or Problem.of(Identifiability(), d.section.dims)
-    read = _read(d, problem, lambda sec, _, span, gaps: NotIdentifiable(span.rank, sec.dims.total - span.rank, span))
+    read = _read(d, problem, _not_identifiable)
     return read if isinstance(read, NotIdentifiable) else SystemPair.from_ab(read.values())
 
 

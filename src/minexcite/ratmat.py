@@ -32,7 +32,12 @@ outweighs packing every right cell, the big multiply-adds and a pass over
 the left and output cells, in units fitted to timings of both on a grid.
 
 `eliminate` is the one entry point of elimination; `rank`, `kernel`, `read_span`
-and the like read the `Span` it returns.  A column lies outside a plan's span
+and the like read the `Span` it returns.  It reduces a alone and logs the row
+operations; b's columns follow the forward half of that log (`_replay`) the first
+time a read asks for them, and the solution comes by back-substitution on the rows
+as they led, so a read of a alone never touches b, and every read equals the one
+that eliminating [a | b] whole gives.  The reads of a come off one table of the
+reduced rows over the lcm of their pivots.  A column lies outside a plan's span
 exactly when its product with the plan's left kernel Y^T is nonzero.
 `_staircase` is the one reader of a pair, on its block [A, B]: one Krylov
 elimination gives its reachable subspace, whose annihilator proves invariance
@@ -50,9 +55,9 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
-from .errors import DimensionMismatch, SpecValidationError
+from .errors import DimensionMismatch, InconsistentDataset, SpecValidationError
 
 # A spectral radius within EIG_MARGIN of 1 is flagged marginal (`identify.GainResult.marginal`).
 EIG_MARGIN = 1e-9
@@ -410,9 +415,10 @@ def format_matrix(m: Mat) -> str:
 
 # -- integer kernels ------------------------------------------------------
 
-def _clear_column(rows: list, r: int, c: int) -> None:
+def _clear_column(rows: list, r: int, c: int, log: Optional[list] = None) -> None:
     """Pivot on rows[r][c]: every other row with a nonzero entry f in column c
-    becomes `piv * row - f * rows[r]`, divided by the gcd of its entries."""
+    becomes `piv * row - f * rows[r]`, divided by g, the gcd of its entries;
+    `log`, when given, gets (i, f, g) for each row i so updated below row r."""
     row_r = rows[r]
     piv = row_r[c]
     for i, row in enumerate(rows):
@@ -421,9 +427,11 @@ def _clear_column(rows: list, r: int, c: int) -> None:
             new = [piv * a - f * b for a, b in zip(row, row_r)]
             g = math.gcd(*new)
             rows[i] = [x // g for x in new] if g > 1 else new
+            if log is not None and i > r:
+                log.append((i, f, g))
 
 
-def _rref(rows: list, pivot_width: int) -> list:
+def _rref(rows: list, pivot_width: int, log: list) -> list:
     """Fraction-free Gauss-Jordan elimination with pivots in the leading columns.
 
     `rows` is a list of integer row lists, modified in place.  Each input
@@ -440,10 +448,14 @@ def _rref(rows: list, pivot_width: int) -> list:
     of its rational Gauss-Jordan counterpart, so pivots and zero rows match
     it, and row r of the reduced form is
     `[Fraction(x, rows[r][pivots[r]]) for x in rows[r]]`.  Returns the pivot
-    column indices in order.
+    column indices in order.  `log` gets the input rows' gcds, then one
+    (p, c, row, updates) per pivot: row p swapped into place, the pivot
+    column c, the row as it leads, and the updates below it that
+    `_clear_column` logs, all that `_replay` and `Span` need of a right side.
     """
+    log.append(gcds := [])
     for i, row in enumerate(rows):
-        g = math.gcd(*row)
+        gcds.append(g := math.gcd(*row))
         if g > 1:
             rows[i] = [x // g for x in row]
     pivots = []
@@ -458,12 +470,43 @@ def _rref(rows: list, pivot_width: int) -> list:
         if p is None:
             continue
         rows[r], rows[p] = rows[p], rows[r]
-        _clear_column(rows, r, c)
+        log.append((p, c, rows[r], updates := []))
+        _clear_column(rows, r, c, updates)
         pivots.append(c)
         r += 1
         if r == nrows:
             break
     return pivots
+
+
+def _replay(log: list, b_rows: list, sa: int) -> tuple:
+    """b's integer rows through `log`, the row operations of `_rref` on a's, as far
+    as they reach below each pivot: the forward half of Gauss-Jordan, all that a row
+    past the rank receives, and a pivot row before it leads.  Returns (ms, rows) in
+    the reduced order, one multiplier per row, for which [ms[i] e | rows[i]], e row
+    i of a as that half leaves it (the row that leads, for a pivot row), is a
+    positive multiple of row i of [a | b] in the same elimination of it whole, and
+    that row itself once an update has reached it.
+
+    b's rows are over a common denominator with a's, which is sa times a's own, so an
+    input row of a divided by g is [g sa e | b_i]; a zero one is made primitive, as
+    no update reaches it.  An update (i, f, g) under pivot piv of row r is one of
+    [a | b] by m_r piv and m_i f, whose part in a is m_i m_r g times the new row of
+    a; as e is primitive, or zero with m, the row is divided by the gcd of m and its
+    part in b, as the whole row would be."""
+    gcd = math.gcd
+    ms, rows = [g * sa for g in log[0]], [row if g else _primitive(list(row)) for g, row in zip(log[0], b_rows)]
+    for r, (p, c, lead, updates) in enumerate(log[1:]):
+        rows[r], rows[p], ms[r], ms[p] = rows[p], rows[r], ms[p], ms[r]
+        row_r, m_r = rows[r], ms[r]
+        u = m_r * lead[c]
+        for i, f, g in updates:
+            m = ms[i]
+            v, m = m * f, m * m_r * g
+            new = [u * x - v * y for x, y in zip(rows[i], row_r)]
+            d = gcd(m, *new)
+            ms[i], rows[i] = (m // d, [x // d for x in new]) if d > 1 else (m, new)
+    return ms, rows
 
 
 def nonnegative_solve(a: Mat, b: Mat) -> Optional[Mat]:
@@ -502,60 +545,123 @@ def nonnegative_solve(a: Mat, b: Mat) -> Optional[Mat]:
 
 @dataclass(frozen=True, eq=False)
 class Span:
-    """What one elimination of [a | b] (see `eliminate`) tells of the row span of a
+    """What one elimination of a beside b (see `eliminate`) tells of the row span of a
     and of b, each read off the kept integer rows when first asked for: the rank
-    and pivot columns of a, its right kernel, a basis of its row space, the
-    columns of a matrix outside that space, the b part of the rows past the rank,
-    and the solution of a Q = b."""
+    and pivot columns of a, its right kernel, its first column and its support, a
+    basis of its row space, the columns of a matrix outside that space, the b part
+    of the rows past the rank, and the solution of a Q = b and its transpose.
+
+    The reads of a come off one table of the reduced rows over one denominator.
+    b's columns follow the logged row operations (`_replay`) the first time a
+    read of b asks for them, so a read of a alone never touches b."""
 
     rank: int
     pivots: list
-    _rows: list = field(repr=False)  # every row of the reduced [a | b]
+    _rows: list = field(repr=False)  # every row of the reduced a
     _width: int = field(repr=False)  # the columns of a
     _rhs: Optional[int] = field(repr=False)  # the columns of b, None without b
+    _b: Callable[[], tuple] = field(repr=False)  # (ms, rows) as `_replay` leaves b's, rows of no entries without b
+    _log: list = field(repr=False)  # the gcds and row operations of the reduction of a
 
     @property
     def _free(self) -> list:  # the columns of a without a pivot, ascending
         return sorted(set(range(self._width)).difference(self.pivots))
 
-    def _reduced(self, cols: Sequence[int]) -> tuple:
+    @cached_property
+    def _table(self) -> tuple:
         """(den, rows): den is the lcm of the pivots, and rows maps each pivot to the
-        row of the reduced form that it leads, at `cols`, over den."""
+        row of the reduced form that it leads, over den, a row scaled only where its
+        pivot differs from den."""
         led = list(zip(self._rows, self.pivots))
         den = math.lcm(*[row[pc] for row, pc in led])
-        return den, {pc: [row[j] * s for j in cols] for row, pc in led for s in [den // row[pc]]}
+        return den, {pc: row if row[pc] == den else [x * (den // row[pc]) for x in row] for row, pc in led}
+
+    @cached_property
+    def _b_rows(self) -> tuple:  # b's columns, replayed once, when first read
+        return self._b()
 
     @cached_property
     def kernel(self) -> Mat:
         """Basis of the right kernel of a, one column per free variable set to 1, leftmost first."""
-        p, free = self._width, self._free
-        den, reduced = self._reduced(free)
+        p, free, (den, table) = self._width, self._free, self._table
         rows = {f: [den * (f == g) for g in free] for f in free}
-        rows.update((pc, [-x for x in row]) for pc, row in reduced.items())
+        rows.update((pc, [-row[f] for f in free]) for pc, row in table.items())
         return Mat._make(p, len(free), [x for i in range(p) for x in rows[i]], den)
+
+    @property
+    def annihilator(self) -> Optional[Mat]:
+        """The first column of `kernel`, None when the kernel is empty, read off the rows that
+        are not zero at its free column: for a plan's read, a direction orthogonal to every
+        experiment."""
+        if self.rank == self._width:
+            return None
+        f, cells = self._free[0], [0] * self._width
+        led = [(row, pc) for row, pc in zip(self._rows, self.pivots) if row[f]]
+        cells[f] = den = math.lcm(*[row[pc] for row, pc in led])
+        for row, pc in led:
+            cells[pc] = -row[f] * (den // row[pc])
+        return Mat._make(self._width, 1, cells, den)
+
+    @property
+    def kernel_support(self) -> list:
+        """The rows of `kernel` that are not zero, ascending: the columns of I outside the row space of a."""
+        free, table = self._free, self._table[1]
+        return [j for j in range(self._width) if j not in table or any(table[j][f] for f in free)]
 
     @cached_property
     def basis(self) -> Mat:
         """The nonzero rows of the reduced a, as columns: a basis of its row space."""
-        den, reduced = self._reduced(range(self._width))
-        return Mat._make(self._width, self.rank, [row[i] for i in range(self._width) for row in reduced.values()], den)
+        den, table = self._table
+        return Mat._make(self._width, self.rank, [row[i] for i in range(self._width) for row in table.values()], den)
 
     @property
     def dependent(self) -> Mat:
-        """The b part of the rows past the rank, which are zero in a: with b = I,
-        a basis of the left kernel of a, as rows; b lies in im a exactly when it is 0."""
-        rows = [row[self._width :] for row in self._rows[self.rank :]]
+        """The b part of the rows past the rank, which are zero in a: with b = I, a basis
+        of the left kernel of a, as rows; b lies in im a exactly when it is 0."""
+        rows = self._b_rows[1][self.rank :]
         return Mat._make(len(rows), self._rhs or 0, [x for row in rows for x in row])
+
+    @cached_property
+    def _solved(self) -> Optional[tuple]:
+        """(den, rows): the rows of `solution` over den, each the b part of the reduced
+        row led at its index, 0 where none leads; None when b is absent or some column
+        of it lies outside im a.  By back-substitution, last pivot first: the row e that
+        leads at pc, m e beside x its row of [a | b] then (`_replay`), gives y_pc, x / m
+        less the sum of e_s y_s over the later pivots s, over e_pc."""
+        (ms, rows), ys = self._b_rows, {}  # pc: (d, y), y / d that b part, d of either sign
+        if self._rhs is None or any(map(any, rows[self.rank :])):
+            return None
+        for r in reversed(range(self.rank)):
+            (_, pc, lead, _), m, row = self._log[r + 1], ms[r], rows[r]
+            if self._rows[r] is lead:  # no later pivot updated it: it is zero at their columns
+                ys[pc] = (m * lead[pc], row)
+                continue
+            terms = [(lead[s], *ys[s]) for s in ys if lead[s]]
+            den = math.lcm(m, *[d for _, d, _ in terms])
+            acc = [x * (den // m) for x in row]
+            for c, d, y in terms:
+                k = c * (den // d)
+                acc = [a - k * v for a, v in zip(acc, y)]
+            g = math.gcd(den := den * lead[pc], *acc)
+            ys[pc] = (den // g, [a // g for a in acc])
+        den, zero = math.lcm(*[d for d, _ in ys.values()]), [0] * self._rhs
+        return den, [[x * (den // ys[i][0]) for x in ys[i][1]] if i in ys else zero for i in range(self._width)]
 
     @cached_property
     def solution(self) -> Optional[Mat]:
         """The Q with a Q = b whose free variables are 0, the minimal-support
         solution, or None when b is absent or some column lies outside im a."""
-        if self._rhs is None or not self.dependent.is_zero():
-            return None
-        p, q = self._width, self._rhs
-        (den, rows), zero = self._reduced(range(p, p + q)), [0] * q
-        return Mat._make(p, q, [x for i in range(p) for x in rows.get(i, zero)], den)
+        solved = self._solved
+        return None if solved is None else Mat._make(self._width, self._rhs, [x for row in solved[1] for x in row], solved[0])
+
+    @cached_property
+    def model(self) -> Mat:
+        """The transpose of `solution`, built as such: for a plan's read beside X+, Z^T, the
+        [A, B] that every consistent system shares on the plan's span; InconsistentDataset
+        when no system reproduces X+."""
+        if (solved := self._solved) is None:
+            raise InconsistentDataset("no linear system reproduces this dataset")
+        return Mat._make(self._rhs, self._width, [x for col in zip(*solved[1]) for x in col], solved[0])
 
     def unspanned(self, b: Mat) -> list:
         """Indices of the columns of b outside the row space of a, ascending: the nonzero
@@ -564,10 +670,9 @@ class Span:
         pivots pc of (reduced entry at f) * b_pc, with b_i the rows of b."""
         if b.rows != self._width:
             raise DimensionMismatch(f"need columns of {self._width} entries, got {b.rows}")
-        free = self._free
-        b_rows, (den, reduced), missed = b._int_rows(), self._reduced(free), set()
-        for i, f in enumerate(free):
-            terms = [(row[i], b_rows[pc]) for pc, row in reduced.items() if row[i]]
+        b_rows, (den, table), missed = b._int_rows(), self._table, set()
+        for f in self._free:
+            terms = [(row[f], b_rows[pc]) for pc, row in table.items() if row[f]]
             seen = [x * den for x in b_rows[f]] if terms else b_rows[f]
             for c, b_pc in terms:
                 seen = [x - c * y for x, y in zip(seen, b_pc)]
@@ -576,19 +681,23 @@ class Span:
 
 
 def eliminate(a: Mat, b: Optional[Mat] = None, transposed: bool = False) -> Span:
-    """The one elimination: [a | b], or a alone, reduced with pivots in a's columns; with
-    `transposed`, [a^T | b^T], or a^T alone, its rows read off the columns of a and b."""
-    rhs = (Mat.zeros(0, a.cols) if transposed else Mat.zeros(a.rows, 0)) if b is None else b
-    (count, p), (found, q) = (a.shape[::-1], rhs.shape[::-1]) if transposed else (a.shape, rhs.shape)
-    if found != count:
+    """The one elimination: a reduced with its row operations logged, b's columns
+    following them when first read (see `Span`); with `transposed`, a^T beside b^T,
+    its rows read off the columns of a and b."""
+    (count, p), an = a.shape[::-1] if transposed else a.shape, a._nums
+    q = None if b is None else b.rows if transposed else b.cols
+    if b is not None and (found := b.cols if transposed else b.rows) != count:
         raise DimensionMismatch(f"row counts differ: {count} vs {found}")
-    an, bn = a._scaled_nums(common := math.lcm(a._den, rhs._den)), rhs._scaled_nums(common)
-    if transposed:  # row i is column i of a and of b, one strided slice of each
-        rows = [list(an[i::count] + bn[i::count]) for i in range(count)]
-    else:
-        rows = [list(an[i * p : (i + 1) * p] + bn[i * q : (i + 1) * q]) for i in range(count)]
-    pivots = _rref(rows, p)
-    return Span(len(pivots), pivots, rows, p, None if b is None else q)
+    rows = [list(an[i::count]) for i in range(count)] if transposed else [list(an[i * p : (i + 1) * p]) for i in range(count)]
+    pivots = _rref(rows, p, log := [])
+
+    def b_rows() -> tuple:  # row i is column i of b when transposed
+        if b is None:
+            return [0] * count, [()] * count
+        bn = b._scaled_nums(common := math.lcm(a._den, b._den))
+        return _replay(log, [bn[i::count] if transposed else bn[i * q : (i + 1) * q] for i in range(count)], common // a._den)
+
+    return Span(len(pivots), pivots, rows, p, q, b_rows, log)
 
 
 def rank(m: Mat) -> int:
@@ -827,7 +936,7 @@ def characteristic_polynomial(m: Mat) -> list:
 
 
 def _primitive(poly: list) -> list:
-    """Integer polynomial divided by the gcd of its coefficients; 0 stays itself."""
+    """Integer polynomial, or row, divided by the gcd of its entries; 0 stays itself."""
     g = math.gcd(*poly)
     return [c // g for c in poly] if g > 1 else poly
 

@@ -16,6 +16,7 @@ from minexcite import (
     Dims,
     Identifiability,
     InputSection,
+    InternalFault,
     LinearConstraint,
     LinearStructure,
     Mat,
@@ -36,6 +37,7 @@ from minexcite import (
     has_property,
     minimum_subspace,
     parse_matrix,
+    solve_right,
     sparsity_columns,
     split_stacked,
 )
@@ -456,6 +458,59 @@ def test_distinct_consistent_pair():
     assert first != second
     assert consistent_set_contains(d, first)
     assert consistent_set_contains(d, second)
+
+
+@st.composite
+def deficient_reads(draw):
+    """(dataset, w): a plan of n from 1 to 3 and m from 0 to 2, mostly of rank below
+    n+m, with zero rows, and the feedback of a drawn system on it; a column w to take off its
+    span.  Entries are small, or up to 2^200 in magnitude over denominators up to
+    2^61 - 1."""
+    small = st.builds(Fraction, st.integers(-4, 4), st.sampled_from([1, 1, 2, 3]))
+    large = st.builds(Fraction, st.integers(-(2**200), 2**200), st.integers(1, 2**61 - 1))
+    entries = draw(st.sampled_from([small, large, st.one_of(small, large)]))
+    if draw(st.booleans()):
+        entries = st.one_of(st.just(Fraction(0)), entries)
+
+    def block(rows, cols):
+        return Mat.from_flat(rows, cols, draw(st.lists(entries, min_size=rows * cols, max_size=rows * cols)))
+
+    dims = Dims(draw(st.integers(1, 3)), draw(st.integers(0, 2)))
+    r, k = draw(st.integers(0, dims.total)), draw(st.integers(1, dims.total + 2))
+    plan = block(dims.total, r) @ block(r, k) if r else Mat.zeros(dims.total, k)
+    zero_rows = draw(st.sets(st.integers(0, dims.total - 1), max_size=1))
+    plan = Mat.from_flat(dims.total, k, [0 if i in zero_rows else plan[i, j] for i in range(dims.total) for j in range(k)])
+    section = split_stacked(plan, dims)
+    return excite(SystemPair.from_ab(block(dims.n, dims.total)), section), block(dims.total, 1)
+
+
+@settings(max_examples=max(200, settings.default.max_examples), deadline=None)
+@given(deficient_reads())
+def test_pair_and_residual_match_their_matrix_formulas(case):
+    """The pair of models and the residual, built on the read's integers, against the
+    matrix formulas they replace: the model `solution.T` and that model plus the first
+    kernel column in row 0; and w minus its projection B (B^T B)^-1 B^T w onto the
+    basis B, which is also the projection onto the kernel."""
+    d, w = case
+    span = read_span(d.section.stacked(), d.x_plus)
+    if span.rank == d.section.dims.total:
+        with pytest.raises(SectionIsRich):
+            distinct_consistent_pair(d, span)
+    else:
+        model, ann, n, total = span.solution.T, span.kernel.col(0), d.section.n, d.section.dims.total
+        shift = Mat.from_flat(n, total, [ann[j, 0] if i == 0 else 0 for i in range(n) for j in range(total)])
+        assert distinct_consistent_pair(d, span) == (SystemPair.from_ab(model), SystemPair.from_ab(model + shift))
+
+    def projection(c: Mat) -> Mat:
+        return c @ solve_right(c.T @ c, c.T @ w) if c.cols else Mat.zeros(w.rows, 1)
+
+    h = w - projection(span.basis)
+    assert h == projection(span.kernel)
+    if h.is_zero():
+        with pytest.raises(InternalFault):
+            adversary._residual(span, w)
+    else:
+        assert adversary._residual(span, w) == h
 
 
 @pytest.mark.parametrize("plan", [split_stacked(Mat.identity(3), Dims(2, 1)), CORNER_PLAN], ids=["full", "deficient"])

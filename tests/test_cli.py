@@ -88,6 +88,19 @@ def test_recover_deficit(corner_dataset, capsys):
     assert "not_identifiable" in out and "deficit" in out
 
 
+def test_recover_inconsistent_deficient_dataset_exits_bad_input(tmp_path):
+    # a rank-deficient plan, two equal excitations, whose responses differ: no system
+    # reproduces it, which is bad input, not a deficit; in a whole process, so that an
+    # uncaught exception would show as a traceback
+    data = tmp_path / "data.yaml"
+    data.write_text('n: 2\nm: 1\nk: 2\nX: "1, 1; 0, 0"\nU: "0, 0"\nXp: "1, 2; 0, 0"\n')
+    proc = _cli_process("recover", "--data", str(data))
+    assert proc.returncode == EXIT_BAD_INPUT
+    assert "Traceback" not in proc.stderr
+    assert "bad input: no linear system reproduces this dataset" in proc.stderr
+    assert "not_identifiable" not in proc.stdout
+
+
 def test_identify_corrupted_rich_dataset_exits_bad_input(tmp_path, sparsity_prop):
     # a rich, overdetermined plan whose responses no linear system reproduces (its
     # last column should read 2; 3): the one read of the plan beside its data refuses

@@ -49,7 +49,8 @@ from minexcite import (
     sparsity_columns,
     validate_property,
 )
-from minexcite.adversary import _verified_pair, counterexample_controllability
+from minexcite import ratmat
+from minexcite.adversary import _verified_pair, counterexample_controllability, distinct_consistent_pair
 from minexcite.identify import identify_property
 from minexcite.properties import block_traces
 from minexcite.ratmat import Span, read_span, stabilizable
@@ -213,6 +214,22 @@ def test_corrupted_dataset_detected():
 
     with pytest.raises(InconsistentDataset):
         recover_model(corrupted_dataset())
+
+
+def test_inconsistent_deficient_dataset_detected():
+    """A rank-deficient plan whose responses no system reproduces: the two excitations
+    are equal while their responses differ.  Model recovery reads the consistency off
+    its one read of the plan beside X+ before it reports the deficit, as the pair of
+    models does on the same read."""
+    from minexcite import InconsistentDataset
+
+    d = Dataset(InputSection(parse_matrix("1, 1; 0, 0"), parse_matrix("0, 0")), parse_matrix("1, 2; 0, 0"))
+    with pytest.raises(InconsistentDataset):
+        recover_model(d)
+    with pytest.raises(InconsistentDataset):
+        distinct_consistent_pair(d)
+    consistent = Dataset(d.section, parse_matrix("1, 1; 0, 0"))
+    assert recover_model(consistent) == NotIdentifiable(stacked_rank=1, deficit=2)
 
 
 def test_corrupted_dataset_detected_by_zero_patterns_and_structures():
@@ -599,6 +616,52 @@ def test_product_budget(products):
     section = InputSection(parse_matrix("0, 0; 1, 0"), parse_matrix("0, 1"))
     span = read_span(section.stacked())
     assert products(counterexample_controllability, section, Problem.of(Controllability(), section.dims), 0, span) == 2
+    # a deficient zero pattern's run: its excitation, then its pair's shared feedback and
+    # consistency check; the residual of its missed column is formed on the integers of
+    # the plan's read, with no product
+    section = deficient_section(random.Random(61), dims, minimum_subspace(sparsity, dims).basis, 4)
+    assert products(run, Scenario(dims, hidden, sparsity, section)) == 3
+
+
+def test_replay_budget(monkeypatch):
+    """The data columns beside a plan follow its elimination only when first read.  A
+    deficient run of a property other than identifiability reads the plan alone, so it
+    replays no data column; a deficient identifiability run replays them once, for the
+    consistency and the pair of models, and so does the one read of a rich explicit plan.
+    The Gram and signed solves of the certificates replay their own right-hand sides."""
+    def primitive(rows) -> tuple:  # the row count, then the cells over their gcd: equal for positive multiples
+        cells = [x for row in rows for x in row]
+        g = math.gcd(*cells) or 1
+        return (len(rows), *(x // g for x in cells))
+
+    replays, real = [], ratmat._replay
+    monkeypatch.setattr(ratmat, "_replay", lambda *args: replays.append(primitive(args[1])) or real(*args))
+
+    def of_data(x_plus: Mat) -> int:  # the replays of X+'s columns, each a row beside the plan's transpose
+        return replays.count(primitive([x_plus._nums[j :: x_plus.cols] for j in range(x_plus.cols)]))
+
+    rng, dims = random.Random(73), Dims(3, 2)
+    hidden = rand_system(rng, dims.n, dims.m)
+    props = [
+        Sparsity(frozenset({(1, 2), (3, 3)}), frozenset({(2, 1)})),
+        *(rand_structure(rng, dims, mode) for mode in Mode),
+        Stabilizability(),
+        Controllability(),
+        Identifiability(),
+    ]
+    for p in props:
+        plan = deficient_section(rng, dims, minimum_subspace(p, dims).basis, 4)
+        replays.clear()
+        report = run(Scenario(dims, hidden, p, plan))
+        assert report.outcome in ("not_sufficiently_rich", "not_identifiable")
+        assert of_data(report.dataset.x_plus) == (report.outcome == "not_identifiable")
+    for p in props:
+        design = design_minimum_input(p, dims)
+        t = rand_invertible(rng, design.k)
+        data, problem = excite(hidden, InputSection(design.x_minus @ t, design.u_minus @ t)), Problem.of(p, dims)
+        replays.clear()
+        identify_property(data, problem)
+        assert of_data(data.x_plus) == len(replays) == 1
 
 
 def test_a_deficient_run_reads_the_gaps_of_its_plan_once(monkeypatch):

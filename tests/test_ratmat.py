@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from minexcite import (
     DimensionMismatch,
     GainResult,
+    InconsistentDataset,
     Mat,
     Subspace,
     contains,
@@ -446,6 +447,111 @@ def test_span_read_matches_the_separate_calls(inputs):
     assert (bare.rank, bare.kernel, bare.solution) == (span.rank, span.kernel, None)
     assert bare.unspanned(target) == span.unspanned(target)
     assert Subspace(plan.rows, bare.basis) == basis
+
+
+@st.composite
+def span_inputs(draw):
+    """(a, b, transposed): a matrix a, often of lower rank, with zero rows and columns,
+    rank 0 and full rank among them, and b absent, I or a block beside a (its columns
+    beside a's when transposed), often in a's row space.  Entries are small, or up to
+    2^200 in magnitude over denominators up to 2^61 - 1."""
+    small = st.builds(Fraction, st.integers(-6, 6), st.sampled_from([1, 1, 2, 3, 7]))
+    large = st.builds(Fraction, st.integers(-(2**200), 2**200), st.integers(1, 2**61 - 1))
+    entries = draw(st.sampled_from([small, large, st.one_of(small, large)]))
+    if draw(st.booleans()):
+        entries = st.one_of(st.just(Fraction(0)), st.just(Fraction(0)), entries)
+
+    def block(rows, cols):
+        return Mat.from_flat(rows, cols, draw(st.lists(entries, min_size=rows * cols, max_size=rows * cols)))
+
+    count, p, transposed = draw(st.integers(0, 6)), draw(st.integers(0, 5)), draw(st.booleans())
+    shape = draw(st.sampled_from(["any", "low rank", "zero", "full rank"]))
+    if shape == "low rank":
+        k = draw(st.integers(0, min(count, p)))
+        a = _ref_matmul(block(count, k), block(k, p))
+    elif shape == "zero":
+        a = Mat.zeros(count, p)
+    elif shape == "full rank":  # I beside or above anything
+        a = Mat.vstack([Mat.identity(p), block(count - p, p)]) if count >= p else Mat.hstack([Mat.identity(count), block(count, p - count)])
+    else:
+        a = block(count, p)
+    zero_rows = draw(st.sets(st.integers(0, max(count - 1, 0)), max_size=2))
+    zero_cols = draw(st.sets(st.integers(0, max(p - 1, 0)), max_size=2))
+    a = Mat.from_flat(count, p, [0 if i in zero_rows or j in zero_cols else a[i, j] for i in range(count) for j in range(p)])
+    kind, q = draw(st.sampled_from(["none", "identity", "spanned", "any"])), draw(st.integers(0, 3))
+    if kind == "none":
+        b = None
+    elif kind == "identity":
+        b = Mat.identity(count)
+    else:
+        b = _ref_matmul(a, block(p, q)) if kind == "spanned" else block(count, q)
+    if transposed:
+        return a.T, None if b is None else b.T, True
+    return a, b, False
+
+
+def _primitive_row(row):
+    """The integer row on the line of a rational one: made integer and primitive, sign as given."""
+    den = math.lcm(*(v.denominator for v in row))
+    nums = [int(v * den) for v in row]
+    g = math.gcd(*nums)
+    return [x // g for x in nums] if g > 1 else nums
+
+
+@settings(max_examples=max(200, settings.default.max_examples), deadline=None)
+@given(span_inputs())
+def test_span_readers_match_fraction_reference(inputs):
+    """Every reader of one elimination against Gauss-Jordan on [a | b] with a Fraction per
+    cell: the reads of a, the b part past the rank, whose rows are those of the reduced
+    [a | b] eliminated whole (a positive multiple of the reference's rows, sign and all,
+    made primitive), and the solution and its transpose, which follow b's columns
+    through the row operations that reduced a alone."""
+    a, b, transposed = inputs
+    span = ratmat.eliminate(a, b, transposed)
+    a_rows, b_rows = (a.T, None if b is None else b.T) if transposed else (a, b)
+    count, p = a_rows.shape
+    q = 0 if b is None else b_rows.cols
+    cells = [a_rows.row_list(i) + (b_rows.row_list(i) if b is not None else []) for i in range(count)]
+    pivots = _ref_rref(cells, p)
+    r = len(pivots)
+    assert (span.rank, span.pivots) == (r, pivots)
+
+    null = []  # the kernel's columns, one per free column f set to 1
+    for f in (c for c in range(p) if c not in pivots):
+        null.append([Fraction(i == f) for i in range(p)])
+        for row, pc in zip(cells, pivots):
+            null[-1][pc] = -row[f]
+    assert span.kernel == Mat.from_flat(p, len(null), [v[i] for i in range(p) for v in null])
+    assert span.annihilator == (Mat.column(null[0]) if null else None)
+    assert span.kernel_support == [i for i in range(p) if any(v[i] for v in null)]
+    assert span.basis == Mat.from_flat(p, r, [row[i] for i in range(p) for row in cells[:r]])
+    target = Mat.from_flat(p, 3, [(i + j) % 3 - 1 for i in range(p) for j in range(3)])
+    missed = [j for j in range(3) if any(sum(v[i] * target[i, j] for i in range(p)) for v in null)]
+    assert span.unspanned(target) == missed
+    assert span.unspanned(Mat.identity(p)) == span.kernel_support
+
+    past = [row[p:] for row in cells[r:]]
+    dependent = span.dependent
+    assert dependent.shape == (count - r, q)
+    if b is not None:  # eliminated whole, as one elimination of [a | b] leaves it
+        pairs = zip(a_rows._int_rows(), b_rows._int_rows())
+        whole = [[x * b_rows._den for x in ra] + [x * a_rows._den for x in rb] for ra, rb in pairs]
+        ratmat._rref(whole, p, [])
+        assert dependent == Mat._make(count - r, q, [x for row in whole[r:] for x in row[p:]])
+    for i, row in enumerate(past):
+        ours, ref = dependent._nums[i * q : (i + 1) * q], _primitive_row(row) if any(row) else [0] * q
+        assert list(ours) in (ref, [-x for x in ref])
+
+    if b is None or any(any(row) for row in past):
+        assert span.solution is None
+        with pytest.raises(InconsistentDataset):
+            span.model
+    else:
+        solved = {pc: row[p:] for row, pc in zip(cells, pivots)}
+        zero = [Fraction(0)] * q
+        assert span.solution == Mat.from_flat(p, q, [x for i in range(p) for x in solved.get(i, zero)])
+        assert span.model == Mat.from_flat(q, p, [solved.get(i, zero)[j] for j in range(q) for i in range(p)])
+        assert a_rows @ span.solution == b_rows
 
 
 @st.composite
