@@ -85,7 +85,6 @@ from .identify import (
 )
 from .adversary import (
     CounterexamplePair,
-    algorithm1_signs,
     algorithm2_signs,
     distinct_consistent_pair,
     find_annihilator,

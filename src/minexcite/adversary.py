@@ -36,7 +36,6 @@ from typing import Callable, Optional, Sequence, Tuple
 from .errors import InternalFault, SectionIsRich
 from .properties import (
     Leaf,
-    LinearStructure,
     Mode,
     Problem,
     SetExpr,
@@ -154,70 +153,38 @@ KEEP = "keep"
 COMPLEMENT = "complement"
 
 
-def algorithm1_signs(p: LinearStructure, c1: frozenset) -> tuple:
-    """Signs for an unbracketed chain, scanned from the last constraint down.
-
-    Returns one of KEEP or COMPLEMENT per constraint; kept constraints pin
-    the reference system inside their value set, complemented ones outside.
-    """
-    ops = flat_chain_ops(p.expr)
-    if ops is None:
-        raise ValueError("the expression is not an unbracketed left-to-right chain")
-    count = len(p.constraints)
-    if not c1:
-        raise InternalFault("the touched-constraint set cannot be empty")
-    signs = [None] * count
-    for i in range(count, 0, -1):
-        before = ops[i - 2] if i >= 2 else None  # operator applied just before constraint i
-        if i in c1 and i != 1:
-            signs[i - 1] = KEEP
-            fill = COMPLEMENT if before == "|" else KEEP
-            for j in range(1, i):
-                signs[j - 1] = fill
-            break
-        elif i not in c1:
-            signs[i - 1] = COMPLEMENT if before == "|" else KEEP
-        else:  # i == 1 and 1 in c1
-            signs[0] = KEEP
-    return tuple(signs)
-
-
 def algorithm2_signs(expr: SetExpr, c1: frozenset) -> tuple:
-    """Signs for an arbitrarily bracketed expression.
+    """Signs for any bracketing of the constraints, unbracketed chains among them.
 
     Descends from the last-executed operator toward a touched constraint,
     fixing the discarded side at each step: complemented under a union,
-    kept under an intersection.
+    kept under an intersection.  A child that is a touched leaf is taken, else
+    the side that holds a touched constraint.  When both children are touched
+    leaves, which on a chain happens only at its bottom node `1 op 2`, a chain
+    takes the right one and any other bracketing the left: on a chain this is
+    Algorithm 1, which scans from the last constraint down and so stops at 2.
+
+    Returns one of KEEP or COMPLEMENT per constraint; kept constraints pin
+    the reference system inside their value set, complemented ones outside.
+    Raises InternalFault when the descent ends on an untouched constraint, as
+    it does when `c1` is empty.
     """
-    if not c1:
-        raise InternalFault("the touched-constraint set cannot be empty")
-    total = len(expr_leaves(expr))
-    signs = {}
-
-    def assign_side(node: SetExpr, sign: str) -> None:
-        for idx in expr_leaves(node):
-            signs[idx] = sign
-
-    node = expr
-    while True:
-        if isinstance(node, Leaf):
-            if node.index not in c1:
-                raise InternalFault("descent ended on an untouched constraint")
-            signs[node.index] = KEEP
-            break
-        discard_sign = COMPLEMENT if node.op == "|" else KEEP
-        left_leaf_c1 = isinstance(node.left, Leaf) and node.left.index in c1
-        right_leaf_c1 = isinstance(node.right, Leaf) and node.right.index in c1
-        if left_leaf_c1 or right_leaf_c1:
-            taken, other = (node.left, node.right) if left_leaf_c1 else (node.right, node.left)
-            signs[taken.index] = KEEP
-            assign_side(other, discard_sign)
-            break
-        left_has = any(i in c1 for i in expr_leaves(node.left))
-        taken, other = (node.left, node.right) if left_has else (node.right, node.left)
-        assign_side(other, discard_sign)
+    tie = -1 if flat_chain_ops(expr) is not None else 0
+    node, signs = expr, {}
+    while not isinstance(node, Leaf):
+        sides = [(node.left, node.right), (node.right, node.left)]
+        leaves = [side for side in sides if isinstance(side[0], Leaf) and side[0].index in c1]
+        if leaves:
+            taken, other = leaves[tie]
+        else:
+            taken, other = sides[0] if any(i in c1 for i in expr_leaves(node.left)) else sides[1]
+        for idx in expr_leaves(other):
+            signs[idx] = COMPLEMENT if node.op == "|" else KEEP
         node = taken
-    return tuple(signs[i] for i in range(1, total + 1))
+    if node.index not in c1:
+        raise InternalFault("descent ended on an untouched constraint")
+    signs[node.index] = KEEP
+    return tuple(signs[i] for i in range(1, len(signs) + 1))
 
 
 def counterexample_sparsity(
@@ -287,7 +254,7 @@ def counterexample_structure(
     if (l + 1) not in c1:
         raise InternalFault("the missed column's constraint must be touched")
 
-    signs = algorithm1_signs(p, c1) if flat_chain_ops(p.expr) is not None else algorithm2_signs(p.expr, c1)
+    signs = algorithm2_signs(p.expr, c1)
 
     targets = [
         c.values.point_inside() if s == KEEP else c.values.point_outside()

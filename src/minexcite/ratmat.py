@@ -388,15 +388,14 @@ def parse_matrix(text: str, rows: Optional[int] = None, cols: Optional[int] = No
     """Parse the matrix literal format: rows split by `;`, entries by `,`.
 
     Entries may be `p/q` fractions, integers, or decimal strings; decimals
-    are parsed exactly.  An empty string denotes a matrix with no rows,
-    in which case `cols` supplies the column count (default 0).
+    are parsed exactly.  Only an empty string denotes a matrix with no
+    cells: of the given shape when `rows` or `cols` is 0, else 0 x 0 when
+    neither is given; a non-empty literal must have the shape given.
     """
     text = text.strip()
-    if rows == 0 or cols == 0:
-        return Mat.zeros(rows or 0, cols or 0)
     if not text:
-        if rows is None and cols is None:
-            return Mat.zeros(0, 0)
+        if rows == 0 or cols == 0 or rows is None and cols is None:
+            return Mat.zeros(rows or 0, cols or 0)
         raise DimensionMismatch("an empty literal cannot express a non-empty matrix")
     data = [[cell for cell in row.split(",")] for row in text.split(";")]
     m = Mat(data)
@@ -912,16 +911,6 @@ def staircase(ab: Mat, stages: bool) -> tuple:
     return _staircase(ab, stages)
 
 
-def reachable_rank(a: Mat, b: Mat) -> int:
-    """Dimension of im [b, ab, ..., a^(n-1) b], from `_staircase` of [a, b]."""
-    return _staircase(Mat.hstack([a, b]), False)[0]
-
-
-def stabilizable(a: Mat, b: Mat) -> bool:
-    """Whether every mode outside im [b, ab, ...] is inside the unit disc; for b = [], a's, from `_staircase`."""
-    return _staircase(Mat.hstack([a, b]), True)[1]
-
-
 # -- floating bridge -----------------------------------------------------
 
 def characteristic_polynomial(m: Mat) -> list:
@@ -1049,7 +1038,7 @@ def _polished_radius(poly: list) -> Optional[object]:
 def root_radius(coeffs: list) -> float:
     """Largest root modulus of a monic rational polynomial, highest degree first,
     Newton-polished on its square-free part; a constant has radius 0.  A figure
-    for display: stability is decided exactly, by `stabilizable` or `schur_stable`."""
+    for display: stability is decided exactly, by `staircase` or `schur_stable`."""
     if len(coeffs) == 1:
         return 0.0
     import mpmath

@@ -117,6 +117,8 @@ def _load_doc(source: Union[str, Path, dict]) -> dict:
     text = Path(source).read_text()
     try:
         doc = yaml.safe_load(text)
+    except RecursionError as exc:  # the composer recurses once per level of nesting
+        raise SpecValidationError(f"{source}: nested too deeply") from exc
     except ValueError as exc:  # a scalar Python refuses, such as an int past 3.11's 4300 digits
         digits = re.search(r"value has (\d+) digits", str(exc))
         what = f"an integer of {digits[1]} digits exceeds {MAX_LITERAL_LENGTH}" if digits else exc

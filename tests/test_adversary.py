@@ -26,7 +26,6 @@ from minexcite import (
     Sparsity,
     Stabilizability,
     SystemPair,
-    algorithm1_signs,
     algorithm2_signs,
     consistent_set_contains,
     counterexample_for,
@@ -258,12 +257,12 @@ def two_constraints(expr, mode=Mode.EXPRESSION) -> LinearStructure:
 
 def test_chain_signs_union_complements_prefix():
     p = two_constraints(Or(Leaf(1), Leaf(2)))
-    assert algorithm1_signs(p, frozenset({2})) == (COMPLEMENT, KEEP)
+    assert algorithm2_signs(p.expr, frozenset({2})) == (COMPLEMENT, KEEP)
 
 
 def test_chain_signs_intersection_keeps_prefix():
     p = two_constraints(And(Leaf(1), Leaf(2)))
-    assert algorithm1_signs(p, frozenset({2})) == (KEEP, KEEP)
+    assert algorithm2_signs(p.expr, frozenset({2})) == (KEEP, KEEP)
 
 
 def test_chain_signs_descend_to_first():
@@ -271,9 +270,9 @@ def test_chain_signs_descend_to_first():
     c2 = LinearConstraint((0, 1, 0), BoundedSet.singleton(0))
     c3 = LinearConstraint((0, 0, 1), BoundedSet.singleton(0))
     p = LinearStructure((c, c2, c3), parse_expr("1 | 2 & 3"), Mode.EXPRESSION)
-    signs = algorithm1_signs(p, frozenset({1}))
+    signs = algorithm2_signs(p.expr, frozenset({1}))
     # scanning down: 3 sits after '&' so it is kept, 2 after '|' so complemented,
-    # the loop then reaches the first constraint and keeps it
+    # the scan then reaches the first constraint and keeps it
     assert signs == (KEEP, COMPLEMENT, KEEP)
 
 
@@ -288,10 +287,48 @@ def test_bracketed_signs_single_leaf():
 
 
 def test_bracketed_signs_flat_chain_contract():
-    # on a flat chain the two procedures need not return identical signs,
-    # but both must produce a valid split; here they do coincide
-    expr = parse_expr("1 & 2")
-    assert algorithm2_signs(expr, frozenset({2})) == (KEEP, KEEP)
+    # a node whose two children are touched leaves: a chain takes the right one, as
+    # Algorithm 1 scans from the last constraint down, any other bracketing the left
+    assert algorithm2_signs(parse_expr("1 | 2"), frozenset({1, 2})) == (COMPLEMENT, KEEP)
+    assert algorithm2_signs(parse_expr("(1 | 2) & (3 | 4)"), frozenset({1, 2})) == (KEEP, COMPLEMENT, KEEP, KEEP)
+
+
+def chain_scan_signs(ops: list, c1: frozenset) -> tuple:
+    """Algorithm 1, the reference scan, on the chain `1 ops[0] 2 ops[1] ... count`:
+    from the last constraint down, sign each untouched constraint by the operator
+    applied just before it; at the first touched one keep it and sign every earlier
+    constraint by that operator; constraint 1, reached touched, is kept."""
+    count = len(ops) + 1
+    signs = [None] * count
+    for i in range(count, 0, -1):
+        before = ops[i - 2] if i >= 2 else None  # operator applied just before constraint i
+        if i in c1 and i != 1:
+            signs[i - 1] = KEEP
+            fill = COMPLEMENT if before == "|" else KEEP
+            for j in range(1, i):
+                signs[j - 1] = fill
+            break
+        elif i not in c1:
+            signs[i - 1] = COMPLEMENT if before == "|" else KEEP
+        else:  # i == 1 and 1 in c1
+            signs[0] = KEEP
+    return tuple(signs)
+
+
+@settings(max_examples=max(300, settings.default.max_examples), deadline=None)
+@given(st.lists(st.sampled_from("&|"), max_size=11).flatmap(
+    lambda ops: st.tuples(st.just(ops), st.sets(st.integers(1, len(ops) + 1), min_size=1))
+))
+@example((["|"], {1, 2}))
+@example((["&", "|"], {1, 2}))
+def test_sign_descent_matches_the_chain_scan(case):
+    # the one descent against Algorithm 1's scan on flat chains of up to 12 constraints
+    ops, c1 = case
+    text = " ".join(f"{op} {i}" for i, op in enumerate(ops, start=2))
+    expr = parse_expr(f"1 {text}")
+    assert properties.flat_chain_ops(expr) == ops
+    event(f"{len(ops) + 1} constraints")
+    assert algorithm2_signs(expr, frozenset(c1)) == chain_scan_signs(ops, frozenset(c1))
 
 
 # -- structure pairs ----------------------------------------------------------------------

@@ -317,6 +317,48 @@ def test_huge_yaml_integer_exits_bad_input(tmp_path, verb, flag, text, length):
 
 
 @pytest.mark.parametrize(
+    "flag, text",
+    [
+        ("--input", 'n: 1\nm: 1\nk: 2\nX: {nested}\nU: "0, 1"\n'),
+        ("--data", 'n: 1\nm: 1\nk: 2\nX: {nested}\nU: "0, 1"\nXp: "1, 1"\n'),
+        ("--property", "type: sparsity\nn: 1\nm: 1\nzeros_A: {nested}\n"),
+    ],
+    ids=["plan", "dataset", "property"],
+)
+@pytest.mark.parametrize("depth", [600, 20000])
+def test_deeply_nested_document_exits_bad_input(tmp_path, stab_prop, flag, text, depth):
+    # the YAML composer recurses once per level, past the frame limit at these depths;
+    # a whole process, so that the RecursionError would show as a traceback
+    doc = tmp_path / "doc.yaml"
+    doc.write_text(text.format(nested="[" * depth + "]" * depth))
+    argv = {"--input": ["check", "--property", stab_prop], "--data": ["recover"], "--property": ["design"]}[flag]
+    proc = _cli_process(*argv, flag, str(doc))
+    assert proc.returncode == EXIT_BAD_INPUT
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr == f"bad input: {doc}: nested too deeply\n"
+
+
+@pytest.mark.parametrize(
+    "argv, text",
+    [
+        (["check", "--property", None, "--input"], 'n: 1\nm: 0\nk: 2\nX: "1, 0"\nU: "7, 7"\n'),
+        (["recover", "--data"], 'n: 1\nm: 0\nk: 2\nX: "1, 0"\nU: "7, 7"\nXp: "1, 0"\n'),
+        (["simulate", "--scenario"], "n: 1\nm: 0\nhidden: {A: '0', B: '7'}\nproperty: {type: stabilizability}\n"),
+    ],
+    ids=["check-plan", "recover-dataset", "simulate-scenario"],
+)
+def test_literal_for_a_zero_size_block_exits_bad_input(tmp_path, capsys, argv, text):
+    # with m = 0 the input block has no cells, so a literal for it is not dropped but refused
+    prop = tmp_path / "prop.yaml"
+    prop.write_text("type: stabilizability\nn: 1\nm: 0\n")
+    doc = tmp_path / "doc.yaml"
+    doc.write_text(text)
+    assert main([str(prop) if arg is None else arg for arg in argv] + [str(doc)]) == EXIT_BAD_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("bad input: expected 0 ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
     "verb, text, field",
     [
         ("design", "type: stabilizability\nn: abc\nm: 1\n", "'n'"),

@@ -41,10 +41,11 @@ def test_only_ratmat_names_the_elimination_kernel():
 
 
 def test_the_walk_sees_the_kernel_in_ratmat():
-    # guards the walk itself: ratmat calls each kernel by name, and `_rref`
-    # from one place, `eliminate`, the entry point of every elimination
+    # guards the walk itself: ratmat calls each kernel by name, and each from one
+    # place, `_rref` from `eliminate`, the entry point of every elimination, and
+    # `_staircase` from `staircase`, the one reader of a pair
     path = PACKAGE / "ratmat.py"
-    (line,) = references(path, "_rref")
-    (entry,) = (f for f in ast.walk(ast.parse(path.read_text())) if getattr(f, "name", None) == "eliminate")
-    assert entry.lineno <= line <= entry.end_lineno
-    assert len(references(path, "_staircase")) >= 2
+    functions = {f.name: f for f in ast.walk(ast.parse(path.read_text())) if isinstance(f, ast.FunctionDef)}
+    for kernel, entry in (("_rref", "eliminate"), ("_staircase", "staircase")):
+        (line,) = references(path, kernel)
+        assert functions[entry].lineno <= line <= functions[entry].end_lineno

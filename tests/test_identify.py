@@ -53,7 +53,7 @@ from minexcite import ratmat
 from minexcite.adversary import _verified_pair, counterexample_controllability, distinct_consistent_pair
 from minexcite.identify import identify_property
 from minexcite.properties import block_traces
-from minexcite.ratmat import Span, read_span, stabilizable
+from minexcite.ratmat import Span, read_span, staircase
 
 from conftest import (
     deficient_section,
@@ -383,7 +383,7 @@ def closed_loops(draw) -> Mat:
 @example(parse_matrix("0.999999999999"))  # radius 1 - 1e-12
 @example(parse_matrix("3/5, -4/5; 4/5, 3/5"))  # a rotation: both eigenvalues on the unit circle
 def test_gain_stabilizing_is_the_exact_stability_of_the_closed_loop(closed_loop):
-    assert loop_gain(closed_loop).stabilizing == stabilizable(closed_loop, Mat.zeros(closed_loop.rows, 0))
+    assert loop_gain(closed_loop).stabilizing == staircase(closed_loop, True)[1]
 
 
 @pytest.mark.parametrize(
@@ -402,7 +402,7 @@ def test_gain_stabilizing_at_the_unit_circle(eliminations, closed_loop, stable):
     # the verdict and the radius read one characteristic polynomial; no staircase runs
     assert eliminations(lambda r: (r.stabilizing, r.radius), res) == 0
     assert res.stabilizing is stable
-    assert stabilizable(res.closed_loop, Mat.zeros(res.closed_loop.rows, 0)) is stable
+    assert staircase(res.closed_loop, True)[1] is stable
 
 
 def test_gain_zero_input_returns_open_loop():

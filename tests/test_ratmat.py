@@ -60,6 +60,14 @@ def test_empty_literal_needs_shape():
         parse_matrix("", rows=2, cols=2)
 
 
+@pytest.mark.parametrize("text, rows, cols", [("7, 7", 0, 2), ("7; 7", 2, 0), ("0", 0, 0), ("7, 7", 0, None)])
+def test_literal_of_an_empty_shape_is_refused(text, rows, cols):
+    # only the empty literal denotes a matrix with no cells; a non-empty one is not dropped
+    assert parse_matrix("", rows=rows, cols=cols).shape == (rows, cols or 0)
+    with pytest.raises(DimensionMismatch):
+        parse_matrix(text, rows=rows, cols=cols)
+
+
 def test_float_entries_rejected():
     with pytest.raises(TypeError):
         Mat([[0.5]])
