@@ -12,12 +12,12 @@ from minexcite import (
     Stabilizability,
     consistent_set_contains,
     counterexample_for,
-    find_annihilator,
     format_matrix,
     has_property,
     is_sufficiently_rich,
     parse_matrix,
 )
+from minexcite.ratmat import read_span
 
 plan = InputSection(parse_matrix("1, 0.5; 0, 1"), parse_matrix("-1, -1"))
 prop = Stabilizability()
@@ -26,7 +26,7 @@ print("Plan columns (state; input):")
 print(f"  [{format_matrix(plan.stacked())}]")
 print(f"sufficiently rich for stabilizability: {is_sufficiently_rich(plan, prop)}\n")
 
-direction = find_annihilator(plan)
+direction = read_span(plan.stacked()).annihilator
 print(f"Blind direction (orthogonal to every excitation): [{format_matrix(direction.T)}]")
 
 pair = counterexample_for(plan, prop, seed=0)

@@ -87,7 +87,6 @@ from .adversary import (
     CounterexamplePair,
     algorithm2_signs,
     distinct_consistent_pair,
-    find_annihilator,
 )
 from .harness import (
     EfficiencyRow,

@@ -5,10 +5,11 @@ that reproduce the exact same feedback data while exactly one has the
 property; no amount of cleverness on such data can settle the question.
 This module constructs such pairs explicitly, one recipe per property
 family, and validates every pair against the exact membership oracle
-before returning it.  Every recipe takes (section, problem, seed, span),
-and the property table in `identify` holds them as they are.  The table
-hands each recipe the plan's read (`ratmat.read_span`): the one the
-identifier made when it found the plan deficient, or one made for the
+before returning it.  Every recipe takes (section, problem, seed, span,
+gaps), and the property table in `identify` holds them as they are.  The
+table hands each recipe the plan's read (`ratmat.read_span`) and the list of
+target columns it misses (`richness.target_gaps`): those the identifier
+found when it found the plan deficient, or those of one read made for the
 recipe.  Its first kernel column (`Span.annihilator`) gives the annihilated
 direction; the integer columns of its left kernel or its basis (the fewer)
 give the residual of a missed column of the target, one Gram solve and no
@@ -58,12 +59,6 @@ class CounterexamplePair:
     shared_feedback: Mat
 
 
-def find_annihilator(section: InputSection) -> Optional[Mat]:
-    """First kernel direction of the transposed plan, an (n+m) x 1 column
-    orthogonal to every excitation, or None when the plan has full rank."""
-    return read_span(section.stacked()).annihilator
-
-
 def _verified_pair(
     section: InputSection, sys_with: SystemPair, sys_without: SystemPair, holds: Callable[[SystemPair], bool]
 ) -> CounterexamplePair:
@@ -87,7 +82,7 @@ def _single_row(n: int, cols: int, row: int, nums: Sequence[int], den: int = 1) 
 
 
 def counterexample_stabilizability(
-    section: InputSection, problem: Problem, seed: int, span: Span, gaps: Optional[list] = None
+    section: InputSection, problem: Problem, seed: int, span: Span, gaps: list
 ) -> CounterexamplePair:
     """Stabilizable system and a consistent partner with an uncontrollable
     eigenvalue at 1, built along an annihilated direction.  Every row of [A, B]
@@ -108,7 +103,7 @@ def counterexample_stabilizability(
 
 
 def counterexample_controllability(
-    section: InputSection, problem: Problem, seed: int, span: Span, gaps: Optional[list] = None
+    section: InputSection, problem: Problem, seed: int, span: Span, gaps: list
 ) -> CounterexamplePair:
     """Controllable system and a consistent uncontrollable partner.
 
@@ -188,14 +183,14 @@ def algorithm2_signs(expr: SetExpr, c1: frozenset) -> tuple:
 
 
 def counterexample_sparsity(
-    section: InputSection, problem: Problem, seed: int, span: Span, gaps: Optional[list] = None
+    section: InputSection, problem: Problem, seed: int, span: Span, gaps: list
 ) -> CounterexamplePair:
     """Property-split pair for a zero pattern: the zero system, and the partner whose row r
     is h / h_c for the first zero (r, c), in `Sparsity.positions` order, whose e_c the plan
-    misses (by `gaps`, else `span`), with h the residual of e_c, which the data cannot see."""
+    misses (by `gaps`), with h the residual of e_c, which the data cannot see."""
     n, total = problem.dims.n, problem.dims.total
     columns = sparsity_columns(problem.prop, problem.dims)
-    missed = {columns[i]: i for i in (span.unspanned(problem.target) if gaps is None else gaps)}
+    missed = {columns[i]: i for i in gaps}
     zero = next(((r - 1, c - 1) for r, c in problem.prop.positions(n) if c - 1 in missed), None)
     if zero is None:
         raise SectionIsRich("the plan spans the constraint directions; the structure is decidable")
@@ -225,7 +220,7 @@ def _residual(span: Span, w: Mat) -> Mat:
 
 
 def counterexample_structure(
-    section: InputSection, problem: Problem, seed: int, span: Span, gaps: Optional[list] = None
+    section: InputSection, problem: Problem, seed: int, span: Span, gaps: list
 ) -> CounterexamplePair:
     """Property-split pair for a combined linear structure.
 
@@ -234,17 +229,16 @@ def counterexample_structure(
     a reference system according to the sign selection, and perturbs it
     along the invisible direction far enough to break every touched
     constraint.  The perturbation scale for bracketed combinations uses a
-    seeded generator so results are replayable.  The missed columns (`gaps`,
-    else read off `span`) and the residual (`_residual`) come from the read of
-    the plan; the constraint rows and the reference system are read off the
-    integers of the target and of the signed solve.
+    seeded generator so results are replayable.  The missed column, the first
+    of `gaps`, and its residual (`_residual`) come from the read of the plan;
+    the constraint rows and the reference system are read off the integers of
+    the target and of the signed solve.
     """
     p, dims, m_mat = problem.prop, problem.dims, problem.target
     n, total, count = dims.n, dims.total, len(p.constraints)
-    missed = span.unspanned(m_mat) if gaps is None else gaps
-    if not missed:
+    if not gaps:
         raise SectionIsRich("the plan spans the constraint directions; the structure is decidable")
-    col_idx = missed[0]
+    col_idx = gaps[0]
     l, j = col_idx // n, col_idx % n
     h = _residual(span, m_mat.col(col_idx))
 

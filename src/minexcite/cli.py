@@ -72,14 +72,13 @@ def _problem_and_plan(args) -> tuple:
 
 def _cmd_check(args) -> int:
     problem, section = _problem_and_plan(args)
-    prop, span = problem.prop, read_span(section.stacked())
-    rich = (gaps := target_gaps(span, problem)) == []
-    rows = [("property", prop.label()), ("k", section.k), ("sufficiently_rich", rich)]
-    if not rich and args.verbose:
-        for i, col in enumerate(missing_directions(section, prop, problem, span, gaps)):
+    prop, gaps = problem.prop, target_gaps(read_span(section.stacked()), problem)
+    rows = [("property", prop.label()), ("k", section.k), ("sufficiently_rich", not gaps)]
+    if gaps and args.verbose:
+        for i, col in enumerate(missing_directions(section, prop, problem, gaps)):
             rows.append((f"missing_{i + 1}", format_matrix(col.T)))
     _emit(rows, args.format)
-    return EXIT_OK if rich else EXIT_NOT_RICH
+    return EXIT_NOT_RICH if gaps else EXIT_OK
 
 
 def _cmd_identify(args) -> int:

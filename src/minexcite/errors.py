@@ -12,10 +12,11 @@ class SpecValidationError(ValueError):
 class NotSufficientlyRich(Exception):
     """An excitation plan cannot settle the requested property.
 
-    Carries the unit directions of the minimum subspace that the plan fails to
+    Carries the basis directions of the minimum subspace that the plan fails to
     span, as column vectors, `span`, the identifier's read of the plan (a
-    `ratmat.Span`), and `gaps`, the indices of the target's columns it misses,
-    which `identify.counterexample_report` hands to the recipe.
+    `ratmat.Span`), and `gaps`, the list of indices of the target's columns it
+    misses (`richness.target_gaps`), which `identify.counterexample_report`
+    hands to the recipe.
     """
 
     def __init__(self, message, missing=(), span=None, gaps=None):

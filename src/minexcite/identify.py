@@ -4,8 +4,8 @@ All verdicts here are guaranteed.  The target and the design come from a
 validated `Problem`, and a plan equal to the design reuses the design's Q.
 Any other plan takes one elimination of [X-; U-]^T beside X+^T
 (`ratmat.read_span`), and that one read decides every property: its rank
-(for the target I) or its product with the target decides richness, its
-transposed solve Z exists exactly when some linear system reproduces the
+and its product with the target decide richness (`richness.target_gaps`),
+its transposed solve Z exists exactly when some linear system reproduces the
 data, and Z^T target is the [A, B] target that every such system shares.
 So a zero pattern checks entries, a scalar state's controllability reads B
 and a whole-space target reads the model [A, B] off that one read, without
@@ -14,18 +14,19 @@ and the design's q or Z^T and the target, without forming their product;
 the Q a report shows is solved when first read.  The read reduces the plan
 alone and X+'s columns follow it only when the model is read (see
 `ratmat.eliminate`), so a deficient plan's verdict never touches X+: it
-raises `NotSufficientlyRich` with the missing directions, read off that
-span's left kernel (for the target I, the kernel's support), and the span
-itself, from which the counterexample recipe reads its certificate.  Model
-recovery alone reads X+ on a deficient plan, as no system may reproduce the
-data (`InconsistentDataset`); `NotIdentifiable` carries the span the same
-way, its model read once for the pair of models.  Zero
-tests are exact; floats appear only in the spectral radius of a
-synthesized closed loop, computed when first read.  That radius and the
-exact stability verdict share one characteristic polynomial of the loop.
+raises `NotSufficientlyRich` with the target columns that span's left kernel
+finds missed, the missing directions picked from them, and the span itself,
+from which the counterexample recipe reads its certificate.  Model recovery
+decides by the rank of its read alone, and alone reads X+ on a deficient
+plan, as no system may reproduce the data (`InconsistentDataset`);
+`NotIdentifiable` carries the span the same way, its model read once for the
+pair of models.  Zero tests are exact; floats appear only in the spectral
+radius of a synthesized closed loop, computed when first read.  That radius
+and the exact stability verdict share one characteristic polynomial of the
+loop.
 
 One table maps each property class to its identifier and its counterexample
-recipe, every recipe taking (section, problem, seed, span, gaps=None);
+recipe, every recipe taking (section, problem, seed, span, gaps);
 `identify_property` and `counterexample_report` take a validated `Problem`
 and look its class up there, as `counterexample_for` does for a property.
 """
@@ -36,7 +37,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import cache, cached_property
-from typing import Callable, NamedTuple, NoReturn, Optional, Union
+from typing import Callable, NamedTuple, Optional, Union
 
 from .adversary import (
     CounterexamplePair,
@@ -158,15 +159,6 @@ class GainResult:
         return abs(self.radius - 1.0) <= EIG_MARGIN
 
 
-def _not_rich(section: InputSection, problem: Problem, span: Span, gaps: Optional[list]) -> NoReturn:
-    """Raise NotSufficientlyRich with the directions `span`, the plan's read, misses, picked from `gaps`,
-    which is None only for the target I, whose missed columns are the support of the left kernel."""
-    gaps = span.kernel_support if gaps is None else gaps
-    missing = missing_directions(section, problem.prop, problem, span, gaps)
-    message = f"plan spans too little: {len(missing)} direction(s) of the minimum subspace missing"
-    raise NotSufficientlyRich(message, missing=missing, span=span, gaps=gaps)
-
-
 class _Read(NamedTuple):
     left: Mat  # X+ on the design, else Z^T, the [A, B] of the transposed solve
     right: Mat  # the design's q, else the target
@@ -178,17 +170,19 @@ class _Read(NamedTuple):
         return self.left @ self.right
 
 
-def _read(d: Dataset, problem: Problem, deficient: Callable = _not_rich):
+def _read(d: Dataset, problem: Problem) -> _Read:
     """The factors of the values and the Q of a rich plan, from the design's q or one
     read of the plan beside its data (see the module docstring); InconsistentDataset
-    when no system reproduces the data.  A deficient plan returns
-    `deficient(section, problem, span, gaps)`, with gaps as `target_gaps` finds them."""
+    when no system reproduces the data.  A deficient plan raises NotSufficientlyRich
+    with the span, the gaps `target_gaps` finds on it and the directions picked from them."""
     stacked = d.section.stacked()
     if stacked == problem.basis:
         return _Read(d.x_plus, problem.q, lambda: problem.q)
     span = read_span(stacked, d.x_plus)
-    if (gaps := target_gaps(span, problem)) != []:
-        return deficient(d.section, problem, span, gaps)
+    if gaps := target_gaps(span, problem):
+        missing = missing_directions(d.section, problem.prop, problem, gaps)
+        message = f"plan spans too little: {len(missing)} direction(s) of the minimum subspace missing"
+        raise NotSufficientlyRich(message, missing=missing, span=span, gaps=gaps)
     return _Read(span.model, problem.target, cache(lambda: solve_right(stacked, problem.target)))
 
 
@@ -224,22 +218,20 @@ def identify_linear_structure(
     return StructureReport(Verdict.of(evaluate_expr(p.expr, satisfied)), values, satisfied, read.q)
 
 
-def _not_identifiable(section: InputSection, problem: Problem, span: Span, gaps: Optional[list]) -> NotIdentifiable:
-    """The deficient read of model recovery, once its model has found the data consistent."""
-    span.model  # raises InconsistentDataset when no system reproduces the data
-    return NotIdentifiable(span.rank, section.dims.total - span.rank, span)
-
-
 def recover_model(d: Dataset, problem: Optional[Problem] = None) -> Union[SystemPair, NotIdentifiable]:
     """Unique exact model when the plan is persistently exciting, else NotIdentifiable.
 
     Raises InconsistentDataset when no linear system reproduces the data,
     which can only happen on corrupted input, on a deficient plan too: the
-    one read carries X+, so its transposed solve decides.
+    one read carries X+, so its transposed solve decides, and its rank decides
+    identifiability.  The design, S = I, is its own model's plan: [A, B] is X+.
     """
-    problem = problem or Problem.of(Identifiability(), d.section.dims)
-    read = _read(d, problem, _not_identifiable)
-    return read if isinstance(read, NotIdentifiable) else SystemPair.from_ab(read.values())
+    problem, stacked = problem or Problem.of(Identifiability(), d.section.dims), d.section.stacked()
+    if stacked == problem.basis:
+        return SystemPair.from_ab(d.x_plus)
+    span = read_span(stacked, d.x_plus)
+    model, deficit = span.model, d.section.dims.total - span.rank
+    return NotIdentifiable(span.rank, deficit, span) if deficit else SystemPair.from_ab(model)
 
 
 def identify_stabilizability(d: Dataset, problem: Optional[Problem] = None) -> Verdict:
@@ -347,7 +339,7 @@ def _identify_structure(d: Dataset, problem: Problem) -> Identification:
 class _Entry(NamedTuple):
     identify: Callable[[Dataset, Problem], Identification]
     # the property-split recipe; None for identifiability, a question about data, not one system
-    counterexample: Optional[Callable[[InputSection, Problem, int, Span, Optional[list]], CounterexamplePair]]
+    counterexample: Optional[Callable[[InputSection, Problem, int, Span, list], CounterexamplePair]]
 
 
 _PROPERTIES = {
@@ -370,8 +362,8 @@ def counterexample_report(
     """Proof that `section` cannot decide the problem's property: a property-split
     pair, or for identifiability two models sharing zero feedback; SectionIsRich if
     it can.  `span` and `gaps` are what `NotSufficientlyRich` carries, when the identifier
-    has read the plan; otherwise the recipe gets one read made here.  The pair of models
-    reads its zero feedback itself."""
+    has read the plan; otherwise the recipe gets one read made here and its `target_gaps`.
+    The pair of models reads its zero feedback itself."""
     recipe = _PROPERTIES[type(problem.prop)].counterexample
     if recipe is None:
         zero = Dataset(section, Mat.zeros(section.n, section.k))
@@ -384,7 +376,8 @@ def counterexample_report(
                 ("shared_Xp", format_matrix(zero.x_plus)),
             ],
         )
-    pair = recipe(section, problem, seed, span or read_span(section.stacked()), gaps)
+    span = span or read_span(section.stacked())
+    pair = recipe(section, problem, seed, span, target_gaps(span, problem) if gaps is None else gaps)
     shared = Dataset(pair.section, pair.shared_feedback)
     return Identification(
         "counterexample",

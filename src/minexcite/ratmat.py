@@ -546,9 +546,9 @@ def nonnegative_solve(a: Mat, b: Mat) -> Optional[Mat]:
 class Span:
     """What one elimination of a beside b (see `eliminate`) tells of the row span of a
     and of b, each read off the kept integer rows when first asked for: the rank
-    and pivot columns of a, its right kernel, its first column and its support, a
-    basis of its row space, the columns of a matrix outside that space, the b part
-    of the rows past the rank, and the solution of a Q = b and its transpose.
+    and pivot columns of a, its right kernel and its first column, a basis of its
+    row space, the columns of a matrix outside that space, the b part of the rows
+    past the rank, and the solution of a Q = b and its transpose.
 
     The reads of a come off one table of the reduced rows over one denominator.
     b's columns follow the logged row operations (`_replay`) the first time a
@@ -600,12 +600,6 @@ class Span:
         for row, pc in led:
             cells[pc] = -row[f] * (den // row[pc])
         return Mat._make(self._width, 1, cells, den)
-
-    @property
-    def kernel_support(self) -> list:
-        """The rows of `kernel` that are not zero, ascending: the columns of I outside the row space of a."""
-        free, table = self._free, self._table[1]
-        return [j for j in range(self._width) if j not in table or any(table[j][f] for f in free)]
 
     @cached_property
     def basis(self) -> Mat:

@@ -10,11 +10,12 @@ basis of that subspace is a minimum excitation.  So a plan is rich exactly
 when [X-; U-] Q = target is solvable, for a `Problem`'s target spanning
 that subspace.  Richness is one read of the plan (`ratmat.read_span`), the
 one an identifier also makes beside its data, and `target_gaps` its one
-test: rank n+m, else the target columns that a left kernel Y does not
-annihilate.  Design picks a basis, whose elimination also gives q with
-basis q = target, so a plan equal to the design reuses that q.  The basis is
-some of the target's columns, so the missing directions of a deficient plan
-are a selection from those gaps, on the caller's read or one made here.
+test, for every property: the list of target columns that the plan's left
+kernel Y does not annihilate, empty at rank n+m.  Design picks a basis, whose
+elimination also gives q with basis q = target, so a plan equal to the design
+reuses that q.  The basis is some of the target's columns, so the missing
+directions of a deficient plan are a selection from those gaps, the caller's
+or those of one read made here.
 """
 
 from __future__ import annotations
@@ -84,30 +85,27 @@ def consistent_set_contains(d: Dataset, sys: SystemPair) -> bool:
     return feedback(sys, d.section) == d.x_plus
 
 
-def target_gaps(span: Span, problem: Problem) -> Optional[list]:
-    """Indices of the target's columns outside the plan read as `span`, ascending: none at rank n+m, else
-    those its left kernel does not annihilate, or None for the target I, deficient by the rank alone."""
-    if span.rank == problem.dims.total:
-        return []
-    return None if problem.target == Mat.identity(problem.dims.total) else span.unspanned(problem.target)
+def target_gaps(span: Span, problem: Problem) -> list:
+    """Indices of the target's columns outside the plan read as `span`, ascending: none at
+    rank n+m, else those its left kernel does not annihilate."""
+    return [] if span.rank == problem.dims.total else span.unspanned(problem.target)
 
 
 def is_sufficiently_rich(section: InputSection, p: PropertySpec) -> bool:
     """True when the plan decides `p` no matter what responses come back."""
-    return target_gaps(read_span(section.stacked()), Problem.of(p, section.dims)) == []
+    return not target_gaps(read_span(section.stacked()), Problem.of(p, section.dims))
 
 
 def missing_directions(
-    section: InputSection, p: PropertySpec, problem: Optional[Problem] = None, span: Optional[Span] = None, gaps=None
+    section: InputSection, p: PropertySpec, problem: Optional[Problem] = None, gaps: Optional[list] = None
 ) -> list:
     """Basis columns of the minimum subspace the plan fails to span: the target columns at
-    `Problem.basis_columns` among `gaps`, those the plan misses, else among those of one
-    product with `span`, the caller's read of the plan, or with one read made here."""
+    `Problem.basis_columns` among `gaps`, the caller's `target_gaps` of the plan, or those of
+    one read made here; the basis columns are found only when some gap exists."""
     problem = problem or Problem.of(p, section.dims)
-    columns = problem.basis_columns
     if gaps is None:
-        gaps = (span or read_span(section.stacked())).unspanned(problem.target)
-    return [problem.target.col(j) for j in gaps if j in columns]
+        gaps = target_gaps(read_span(section.stacked()), problem)
+    return [problem.target.col(j) for j in gaps if j in problem.basis_columns]
 
 
 def split_stacked(stacked: Mat, dims: Dims) -> InputSection:

@@ -32,7 +32,6 @@ from minexcite import (
     design_minimum_input,
     distinct_consistent_pair,
     excite,
-    find_annihilator,
     has_property,
     minimum_subspace,
     parse_matrix,
@@ -44,6 +43,7 @@ from minexcite import adversary, properties
 from minexcite.adversary import COMPLEMENT, KEEP
 from minexcite.properties import And, Leaf, Or, parse_expr
 from minexcite.ratmat import read_span
+from minexcite.richness import target_gaps
 
 from conftest import deficient_section, singleton_structure
 
@@ -65,19 +65,19 @@ def assert_valid_pair(pair: CounterexamplePair, prop) -> None:
 # -- annihilators --------------------------------------------------------------
 
 def test_annihilator_of_two_column_plan():
-    ann = find_annihilator(TWO_COLUMN_PLAN)
+    ann = read_span(TWO_COLUMN_PLAN.stacked()).annihilator
     assert ann is not None
     assert (ann.T @ TWO_COLUMN_PLAN.stacked()).is_zero()
     assert not ann.is_zero()
 
 
 def test_annihilator_none_when_persistently_exciting():
-    assert find_annihilator(FULL_PLAN_21) is None
+    assert read_span(FULL_PLAN_21.stacked()).annihilator is None
 
 
 def test_annihilator_of_zero_section():
     sec = InputSection(Mat.zeros(2, 1), Mat.zeros(1, 1))
-    ann = find_annihilator(sec)
+    ann = read_span(sec.stacked()).annihilator
     assert ann == Mat.identity(3).take_cols([0])
 
 
@@ -161,6 +161,7 @@ def dense_annihilator_plans(draw):
     return prop, split_stacked(Mat(columns).T, dims), draw(st.integers(0, 99))
 
 
+@pytest.mark.reference
 @settings(max_examples=max(200, settings.default.max_examples), deadline=None)
 @given(dense_annihilator_plans())
 def test_stabilizability_and_controllability_pairs_on_dense_annihilators(case):
@@ -228,6 +229,7 @@ def annihilator_case(hs) -> str:
     return "state 0 weighted, state 1 not" if hs[0] else "first weighted state >= 2"
 
 
+@pytest.mark.reference
 @settings(max_examples=max(200, settings.default.max_examples), deadline=None)
 @given(controllability_annihilator_plans())
 def test_controllability_pair_equals_the_permuted_construction(plan):
@@ -235,7 +237,8 @@ def test_controllability_pair_equals_the_permuted_construction(plan):
     # entry for entry, in every case of where the annihilator weighs the states
     span = read_span(plan.stacked())
     event(annihilator_case(span.kernel.col(0)._nums[: plan.n]))
-    pair = adversary.counterexample_controllability(plan, Problem.of(Controllability(), plan.dims), 0, span)
+    problem = Problem.of(Controllability(), plan.dims)
+    pair = adversary.counterexample_controllability(plan, problem, 0, span, target_gaps(span, problem))
     assert (pair.sys_with, pair.sys_without) == permuted_controllability_pair(plan, span)
 
 
@@ -315,6 +318,7 @@ def chain_scan_signs(ops: list, c1: frozenset) -> tuple:
     return tuple(signs)
 
 
+@pytest.mark.reference
 @settings(max_examples=max(300, settings.default.max_examples), deadline=None)
 @given(st.lists(st.sampled_from("&|"), max_size=11).flatmap(
     lambda ops: st.tuples(st.just(ops), st.sets(st.integers(1, len(ops) + 1), min_size=1))
@@ -443,6 +447,7 @@ def deficient_zero_patterns(draw):
     return p, split_stacked(Mat(columns).T, dims), draw(st.integers(0, 99))
 
 
+@pytest.mark.reference
 @settings(max_examples=max(200, settings.default.max_examples), deadline=None)
 @given(deficient_zero_patterns())
 # a zero of B; the residual of e3 off (1, 0, 1) is (-1/2, 0, 1/2), so the partner's
@@ -456,7 +461,8 @@ def test_zero_pattern_pair_equals_its_singleton_structure_pair(case):
     # the zero system seated by the signed solve and the partner broken along h
     p, plan, seed = case
     singleton = singleton_structure(Problem.of(p, plan.dims))
-    expected = adversary.counterexample_structure(plan, singleton, seed, read_span(plan.stacked()))
+    span = read_span(plan.stacked())
+    expected = adversary.counterexample_structure(plan, singleton, seed, span, target_gaps(span, singleton))
     assert counterexample_for(plan, p, seed) == expected
 
 
@@ -521,6 +527,7 @@ def deficient_reads(draw):
     return excite(SystemPair.from_ab(block(dims.n, dims.total)), section), block(dims.total, 1)
 
 
+@pytest.mark.reference
 @settings(max_examples=max(200, settings.default.max_examples), deadline=None)
 @given(deficient_reads())
 def test_pair_and_residual_match_their_matrix_formulas(case):

@@ -54,6 +54,7 @@ from minexcite.adversary import _verified_pair, counterexample_controllability, 
 from minexcite.identify import identify_property
 from minexcite.properties import block_traces
 from minexcite.ratmat import Span, read_span, staircase
+from minexcite.richness import target_gaps
 
 from conftest import (
     deficient_section,
@@ -575,7 +576,7 @@ def test_elimination_budget(eliminations, monkeypatch):
     cases.append((TWO_COLUMN_PLAN, Stabilizability()))  # not rich
     for section, p in cases:
         assert eliminations(is_sufficiently_rich, section, p) == 1 + eliminations(validate_property, p, section.dims)
-        assert eliminations(missing_directions, section, p) == 1 + eliminations(minimum_subspace, p, section.dims)
+        assert eliminations(missing_directions, section, p) == 1 + eliminations(validate_property, p, section.dims)
 
 
 def test_product_budget(products):
@@ -614,8 +615,8 @@ def test_product_budget(products):
     # annihilator e1 weighs the first state but not the second, only the data check's
     # two products remain
     section = InputSection(parse_matrix("0, 0; 1, 0"), parse_matrix("0, 1"))
-    span = read_span(section.stacked())
-    assert products(counterexample_controllability, section, Problem.of(Controllability(), section.dims), 0, span) == 2
+    span, problem = read_span(section.stacked()), Problem.of(Controllability(), section.dims)
+    assert products(counterexample_controllability, section, problem, 0, span, target_gaps(span, problem)) == 2
     # a deficient zero pattern's run: its excitation, then its pair's shared feedback and
     # consistency check; the residual of its missed column is formed on the integers of
     # the plan's read, with no product
@@ -665,17 +666,25 @@ def test_replay_budget(monkeypatch):
 
 
 def test_a_deficient_run_reads_the_gaps_of_its_plan_once(monkeypatch):
-    """A deficient zero pattern or structure run finds the target columns its plan misses
-    with one product of the plan's left kernel and the target (`Span.unspanned`): the
-    richness test, the missing directions and the recipe's missed columns all read it."""
+    """A deficient run of a property split finds the target columns its plan misses with
+    one product of the plan's left kernel and the target (`Span.unspanned`), the target I
+    of stabilizability and controllability included: the richness test, the missing
+    directions and the recipe's missed columns all read it.  Model recovery decides by
+    the rank of its read and makes no such product."""
     calls, real = [], Span.unspanned
     monkeypatch.setattr(Span, "unspanned", lambda span, b: calls.append(b.shape) or real(span, b))
     rng, dims = random.Random(71), Dims(3, 2)
     hidden = rand_system(rng, dims.n, dims.m)
     patterns = [Sparsity(frozenset({(1, 2), (3, 3)}), frozenset({(2, 1)})), rand_sparsity(rng, dims)]
-    for p in patterns + [rand_structure(rng, dims, mode) for mode in (Mode.INTERSECTION, Mode.EXPRESSION)]:
+    structures = [rand_structure(rng, dims, mode) for mode in (Mode.INTERSECTION, Mode.EXPRESSION)]
+    for p in patterns + structures + [Stabilizability(), Controllability()]:
         sc = Scenario(dims, hidden, p, deficient_section(rng, dims, minimum_subspace(p, dims).basis, 4))
         calls.clear()
         report = run(sc)
         assert report.outcome == "not_sufficiently_rich" and report.missing and report.counterexample
         assert len(calls) == 1
+    sc = Scenario(dims, hidden, Identifiability(), deficient_section(rng, dims, Mat.identity(dims.total), 4))
+    calls.clear()
+    report = run(sc)
+    assert report.outcome == "not_identifiable" and report.model_pair
+    assert not calls

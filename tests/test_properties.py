@@ -304,6 +304,7 @@ def control_systems(draw):
     return a, b
 
 
+@pytest.mark.reference
 @settings(max_examples=max(300, settings.default.max_examples), deadline=None)
 @given(control_systems())
 def test_krylov_controllability_matches_full_kalman_rank(case):
@@ -330,6 +331,7 @@ def stability_systems(draw):
     return a, b
 
 
+@pytest.mark.reference
 @settings(max_examples=max(300, settings.default.max_examples), deadline=None)
 @given(stability_systems())
 @example(([[Fraction(1, 2)]], [[]]))  # n = 1, m = 0
@@ -362,6 +364,7 @@ def kalman_forms(draw):
     return n - len(modes), draw(st.integers(1, 3)), modes, draw(st.integers(0, 2**32 - 1))
 
 
+@pytest.mark.reference
 @settings(max_examples=max(100, settings.default.max_examples), deadline=None)
 @given(kalman_forms())
 @example((6, 2, [Fraction(1, 2), Fraction(-5, 4)], 1))  # k < r: the quotient stage
@@ -476,6 +479,7 @@ def trace_factors(draw):
     return left, right, n
 
 
+@pytest.mark.reference
 @settings(max_examples=max(200, settings.default.max_examples), deadline=None)
 @given(trace_factors())
 def test_block_traces_from_the_factors_equal_the_traces_of_their_product(factors):
@@ -591,6 +595,7 @@ def reference_chain_ops(t):
     return ops + ["&" if isinstance(t, And) else "|"]
 
 
+@pytest.mark.reference
 @settings(max_examples=max(300, settings.default.max_examples), deadline=None)
 @given(expr_trees(), expr_trees(), st.data())
 def test_expression_readers_match_recursive_references(t, other, data):

@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from minexcite import (
@@ -14,6 +14,7 @@ from minexcite import (
     Identifiability,
     InputSection,
     Mat,
+    Problem,
     Sparsity,
     Stabilizability,
     Subspace,
@@ -31,7 +32,8 @@ from minexcite import (
 
 from conftest import rand_invertible, rand_sparsity, rand_structure
 from minexcite import Mode
-from minexcite.richness import Dataset, feedback
+from minexcite.ratmat import read_span
+from minexcite.richness import Dataset, feedback, target_gaps
 
 
 TWO_COLUMN_PLAN = InputSection(parse_matrix("1, 0.5; 0, 1"), parse_matrix("-1, -1"))
@@ -88,6 +90,74 @@ def test_missing_directions_reported():
     span = image(TWO_COLUMN_PLAN.stacked())
     assert all(not contains(span, image(v)) for v in missing)
     assert missing_directions(CORNER_PLAN, EXAMPLE_SPARSITY) == []
+
+
+# -- the gaps of a plan ----------------------------------------------------------
+
+KINDS = ("identifiability", "stabilizability", "controllability", "sparsity", "intersection", "expression")
+
+
+@st.composite
+def problems_and_plans(draw):
+    """(kind, problem, plan): a validated property of every kind, and a plan of k columns
+    S = G C, G some of the target's columns beside random ones, so that S spans part of
+    the target, all of it or none, and its rank falls anywhere from 0 to n+m."""
+    dims = Dims(draw(st.integers(1, 3)), draw(st.integers(1, 2)))
+    kind, rng = draw(st.sampled_from(KINDS)), random.Random(draw(st.integers(0, 2**32)))
+    p = {
+        "identifiability": Identifiability,
+        "stabilizability": Stabilizability,
+        "controllability": Controllability,
+        "sparsity": lambda: rand_sparsity(rng, dims),
+        "intersection": lambda: rand_structure(rng, dims, Mode.INTERSECTION),
+        "expression": lambda: rand_structure(rng, dims, Mode.EXPRESSION),
+    }[kind]()
+    problem = Problem.of(p, dims)
+    small = st.builds(Fraction, st.integers(-2, 2), st.sampled_from([1, 1, 2, 3]))
+    every = range(problem.target.cols)
+    taken = every if draw(st.booleans()) else draw(st.lists(st.sampled_from(every), max_size=len(every), unique=True))
+    extra, k = draw(st.integers(0, dims.total)), draw(st.integers(1, dims.total + 1))
+    g = [problem.target.col_list(j) for j in taken]
+    g += [draw(st.lists(small, min_size=dims.total, max_size=dims.total)) for _ in range(extra)]
+    c = [draw(st.lists(small, min_size=k, max_size=k)) for _ in g]
+    cells = [sum((col[i] * row[j] for col, row in zip(g, c)), Fraction(0)) for i in range(dims.total) for j in range(k)]
+    return kind, problem, Mat.from_flat(dims.total, k, cells)
+
+
+def _fraction_rank(columns: list) -> int:
+    """The rank of a list of columns, by Gaussian elimination with a Fraction per cell."""
+    rows, rank = [list(col) for col in columns], 0
+    for c in range(len(rows[0]) if rows else 0):
+        lead = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
+        if lead is None:
+            continue
+        rows[rank], rows[lead] = rows[lead], rows[rank]
+        for i in range(rank + 1, len(rows)):
+            f = rows[i][c] / rows[rank][c]
+            rows[i] = [x - f * y for x, y in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+@pytest.mark.reference
+@settings(max_examples=max(200, settings.default.max_examples), deadline=None)
+@given(problems_and_plans())
+def test_target_gaps_match_the_fraction_reference(case):
+    """`target_gaps` is, for every property, the list of target columns t_j with
+    rank [S | t_j] > rank S: empty exactly when the plan is rich, and never None,
+    the target I and rank-deficient plans included."""
+    kind, problem, plan = case
+    columns = [plan.col_list(j) for j in range(plan.cols)]
+    rank = _fraction_rank(columns)
+    target = problem.target
+    expected = [j for j in range(target.cols) if _fraction_rank(columns + [target.col_list(j)]) > rank]
+    event(f"{kind}, {'rich' if not expected else 'deficient'}{', rank n+m' if rank == problem.dims.total else ''}")
+    gaps = target_gaps(read_span(plan), problem)
+    assert gaps == expected
+    section = split_stacked(plan, problem.dims)
+    assert is_sufficiently_rich(section, problem.prop) == (gaps == [])
+    missing = [target.col(j) for j in expected if j in problem.basis_columns]
+    assert missing_directions(section, problem.prop) == missing_directions(section, problem.prop, problem, gaps) == missing
 
 
 # -- design ----------------------------------------------------------------------
@@ -270,6 +340,7 @@ def test_kept_blocks_stay_out_of_equality_hash_and_repr(blocks):
         assert kept_plan == plan and hash(kept_plan) == hash(plan) and repr(kept_plan) == repr(plan)
 
 
+@pytest.mark.reference
 @settings(max_examples=max(150, settings.default.max_examples), deadline=None)
 @given(systems_on_plans(), st.booleans())
 def test_pairs_and_plans_built_from_blocks_or_whole_agree(blocks, autonomous):
