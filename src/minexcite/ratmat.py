@@ -25,8 +25,11 @@ it is for a unit cell, so right zeros cost nothing: sparse plans, unit
 columns above all, take it.  `_packed_product` packs each right row into one
 int (Kronecker substitution) and makes one big multiply-add per nonzero left
 cell: dense products, a design basis exciting a system or a closed loop's
-powers, take it.  For a rows x n by n x w product the packed kernel runs when
-0 < nnz(left) < nnz(right) (2 + rows) - n w - rows (n + w): when the column
+powers, take it.  Its slots are signed 16-, 32- or 64-bit words, the narrowest
+that holds the bound on a cell, which `struct` packs and reads in C, and only
+past 64 bits are they cut by shifts and masks.  For a rows x n by n x w
+product the packed kernel runs when
+0 < 2 nnz(left) < nnz(right) (3 + 2 rows) - n w - 2 rows (n + w): when the column
 kernel's cost per right nonzero, a fixed part and a cell per left row,
 outweighs packing every right cell, the big multiply-adds and a pass over
 the left and output cells, in units fitted to timings of both on a grid.
@@ -52,6 +55,7 @@ import itertools
 import math
 import operator
 import re
+import struct
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -312,10 +316,10 @@ class Mat:
         if w == n and other._den == 1 and other._nums[:: n + 1].count(1) == n and other._nums.count(0) == n * n - n:
             return self  # other is I_n, n ones on its diagonal and zeros elsewhere: M I = M exactly
         left, right, rows = self._nums, other._nums, self.rows
-        # pack when 0 < nnz_left < nnz_right (2 + rows) - n w - rows (n + w) (see the module docstring); a product
+        # pack when 0 < 2 nnz_left < nnz_right (3 + 2 rows) - n w - 2 rows (n + w) (see the module docstring); a product
         # whose shape leaves no such room, as a right factor of unit columns mostly does, skips counting the left one
-        room = (len(right) - right.count(0)) * (2 + rows) - n * w - rows * (n + w)
-        kernel = _packed_product if room > 1 and 0 < len(left) - left.count(0) < room else _column_product
+        room = (len(right) - right.count(0)) * (3 + 2 * rows) - n * w - 2 * rows * (n + w)
+        kernel = _packed_product if room > 2 and 0 < 2 * (len(left) - left.count(0)) < room else _column_product
         return Mat._make(rows, w, kernel(left, right, rows, n, w), self._den * other._den)
 
     @property
@@ -353,15 +357,45 @@ def _column_product(left: tuple, right: tuple, rows: int, n: int, w: int) -> lis
     return nums
 
 
-def _packed_product(left: tuple, right: tuple, rows: int, n: int, w: int) -> list:
+# The signed little-endian words a packed slot can be, by bits: struct's format for a count of
+# them and the word's top bit as bytes
+_WORDS = {16: ("<%dh", b"\0\x80"), 32: ("<%di", bytes(3) + b"\x80"), 64: ("<%dq", bytes(7) + b"\x80")}
+
+
+def _packed_product(left: tuple, right: tuple, rows: int, n: int, w: int) -> Sequence[int]:
     """The integer cells of a rows x n by n x w product, row-major, by Kronecker
     substitution (see the module docstring): right row k becomes one
-    int R_k = sum_j y_kj 2^(s j), and output row i is read off offset + sum_k x_ik R_k,
-    one big multiply-add per nonzero left cell.  No cell exceeds n max|x| max|y| in
-    magnitude, of s - 1 bits, so the offset's 2^(s-1) in every slot keeps each slot in
-    [0, 2^s) and no borrow or carry crosses slots.  Slots are read by masks and shifts:
+    int R_k = sum_j y_kj 2^(s j), and output row i is read off H + sum_k x_ik R_k,
+    one big multiply-add per nonzero left cell, where H holds 2^(s-1), the top bit of
+    an s-bit slot, in each of the w slots.  No cell exceeds the bound n max|x| max|y|
+    in magnitude, and s is one bit more than the bound has, so every slot of the sum
+    stays in [0, 2^s) and no borrow or carry crosses slots.
+
+    When s is at most 64 the slot widens to s = 16, 32 or 64 bits, the narrowest
+    signed word that holds it, and `struct` converts whole rows in C.  A word holds v as v mod 2^s, and
+    flipping its top bit adds 2^(s-1) to that mod 2^s, which is v + 2^(s-1), in
+    [0, 2^s), for either sign of v.  So right row k packed as words and read as one
+    int T_k gives R_k = (T_k ^ H) - H, and each output slot, c + 2^(s-1), flipped back
+    is the word of c: every row goes out by one `to_bytes` and all by one
+    `struct.unpack`.  Past 64 bits slots are written by shifts and read by masks:
     packed rows can pass the digit limit of int to decimal text conversion."""
-    s = (n * max(map(abs, left)) * max(map(abs, right))).bit_length() + 1
+    s = (n * max(max(left), -min(left)) * max(max(right), -min(right))).bit_length() + 1
+    if 1 < s <= 64:  # a zero left factor, s = 1, takes the shifts: the right one may not fit a word
+        fmt, top = _WORDS[16 if s <= 16 else 32 if s <= 32 else 64]
+        width = 8 * len(top) * w
+        mask, top = (1 << width) - 1, int.from_bytes(top * w, "little")
+        words, packed = int.from_bytes(struct.pack(fmt % (n * w), *right), "little"), []
+        for _ in range(n):
+            packed.append(((words & mask) ^ top) - top)
+            words >>= width
+        out = []
+        for i in range(rows):
+            acc = top
+            for x, r in zip(left[i * n : (i + 1) * n], packed):
+                if x:
+                    acc += x * r
+            out.append((acc ^ top).to_bytes(width // 8, "little"))
+        return struct.unpack(fmt % (rows * w), b"".join(out))
     packed = []
     for k in range(n):
         r = 0

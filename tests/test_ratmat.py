@@ -6,7 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from minexcite import (
@@ -352,11 +352,12 @@ def product_inputs(draw):
     """(a, b) of shapes up to 24x32 by 32x24, empty ones included, each factor of
     density 0.1 to 1 with zero rows and columns, or a single-row a, an a with one
     nonzero row or a b of unit columns; entries up to 2^bits in magnitude, of both
-    signs, over denominators."""
+    signs, over denominators, with bits near each word edge of the packed kernel's
+    slots (2^7, 2^15 and 2^31 make products of 32- and 64-bit bounds) and past it."""
     rows, n, w = draw(st.integers(0, 24)), draw(st.integers(0, 32)), draw(st.integers(0, 24))
     form = draw(st.sampled_from(["dense", "single row", "one nonzero row", "unit columns"]))
     rows = 1 if form == "single row" else rows
-    bits = draw(st.sampled_from([2, 8, 64, 200]))
+    bits = draw(st.sampled_from([2, 7, 8, 15, 31, 33, 64, 200]))
     denominators = [draw(st.sampled_from([1, 1, 2, 3, 7, 2**61 - 1])) for _ in range(2)]
     rng = random.Random(draw(st.integers(0, 2**32)))
 
@@ -383,7 +384,8 @@ def product_inputs(draw):
 @given(product_inputs())
 def test_products_match_fraction_reference(inputs):
     """`@`, whichever kernel it picks, the column kernel on every pair of factors and
-    the packed kernel on every pair of nonempty ones give the Fraction product."""
+    the packed kernel on every pair of nonempty ones, in whichever slot the bound on
+    their cells picks (16, 32 or 64 bits, or wide), give the Fraction product."""
     a, b = inputs
     ref = _ref_matmul(a, b)
     product = a @ b
@@ -392,26 +394,46 @@ def test_products_match_fraction_reference(inputs):
     cells = ratmat._column_product(a._nums, b._nums, a.rows, a.cols, b.cols)
     assert Mat._make(a.rows, b.cols, cells, a._den * b._den) == ref
     if a.rows and a.cols and b.cols:
+        s = (a.cols * max(map(abs, a._nums)) * max(map(abs, b._nums))).bit_length() + 1
+        event(f"slot {next((str(word) for word in (16, 32, 64) if s <= word), 'wide')}")
         cells = ratmat._packed_product(a._nums, b._nums, a.rows, a.cols, b.cols)
         assert Mat._make(a.rows, b.cols, cells, a._den * b._den) == ref
 
 
-@pytest.mark.parametrize("x, y, n, w", [(3, 5, 7, 8), (2**200 - 1, 3**120, 8, 48)], ids=["small", "past-the-digit-limit"])
-def test_packed_slots_hold_the_exact_bound(monkeypatch, x, y, n, w):
+# (x, y, n, rows, w) by case; 2^31 - 1 is prime, so its case has n = 1
+_SLOT_EDGES = {
+    "small": (3, 5, 7, 8, 8),
+    "16-bit-largest": (31, 151, 7, 8, 8),
+    "16-bit-next": (2**6, 2**6, 8, 8, 8),
+    "16-bit-next-one-column": (2**6, 2**6, 8, 8, 1),
+    "32-bit-largest": (2**31 - 1, 1, 1, 8, 8),
+    "32-bit-next": (2**15, 2**15, 2, 8, 8),
+    "32-bit-next-one-row": (2**15, 2**15, 2, 1, 8),
+    "64-bit-largest": (7 * 73 * 127 * 337, 92737 * 649657, 7, 8, 8),
+    "64-bit-next": (2**30, 2**30, 8, 8, 8),
+    "past-the-digit-limit": (2**200 - 1, 3**120, 8, 8, 48),
+}
+
+
+@pytest.mark.parametrize("x, y, n, rows, w", _SLOT_EDGES.values(), ids=_SLOT_EDGES)
+def test_packed_slots_hold_the_exact_bound(monkeypatch, x, y, n, rows, w):
     """Rows of x and of -x against columns of y and -y make cells of exactly
-    +-n x y, the bound the slot width is sized for, in slots next to slots of
-    either sign.  n x y is no power of two, so a slot one bit narrower fails
-    on either sign; the second case's packed rows run to over 14000 bits, past
-    the digit limit of int to decimal text conversion."""
-    rows, bound = 8, n * x * y
+    +-n x y, the bound the slot is sized for, in slots next to slots of either
+    sign.  The word-edge cases put n x y at the largest bound a b = 16-, 32- or
+    64-bit word holds, 2^(b-1) - 1, where a slot one bit or one word narrower
+    fails on either sign, and at the next one up, 2^(b-1), where it fails on
+    +n x y.  In the small and the last case n x y is no power of two, so a slot
+    one bit narrower fails on either sign; the last case's packed rows run to
+    over 14000 bits, past the digit limit of int to decimal text conversion."""
+    bound = n * x * y
     left = Mat.from_flat(rows, n, [x if i % 2 else -x for i in range(rows) for _ in range(n)])
     right = Mat.from_flat(n, w, [y if j % 3 else -y for _ in range(n) for j in range(w)])
     expected = [bound if (i % 2) == bool(j % 3) else -bound for i in range(rows) for j in range(w)]
-    assert ratmat._packed_product(left._nums, right._nums, rows, n, w) == expected
-    kernels = []
-    monkeypatch.setattr(ratmat, "_packed_product", lambda *args: kernels.append(args) or expected)
+    assert list(ratmat._packed_product(left._nums, right._nums, rows, n, w)) == expected
+    kernels, packed = [], ratmat._packed_product
+    monkeypatch.setattr(ratmat, "_packed_product", lambda *args: kernels.append(args) or packed(*args))
     assert left @ right == Mat.from_flat(rows, w, expected)
-    assert len(kernels) == 1  # `@` packs these dense factors
+    assert len(kernels) == (n > 1 and w > 1)  # `@` packs these dense factors but for n = 1 or w = 1
 
 
 @st.composite
