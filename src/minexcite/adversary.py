@@ -21,8 +21,11 @@ controllability pair is a diagonal skeleton read in the plan's own state
 coordinates, with the annihilator in one row; a structure's seats its
 reference system by a signed solve, its signs chosen by reading each node's
 operator.  The pairs are built on the integers of those matrices and of the
-problem's target, and each is checked once, with the oracle of the validated
-problem.
+problem's target, and each is checked once: one product gives the first
+system's feedback on the plan (for the pair of models, checked against X+),
+the second system is checked against it only on the rows where their [A, B]
+differ, with no product (`richness.same_feedback`), and the oracle of the
+validated problem splits them.
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ from .properties import (
     sparsity_columns,
 )
 from .ratmat import Mat, Span, read_span, solve_right
-from .richness import Dataset, InputSection, consistent_set_contains, feedback
+from .richness import Dataset, InputSection, consistent_set_contains, feedback, same_feedback
 
 
 @dataclass(frozen=True)
@@ -62,10 +65,13 @@ class CounterexamplePair:
 def _verified_pair(
     section: InputSection, sys_with: SystemPair, sys_without: SystemPair, holds: Callable[[SystemPair], bool]
 ) -> CounterexamplePair:
-    """The pair sharing the feedback `sys_with` gives on `section`, checked with
-    `holds`, the exact oracle of a property validated by the recipe's caller."""
+    """The pair sharing the feedback `sys_with` gives on `section`, its one product,
+    checked with `holds`, the exact oracle of a property validated by the recipe's
+    caller; `sys_without` reproduces that feedback when each row where it differs
+    from `sys_with`, times the plan, is zero, which `same_feedback` reads with no
+    second product."""
     shared = feedback(sys_with, section)
-    if not consistent_set_contains(Dataset(section, shared), sys_without):
+    if not same_feedback(sys_with, sys_without, section):
         raise InternalFault("constructed system without the property is inconsistent")
     if not holds(sys_with):
         raise InternalFault("constructed system fails to have the property")
@@ -292,8 +298,10 @@ def distinct_consistent_pair(d: Dataset, span: Optional[Span] = None) -> Tuple[S
     carries no property split.  One read of the plan beside X+ gives both:
     the consistent model whose free directions are 0 (the transposed solve)
     and a second one, its row 0 shifted along the first annihilator.  `span`
-    is that read when model recovery has already made it.  Raises
-    InconsistentDataset when no system reproduces the data.
+    is that read when model recovery has already made it.  The check is one
+    product, the first model's feedback against X+, and the second model's
+    differing row times the plan, zero, read with no product (`same_feedback`).
+    Raises InconsistentDataset when no system reproduces the data.
     """
     span = span or read_span(d.section.stacked(), d.x_plus)
     ann = span.annihilator
@@ -304,9 +312,8 @@ def distinct_consistent_pair(d: Dataset, span: Optional[Span] = None) -> Tuple[S
     cells, f = list(model._scaled_nums(den)), den // ann._den
     cells[: ann.rows] = [x + f * v for x, v in zip(cells, ann._nums)]  # row 0 moves along the annihilator
     base, other = SystemPair.from_ab(model), SystemPair.from_ab(Mat._make(model.rows, model.cols, cells, den))
-    for sys in (base, other):
-        if not consistent_set_contains(d, sys):
-            raise InternalFault("constructed consistent system fails to reproduce the data")
+    if not (consistent_set_contains(d, base) and same_feedback(base, other, d.section)):
+        raise InternalFault("constructed consistent system fails to reproduce the data")
     if base == other:
         raise InternalFault("the two consistent systems must differ")
     return base, other

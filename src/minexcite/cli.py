@@ -3,8 +3,9 @@
 Verbs: design, check, identify, recover, gain, counterexample, simulate,
 bench.  Exit statuses: 0 when a verdict or artifact was produced, 2 when
 the excitation plan is not sufficiently rich, 3 for malformed or
-inapplicable input, a usage error included, 4 for an internal invariant
-failure.  A property document is validated once, by
+inapplicable input, a usage error and a document that is not UTF-8 text or
+is longer than `specio.MAX_DOCUMENT_BYTES` included, 4 for an internal
+invariant failure.  A property document is validated once, by
 `specio.load_problem`, and the verbs pass that problem down; `check`
 reads the plan's span once, for the verdict and the missing directions.
 """

@@ -36,12 +36,13 @@ the left and output cells, in units fitted to timings of both on a grid.
 
 `eliminate` is the one entry point of elimination; `rank`, `kernel`, `read_span`
 and the like read the `Span` it returns.  It reduces a alone and logs the row
-operations; b's columns follow the forward half of that log (`_replay`) the first
-time a read asks for them, and the solution comes by back-substitution on the rows
-as they led, so a read of a alone never touches b, and every read equals the one
-that eliminating [a | b] whole gives.  The reads of a come off one table of the
-reduced rows over the lcm of their pivots.  A column lies outside a plan's span
-exactly when its product with the plan's left kernel Y^T is nonzero.
+operations; b's columns, its own integers over its own denominator, follow the
+forward half of that log (`_replay`) the first time a read asks for them, and the
+solution comes by back-substitution on the rows as they led, the two denominators
+folded in at its end, so a read of a alone never touches b, and every read equals
+the one that eliminating [a | b] whole gives.  The reads of a come off one table
+of the reduced rows over the lcm of their pivots.  A column lies outside a plan's
+span exactly when its product with the plan's left kernel Y^T is nonzero.
 `_staircase` is the one reader of a pair, on its block [A, B]: one Krylov
 elimination gives its reachable subspace, whose annihilator proves invariance
 and, when smaller, holds the modes outside it on the quotient, each set
@@ -512,7 +513,7 @@ def _rref(rows: list, pivot_width: int, log: list) -> list:
     return pivots
 
 
-def _replay(log: list, b_rows: list, sa: int) -> tuple:
+def _replay(log: list, b_rows: list) -> tuple:
     """b's integer rows through `log`, the row operations of `_rref` on a's, as far
     as they reach below each pivot: the forward half of Gauss-Jordan, all that a row
     past the rank receives, and a pivot row before it leads.  Returns (ms, rows) in
@@ -521,14 +522,16 @@ def _replay(log: list, b_rows: list, sa: int) -> tuple:
     positive multiple of row i of [a | b] in the same elimination of it whole, and
     that row itself once an update has reached it.
 
-    b's rows are over a common denominator with a's, which is sa times a's own, so an
-    input row of a divided by g is [g sa e | b_i]; a zero one is made primitive, as
-    no update reaches it.  An update (i, f, g) under pivot piv of row r is one of
-    [a | b] by m_r piv and m_i f, whose part in a is m_i m_r g times the new row of
-    a; as e is primitive, or zero with m, the row is divided by the gcd of m and its
-    part in b, as the whole row would be."""
+    a and b here are the integer rows of each over its own denominator, not over a
+    common one: `Span._solved` folds the two denominators into the solution once, so
+    no multiplier carries their ratio, and an update whose multiplier is 1 takes no
+    gcd.  An input row of a divided by g is [g e | b_i]; a zero one is made
+    primitive, as no update reaches it.  An update (i, f, g) under pivot piv of row r
+    is one of [a | b] by m_r piv and m_i f, whose part in a is m_i m_r g times the new
+    row of a; as e is primitive, or zero with m, the row is divided by the gcd of m
+    and its part in b, as the whole row would be."""
     gcd = math.gcd
-    ms, rows = [g * sa for g in log[0]], [row if g else _primitive(list(row)) for g, row in zip(log[0], b_rows)]
+    ms, rows = list(log[0]), [row if g else _primitive(list(row)) for g, row in zip(log[0], b_rows)]
     for r, (p, c, lead, updates) in enumerate(log[1:]):
         rows[r], rows[p], ms[r], ms[p] = rows[p], rows[r], ms[p], ms[r]
         row_r, m_r = rows[r], ms[r]
@@ -537,7 +540,7 @@ def _replay(log: list, b_rows: list, sa: int) -> tuple:
             m = ms[i]
             v, m = m * f, m * m_r * g
             new = [u * x - v * y for x, y in zip(rows[i], row_r)]
-            d = gcd(m, *new)
+            d = gcd(m, *new) if m != 1 else 1
             ms[i], rows[i] = (m // d, [x // d for x in new]) if d > 1 else (m, new)
     return ms, rows
 
@@ -595,6 +598,7 @@ class Span:
     _rhs: Optional[int] = field(repr=False)  # the columns of b, None without b
     _b: Callable[[], tuple] = field(repr=False)  # (ms, rows) as `_replay` leaves b's, rows of no entries without b
     _log: list = field(repr=False)  # the gcds and row operations of the reduction of a
+    _fold: tuple = field(repr=False)  # (a's denominator, b's): b's rows are replayed over their own
 
     @property
     def _free(self) -> list:  # the columns of a without a pivot, ascending
@@ -654,7 +658,10 @@ class Span:
         row led at its index, 0 where none leads; None when b is absent or some column
         of it lies outside im a.  By back-substitution, last pivot first: the row e that
         leads at pc, m e beside x its row of [a | b] then (`_replay`), gives y_pc, x / m
-        less the sum of e_s y_s over the later pivots s, over e_pc."""
+        less the sum of e_s y_s over the later pivots s, over e_pc.  The replay ran on
+        the integers of a and of b, each over its own denominator, so the solution of
+        a Q = b is theirs times a_den / b_den (`_fold`), folded in here once, at the
+        end; a row whose factor is 1, here or there, is taken as it is."""
         (ms, rows), ys = self._b_rows, {}  # pc: (d, y), y / d that b part, d of either sign
         if self._rhs is None or any(map(any, rows[self.rank :])):
             return None
@@ -665,14 +672,15 @@ class Span:
                 continue
             terms = [(lead[s], *ys[s]) for s in ys if lead[s]]
             den = math.lcm(m, *[d for _, d, _ in terms])
-            acc = [x * (den // m) for x in row]
+            acc = row if den == m else [x * (den // m) for x in row]
             for c, d, y in terms:
                 k = c * (den // d)
                 acc = [a - k * v for a, v in zip(acc, y)]
             g = math.gcd(den := den * lead[pc], *acc)
             ys[pc] = (den // g, [a // g for a in acc])
-        den, zero = math.lcm(*[d for d, _ in ys.values()]), [0] * self._rhs
-        return den, [[x * (den // ys[i][0]) for x in ys[i][1]] if i in ys else zero for i in range(self._width)]
+        den, (a_den, b_den), zero = math.lcm(*[d for d, _ in ys.values()]), self._fold, (1, [0] * self._rhs)
+        rows = [(den // ys[i][0] * a_den, ys[i][1]) if i in ys else zero for i in range(self._width)]
+        return den * b_den, [y if k == 1 else [x * k for x in y] for k, y in rows]  # a_den / b_den times y / d
 
     @cached_property
     def solution(self) -> Optional[Mat]:
@@ -710,7 +718,9 @@ class Span:
 def eliminate(a: Mat, b: Optional[Mat] = None, transposed: bool = False) -> Span:
     """The one elimination: a reduced with its row operations logged, b's columns
     following them when first read (see `Span`); with `transposed`, a^T beside b^T,
-    its rows read off the columns of a and b."""
+    its rows read off the columns of a and b.  a's integers and b's are each taken
+    over their own denominator, never rescaled to a common one: b's are replayed as
+    they are, and the solution takes the ratio of the two denominators at its end."""
     (count, p), an = a.shape[::-1] if transposed else a.shape, a._nums
     q = None if b is None else b.rows if transposed else b.cols
     if b is not None and (found := b.cols if transposed else b.rows) != count:
@@ -721,10 +731,9 @@ def eliminate(a: Mat, b: Optional[Mat] = None, transposed: bool = False) -> Span
     def b_rows() -> tuple:  # row i is column i of b when transposed
         if b is None:
             return [0] * count, [()] * count
-        bn = b._scaled_nums(common := math.lcm(a._den, b._den))
-        return _replay(log, [bn[i::count] if transposed else bn[i * q : (i + 1) * q] for i in range(count)], common // a._den)
+        return _replay(log, [b._nums[i::count] if transposed else b._nums[i * q : (i + 1) * q] for i in range(count)])
 
-    return Span(len(pivots), pivots, rows, p, q, b_rows, log)
+    return Span(len(pivots), pivots, rows, p, q, b_rows, log, (a._den, 1 if b is None else b._den))
 
 
 def rank(m: Mat) -> int:

@@ -4,7 +4,9 @@ An excitation plan is a set of k one-step experiments, each a pair of
 initial state and input; stacked, the columns span a subspace of R^(n+m).
 A system on a plan is one product, X+ = [A, B] [X-; U-] (`feedback`), of
 the matrices the pair and the plan each keep whole; consistency is that
-product equal to the data.  A plan decides a property for every consistent system
+product equal to the data.  A second system shares a first one's data when
+each row where their [A, B] differ, times the plan, is zero (`same_feedback`),
+which costs no product.  A plan decides a property for every consistent system
 exactly when its span contains the property's minimum subspace, and any
 basis of that subspace is a minimum excitation.  So a plan is rich exactly
 when [X-; U-] Q = target is solvable, for a `Problem`'s target spanning
@@ -20,6 +22,7 @@ or those of one read made here.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
@@ -85,6 +88,32 @@ def consistent_set_contains(d: Dataset, sys: SystemPair) -> bool:
     return feedback(sys, d.section) == d.x_plus
 
 
+def same_feedback(first: SystemPair, second: SystemPair, section: InputSection) -> bool:
+    """True when `second` gives `first`'s feedback on `section`, (second - first) [X-; U-]
+    = 0, with no product.  Over one denominator, a row the two [A, B] share costs one
+    comparison, and a row where they differ is the sum of the plan's rows that its
+    nonzero differences weigh, which must be zero; a difference that is a multiple of
+    one so checked, as every row of a rank-one change is, costs one pass of
+    cross-multiplication."""
+    x, y, s = first.ab(), second.ab(), section.stacked()
+    if x.shape != y.shape or x.shape != (section.n, s.rows):
+        raise DimensionMismatch("system and plan dimensions do not match")
+    xs, ys = (m._scaled_nums(math.lcm(x._den, y._den)) for m in (x, y))  # both over one denominator
+    (w, k), ref = s.shape, None  # ref: a difference checked, nonzero at `at`
+    for i in range(0, len(xs), w):
+        u, v, row = xs[i : i + w], ys[i : i + w], [0] * k
+        diff = [b - a for a, b in zip(u, v)] if u != v else ()
+        if not diff or ref and all(d * ref[at] == r * diff[at] for d, r in zip(diff, ref)):
+            continue
+        for c, d in enumerate(diff):
+            if d:
+                row, nonzero = [t + d * p for t, p in zip(row, s._nums[c * k : (c + 1) * k])], c
+        if any(row):
+            return False
+        ref, at = diff, nonzero
+    return True
+
+
 def target_gaps(span: Span, problem: Problem) -> list:
     """Indices of the target's columns outside the plan read as `span`, ascending: none at
     rank n+m, else those its left kernel does not annihilate."""
@@ -103,8 +132,7 @@ def missing_directions(
     `Problem.basis_columns` among `gaps`, the caller's `target_gaps` of the plan, or those of
     one read made here; the basis columns are found only when some gap exists."""
     problem = problem or Problem.of(p, section.dims)
-    if gaps is None:
-        gaps = target_gaps(read_span(section.stacked()), problem)
+    gaps = target_gaps(read_span(section.stacked()), problem) if gaps is None else gaps
     return [problem.target.col(j) for j in gaps if j in problem.basis_columns]
 
 

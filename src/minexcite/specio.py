@@ -1,6 +1,7 @@
 """Document formats: property specs, excitation plans, datasets, scenarios.
 
-Documents are YAML.  Matrices appear as literal strings in the format
+Documents are YAML, read as UTF-8 text of at most `MAX_DOCUMENT_BYTES`
+bytes whatever the locale.  Matrices appear as literal strings in the format
 "rows ; separated, entries , separated" with exact rational entries
 ("p/q", integers, or decimal strings such as "0.5").  Bare YAML integers
 are exact; bare YAML floats are re-read from their shortest decimal
@@ -77,6 +78,12 @@ _REQUIRED = object()
 # (n+m)-square matrix built from the counts alone, which past it exhausts memory.
 MAX_DIMENSION = 1000
 
+# Longest document read, in bytes (64 MiB): room for the largest dataset that
+# MAX_DIMENSION admits, 2 * 10**6 cells at n + m = k = 1000, at 32 bytes a cell,
+# while a device or file without end, such as /dev/zero, is refused once that many
+# bytes and one more are read.
+MAX_DOCUMENT_BYTES = 2**26
+
 
 def _as(kind, value, name: str):
     """`value` read as `kind` (int, str or Mode); SpecValidationError naming `name` if it is not one.
@@ -114,9 +121,14 @@ def _dims(doc: dict, where: str) -> Dims:
 def _load_doc(source: Union[str, Path, dict]) -> dict:
     if isinstance(source, dict):
         return source
-    text = Path(source).read_text()
+    with open(source, "rb") as f:
+        data = f.read(MAX_DOCUMENT_BYTES + 1)
+    if len(data) > MAX_DOCUMENT_BYTES:
+        raise SpecValidationError(f"{source}: longer than {MAX_DOCUMENT_BYTES} bytes")
     try:
-        doc = yaml.safe_load(text)
+        doc = yaml.safe_load(data.decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        raise SpecValidationError(f"{source}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
     except RecursionError as exc:  # the composer recurses once per level of nesting
         raise SpecValidationError(f"{source}: nested too deeply") from exc
     except ValueError as exc:  # a scalar Python refuses, such as an int past 3.11's 4300 digits
@@ -249,8 +261,7 @@ def load_dataset(source: Union[str, Path, dict]) -> Dataset:
     section = load_input_section(doc)
     if "Xp" not in doc:
         raise SpecValidationError("a dataset document needs the feedback block Xp")
-    x_plus = parse_matrix(str(doc["Xp"]), rows=section.n, cols=section.k)
-    return Dataset(section, x_plus)
+    return Dataset(section, parse_matrix(str(doc["Xp"]), rows=section.n, cols=section.k))
 
 
 def dump_dataset(d: Dataset) -> str:
@@ -267,16 +278,12 @@ def load_scenario(source: Union[str, Path, dict]) -> Scenario:
     if not isinstance(hidden_doc, dict):
         raise SpecValidationError("scenario needs hidden: {A: ..., B: ...}")
     a = parse_matrix(_field(hidden_doc, "A", str, "scenario hidden system"), rows=dims.n, cols=dims.n)
-    b = parse_matrix(str(hidden_doc.get("B", "")), rows=dims.n, cols=dims.m)
-    hidden = SystemPair(a, b)
+    hidden = SystemPair(a, parse_matrix(str(hidden_doc.get("B", "")), rows=dims.n, cols=dims.m))
     prop_doc = doc.get("property")
     if isinstance(prop_doc, str):
         prop, prop_dims = _read_property((Path() if isinstance(source, dict) else Path(source).parent) / prop_doc)
     elif isinstance(prop_doc, dict):
-        merged = dict(prop_doc)
-        merged.setdefault("n", dims.n)
-        merged.setdefault("m", dims.m)
-        prop, prop_dims = _read_property(merged)
+        prop, prop_dims = _read_property({"n": dims.n, "m": dims.m, **prop_doc})
     else:
         raise SpecValidationError("scenario needs a property mapping or path")
     if prop_dims != dims:
@@ -285,15 +292,11 @@ def load_scenario(source: Union[str, Path, dict]) -> Scenario:
     if isinstance(plan_doc, str) and plan_doc.lower() == "designed":
         plan = None
     elif isinstance(plan_doc, dict):
-        x_text = str(plan_doc.get("X", ""))
-        u_text = str(plan_doc.get("U", ""))
-        x = parse_matrix(x_text, rows=dims.n)
-        u = parse_matrix(u_text, rows=dims.m, cols=x.cols)
-        plan = InputSection(x, u)
+        x = parse_matrix(str(plan_doc.get("X", "")), rows=dims.n)
+        plan = InputSection(x, parse_matrix(str(plan_doc.get("U", "")), rows=dims.m, cols=x.cols))
     else:
         raise SpecValidationError("plan must be 'designed' or {X: ..., U: ...}")
-    seed = _field(doc, "seed", int, "scenario", 0)
-    return Scenario(dims, hidden, prop, plan, seed)
+    return Scenario(dims, hidden, prop, plan, _field(doc, "seed", int, "scenario", 0))
 
 
 def dump_scenario(sc: Scenario) -> str:

@@ -2,6 +2,7 @@
 
 import csv
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -46,12 +47,13 @@ def corner_dataset(tmp_path: Path) -> str:
     return str(f)
 
 
-def _cli_process(*argv, timeout=30) -> subprocess.CompletedProcess:
-    """`python -m minexcite.cli *argv` in a process of its own, so that a traceback shows."""
+def _cli_process(*argv, timeout=30, env=None, **kwargs) -> subprocess.CompletedProcess:
+    """`python -m minexcite.cli *argv` in a process of its own, so that a traceback shows;
+    `env` adds to the environment, and the other keywords go to `subprocess.run`."""
     src = str(Path(minexcite.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    env = {**os.environ, **(env or {}), "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     return subprocess.run(
-        [sys.executable, "-m", "minexcite.cli", *argv], capture_output=True, text=True, env=env, timeout=timeout
+        [sys.executable, "-m", "minexcite.cli", *argv], capture_output=True, text=True, env=env, timeout=timeout, **kwargs
     )
 
 
@@ -314,6 +316,51 @@ def test_huge_yaml_integer_exits_bad_input(tmp_path, verb, flag, text, length):
     assert "Traceback" not in proc.stderr
     assert "7" * 40 not in proc.stderr
     assert str(4000) in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "argv, text",
+    [
+        (["design", "--property"], b"\xff\xfetype: stabilizability\nn: 2\nm: 1\n"),
+        (["check", "--property", None, "--input"], b'n: 1\nm: 1\nk: 2\nX: "1, 0"  # \x85\nU: "0, 1"\n'),
+        (["recover", "--data"], b'n: 1\nm: 1\nk: 2\nX: "1, 0"\nU: "0, 1"\nXp: "1, \x851"\n'),
+        (["simulate", "--scenario"], b"n: 1\nm: 0\nhidden: {A: '0', B: ''}\nproperty: {type: stabilizability}\n\xc3"),
+    ],
+    ids=["property", "plan", "dataset", "scenario"],
+)
+def test_document_not_utf8_exits_bad_input(tmp_path, stab_prop, argv, text):
+    # a byte order mark of UTF-16, a stray continuation byte or a cut-off sequence: the
+    # document is read as UTF-8 whatever the locale, and refused with status 3
+    doc = tmp_path / "doc.yaml"
+    doc.write_bytes(text)
+    proc = _cli_process(*[stab_prop if a is None else a for a in argv], str(doc))
+    assert proc.returncode == EXIT_BAD_INPUT
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith(f"bad input: {doc}: not UTF-8 text (")
+
+
+def test_document_without_end_exits_bad_input(stab_prop):
+    # /dev/zero never ends; it is refused once one byte past the cap is read, well
+    # inside the timeout and under an address-space limit that the unbounded read
+    # would exhaust with a MemoryError, so that no run of this test can take the
+    # host's memory
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+    proc = _cli_process("check", "--property", stab_prop, "--input", "/dev/zero", timeout=20, preexec_fn=limit)
+    assert proc.returncode == EXIT_BAD_INPUT
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr == f"bad input: /dev/zero: longer than {specio.MAX_DOCUMENT_BYTES} bytes\n"
+
+
+def test_non_ascii_comment_loads_in_any_locale(tmp_path):
+    # UTF-8 text is read as such even where the locale's encoding is ASCII
+    doc = tmp_path / "prop.yaml"
+    doc.write_text("# Zustände θ — stabilisierbar\ntype: stabilizability\nn: 2\nm: 1\n", encoding="utf-8")
+    ascii_locale = {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
+    proc = _cli_process("design", "--property", str(doc), env=ascii_locale)
+    assert (proc.returncode, proc.stderr) == (EXIT_OK, "")
+    assert proc.stdout == "{n: 2, m: 1, k: 3, X: '1, 0, 0; 0, 1, 0', U: '0, 0, 1'}\n"
 
 
 @pytest.mark.parametrize(

@@ -16,6 +16,7 @@ from minexcite import (
     GainNotApplicable,
     Identifiability,
     InputSection,
+    InternalFault,
     LinearConstraint,
     LinearStructure,
     Mat,
@@ -607,21 +608,48 @@ def test_product_budget(products):
     data = excite(hidden, section)
     assert products(excite, hidden, section) == 1
     assert products(consistent_set_contains, data, partner) == 1
-    # the pair's shared feedback, then the partner's consistency check; the
-    # oracle here makes no product, so the count is the data equation's alone
+    # the pair's shared feedback; the partner is checked on the rows where it differs,
+    # with no product, and the oracle here makes none, so the count is the data
+    # equation's alone
     holds = lambda sys: sys is hidden  # noqa: E731
-    assert products(_verified_pair, section, hidden, partner, holds) == 2
+    assert products(_verified_pair, section, hidden, partner, holds) == 1
+    # the pair of models: the first model's product by the plan, checked against X+;
+    # the second differs from it in row 0 alone, which is checked with no product
+    assert products(distinct_consistent_pair, data, read_span(section.stacked(), data.x_plus)) == 1
     # the controllability pair is built in the plan's own state coordinates: where the
     # annihilator e1 weighs the first state but not the second, only the data check's
-    # two products remain
+    # one product remains
     section = InputSection(parse_matrix("0, 0; 1, 0"), parse_matrix("0, 1"))
     span, problem = read_span(section.stacked()), Problem.of(Controllability(), section.dims)
-    assert products(counterexample_controllability, section, problem, 0, span, target_gaps(span, problem)) == 2
-    # a deficient zero pattern's run: its excitation, then its pair's shared feedback and
-    # consistency check; the residual of its missed column is formed on the integers of
-    # the plan's read, with no product
+    assert products(counterexample_controllability, section, problem, 0, span, target_gaps(span, problem)) == 1
+    # a deficient zero pattern's run: its excitation, then its pair's shared feedback; the
+    # residual of its missed column is formed on the integers of the plan's read, with no
+    # product
     section = deficient_section(random.Random(61), dims, minimum_subspace(sparsity, dims).basis, 4)
-    assert products(run, Scenario(dims, hidden, sparsity, section)) == 3
+    assert products(run, Scenario(dims, hidden, sparsity, section)) == 2
+
+
+def test_pair_check_refuses_a_row_the_plan_sees(monkeypatch):
+    """Both pair builders check their second system only on the rows where it differs
+    from the first, with no product; a differing row that the plan does not annihilate
+    must still be caught, whether or not the two [A, B] share a denominator."""
+    rng = random.Random(79)
+    dims = Dims(3, 2)
+    hidden = rand_system(rng, dims.n, dims.m)
+    section = InputSection(rand_mat(rng, dims.n, 4), rand_mat(rng, dims.m, 4))
+    data = excite(hidden, section)
+    seen = section.stacked().col(0)  # its product with the plan has the plan's squared first column
+    holds = lambda sys: sys is hidden  # noqa: E731
+    for scale in (1, Fraction(1, 7)):
+        partner = SystemPair.from_ab(hidden.ab() + Mat.column([0, 0, scale]) @ seen.T)
+        assert partner.ab()._den != hidden.ab()._den or scale == 1
+        with pytest.raises(InternalFault, match="inconsistent"):
+            _verified_pair(section, hidden, partner, holds)
+        # the pair of models, its row 0 moved along a column the plan does not annihilate
+        monkeypatch.setattr(Span, "annihilator", property(lambda span: seen * scale))
+        with pytest.raises(InternalFault, match="fails to reproduce"):
+            distinct_consistent_pair(data, read_span(section.stacked(), data.x_plus))
+        monkeypatch.undo()
 
 
 def test_replay_budget(monkeypatch):

@@ -485,7 +485,8 @@ def span_inputs(draw):
     """(a, b, transposed): a matrix a, often of lower rank, with zero rows and columns,
     rank 0 and full rank among them, and b absent, I or a block beside a (its columns
     beside a's when transposed), often in a's row space.  Entries are small, or up to
-    2^200 in magnitude over denominators up to 2^61 - 1."""
+    2^200 in magnitude over denominators up to 2^61 - 1; a or b is often divided by a
+    prime that the other's denominator lacks."""
     small = st.builds(Fraction, st.integers(-6, 6), st.sampled_from([1, 1, 2, 3, 7]))
     large = st.builds(Fraction, st.integers(-(2**200), 2**200), st.integers(1, 2**61 - 1))
     entries = draw(st.sampled_from([small, large, st.one_of(small, large)]))
@@ -509,6 +510,11 @@ def span_inputs(draw):
     zero_rows = draw(st.sets(st.integers(0, max(count - 1, 0)), max_size=2))
     zero_cols = draw(st.sets(st.integers(0, max(p - 1, 0)), max_size=2))
     a = Mat.from_flat(count, p, [0 if i in zero_rows or j in zero_cols else a[i, j] for i in range(count) for j in range(p)])
+    # b is replayed over its own denominator, and the ratio of a's to b's folded into the
+    # solution: give one of them a prime, 5 or 11, that the other's small entries lack
+    fold, prime = draw(st.sampled_from(["none", "a", "b"])), draw(st.sampled_from([5, 11]))
+    if fold == "a":
+        a = a * Fraction(1, prime)
     kind, q = draw(st.sampled_from(["none", "identity", "spanned", "any"])), draw(st.integers(0, 3))
     if kind == "none":
         b = None
@@ -516,6 +522,8 @@ def span_inputs(draw):
         b = Mat.identity(count)
     else:
         b = _ref_matmul(a, block(p, q)) if kind == "spanned" else block(count, q)
+        if fold == "b":
+            b = b * Fraction(1, prime)
     if transposed:
         return a.T, None if b is None else b.T, True
     return a, b, False

@@ -23,6 +23,7 @@ from minexcite import (
     contains,
     design_minimum_input,
     image,
+    kernel,
     is_sufficiently_rich,
     minimum_subspace,
     missing_directions,
@@ -33,7 +34,7 @@ from minexcite import (
 from conftest import rand_invertible, rand_sparsity, rand_structure
 from minexcite import Mode
 from minexcite.ratmat import read_span
-from minexcite.richness import Dataset, feedback, target_gaps
+from minexcite.richness import Dataset, feedback, same_feedback, target_gaps
 
 
 TWO_COLUMN_PLAN = InputSection(parse_matrix("1, 0.5; 0, 1"), parse_matrix("-1, -1"))
@@ -320,6 +321,79 @@ def test_feedback_checks_dimensions():
         feedback(sys, plan)
     with pytest.raises(DimensionMismatch):
         consistent_set_contains(Dataset(plan, Mat.zeros(1, 2)), sys)
+    other = SystemPair.from_ab(Mat.zeros(1, 3))  # of the plan's dimensions, unlike sys
+    for first, second in ((sys, sys), (other, sys), (sys, other)):
+        with pytest.raises(DimensionMismatch):
+            same_feedback(first, second, plan)
+
+
+@st.composite
+def pairs_on_plans(draw):
+    """(first, second, plan, kind): a plan of rank 0 to n+m, often with zero rows and
+    columns, a system, and a second system equal to it but on none, one, some or all
+    rows.  Each differing row is a left-kernel vector of the plan, which it annihilates,
+    or any row, each drawn on its own or all multiples of one (`kind` says which of the
+    two, or "mixed"), and they are often divided by 7, so the two [A, B] have different
+    denominators while their other rows stay equal."""
+    n, m, k = draw(st.integers(1, 3)), draw(st.integers(0, 2)), draw(st.integers(1, 5))
+    total, entries = n + m, st.builds(Fraction, st.integers(-4, 4), st.sampled_from([1, 1, 2, 3]))
+
+    def block(rows, cols):
+        return Mat.from_flat(rows, cols, draw(st.lists(entries, min_size=rows * cols, max_size=rows * cols)))
+
+    r = draw(st.integers(0, min(total, k)))
+    plan = block(total, r) @ block(r, k) if r else Mat.zeros(total, k)
+    if draw(st.booleans()):
+        zero_rows = draw(st.sets(st.integers(0, total - 1), max_size=2))
+        zero_cols = draw(st.sets(st.integers(0, k - 1), max_size=2))
+        cells = [0 if i in zero_rows or j in zero_cols else plan[i, j] for i in range(total) for j in range(k)]
+        plan = Mat.from_flat(total, k, cells)
+    first = block(n, total)
+    null = kernel(plan.T)  # its columns y have y^T plan = 0
+    rows = draw(st.sampled_from(["none", "one", "some", "all"]))
+    if rows in ("none", "all"):
+        rows = set() if rows == "none" else set(range(n))
+    else:
+        rows = {draw(st.integers(0, n - 1))} if rows == "one" else draw(st.sets(st.integers(0, n - 1)))
+    seen = set()  # whether the plan annihilates each direction drawn
+
+    def direction() -> list:
+        seen.add(annihilated := null.cols > 0 and draw(st.booleans()))
+        return (null @ block(null.cols, 1)).col_list(0) if annihilated else block(1, total).row_list(0)
+
+    # a rank-one change, as the pair recipes make, moves each differing row along one direction
+    one = direction() if draw(st.booleans()) else None
+    shift = []
+    for i in range(n):
+        if i not in rows:
+            shift.append([Fraction(0)] * total)
+        else:
+            shift.append(direction() if one is None else [v * c for c in [draw(st.sampled_from([-3, -1, 1, 2]))] for v in one])
+    scale = draw(st.sampled_from([Fraction(1), Fraction(1, 7)]))
+    second = first + Mat.from_flat(n, total, [v * scale for row in shift for v in row])
+    kind = "annihilated" if seen == {True} else "any" if seen == {False} else "mixed"
+    return SystemPair.from_ab(first), SystemPair.from_ab(second), split_stacked(plan, Dims(n, m)), kind
+
+
+@pytest.mark.reference
+@settings(max_examples=max(300, settings.default.max_examples), deadline=None)
+@given(pairs_on_plans())
+def test_same_feedback_matches_the_two_products(case):
+    """The pair check, which reads only the rows where the two [A, B] differ, against
+    the two products it replaces: feedback(first, plan) == feedback(second, plan)."""
+    first, second, plan, kind = case
+    differ = sum(first.ab().row_list(i) != second.ab().row_list(i) for i in range(first.n))
+    expected = feedback(first, plan) == feedback(second, plan)
+    if not differ:
+        event("equal systems")
+    else:
+        event(f"differing rows: {'all' if differ == first.n else 'one' if differ == 1 else 'some'}, "
+              f"{kind}; {'equal' if expected else 'different'} feedback")
+        if first.ab()._den != second.ab()._den:
+            event("the differing rows change the denominator")
+    event(f"plan rank {read_span(plan.stacked()).rank} of {plan.dims.total}")
+    assert same_feedback(first, second, plan) == expected
+    assert same_feedback(second, first, plan) == expected
 
 
 @settings(max_examples=100, deadline=None)
