@@ -136,8 +136,8 @@ class GainResult:
 
     Each figure is computed on first read, from one exact characteristic polynomial of
     the closed loop.  `stabilizing`, exact, says every root lies strictly inside the unit
-    disc.  For display only, `radius` is the largest root modulus, Newton-polished on the
-    polynomial's square-free part, and `marginal` is set when it lies within EIG_MARGIN of 1."""
+    disc.  For display only, `radius` is the largest root modulus, `root_radius` of the
+    polynomial, and `marginal` is set when it lies within EIG_MARGIN of 1."""
 
     gain: Mat
     closed_loop: Mat

@@ -1002,80 +1002,75 @@ def _square_free_part(coeffs: list) -> list:
     return _sequence_square_free(p)
 
 
-# The radius is Newton-polished at _NEWTON_DPS digits on the square-free
-# characteristic polynomial.  Its roots are all simple, so Newton converges
-# quadratically from the double-precision Aberth-Ehrlich starts and keeps full
-# accuracy on repeated eigenvalues, where a float64 eigensolver loses half its
-# digits or more.  Starts within _CANDIDATE_BAND of the largest
-# modulus are polished until the step is below _NEWTON_TOL, both relative.
-_NEWTON_DPS = 40
-_NEWTON_TOL = 1e-30
-_CANDIDATE_BAND = 1e-6
+# The radius is read off the square-free characteristic polynomial, whose roots
+# are all simple, by one iteration, `_aberth`: double-precision sweeps of every
+# iterate, then sweeps at _DPS digits of the iterates whose Weierstrass disc can
+# hold the largest root, with the digits doubled until the discs pin the largest
+# modulus to one float.  Roots closer than the working digits share one connected
+# set of discs, which pins the float once it is narrow enough.  The doubling ends:
+# as the digits grow, each disc shrinks onto its simple root, which pins the float
+# unless the modulus lies exactly on a rounding boundary, and then the bounds
+# round to the two floats beside it at every precision, so they repeat.
+_DPS = 40
 
 
-def _aberth(poly: list) -> Optional[list]:
-    """Every root of a square-free integer polynomial, highest degree first, as a
-    Python complex, by the Aberth-Ehrlich iteration (Aberth 1973, Ehrlich 1967);
-    None when it does not settle or a value overflows.  It has settled when the
-    polynomial's value at every root is down to its rounding error."""
-    d = len(poly) - 1
-    try:
-        p = [c / poly[0] for c in poly]
-        radius = max(abs(p[k]) ** (1 / k) for k in range(1, d + 1))  # every root within twice this (Fujiwara)
-        # starts on a circle, turned so that none is real or the conjugate of another
-        z = [radius * cmath.exp(1j * (2 * math.pi * k / d + 0.4)) for k in range(d)]
-        for _ in range(100):  # cubic near simple roots: dense loops to n = 32 settle in 4 to 15
-            settled = True
-            for i, zi in enumerate(z):
-                f, df, bound = 0j, 0j, 0.0
-                for c in p:
-                    f, df, bound = f * zi + c, df * zi + f, bound * abs(zi) + abs(c)
-                if abs(f) > 4 * d * math.ulp(1.0) * bound:
-                    ratio, settled = f / df, False
-                    z[i] = zi - ratio / (1 - ratio * sum(1 / (zi - zj) for j, zj in enumerate(z) if j != i))
-            if settled:
-                return z if all(map(cmath.isfinite, z)) else None
-    except (OverflowError, ZeroDivisionError):
-        pass
-    return None
+def _aberth(p: list, z: list, todo: Sequence[int], eps, size: list, r: list) -> None:
+    """Aberth-Ehrlich sweeps (Aberth 1973, Ehrlich 1967) of the iterates z[i], i in
+    `todo`, towards roots of the polynomial p, highest degree first, in z's own
+    number type: Python complex, or mpmath's at its working precision, of unit
+    roundoff at most eps / 2.  The other iterates stay fixed and still repel.  An
+    iterate moves while its value exceeds the bound on its rounding error, for at
+    most 100 sweeps.  Then size[i] gets |z_i| and r[i] the radius
+    d |p(z_i) / (p[0] prod_{j != i} (z_i - z_j))| of its Weierstrass disc, that
+    rounding included.  Wherever the iterates are, the union of the d discs holds
+    every root, and a connected set of m discs that meets no other disc holds m
+    of them (Gerschgorin's theorem on diag(z) - W 1^T, whose eigenvalues are the
+    roots)."""
+    d, tol, sizes = len(p) - 1, 4 * (len(p) - 1) * eps, [abs(c) for c in p]
+    slope, residue = [c * (d - k) for k, c in enumerate(p[:-1])], {}
+    for sweep in range(101):  # the last only reads the values; dense loops to n = 48 settle in 4 to 14
+        moved = False
+        for i in todo:
+            zi, m = z[i], abs(z[i])
+            f = bound = df = 0
+            for c, a in zip(p, sizes):
+                f, bound = f * zi + c, bound * m + a
+            residue[i] = abs(f) + tol * bound
+            if residue[i] > 2 * tol * bound and sweep < 100:
+                for c in slope:  # the derivative only for a step
+                    df = df * zi + c
+                ratio, moved = f / df, True
+                z[i] = zi - ratio / (1 - ratio * sum(1 / (zi - zj) for j, zj in enumerate(z) if j != i))
+        if not moved:
+            break
+    for i in todo:
+        size[i], r[i] = abs(z[i]), d * residue[i] / abs(p[0] * math.prod(z[i] - zj for j, zj in enumerate(z) if j != i))
 
 
-def _polished_radius(poly: list) -> Optional[object]:
-    """Largest root modulus of a square-free integer polynomial, as an mpmath
-    number, or None when the starts or a Newton run fail, a run leaves the
-    candidate band or repeats a root."""
-    import mpmath
-
-    if (starts := _aberth(poly)) is None:
-        return None
-    top = max(map(abs, starts))
-    found = []
-    with mpmath.workdps(_NEWTON_DPS):
-        mp_poly = [mpmath.mpf(c) for c in poly]
-        for s in starts:
-            if abs(s) < top * (1 - _CANDIDATE_BAND):
-                continue
-            z = mpmath.mpc(s)
-            for _ in range(30):
-                f, df = mpmath.polyval(mp_poly, z, derivative=True)
-                if not df:
-                    return None
-                step = f / df
-                z -= step
-                if abs(step) <= _NEWTON_TOL * abs(z):
-                    break
-            else:
-                return None
-            if abs(z - s) > _CANDIDATE_BAND * top or any(abs(z - r) <= _NEWTON_TOL * top for r in found):
-                return None
-            found.append(z)
-        return max(map(abs, found))
+def _top(z: list, size: list, r: list) -> tuple:
+    """(the iterates to refine, low, high, the centre's modulus) for discs of
+    centres z, moduli `size` and radii r, as `_aberth` leaves them: the largest
+    root modulus lies in [low, high].  The coefficients are real, so the discs
+    that meet the closed upper half-plane hold a root of every modulus: high is
+    the upper edge of the one that reaches highest, as a float, and low the least
+    lower edge of the connected set that holds it.  The iterates to refine are
+    that set's and those of the other discs meeting the half-plane that reach
+    low.  The edges rounded to floats, which rounding keeps in order, pick the
+    discs whose exact edges and distances are compared."""
+    flo, fhi = [float(a - b) for a, b in zip(size, r)], [float(a + b) for a, b in zip(size, r)]
+    up = [float(x.imag) >= -float(b) for x, b in zip(z, r)]  # rounded in order, so no disc meeting it is left out
+    top = max((j for j in range(len(z)) if up[j]), key=fhi.__getitem__)
+    for i in (part := [top]):  # grows while it is read: each member adds the discs it meets
+        near = (j for j in range(len(z)) if fhi[j] >= flo[i] and flo[j] <= fhi[i])
+        part += [j for j in near if j not in part and abs(z[i] - z[j]) <= r[i] + r[j]]
+    low = min(size[i] - r[i] for i in part)
+    return [j for j in range(len(z)) if j in part or up[j] and fhi[j] >= float(low)], low, size[top] + r[top], size[top]
 
 
 def root_radius(coeffs: list) -> float:
     """Largest root modulus of a monic rational polynomial, highest degree first,
-    Newton-polished on its square-free part; a constant has radius 0.  A figure
-    for display: stability is decided exactly, by `staircase` or `schur_stable`."""
+    from `_aberth` on its square-free part; a constant has radius 0.  A figure for
+    display: stability is decided exactly, by `staircase` or `schur_stable`."""
     if len(coeffs) == 1:
         return 0.0
     import mpmath
@@ -1086,8 +1081,28 @@ def root_radius(coeffs: list) -> float:
     lead, d = abs(poly[0]).bit_length(), len(poly) - 1
     s = max(((abs(c).bit_length() - lead) // i for i, c in enumerate(poly[1:], 1) if c), default=0)
     poly = [c << s * (d - i) if s > 0 else c << -s * i for i, c in enumerate(poly)]
-    radius = _polished_radius(poly)
-    if radius is None:  # safety net: polyroots on a polynomial whose roots are all simple
-        with mpmath.workdps(50):
-            radius = max(abs(r) for r in mpmath.polyroots([mpmath.mpf(c) for c in poly], maxsteps=200, extraprec=120))
-    return float(mpmath.ldexp(radius, s))  # past the float range: inf or 0
+    # starts on the unit circle, turned so that none is real or the conjugate of
+    # another, and in double precision scaled to the roots' geometric mean
+    circle = [cmath.exp(1j * (2 * math.pi * k / d + 0.4)) for k in range(d)]
+    try:
+        p = [c / poly[0] for c in poly]
+        z, size, r = [(abs(p[-1]) ** (1 / d) or 1.0) * w for w in circle], [0.0] * d, [0.0] * d
+        _aberth(p, z, range(d), math.ulp(1.0), size, r)
+        finite = all(map(cmath.isfinite, z))
+    except (OverflowError, ZeroDivisionError):
+        finite = False
+    if not finite:  # the float sweeps failed: refine every start
+        z, size, r = circle, [1.0] * d, [math.inf] * d
+    todo, last, dps = _top(z, size, r)[0], None, _DPS
+    z = [mpmath.mpc(x) for x in z]
+    while True:
+        with mpmath.workdps(dps):
+            try:
+                _aberth([mpmath.mpf(c) for c in poly], z, todo, mpmath.eps, size, r)
+            except ZeroDivisionError:  # two iterates met: refine every start
+                z, size, r = [mpmath.mpc(x) for x in circle], [1.0] * d, [math.inf] * d
+            todo, *bounds = _top(z, size, r)
+            low, high, mid = (float(mpmath.ldexp(x, s)) for x in bounds)  # past the float range: inf or 0
+        if low == high or (low, high) == last and high == math.nextafter(low, math.inf):
+            return mid
+        last, dps = (low, high), 2 * dps

@@ -166,6 +166,20 @@ def test_simulate_and_bench(tmp_path, capsys):
     assert out.splitlines()[0] == "property,n,m,k_min,n_plus_m,savings"
 
 
+def test_simulate_designed_identifiability_prints_the_recovered_system(tmp_path, capsys):
+    sc = tmp_path / "scenario.yaml"
+    sc.write_text(
+        "n: 2\nm: 1\n"
+        "hidden: {A: '0, 1; 2, 1/2', B: '1; -3'}\n"
+        "property: {type: identifiability}\n"
+        "plan: designed\n"
+    )
+    assert main(["simulate", "--scenario", str(sc)]) == EXIT_OK
+    rows = dict(line.split(None, 1) for line in capsys.readouterr().out.splitlines())
+    assert parse_matrix(rows["A"]) == parse_matrix("0, 1; 2, 1/2")
+    assert parse_matrix(rows["B"]) == parse_matrix("1; -3")
+
+
 def test_simulate_deficient_explicit_plan(tmp_path, capsys):
     sc = tmp_path / "scenario.yaml"
     sc.write_text(
@@ -239,6 +253,22 @@ def test_gain_on_triple_eigenvalue_is_marginal(tmp_path):
     assert rows["radius"] == "1"
     assert rows["marginal"] == "True"
     assert rows["stabilizing"] == "False"
+
+
+def test_gain_on_clustered_eigenvalues_exits_cleanly(tmp_path):
+    # the closed loop X+ has characteristic polynomial (x - 1/2)^3 - 10^-60: three
+    # eigenvalues within 10^-20 of 1/2, closer than 40 digits resolve
+    data = tmp_path / "cluster.yaml"
+    data.write_text(
+        'n: 3\nm: 1\nk: 3\nX: "1, 0, 0; 0, 1, 0; 0, 0, 1"\nU: "0, 0, 0"\n'
+        'Xp: "0.5, 1, 0; 0, 0.5, 1; 1e-60, 0, 0.5"\n'
+    )
+    proc = _cli_process("gain", "--data", str(data), timeout=60)
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert "Traceback" not in proc.stderr
+    rows = dict(line.split(None, 1) for line in proc.stdout.splitlines() if " " in line)
+    assert rows["radius"] == "0.5"
+    assert rows["stabilizing"] == "True"
 
 
 def test_gain_decides_stabilizing_exactly(tmp_path, capsys):
@@ -418,6 +448,9 @@ def test_literal_for_a_zero_size_block_exits_bad_input(tmp_path, capsys, argv, t
         ("check", 'n: 2\nm: 1\nX: "1, 0; 0, 1"\nU: "0, 0"\n', "'k'"),
         ("simulate", 'n: 1\nm: 1\nhidden: {B: "1"}\nproperty: {type: stabilizability}\n', "'A'"),
         ("simulate", "n: 1\nm: 1\nhidden: {A: '0', B: '1'}\nproperty: {type: stabilizability}\nseed: abc\n", "'seed'"),
+        ("simulate", "n: 1\nm: 1\nhidden: {A: '0', B: '1'}\nproperty: {type: stabilizability}\nplan: 5\n", "plan must be"),
+        ("simulate", "n: 1\nm: 1\nhidden: {A: '0', B: '1'}\nproperty: {type: stabilizability}\nplan: explicit\n",
+         "plan must be"),
         ("design", "type: sparsity\nn: 2\nm: 1\nzeros_A: [[1.5, 1]]\n", "zeros_A"),
         ("design", "type: stabilizability\nn: 2.7\nm: 1\n", "'n'"),
         ("design", "type: stabilizability\nn: 2\nm: true\n", "'m'"),
@@ -428,6 +461,7 @@ def test_literal_for_a_zero_size_block_exits_bad_input(tmp_path, capsys, argv, t
     ],
     ids=["n-not-int", "mode-bogus", "zero-position-not-int", "zeros-not-list", "constraint-without-h",
          "constraint-not-mapping", "constraints-not-list", "plan-without-k", "hidden-without-A", "seed-not-int",
+         "plan-a-number", "plan-an-unknown-word",
          "zero-position-not-integral", "n-not-integral", "m-bool", "n-past-cap", "m-past-cap",
          "expr-superscript-digit", "property-path-a-directory"],
 )

@@ -772,18 +772,12 @@ def test_spectral_radius_identity_3_marginal():
     assert marginal(Mat.identity(3))
 
 
-def test_spectral_radius_falls_back_when_newton_repeats_a_root(monkeypatch):
-    # eigenvalues 1 +- 1e-30 are distinct, but rounded to the 40 digits of the
-    # Newton polish the square-free polynomial has a double root at 1, so
-    # Newton does not settle and polyroots on that polynomial answers instead
-    import mpmath
-
-    calls = []
-    polyroots = mpmath.polyroots
-    monkeypatch.setattr(mpmath, "polyroots", lambda *a, **k: calls.append(a) or polyroots(*a, **k))
+def test_spectral_radius_of_eigenvalues_closer_than_the_working_digits():
+    # eigenvalues 1 +- 1e-30 are distinct, but rounded to the first 40 working
+    # digits the square-free polynomial has a double root at 1: the discs of the
+    # two iterates near 1 overlap and still pin the radius to the float 1.0
     m = parse_matrix("1, 1e-30; 1e-30, 1")
     assert radius_of(m) == 1.0
-    assert len(calls) == 1 and len(calls[0][0]) == 3
     assert marginal(m)
 
 
@@ -803,7 +797,8 @@ def polyroots_radius(m: Mat) -> float:
         return float(max(abs(r) for r in roots))
 
 
-@settings(max_examples=40, deadline=None)
+@pytest.mark.reference
+@settings(max_examples=max(40, settings.default.max_examples), deadline=None)
 @given(square_rationals())
 def test_spectral_radius_agrees_with_polyroots(m):
     import mpmath
@@ -854,13 +849,79 @@ def _seeded_jordan(blocks):
 
 # the examples have n = 13 and 24, where float64 `eigvals`, once used past
 # n = 12, reads 0.006 and 5.24
-@settings(max_examples=40, deadline=None)
+@pytest.mark.reference
+@settings(max_examples=max(40, settings.default.max_examples), deadline=None)
 @given(similar_jordan_forms())
 @example(_seeded_jordan([(0, 4), (0, 4), (0, 4), (0, 1)]))
 @example(_seeded_jordan([(5, 4), (-3, 4), (5, 4), (2, 4), ("-9/2", 4), (1, 4)]))
 def test_spectral_radius_exact_on_jordan_forms(case):
     m, largest = case
     assert radius_of(m) == float(largest)
+
+
+def _polynomial_of(roots) -> list:
+    """Monic polynomial with the given rational roots, highest degree first."""
+    coeffs = [Fraction(1)]
+    for r in roots:
+        coeffs = [a - r * b for a, b in zip(coeffs + [Fraction(0)], [Fraction(0)] + coeffs)]
+    return coeffs
+
+
+@st.composite
+def planted_clusters(draw):
+    """(centre c, size k, exponent e, other roots): k roots c + i 10^-e, i < k, beside up to 3 rational roots."""
+    rationals = st.fractions(min_value=-3, max_value=3, max_denominator=7)
+    return (draw(rationals.filter(bool)), draw(st.integers(2, 4)), draw(st.integers(8, 100)),
+            draw(st.lists(rationals, max_size=3)))
+
+
+# from k = 3 at e = 20 on, the clusters are closer than 40 digits resolve; the
+# examples are larger clusters, each taking up to a few seconds
+@pytest.mark.reference
+@settings(max_examples=max(40, settings.default.max_examples), deadline=None)
+@given(planted_clusters())
+@example((Fraction(1), 6, 30, []))
+@example((Fraction(3, 4), 6, 30, [Fraction(-1, 7)]))
+@example((Fraction(1), 8, 30, [Fraction(1, 3)]))
+@example((Fraction(3, 4), 8, 30, [Fraction(1, 3)]))
+@example((Fraction(1), 12, 30, [Fraction(1, 3), Fraction(-1, 7)]))
+@example((Fraction(3, 4), 12, 30, [Fraction(-1, 7)]))
+def test_spectral_radius_exact_on_planted_clusters(case):
+    c, k, e, others = case
+    roots = [c + i * Fraction(1, 10**e) for i in range(k)] + others
+    assert root_radius(_polynomial_of(roots)) == float(max(map(abs, roots)))
+
+
+def test_spectral_radius_on_a_float_rounding_boundary():
+    # 1 + 2^-53 lies halfway between two floats, so no disc pins it to one float;
+    # the doubling still ends, and the radius rounds as float() rounds it
+    for radius in (Fraction(2**53 + 1, 2**53), Fraction(2**53 + 3, 2**53)):
+        assert root_radius([Fraction(1), -radius]) == float(radius)
+        assert root_radius([Fraction(1), Fraction(0), -radius * radius]) == float(radius)
+    assert root_radius([Fraction(1), Fraction(0), Fraction(0)]) == 0.0
+
+
+@pytest.mark.parametrize("fault", ["overflow", "not finite", "iterates meet"])
+def test_spectral_radius_starts_again_when_the_sweeps_fail(fault, monkeypatch):
+    # a float sweep that overflows or leaves an iterate not finite, and two
+    # multiprecision iterates that meet, send every start on the unit circle to
+    # the multiprecision sweeps
+    aberth, calls = ratmat._aberth, []
+
+    def failing(p, z, todo, eps, size, r):
+        calls.append(type(z[0]))
+        if len(calls) == 1 and fault == "overflow":
+            raise OverflowError
+        if len(calls) == 2 and fault == "iterates meet":
+            raise ZeroDivisionError
+        aberth(p, z, todo, eps, size, r)
+        if len(calls) == 1 and fault == "not finite":
+            z[0] = complex("nan")
+
+    monkeypatch.setattr(ratmat, "_aberth", failing)
+    roots = [Fraction(3, 4) + i * Fraction(1, 10**30) for i in range(3)] + [Fraction(1, 3), Fraction(-1, 7)]
+    assert root_radius(_polynomial_of(roots)) == float(max(roots))
+    assert calls[0] is complex and calls[1] is not complex
 
 
 def test_spectral_radius_requires_square():
